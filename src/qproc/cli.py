@@ -24,7 +24,7 @@ import itertools
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -121,13 +121,26 @@ class ExperimentConfig:
     tol: float | None = None
 
     def __post_init__(self):
+        for name in ("max_rounds", "trials", "seed", "experiment_index"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise UsageError(f"{name} must be an integer, got {value!r}")
         if self.trials < 1:
             raise UsageError("trials must be at least 1")
         if self.max_rounds < 1:
             raise UsageError("max_rounds must be at least 1")
+        if self.seed < 0 or self.experiment_index < 0:
+            raise UsageError("seed and experiment_index must be non-negative")
+        if self.tol is not None and (isinstance(self.tol, bool) or not isinstance(self.tol, (int, float))):
+            raise UsageError(f"tol must be a number, got {self.tol!r}")
+        for name in ("params", "grid"):
+            if not isinstance(getattr(self, name), dict):
+                raise UsageError(f"{name} must be a JSON object")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
+        if not isinstance(d, dict):
+            raise UsageError("config must be a JSON object")
         known = {"experiment", "params", "max_rounds", "trials", "seed", "experiment_index", "grid", "tol"}
         unknown = set(d) - known
         if unknown:
@@ -251,18 +264,29 @@ def _uniform_state(dim: int) -> np.ndarray:
     return np.ones(dim, dtype=complex) / np.sqrt(dim)
 
 
+def _config_state(p: dict, dim: int) -> np.ndarray:
+    """The config's data state `psi` (default: uniform superposition), normalized."""
+    try:
+        psi = np.asarray(p["psi"], dtype=complex) if "psi" in p else _uniform_state(dim)
+    except (TypeError, ValueError):
+        raise UsageError("params.psi must be a list of numbers") from None
+    if psi.shape != (dim,):
+        raise UsageError(f"params.psi must hold {dim} amplitudes for this processor, got shape {psi.shape}")
+    if not np.all(np.isfinite(psi)) or not np.any(psi):
+        raise UsageError("params.psi must be a finite, non-zero vector")
+    return qlinalg.normalize(psi)
+
+
 def _loop_setup(cfg: ExperimentConfig) -> _LoopSetup:
     p = cfg.params
     aux = derive_stream(cfg.seed, cfg.experiment_index, 0)
     if cfg.experiment == "u1":
         alpha = float(p.get("alpha", _DEFAULT_ALPHA))
         proc, rule, target = zoo.u1_cnot(), loops.u1_rule(), zoo.u1_operator(alpha)
-        psi = np.asarray(p["psi"], dtype=complex) if "psi" in p else _uniform_state(2)
     elif cfg.experiment == "bz":
         z = _as_complex(p.get("z", 0.8))
         n_program = int(p.get("n_program", 2))
         proc, rule, target = zoo.cyclic_shift_processor(n_program), loops.bz_rule(), zoo.bz_operator(z)
-        psi = np.asarray(p["psi"], dtype=complex) if "psi" in p else _uniform_state(2)
     elif cfg.experiment == "bz_haar":
         if cfg.max_rounds != 1:
             raise UsageError("bz_haar averages single-shot success; set max_rounds to 1")
@@ -278,11 +302,9 @@ def _loop_setup(cfg: ExperimentConfig) -> _LoopSetup:
             entries = np.exp(1j * np.asarray(p.get("phases", _DEFAULT_PHASES), dtype=float))
         proc = zoo.qudit_diagonal_processor(len(entries))
         rule, target = loops.diagonal_rule(len(entries)), np.diag(entries)
-        psi = np.asarray(p["psi"], dtype=complex) if "psi" in p else _uniform_state(len(entries))
     elif cfg.experiment == "qid2":
         mu = np.asarray(p.get("mu", _DEFAULT_MU), dtype=float)
         proc, rule, target = zoo.qid2(), loops.qid2_rule(), su2_exp(mu)
-        psi = np.asarray(p["psi"], dtype=complex) if "psi" in p else _uniform_state(2)
     elif cfg.experiment == "qidn":
         n_dim = int(p.get("n_dim", 2))
         spec_target = p.get("target", "haar")
@@ -290,10 +312,9 @@ def _loop_setup(cfg: ExperimentConfig) -> _LoopSetup:
             [[_as_complex(v) for v in row] for row in spec_target]
         )
         proc, rule = zoo.qidN(n_dim), loops.qidN_rule(n_dim)
-        psi = np.asarray(p["psi"], dtype=complex) if "psi" in p else _uniform_state(n_dim)
     else:
         raise UsageError(f"unknown sample experiment: {cfg.experiment!r} (known: {SAMPLE_EXPERIMENTS})")
-    psi = qlinalg.normalize(psi)
+    psi = _config_state(p, proc.data_dim)
     exact = loops.exact_success(proc, target, rule, cfg.max_rounds, psi=psi)
     return _LoopSetup(proc=proc, rule=rule, target=target, psi=psi, exact=exact)
 
@@ -302,12 +323,13 @@ def run_sample(cfg: ExperimentConfig) -> dict:
     """Run the configured trajectories and return the JSON payload."""
     setup = _loop_setup(cfg)
     policy = loops.LoopPolicy(max_rounds=cfg.max_rounds)
+    tree = loops.OutcomeTree(setup.proc, setup.target, setup.rule)
     traces = []
     successes = 0
     for t in range(cfg.trials):
         rng = derive_stream(cfg.seed, cfg.experiment_index, t + 1)
         psi = setup.psi if setup.psi is not None else random_state(setup.proc.data_dim, rng)
-        trace = loops.run_loop(setup.proc, psi, setup.target, setup.rule, policy, rng)
+        trace = loops.run_loop(setup.proc, psi, setup.target, setup.rule, policy, rng, tree=tree)
         successes += trace.succeeded
         traces.append(trace_to_dict(trace))
     empirical = successes / cfg.trials
@@ -577,9 +599,10 @@ def _single_shot_runner(proc, xi, psi, fail_label):
 
 def _loop_runner(proc, rule, target, psi, rounds):
     policy = loops.LoopPolicy(max_rounds=rounds)
+    tree = loops.OutcomeTree(proc, target, rule)
 
     def run_one(rng):
-        return loops.run_loop(proc, psi, target, rule, policy, rng).succeeded
+        return loops.run_loop(proc, psi, target, rule, policy, rng, tree=tree).succeeded
 
     return run_one
 
@@ -937,13 +960,9 @@ def _load_config(args) -> ExperimentConfig:
     if not args.config:
         raise UsageError("this subcommand requires --config <json path>")
     cfg = ExperimentConfig.from_file(args.config)
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.trials is not None:
-        cfg.trials = args.trials
-    if args.tol is not None:
-        cfg.tol = args.tol
-    return cfg
+    overrides = {"seed": args.seed, "trials": args.trials, "tol": args.tol}
+    # replace() re-runs the config checks on the overridden values
+    return replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
 
 
 def cmd_sweep(args) -> int:

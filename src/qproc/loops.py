@@ -7,8 +7,18 @@ that the next successful branch restores proportionality to the target. The
 residual (the accumulated applied operator) is tracked as a matrix and the
 comparison is always up to global phase.
 
-`exact_success` evaluates the outcome tree exactly; `run_loop` samples
-Monte Carlo trajectories from a caller-supplied RNG stream.
+The program of round k+1 is fixed by the outcomes of rounds 1..k: it
+depends neither on the data state nor on the RNG. An `OutcomeTree` holds one
+node per outcome history (residual, program or an "uncorrectable" marker,
+and read-only branch operators), built lazily on first visit. `run_loop`
+samples Monte Carlo trajectories from a caller-supplied RNG stream by walking
+a tree; callers that run many trajectories of one (processor, target, rule)
+build one tree and pass it to every call. Retained node arrays are capped at
+`_RETAINED_BYTES` per tree; nodes past the cap are built and used but not
+kept, and nodes nearer the root are built first, so they are the ones kept.
+Nothing is cached between trees, and a trajectory's output does not depend
+on what the tree already holds. `exact_success` evaluates the outcome tree
+exactly, building its nodes the same way without retaining them.
 """
 from __future__ import annotations
 
@@ -20,18 +30,26 @@ import numpy as np
 
 from . import zoo
 from .processor import (
+    BranchDecomposition,
     ProcessorDefinition,
     ProgramBasis,
     ProgramState,
     branch_operators,
-    decompose,
+    decompose,  # noqa: F401 - re-exported: callers look it up in loops
     select_branch,
+    split_branches,
 )
 from .qlinalg import SingularOperator, is_normalized, inverse, su2_log
 
 # Failure branches with less probability mass than this cannot move a
 # 1e-12 comparison and are pruned from the exact tree.
 _PRUNE = 1e-25
+
+# Bytes of node arrays (residual and branch operators) one OutcomeTree keeps.
+# A qubit-family node with N outcomes takes 64 (N + 1) bytes and a qidN(3)
+# node 1.4 KiB, so thousands fit; on qidN(8) (64 KiB per node) only the
+# root side of the tree is kept, which bounds resident memory growth.
+_RETAINED_BYTES = 2 * 1024 * 1024
 
 
 class SingularProgram(ValueError):
@@ -277,6 +295,71 @@ def _require_state(psi, dim: int) -> np.ndarray:
     return v
 
 
+class _Node:
+    """One outcome history: its residual and, unless uncorrectable, program and branch operators."""
+
+    __slots__ = ("residual", "program", "ops", "children")
+
+    def __init__(self, residual: np.ndarray, program: ProgramState | None, ops: np.ndarray | None):
+        self.residual = residual
+        self.program = program  # None: no correcting program exists (uncorrectable)
+        self.ops = ops
+        self.children: dict[str, _Node] = {}
+
+
+class OutcomeTree:
+    """Lazily memoized outcome tree of one (processor, target, rule).
+
+    A node is reached by its outcome-label history from the root (residual
+    I). Children are built on first visit and kept while the tree's retained
+    node arrays stay within `_RETAINED_BYTES`. The tree takes no lock:
+    threads sharing one may build a node twice (identically, so outputs do
+    not change) and overshoot the cap, so give each thread its own tree.
+    """
+
+    def __init__(self, proc: ProcessorDefinition, target, rule: CorrectionRule):
+        self.proc = proc
+        self.target = np.asarray(target, dtype=complex)
+        self.rule = rule
+        self.basis = rule.basis_for(proc)
+        self._root: _Node | None = None
+        self._retained = 0
+
+    @property
+    def root(self) -> _Node:
+        if self._root is None:
+            self._root = self.node(np.eye(self.proc.data_dim, dtype=complex))
+        return self._root
+
+    def node(self, residual: np.ndarray) -> _Node:
+        """Build, without retaining, the node whose outcome history left `residual`."""
+        try:
+            program = self.rule.next_program(self.proc, self.target, residual)
+        except (SingularOperator, SingularProgram):
+            return _Node(residual, None, None)
+        ops = branch_operators(self.proc, program, self.basis)
+        ops.setflags(write=False)
+        return _Node(residual, program, ops)
+
+    def child(self, parent: _Node, label: str, operator: np.ndarray) -> _Node:
+        """The node after `parent` when outcome `label` applied branch operator `operator`."""
+        found = parent.children.get(label)
+        if found is not None:
+            return found
+        node = self.node(_rescaled(operator @ parent.residual))
+        size = node.residual.nbytes + (0 if node.ops is None else node.ops.nbytes)
+        if self._retained + size <= _RETAINED_BYTES:
+            parent.children[label] = node
+            self._retained += size
+        return node
+
+    def serves(self, proc: ProcessorDefinition, target, rule: CorrectionRule) -> bool:
+        """True when this tree was built for (proc, target, rule)."""
+        return proc is self.proc and rule is self.rule and (
+            target is self.target or np.array_equal(np.asarray(target, dtype=complex), self.target)
+        )
+
+
 def run_loop(
     proc: ProcessorDefinition,
     psi,
@@ -284,32 +367,37 @@ def run_loop(
     rule: CorrectionRule,
     policy: LoopPolicy,
     rng: np.random.Generator,
+    tree: OutcomeTree | None = None,
 ) -> LoopTrace:
     """Sample one corrected-loop trajectory.
 
     Rounds are sampled until a success label fires or the budget runs out;
     the trace records the program, outcome, branch probability and
     post-state of every round. On success the final post-state is
-    proportional to target @ psi (up to global phase).
+    proportional to target @ psi (up to global phase). `tree` is an
+    OutcomeTree of (proc, target, rule) shared with other trajectories; by
+    default the trajectory builds its own. The trace is the same either way.
     """
     state = _require_state(psi, proc.data_dim)
-    target = np.asarray(target, dtype=complex)
-    basis = rule.basis_for(proc)
+    if tree is None:
+        tree = OutcomeTree(proc, target, rule)
+    elif not tree.serves(proc, target, rule):
+        raise ValueError("outcome tree belongs to another processor, target or rule")
+    labels = tree.basis.labels
     success = policy.success_labels if policy.success_labels is not None else rule.success_labels(proc)
-    residual = np.eye(proc.data_dim, dtype=complex)
+    node = tree.root
     rounds: list[LoopRound] = []
     status = "exhausted"
-    for _ in range(policy.max_rounds):
-        try:
-            program = rule.next_program(proc, target, residual)
-        except (SingularOperator, SingularProgram):
+    for k in range(policy.max_rounds):
+        if k:
+            node = tree.child(node, branch.label, branch.operator)
+        if node.program is None:
             status = "uncorrectable"
             break
-        dec = decompose(proc, state, program, basis)
-        branch = select_branch(dec, rng)
+        branch = select_branch(BranchDecomposition(split_branches(node.ops, labels, state)), rng)
         rounds.append(
             LoopRound(
-                program=program,
+                program=node.program,
                 outcome=branch.label,
                 probability=branch.probability,
                 post_state=branch.post_state,
@@ -319,7 +407,6 @@ def run_loop(
             status = "succeeded"
             break
         state = branch.post_state
-        residual = _rescaled(branch.operator @ residual)
     return LoopTrace(rounds=tuple(rounds), succeeded=(status == "succeeded"), status=status)
 
 
@@ -347,7 +434,9 @@ def exact_success(
 ) -> float:
     """Exact cumulative success probability of an n-round corrected loop.
 
-    The outcome tree is evaluated with decompose at every node. Nodes whose
+    Every node is built by `OutcomeTree.node` and visited once, so none is
+    retained; its branch probabilities come from its branch operators and
+    the node's data state. Nodes whose
     branch operators are all proportional to isometries have
     state-independent probabilities; their failure subtrees are congruent
     (the residuals are conjugation-related), so a single representative
@@ -357,22 +446,19 @@ def exact_success(
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    target = np.asarray(target, dtype=complex)
-    basis = rule.basis_for(proc)
-    success = success_labels if success_labels is not None else rule.success_labels(proc)
-    labels = basis.labels
-    success_idx = [i for i, lab in enumerate(labels) if lab in success]
-    fail_idx = [i for i, lab in enumerate(labels) if lab not in success]
     if psi is None:
         psi = np.ones(proc.data_dim, dtype=complex) / np.sqrt(proc.data_dim)
     state0 = _require_state(psi, proc.data_dim)
+    tree = OutcomeTree(proc, target, rule)
+    success = success_labels if success_labels is not None else rule.success_labels(proc)
+    labels = tree.basis.labels
+    success_idx = [i for i, lab in enumerate(labels) if lab in success]
+    fail_idx = [i for i, lab in enumerate(labels) if lab not in success]
 
-    def node(state: np.ndarray, residual: np.ndarray, remaining: int) -> float:
-        try:
-            program = rule.next_program(proc, target, residual)
-        except (SingularOperator, SingularProgram):
+    def visit(node: _Node, state: np.ndarray, remaining: int) -> float:
+        if node.program is None:
             return 0.0
-        ops = branch_operators(proc, program, basis)
+        ops = node.ops
         amps = np.einsum("bij,j->bi", ops, state)
         probs = np.einsum("bi,bi->b", np.conjugate(amps), amps).real
         s = float(probs[success_idx].sum())
@@ -383,12 +469,12 @@ def exact_success(
             return s
         if _state_independent(ops, probs):
             i = fails[0]
-            child = node(amps[i] / np.sqrt(probs[i]), _rescaled(ops[i] @ residual), remaining - 1)
+            child = visit(tree.node(_rescaled(ops[i] @ node.residual)), amps[i] / np.sqrt(probs[i]), remaining - 1)
             return s + (1.0 - s) * child
         total = s
         for i in fails:
-            child = node(amps[i] / np.sqrt(probs[i]), _rescaled(ops[i] @ residual), remaining - 1)
+            child = visit(tree.node(_rescaled(ops[i] @ node.residual)), amps[i] / np.sqrt(probs[i]), remaining - 1)
             total += probs[i] * child
         return total
 
-    return float(node(state0, np.eye(proc.data_dim, dtype=complex), n))
+    return float(visit(tree.root, state0, n))

@@ -15,6 +15,7 @@ stream (derive independent streams per task via `streams.derive_stream`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Any, Mapping
 
 import numpy as np
@@ -81,6 +82,8 @@ class ProgramBasis:
             raise ValueError("basis must hold N vectors of dimension N")
         if len(self.labels) != v.shape[0]:
             raise ValueError("one label per basis vector required")
+        if len(set(self.labels)) != len(self.labels):
+            raise ValueError("basis labels must be distinct")
         gram = np.conjugate(v) @ v.T
         if np.linalg.norm(gram - np.eye(v.shape[0])) > _COMPLETENESS_TOL:
             raise ValueError("basis vectors are not orthonormal")
@@ -92,7 +95,9 @@ class ProgramBasis:
         return self.vectors.shape[0]
 
     @classmethod
+    @lru_cache(maxsize=32)
     def computational(cls, dim: int) -> "ProgramBasis":
+        """The computational basis, labels "0".."dim-1"; one shared instance per dim."""
         return cls(np.eye(dim, dtype=complex), tuple(str(j) for j in range(dim)))
 
 
@@ -201,13 +206,24 @@ def decompose(
     if basis is None:
         basis = ProgramBasis.computational(proc.program_dim)
     ops = branch_operators(proc, xi, basis)
+    ops.setflags(write=False)
+    return BranchDecomposition(branches=split_branches(ops, basis.labels, psi))
+
+
+def split_branches(ops: np.ndarray, labels: tuple[str, ...], psi: np.ndarray) -> tuple[Branch, ...]:
+    """Branch b of a run on psi: operator ops[b], probability ||ops[b] psi||^2, post-state.
+
+    `ops` is a read-only (N, D, D) stack (each branch keeps a view of it) and
+    psi a validated data ket; `decompose` and the loop rounds both split
+    runs here, so their probabilities agree to the last bit.
+    """
     branches = []
-    for b, label in enumerate(basis.labels):
-        amp = ops[b] @ psi
+    for op, label in zip(ops, labels):
+        amp = op @ psi
         p = float(np.vdot(amp, amp).real)
         post = amp / np.sqrt(p) if p >= PROB_CUTOFF else None
-        branches.append(Branch(label=label, operator=_readonly(ops[b]), probability=p, post_state=post))
-    return BranchDecomposition(branches=tuple(branches))
+        branches.append(Branch(label=label, operator=op, probability=p, post_state=post))
+    return tuple(branches)
 
 
 def select_branch(dec: BranchDecomposition, rng: np.random.Generator) -> Branch:

@@ -9,7 +9,7 @@ import numpy as np
 
 from qproc import cli, loops, zoo
 from qproc.cli import ExperimentConfig, run_sample
-from qproc.loops import LoopPolicy, exact_success, run_loop
+from qproc.loops import LoopPolicy, OutcomeTree, exact_success, run_loop
 from qproc.processor import ProgramBasis, decompose, sample
 from qproc.qlinalg import (
     dagger,
@@ -160,7 +160,8 @@ def test_criterion_08_qid2_probabilities_and_loop():
     trials = 100_000
     psi = np.array([0.6, 0.8])
     policy = LoopPolicy(max_rounds=2)
-    hits = sum(run_loop(proc, psi, target, rule, policy, derive_stream(1007, t)).succeeded for t in range(trials))
+    tree = OutcomeTree(proc, target, rule)
+    hits = sum(run_loop(proc, psi, target, rule, policy, derive_stream(1007, t), tree=tree).succeeded for t in range(trials))
     sigma = np.sqrt((7 / 16) * (9 / 16) / trials)
     assert abs(hits / trials - 7 / 16) <= 3 * sigma
     _report(8, f"outcomes 1/4; 7/16 and 1-(3/4)^n exact; failure(30) = {failure30:.3e}; {trials} traces freq {hits / trials:.5f}")
@@ -215,7 +216,8 @@ def test_criterion_09_qudit_distributor():
     v2 = random_unitary(2, derive_stream(1010))
     psi2 = np.ones(2) / np.sqrt(2)
     policy = LoopPolicy(max_rounds=1)
-    hits = sum(run_loop(proc2, psi2, v2, rule2, policy, derive_stream(1011, t)).succeeded for t in range(trials))
+    tree = OutcomeTree(proc2, v2, rule2)
+    hits = sum(run_loop(proc2, psi2, v2, rule2, policy, derive_stream(1011, t), tree=tree).succeeded for t in range(trials))
     sigma = np.sqrt(0.25 * 0.75 / trials)
     assert abs(hits / trials - 0.25) <= 3 * sigma
     _report(9, f"all identities for N in {{2,3,4}}; p(K) exact; {trials} traces freq {hits / trials:.5f}")

@@ -248,6 +248,29 @@ def test_config_rejects_bad_values():
         ExperimentConfig.from_dict({"trials": 5})
 
 
+@pytest.mark.parametrize(
+    "config, flags",
+    [
+        ({"experiment": "u1", "trials": "5"}, []),
+        ({"experiment": "u1", "trials": 5.5}, []),
+        ({"experiment": "u1", "params": {"psi": [1, 0, 0]}, "trials": 2}, []),
+        ({"experiment": "qidn", "params": {"n_dim": 3, "psi": [1, 0]}, "trials": 2}, []),
+        ({"experiment": "u1", "params": {"psi": [0, 0]}}, []),
+        ({"experiment": "u1", "seed": -1}, []),
+        ({"experiment": "u1", "params": 5}, []),
+        ({"experiment": "u1"}, ["--trials", "0"]),
+    ],
+    ids=["trials-str", "trials-float", "psi-dim", "qidn-psi-dim", "psi-zero", "seed-negative", "params-not-object", "trials-flag-0"],
+)
+def test_sample_bad_config_is_usage_error(tmp_path, capsys, config, flags):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    assert main(["sample", "--config", str(cfg_path), "--out", str(tmp_path / "x.json"), *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "x.json").exists()
+
+
 def test_list_shows_everything(capsys):
     assert main(["list"]) == 0
     out = capsys.readouterr().out

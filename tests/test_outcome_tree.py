@@ -1,0 +1,123 @@
+"""The memoized outcome tree: shared, fresh, reordered and uncached runs agree.
+
+A trajectory's program in round k+1 depends only on the outcomes of rounds
+1..k, so sharing an OutcomeTree between trajectories, running them in any
+order or keeping no nodes at all must leave every trace byte unchanged. That
+is what lets trials run concurrently (or in chunks) without changing output.
+"""
+import json
+from dataclasses import replace
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from qproc import loops, zoo
+from qproc.cli import trace_to_dict
+from qproc.loops import LoopPolicy, OutcomeTree, run_loop
+from qproc.qlinalg import random_state, random_unitary, su2_exp
+from qproc.streams import derive_stream
+
+TRIALS = 12
+MAX_ROUNDS = 6
+
+
+def _family(name: str, seed: int):
+    """(proc, rule, target) of one family with a target drawn from the seed."""
+    rng = derive_stream(seed, 0)
+    if name == "u1":
+        return zoo.u1_cnot(), loops.u1_rule(), zoo.u1_operator(rng.uniform(-np.pi, np.pi))
+    if name == "bz":
+        z = rng.uniform(0.2, 2.0) * np.exp(1j * rng.uniform(-np.pi, np.pi))
+        n_program = int(rng.integers(2, 5))
+        return zoo.cyclic_shift_processor(n_program), loops.bz_rule(), zoo.bz_operator(z)
+    if name == "diagonal":
+        dim = int(rng.integers(2, 5))
+        entries = rng.uniform(0.3, 1.0, dim) * np.exp(1j * rng.uniform(-np.pi, np.pi, dim))
+        return zoo.qudit_diagonal_processor(dim), loops.diagonal_rule(dim), np.diag(entries)
+    if name == "qid2":
+        return zoo.qid2(), loops.qid2_rule(), su2_exp(rng.uniform(-1.2, 1.2, 3))
+    n = {"qidN2": 2, "qidN3": 3}[name]
+    return zoo.qidN(n), loops.qidN_rule(n), random_unitary(n, rng)
+
+
+FAMILIES = ("u1", "bz", "diagonal", "qid2", "qidN2", "qidN3")
+
+
+def _trace_bytes(trace) -> tuple:
+    posts = tuple(None if r.post_state is None else r.post_state.tobytes() for r in trace.rounds)
+    return json.dumps(trace_to_dict(trace)), posts
+
+
+def _run(proc, rule, target, seed, order, tree_for):
+    """Traces of trials in `order`, each on tree_for(t) (None: a private tree), by trial index."""
+    policy = LoopPolicy(max_rounds=MAX_ROUNDS)
+    out = {}
+    for t in order:
+        rng = derive_stream(seed, 1, t + 1)
+        psi = random_state(proc.data_dim, rng)
+        out[t] = _trace_bytes(run_loop(proc, psi, target, rule, policy, rng, tree=tree_for(t)))
+    return out
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None, suppress_health_check=[HealthCheck.too_slow])
+@given(family=st.sampled_from(FAMILIES), seed=st.integers(0, 2**32 - 1))
+def test_traces_do_not_depend_on_tree_state(family, seed):
+    proc, rule, target = _family(family, seed)
+    forward = range(TRIALS)
+    shared = OutcomeTree(proc, target, rule)
+    reference = _run(proc, rule, target, seed, forward, lambda t: shared)
+    assert _run(proc, rule, target, seed, forward, lambda t: None) == reference
+    reversed_tree = OutcomeTree(proc, target, rule)
+    assert _run(proc, rule, target, seed, reversed(forward), lambda t: reversed_tree) == reference
+    with mock.patch.object(loops, "_RETAINED_BYTES", 0):
+        uncached = OutcomeTree(proc, target, rule)
+        assert _run(proc, rule, target, seed, forward, lambda t: uncached) == reference
+        assert uncached.root.children == {}
+
+
+def _counting(rule):
+    calls = []
+
+    def next_program(proc, target, residual):
+        calls.append(1)
+        return rule._next_program(proc, target, residual)
+
+    return replace(rule, _next_program=next_program), calls
+
+
+def test_shared_tree_builds_each_round_program_once():
+    # u1 has one failure branch, so its tree is a chain of max_rounds nodes
+    rule, calls = _counting(loops.u1_rule())
+    proc, target = zoo.u1_cnot(), zoo.u1_operator(0.3)
+    policy = LoopPolicy(max_rounds=MAX_ROUNDS)
+    tree = OutcomeTree(proc, target, rule)
+    psi = np.array([0.6, 0.8])
+    traces = [run_loop(proc, psi, target, rule, policy, derive_stream(5, t), tree=tree) for t in range(200)]
+    assert max(t.rounds_used for t in traces) == MAX_ROUNDS
+    assert len(calls) == MAX_ROUNDS
+
+
+def test_retained_node_arrays_stay_within_cap():
+    proc, rule, target = _family("qidN3", 9)
+    node_bytes = 9 * 3 * 3 * 16 + 3 * 3 * 16  # branch operators + residual
+    cap = 4 * node_bytes
+    with mock.patch.object(loops, "_RETAINED_BYTES", cap):
+        tree = OutcomeTree(proc, target, rule)
+        _run(proc, rule, target, 9, range(60), lambda t: tree)
+    kept, stack = 0, [tree.root]
+    while stack:
+        node = stack.pop()
+        kept += len(node.children)
+        stack.extend(node.children.values())
+    assert kept == 4
+    assert tree._retained == cap
+
+
+def test_run_loop_rejects_a_tree_of_another_target():
+    proc, rule = zoo.u1_cnot(), loops.u1_rule()
+    tree = OutcomeTree(proc, zoo.u1_operator(0.3), rule)
+    with pytest.raises(ValueError):
+        run_loop(proc, np.array([1.0, 0.0]), zoo.u1_operator(0.4), rule, LoopPolicy(max_rounds=2), derive_stream(1), tree=tree)

@@ -221,6 +221,14 @@ def test_program_state_requires_normalized_ket():
 def test_program_basis_requires_orthonormal():
     with pytest.raises(ValueError):
         ProgramBasis(vectors=np.array([[1, 0], [1, 0]], dtype=complex), labels=("a", "b"))
+    # outcomes are told apart (and loop trees keyed) by label
+    with pytest.raises(ValueError):
+        ProgramBasis(vectors=np.eye(2, dtype=complex), labels=("a", "a"))
+
+
+def test_computational_basis_is_shared_per_dimension():
+    assert ProgramBasis.computational(3) is ProgramBasis.computational(3)
+    assert ProgramBasis.computational(3).labels == ("0", "1", "2")
 
 
 def test_blocks_are_immutable():
