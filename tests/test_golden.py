@@ -29,6 +29,20 @@ SAMPLE_CASES = {
              "421d68fd97efa232bce5ccb340ec8bd600fee5e5e2a3aed8110d91b0b13bd2cd"),
 }
 
+# Edge cases with their own trial counts. qidn at n_dim 8 has 64 branches per
+# round and fills the outcome tree's retention cap, so later rounds run on
+# nodes that are rebuilt and freed; diagonal entries [0, 1, 1] leave a
+# singular residual after a failure, so 16 of the 30 traces are
+# "uncorrectable".
+EDGE_CASES = {
+    "qidn8": ({"experiment": "qidn", "params": {"n_dim": 8}, "max_rounds": 3, "trials": 20, "seed": 108},
+              "454c70cc18eaf828f4a768e5e568d297a372e96309ee3aac698711be99634958"),
+    "diagonal-uncorrectable": (
+        {"experiment": "diagonal", "params": {"entries": [0, 1, 1]}, "max_rounds": 4, "trials": 30, "seed": 1},
+        "c8ae32d6e3083734fa36c3ba116b3b089e2bf33a3ea8caaa5d6841446b7bdc70",
+    ),
+}
+
 SWEEP_CONFIG = {"experiment": "qid2", "grid": {"n": [1, 4, 8]}, "trials": 100, "seed": 107}
 SWEEP_DIGEST = "da78d5c476299dea9db233b47c622b8b84d908cf026e1400a5aea434f2e62b50"
 
@@ -47,6 +61,18 @@ def test_sample_output_bytes(tmp_path, experiment):
     data = _run(tmp_path, "sample", {**config, "trials": TRIALS})
     if config["max_rounds"] > 1:
         assert max(t["rounds_used"] for t in json.loads(data)["traces"]) >= 4
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
+@pytest.mark.parametrize("case", sorted(EDGE_CASES))
+def test_sample_edge_output_bytes(tmp_path, case):
+    config, digest = EDGE_CASES[case]
+    data = _run(tmp_path, "sample", config)
+    traces = json.loads(data)["traces"]
+    if case == "qidn8":
+        assert max(t["rounds_used"] for t in traces) == config["max_rounds"]
+    else:
+        assert sum(t["status"] == "uncorrectable" for t in traces) == 16
     assert hashlib.sha256(data).hexdigest() == digest
 
 
