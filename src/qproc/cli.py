@@ -18,13 +18,17 @@ output files. Exit codes: 0 success, 1 verification failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import io
 import itertools
 import json
+import math
+import numbers
 import os
 import sys
 from dataclasses import dataclass, field, replace
+from json.encoder import encode_basestring_ascii
 from typing import Callable
 
 import numpy as np
@@ -186,6 +190,54 @@ def _as_complex(v) -> complex:
     return complex(v)
 
 
+# Config values are checked once, where they are read, and a bad one is a
+# UsageError (exit 2), not a numpy or zoo error deep inside a run.
+
+def _is_real(v) -> bool:
+    if isinstance(v, bool) or not isinstance(v, numbers.Real):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an int beyond float range
+        return False
+
+
+def _real(v, name: str) -> float:
+    if not _is_real(v):
+        raise UsageError(f"{name} must be a finite number, got {v!r}")
+    return float(v)
+
+
+def _integer(v, name: str, minimum: int) -> int:
+    if not (_is_real(v) and isinstance(v, numbers.Integral) and v >= minimum):
+        raise UsageError(f"{name} must be an integer >= {minimum}, got {v!r}")
+    return int(v)
+
+
+def _complex(v, name: str) -> complex:
+    if isinstance(v, (list, tuple)) and len(v) == 2:
+        ok = _is_real(v[0]) and _is_real(v[1])
+    else:
+        ok = _is_real(v) or (isinstance(v, complex) and cmath.isfinite(v))
+    if not ok:
+        raise UsageError(f"{name} must be a finite number or an [re, im] pair, got {v!r}")
+    return _as_complex(v)
+
+
+def _real_vector(v, name: str, length: int | None = None) -> np.ndarray:
+    if not (isinstance(v, (list, tuple)) and (length is None or len(v) == length) and all(map(_is_real, v))):
+        size = "" if length is None else f"{length} "
+        raise UsageError(f"{name} must be a list of {size}finite numbers, got {v!r}")
+    return np.asarray(v, dtype=float)
+
+
+def _complex_vector(v, name: str, length: int | None = None) -> np.ndarray:
+    if not (isinstance(v, (list, tuple)) and (length is None or len(v) == length)):
+        size = "" if length is None else f"{length} "
+        raise UsageError(f"{name} must be a list of {size}numbers, got {v!r}")
+    return np.array([_complex(e, name) for e in v])
+
+
 # ---------------------------------------------------------------------------
 # Trace serialization (JSON schema used by `sample`)
 # ---------------------------------------------------------------------------
@@ -218,11 +270,14 @@ def program_from_params(obj: dict) -> ProgramState:
     raise UsageError(f"cannot rebuild a program with encoding {enc!r}")
 
 
-def trace_to_dict(trace: loops.LoopTrace) -> dict:
+def trace_to_dict(
+    trace: loops.LoopTrace, program_params: Callable[[ProgramState], dict] = program_params_to_json
+) -> dict:
+    """Plain-JSON form of one trace; `program_params` renders each round's program."""
     return {
         "rounds": [
             {
-                "program_params": program_params_to_json(r.program),
+                "program_params": program_params(r.program),
                 "outcome": r.outcome,
                 "prob": r.probability,
             }
@@ -245,6 +300,81 @@ def trace_from_dict(obj: dict) -> loops.LoopTrace:
         for r in obj["rounds"]
     )
     return loops.LoopTrace(rounds=rounds, succeeded=obj["succeeded"], status=obj["status"])
+
+
+def _json_float(x: float) -> str:
+    return float.__repr__(x) if math.isfinite(x) else json.dumps(x)
+
+
+# Scalar renderers that match json's own: ASCII-escaped strings, float repr.
+_SCALAR_JSON = {
+    str: encode_basestring_ascii,
+    float: _json_float,
+    bool: lambda b: "true" if b else "false",
+    int: int.__repr__,
+}
+
+
+def _json_at(value, pad: str) -> str:
+    """json.dumps(value, indent=2) for a value nested `len(pad)` spaces in.
+
+    Raw newlines cannot occur inside JSON strings, so shifting every line
+    break by `pad` is exact.
+    """
+    scalar = _SCALAR_JSON.get(value.__class__)
+    if scalar is not None:
+        return scalar(value)
+    return json.dumps(value, indent=2).replace("\n", "\n" + pad)
+
+
+_PAD_ROUND = " " * 10
+_PAD_TRACE = " " * 6
+_ROUND_JSON = (
+    '\n        {\n          "program_params": %s,\n          "outcome": %s,\n          "prob": %s\n        }'
+)
+_TRACE_JSON = (
+    '\n    {\n      "rounds": [%s],\n      "succeeded": %s,\n      "status": %s,\n      "rounds_used": %s\n    }'
+)
+
+
+def sample_json(payload: dict) -> str:
+    """The text of json.dumps(payload, indent=2) + "\\n" for a `run_sample` payload.
+
+    json's indenting encoder runs in pure Python. This writer renders the
+    config and summary through json.dumps, each distinct program_params
+    dict once, and the per-round and per-trace fields from fixed templates,
+    so the bytes are the same at a fraction of the cost. It relies on the
+    payload's key order: config, traces, summary; rounds, succeeded, status,
+    rounds_used; program_params, outcome, prob.
+    """
+    # Keyed by id: the payload keeps every dict alive while this runs.
+    params_text: dict[int, str] = {}
+
+    def round_json(r: dict) -> str:
+        params = params_text.get(id(r["program_params"]))
+        if params is None:
+            params = params_text[id(r["program_params"])] = _json_at(r["program_params"], _PAD_ROUND)
+        return _ROUND_JSON % (params, _json_at(r["outcome"], _PAD_ROUND), _json_at(r["prob"], _PAD_ROUND))
+
+    traces = []
+    for t in payload["traces"]:
+        rounds = ",".join(map(round_json, t["rounds"]))
+        traces.append(
+            _TRACE_JSON
+            % (
+                rounds + "\n      " if rounds else "",
+                _json_at(t["succeeded"], _PAD_TRACE),
+                _json_at(t["status"], _PAD_TRACE),
+                _json_at(t["rounds_used"], _PAD_TRACE),
+            )
+        )
+    body = ",".join(traces) + "\n  " if traces else ""
+    return (
+        '{\n  "config": ' + _json_at(payload["config"], "  ")
+        + ',\n  "traces": [' + body
+        + '],\n  "summary": ' + _json_at(payload["summary"], "  ")
+        + "\n}\n"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -281,36 +411,39 @@ def _loop_setup(cfg: ExperimentConfig) -> _LoopSetup:
     p = cfg.params
     aux = derive_stream(cfg.seed, cfg.experiment_index, 0)
     if cfg.experiment == "u1":
-        alpha = float(p.get("alpha", _DEFAULT_ALPHA))
+        alpha = _real(p.get("alpha", _DEFAULT_ALPHA), "alpha")
         proc, rule, target = zoo.u1_cnot(), loops.u1_rule(), zoo.u1_operator(alpha)
     elif cfg.experiment == "bz":
-        z = _as_complex(p.get("z", 0.8))
-        n_program = int(p.get("n_program", 2))
+        z = _complex(p.get("z", 0.8), "z")
+        n_program = _integer(p.get("n_program", 2), "n_program", 2)
         proc, rule, target = zoo.cyclic_shift_processor(n_program), loops.bz_rule(), zoo.bz_operator(z)
     elif cfg.experiment == "bz_haar":
         if cfg.max_rounds != 1:
             raise UsageError("bz_haar averages single-shot success; set max_rounds to 1")
-        z = _as_complex(p.get("z", np.sqrt(0.5)))
-        n_program = int(p.get("n_program", 4))
+        z = _complex(p.get("z", np.sqrt(0.5)), "z")
+        n_program = _integer(p.get("n_program", 4), "n_program", 2)
         proc, rule, target = zoo.cyclic_shift_processor(n_program), loops.bz_rule(), zoo.bz_operator(z)
         exact = zoo.closed_form("bz_finite", z=z, n_program=n_program).value
         return _LoopSetup(proc=proc, rule=rule, target=target, psi=None, exact=exact)
     elif cfg.experiment == "diagonal":
         if "entries" in p:
-            entries = np.array([_as_complex(e) for e in p["entries"]])
+            entries = _complex_vector(p["entries"], "entries")
         else:
-            entries = np.exp(1j * np.asarray(p.get("phases", _DEFAULT_PHASES), dtype=float))
+            entries = np.exp(1j * _real_vector(p.get("phases", _DEFAULT_PHASES), "phases"))
         proc = zoo.qudit_diagonal_processor(len(entries))
         rule, target = loops.diagonal_rule(len(entries)), np.diag(entries)
     elif cfg.experiment == "qid2":
-        mu = np.asarray(p.get("mu", _DEFAULT_MU), dtype=float)
+        mu = _real_vector(p.get("mu", _DEFAULT_MU), "mu", 3)
         proc, rule, target = zoo.qid2(), loops.qid2_rule(), su2_exp(mu)
     elif cfg.experiment == "qidn":
-        n_dim = int(p.get("n_dim", 2))
+        n_dim = _integer(p.get("n_dim", 2), "n_dim", 2)
         spec_target = p.get("target", "haar")
-        target = random_unitary(n_dim, aux) if spec_target == "haar" else np.array(
-            [[_as_complex(v) for v in row] for row in spec_target]
-        )
+        if spec_target == "haar":
+            target = random_unitary(n_dim, aux)
+        elif isinstance(spec_target, list) and len(spec_target) == n_dim:
+            target = np.array([_complex_vector(row, "target row", n_dim) for row in spec_target])
+        else:
+            raise UsageError(f'target must be "haar" or a list of {n_dim} rows, got {spec_target!r}')
         proc, rule = zoo.qidN(n_dim), loops.qidN_rule(n_dim)
     else:
         raise UsageError(f"unknown sample experiment: {cfg.experiment!r} (known: {SAMPLE_EXPERIMENTS})")
@@ -320,10 +453,24 @@ def _loop_setup(cfg: ExperimentConfig) -> _LoopSetup:
 
 
 def run_sample(cfg: ExperimentConfig) -> dict:
-    """Run the configured trajectories and return the JSON payload."""
+    """Run the configured trajectories and return the JSON payload.
+
+    Rounds that ran the same program share one program_params dict.
+    """
     setup = _loop_setup(cfg)
     policy = loops.LoopPolicy(max_rounds=cfg.max_rounds)
     tree = loops.OutcomeTree(setup.proc, setup.target, setup.rule)
+    # One program_params dict per distinct program. The entry keeps its
+    # program alive: programs of nodes past the tree's retention cap are
+    # rebuilt and freed, and a freed program's id can be reused.
+    params_memo: dict[int, tuple[ProgramState, dict]] = {}
+
+    def program_params(program: ProgramState) -> dict:
+        entry = params_memo.get(id(program))
+        if entry is None:
+            entry = params_memo[id(program)] = (program, program_params_to_json(program))
+        return entry[1]
+
     traces = []
     successes = 0
     for t in range(cfg.trials):
@@ -331,7 +478,7 @@ def run_sample(cfg: ExperimentConfig) -> dict:
         psi = setup.psi if setup.psi is not None else random_state(setup.proc.data_dim, rng)
         trace = loops.run_loop(setup.proc, psi, setup.target, setup.rule, policy, rng, tree=tree)
         successes += trace.succeeded
-        traces.append(trace_to_dict(trace))
+        traces.append(trace_to_dict(trace, program_params))
     empirical = successes / cfg.trials
     summary = {
         "trials": cfg.trials,
@@ -610,16 +757,16 @@ def _loop_runner(proc, rule, target, psi, rounds):
 def _sweep_point(experiment: str, merged: dict):
     """(quantity, exact value, closed-form reference, success sampler) for one grid point."""
     if experiment == "u1":
-        n = int(merged["n"])
+        n = _integer(merged["n"], "n", 1)
         proc, rule = zoo.u1_cnot(), loops.u1_rule()
-        target = zoo.u1_operator(float(merged.get("alpha", _DEFAULT_ALPHA)))
+        target = zoo.u1_operator(_real(merged.get("alpha", _DEFAULT_ALPHA), "alpha"))
         psi = _uniform_state(2)
         computed = loops.exact_success(proc, target, rule, n, psi=psi)
         closed = zoo.closed_form("u1_loop", n=n).value
         return "u1_loop_success", computed, closed, _loop_runner(proc, rule, target, psi, n)
     if experiment == "diagonal":
-        dim = int(merged.get("dim", 3))
-        n = int(merged["n"])
+        dim = _integer(merged.get("dim", 3), "dim", 2)
+        n = _integer(merged["n"], "n", 1)
         proc, rule = zoo.qudit_diagonal_processor(dim), loops.diagonal_rule(dim)
         target = np.diag(np.exp(2j * np.pi * np.arange(dim) / dim))
         psi = _uniform_state(dim)
@@ -627,33 +774,33 @@ def _sweep_point(experiment: str, merged: dict):
         closed = zoo.closed_form("diagonal_loop", dim=dim, n=n).value
         return "diagonal_loop_success", computed, closed, _loop_runner(proc, rule, target, psi, n)
     if experiment == "qid2":
-        n = int(merged["n"])
+        n = _integer(merged["n"], "n", 1)
         proc, rule = zoo.qid2(), loops.qid2_rule()
-        target = su2_exp(np.asarray(merged.get("mu", _DEFAULT_MU), dtype=float))
+        target = su2_exp(_real_vector(merged.get("mu", _DEFAULT_MU), "mu", 3))
         psi = _uniform_state(2)
         computed = loops.exact_success(proc, target, rule, n, psi=psi)
         closed = zoo.closed_form("qid2_loop", n=n).value
         return "qid2_loop_success", computed, closed, _loop_runner(proc, rule, target, psi, n)
     if experiment == "qidn":
-        n_dim, k = int(merged.get("n_dim", 2)), int(merged["k"])
+        n_dim, k = _integer(merged.get("n_dim", 2), "n_dim", 2), _integer(merged["k"], "k", 1)
         proc, rule = zoo.qidN(n_dim), loops.qidN_rule(n_dim)
-        target = random_unitary(n_dim, derive_stream(int(merged.get("target_seed", 7)), n_dim))
+        target = random_unitary(n_dim, derive_stream(_integer(merged.get("target_seed", 7), "target_seed", 0), n_dim))
         psi = _uniform_state(n_dim)
         computed = loops.exact_success(proc, target, rule, k, psi=psi)
         closed = zoo.closed_form("qidn_loop", n_dim=n_dim, k=k).value
         return "qidn_loop_success", computed, closed, _loop_runner(proc, rule, target, psi, k)
     if experiment == "bz":
-        z = _as_complex(merged["z"])
-        n_program = int(merged.get("n_program", 2))
-        psi = np.asarray(merged.get("psi", _PSI2), dtype=complex)
+        z = _complex(merged["z"], "z")
+        n_program = _integer(merged.get("n_program", 2), "n_program", 2)
+        psi = _config_state(merged, 2) if "psi" in merged else _PSI2
         computed = _bz_oracle(z, n_program, psi)
         closed = zoo.closed_form("bz_finite", z=z, n_program=n_program, alpha2=float(abs(psi[0]) ** 2)).value
         runner = _single_shot_runner(zoo.cyclic_shift_processor(n_program), zoo.geometric_program(z, n_program), psi, str(n_program - 1))
         return "bz_single_shot_success", computed, closed, runner
     if experiment == "b0":
-        z = _as_complex(merged["z"])
-        dim = int(merged.get("dim", 3))
-        n_program = int(merged.get("n_program", 2))
+        z = _complex(merged["z"], "z")
+        dim = _integer(merged.get("dim", 3), "dim", 2)
+        n_program = _integer(merged.get("n_program", 2), "n_program", 2)
         psi = _uniform_state(dim)
         bnorm2 = float(np.linalg.norm(zoo.b0_operator(z, dim) @ psi) ** 2)
         computed = _b0_oracle(z, dim, n_program, psi)
@@ -672,6 +819,9 @@ def run_sweep(cfg: ExperimentConfig) -> list[ResultRow]:
     if not cfg.grid:
         raise UsageError("sweep config must declare a grid")
     keys = list(cfg.grid)
+    for k in keys:
+        if not isinstance(cfg.grid[k], list):
+            raise UsageError(f"grid.{k} must be a list of values, got {cfg.grid[k]!r}")
     rows = []
     for index, values in enumerate(itertools.product(*(cfg.grid[k] for k in keys))):
         point = dict(zip(keys, values))
@@ -984,7 +1134,7 @@ def cmd_sample(args) -> int:
     cfg = _load_config(args)
     payload = run_sample(cfg)
     out = _resolve_out(args.out, f"sample_{cfg.experiment}.json")
-    _write_text(out, json.dumps(payload, indent=2) + "\n")
+    _write_text(out, sample_json(payload))
     s = payload["summary"]
     print(
         f"wrote {cfg.trials} traces to {out}: empirical={s['empirical']:.6f} "

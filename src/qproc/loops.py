@@ -19,6 +19,14 @@ kept, and nodes nearer the root are built first, so they are the ones kept.
 Nothing is cached between trees, and a trajectory's output does not depend
 on what the tree already holds. `exact_success` evaluates the outcome tree
 exactly, building its nodes the same way without retaining them.
+
+A sampled round does not split every branch. It applies the node's stacked
+branch operators to the state in one product, computes branch probabilities
+in label order only until the uniform draw lands (`processor.inverse_cdf`,
+the walk `select_branch` also uses), and normalizes only the chosen
+post-state. The stacked product equals the per-branch `op @ psi` of
+`decompose` bit for bit, so a round draws the same label, probability and
+post-state as `select_branch(decompose(...))` on the same stream.
 """
 from __future__ import annotations
 
@@ -30,14 +38,12 @@ import numpy as np
 
 from . import zoo
 from .processor import (
-    BranchDecomposition,
     ProcessorDefinition,
     ProgramBasis,
     ProgramState,
     branch_operators,
     decompose,  # noqa: F401 - re-exported: callers look it up in loops
-    select_branch,
-    split_branches,
+    inverse_cdf,
 )
 from .qlinalg import SingularOperator, is_normalized, inverse, su2_log
 
@@ -390,23 +396,18 @@ def run_loop(
     status = "exhausted"
     for k in range(policy.max_rounds):
         if k:
-            node = tree.child(node, branch.label, branch.operator)
+            node = tree.child(node, label, node.ops[i])
         if node.program is None:
             status = "uncorrectable"
             break
-        branch = select_branch(BranchDecomposition(split_branches(node.ops, labels, state)), rng)
-        rounds.append(
-            LoopRound(
-                program=node.program,
-                outcome=branch.label,
-                probability=branch.probability,
-                post_state=branch.post_state,
-            )
-        )
-        if branch.label in success:
+        amps = node.ops @ state
+        i, p = inverse_cdf((float(np.vdot(a, a).real) for a in amps), rng.random())
+        label = labels[i]
+        state = amps[i] / np.sqrt(p)
+        rounds.append(LoopRound(program=node.program, outcome=label, probability=p, post_state=state))
+        if label in success:
             status = "succeeded"
             break
-        state = branch.post_state
     return LoopTrace(rounds=tuple(rounds), succeeded=(status == "succeeded"), status=status)
 
 

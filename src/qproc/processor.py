@@ -15,8 +15,8 @@ stream (derive independent streams per task via `streams.derive_stream`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Any, Mapping
+from functools import cached_property, lru_cache
+from typing import Any, Iterable, Mapping
 
 import numpy as np
 
@@ -116,6 +116,11 @@ class BranchDecomposition:
     def probabilities(self) -> np.ndarray:
         return np.array([b.probability for b in self.branches])
 
+    @cached_property
+    def probability_tuple(self) -> tuple[float, ...]:
+        """Branch probabilities in label order, built once for repeated draws."""
+        return tuple(b.probability for b in self.branches)
+
     def by_label(self, label: str) -> Branch:
         for b in self.branches:
             if b.label == label:
@@ -214,8 +219,9 @@ def split_branches(ops: np.ndarray, labels: tuple[str, ...], psi: np.ndarray) ->
     """Branch b of a run on psi: operator ops[b], probability ||ops[b] psi||^2, post-state.
 
     `ops` is a read-only (N, D, D) stack (each branch keeps a view of it) and
-    psi a validated data ket; `decompose` and the loop rounds both split
-    runs here, so their probabilities agree to the last bit.
+    psi a validated data ket. Loop rounds split lazily instead (one stacked
+    `ops @ psi`, probabilities only up to the drawn branch); stacked and
+    per-branch products agree to the last bit.
     """
     branches = []
     for op, label in zip(ops, labels):
@@ -226,21 +232,33 @@ def split_branches(ops: np.ndarray, labels: tuple[str, ...], psi: np.ndarray) ->
     return tuple(branches)
 
 
-def select_branch(dec: BranchDecomposition, rng: np.random.Generator) -> Branch:
-    """Inverse-CDF draw over branches in label order; sub-cutoff branches never fire."""
-    r = rng.random()
+def inverse_cdf(probabilities: Iterable[float], r: float) -> tuple[int, float]:
+    """Index and probability of the branch that a uniform r in [0, 1) selects.
+
+    Walks the branch probabilities in label order, skipping those below
+    PROB_CUTOFF, and stops at the first branch whose cumulative mass exceeds
+    r; when rounding leaves r at or above the total, the last branch above
+    the cutoff is chosen. `probabilities` may be lazy: nothing after the
+    chosen branch is consumed. Raises ValueError when no branch qualifies.
+    """
     acc = 0.0
     chosen = None
-    for b in dec.branches:
-        if b.probability < PROB_CUTOFF:
+    for i, p in enumerate(probabilities):
+        if p < PROB_CUTOFF:
             continue
-        chosen = b
-        acc += b.probability
+        chosen, chosen_p = i, p
+        acc += p
         if r < acc:
             break
     if chosen is None:
         raise ValueError("no branch has probability above the cutoff")
-    return chosen
+    return chosen, chosen_p
+
+
+def select_branch(dec: BranchDecomposition, rng: np.random.Generator) -> Branch:
+    """Inverse-CDF draw over branches in label order; sub-cutoff branches never fire."""
+    i, _ = inverse_cdf(dec.probability_tuple, rng.random())
+    return dec.branches[i]
 
 
 def sample(

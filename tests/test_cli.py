@@ -152,6 +152,26 @@ def test_sweep_unknown_experiment(tmp_path):
     assert main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "x.csv")]) == 2
 
 
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"experiment": "bz", "params": {"psi": [0.6, 0.8, 0.0]}, "grid": {"z": [0.5]}},
+        {"experiment": "qid2", "grid": {"n": ["x"]}},
+        {"experiment": "qid2", "grid": {"n": 5}},
+        {"experiment": "qid2", "grid": {"n": [0]}},
+        {"experiment": "u1", "params": {"alpha": "a"}, "grid": {"n": [1]}},
+    ],
+    ids=["bz-psi-dim", "n-not-number", "grid-not-list", "n-zero", "alpha-not-number"],
+)
+def test_sweep_bad_config_is_usage_error(tmp_path, capsys, config):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    assert main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "x.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "x.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # sample
 # ---------------------------------------------------------------------------
@@ -259,8 +279,14 @@ def test_config_rejects_bad_values():
         ({"experiment": "u1", "seed": -1}, []),
         ({"experiment": "u1", "params": 5}, []),
         ({"experiment": "u1"}, ["--trials", "0"]),
+        ({"experiment": "qidn", "params": {"n_dim": 2, "target": 5}}, []),
+        ({"experiment": "qidn", "params": {"n_dim": 2, "target": [[1, 0], [0]]}}, []),
+        ({"experiment": "diagonal", "params": {"entries": [1, "a"]}}, []),
     ],
-    ids=["trials-str", "trials-float", "psi-dim", "qidn-psi-dim", "psi-zero", "seed-negative", "params-not-object", "trials-flag-0"],
+    ids=[
+        "trials-str", "trials-float", "psi-dim", "qidn-psi-dim", "psi-zero", "seed-negative", "params-not-object",
+        "trials-flag-0", "qidn-target-not-list", "qidn-target-ragged", "diagonal-entry-not-number",
+    ],
 )
 def test_sample_bad_config_is_usage_error(tmp_path, capsys, config, flags):
     cfg_path = tmp_path / "cfg.json"

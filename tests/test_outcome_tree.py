@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from qproc import loops, zoo
 from qproc.cli import trace_to_dict
 from qproc.loops import LoopPolicy, OutcomeTree, run_loop
+from qproc.processor import decompose, select_branch
 from qproc.qlinalg import random_state, random_unitary, su2_exp
 from qproc.streams import derive_stream
 
@@ -76,6 +77,24 @@ def test_traces_do_not_depend_on_tree_state(family, seed):
         uncached = OutcomeTree(proc, target, rule)
         assert _run(proc, rule, target, seed, forward, lambda t: uncached) == reference
         assert uncached.root.children == {}
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None, suppress_health_check=[HealthCheck.too_slow])
+@given(family=st.sampled_from(FAMILIES), seed=st.integers(0, 2**32 - 1))
+def test_loop_rounds_draw_as_decompose_and_select_branch(family, seed):
+    """Each lazily drawn round equals select_branch(decompose(...)) on the same stream, bit for bit."""
+    proc, rule, target = _family(family, seed)
+    basis = rule.basis_for(proc)
+    psi = random_state(proc.data_dim, derive_stream(seed, 1))
+    trace = run_loop(proc, psi, target, rule, LoopPolicy(max_rounds=MAX_ROUNDS), derive_stream(seed, 2))
+    rng = derive_stream(seed, 2)
+    state = psi
+    for r in trace.rounds:
+        branch = select_branch(decompose(proc, state, r.program, basis), rng)
+        assert r.outcome == branch.label
+        assert r.probability == branch.probability
+        assert r.post_state.tobytes() == branch.post_state.tobytes()
+        state = branch.post_state
 
 
 def _counting(rule):

@@ -4,6 +4,7 @@ import pytest
 
 from qproc import zoo
 from qproc.processor import (
+    PROB_CUTOFF,
     DimensionMismatch,
     InvalidProcessor,
     ProgramBasis,
@@ -11,6 +12,7 @@ from qproc.processor import (
     assemble,
     branch_operators,
     decompose,
+    inverse_cdf,
     program_operator,
     sample,
 )
@@ -211,6 +213,42 @@ def test_sample_reproducible():
     seq1 = [sample(proc, psi, xi, None, derive_stream(208, t))[0] for t in range(50)]
     seq2 = [sample(proc, psi, xi, None, derive_stream(208, t))[0] for t in range(50)]
     assert seq1 == seq2
+
+
+def test_inverse_cdf_walks_branches_in_order():
+    assert inverse_cdf([0.25, 0.5, 0.25], 0.0) == (0, 0.25)
+    assert inverse_cdf([0.25, 0.5, 0.25], 0.25) == (1, 0.5)
+    assert inverse_cdf([0.25, 0.5, 0.25], 0.8) == (2, 0.25)
+
+
+def test_inverse_cdf_falls_back_to_last_branch_above_cutoff():
+    # rounding can leave the uniform at or above the accumulated mass
+    assert inverse_cdf([0.3, 0.2, PROB_CUTOFF / 10], 0.5) == (1, 0.2)
+    assert inverse_cdf([0.3, 0.2, 0.0], 0.9) == (1, 0.2)
+    assert inverse_cdf([0.0, 0.4, PROB_CUTOFF / 2], 0.99) == (1, 0.4)
+
+
+def test_inverse_cdf_never_picks_a_branch_below_cutoff():
+    assert inverse_cdf([PROB_CUTOFF / 2, 1.0], 0.0) == (1, 1.0)
+
+
+def test_inverse_cdf_raises_when_no_branch_qualifies():
+    with pytest.raises(ValueError):
+        inverse_cdf([PROB_CUTOFF / 2, 0.0, PROB_CUTOFF / 3], 0.1)
+    with pytest.raises(ValueError):
+        inverse_cdf([], 0.1)
+
+
+def test_inverse_cdf_stops_at_the_drawn_branch():
+    seen = []
+
+    def probs():
+        for p in (0.5, 0.25, 0.25):
+            seen.append(p)
+            yield p
+
+    assert inverse_cdf(probs(), 0.1) == (0, 0.5)
+    assert seen == [0.5]
 
 
 def test_program_state_requires_normalized_ket():
