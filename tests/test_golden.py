@@ -1,9 +1,10 @@
-"""Golden bytes: `sample` and loop `sweep` outputs for fixed seeds.
+"""Golden bytes: `sample`, `sweep`, `reproduce`, `verify` and `list` outputs.
 
-The digests were recorded with the loop implementation that rebuilt every
-round's program and branch operators from scratch. Any change to how loop
-rounds are computed (memoized outcome trees, batched arithmetic) must
-reproduce these files byte for byte.
+The `sample` and qid2 loop `sweep` digests were recorded with the loop
+implementation that rebuilt every round's program and branch operators from
+scratch; the other sweeps, the tables and the stdout digests were recorded
+before the experiments were routed through one family table. Any change to
+how runs are set up or computed must reproduce these outputs byte for byte.
 """
 import hashlib
 import json
@@ -78,3 +79,63 @@ def test_sample_edge_output_bytes(tmp_path, case):
 
 def test_loop_sweep_output_bytes(tmp_path):
     assert hashlib.sha256(_run(tmp_path, "sweep", SWEEP_CONFIG)).hexdigest() == SWEEP_DIGEST
+
+
+# Every sweep experiment at trials 1 (exact columns only) and at trials > 1
+# (the empirical column too). qidn covers two Haar target seeds; bz sets
+# params.psi.
+SWEEP_CASES = {
+    "u1": {"experiment": "u1", "params": {"alpha": 0.3}, "grid": {"n": [1, 3, 6]}, "seed": 111},
+    "diagonal": {"experiment": "diagonal", "grid": {"dim": [3, 4], "n": [1, 3]}, "seed": 112},
+    "qidn": {"experiment": "qidn", "grid": {"n_dim": [2, 3], "k": [1, 3], "target_seed": [7, 23]}, "seed": 113},
+    "bz": {"experiment": "bz", "params": {"psi": [0.8, 0.6]}, "grid": {"z": [0.5, 2.0], "n_program": [2, 4]}, "seed": 114},
+    "b0": {"experiment": "b0", "grid": {"z": [0.5, 1.5], "dim": [2, 3], "n_program": [2, 3]}, "seed": 115},
+}
+SWEEP_DIGESTS = {
+    ("b0", 1): "61f5c1e66f2013cefa77126e5f5ab90d691b109f8519079d8fd97d6821a45821",
+    ("b0", 40): "f5387c0000ce42fb13eecc970096cbd9ec1aba917ad3a0c214bc6370d72ccf9c",
+    ("bz", 1): "cc445b46fd5a61c9a11c8b6eba9e3a6f454349b50ea0a083df9673f0a492d6ee",
+    ("bz", 40): "20d794de1c396565bdd5c898354f8a9c58aa9551a5328e911b02a375f1e5d29e",
+    ("diagonal", 1): "de4545119c33478d733ef2337c39cde247915abf848a484b681ab82b659b2059",
+    ("diagonal", 40): "1b83f4202cb5003df287043213771fb9f7256570d234d760503a302e7367cbbd",
+    ("qidn", 1): "e42424f11a6d3044477533bd09e55cb2af0176f8b20d5853cd0579994e18222d",
+    ("qidn", 40): "35a08173c415333b9bee2726c1fab4ca41f8f2da8327fc5ce9786448c47917e9",
+    ("u1", 1): "3169c108b21f2cb954428285235fcf1b1af0247bcb2f0482378668128bcf2171",
+    ("u1", 40): "4c0a6aa310af52cf712cd4bd8f0fd691f2f9cc6367b0d9041897703448ba4ca7",
+}
+
+TABLE_DIGESTS = {
+    "u1": "963aba8a2372a82055dd03a46825e9f1de2504d6d601d83d74bc4ce091cf8574",
+    "vmc3": "7e41f4051abbf3ec49d84eab00d5e2a67f14d23e566ede48b99aa69f4cf11f83",
+    "bz": "4664b87bbd05434015f0eabae8ac92b1f73c68ee60d03bbfafb184dc43139407",
+    "qutrit": "df9b7958c19717a3481a0b0d75327aec8ea4e8cb30e3b6cb1abc4857a95c31e7",
+    "b0": "18c232e9785c58480814eedc1750c25785e9e268dbef669bd146b5dd2e006287",
+    "qid2": "40b4b0d839fee67ba35056abdb927180cd6f7f9ac5b4a3a8ab5dd741e3306606",
+    "qidN": "8d1a6a49fc94e1cf280b1c16e6eade9acbab99ceee5f13cb39ce3194414abc4b",
+    "limits": "d102d719a62570e80d305898c23a68a228670ab60c6fa9d590c9edca8e50f128",
+}
+
+STDOUT_DIGESTS = {
+    "list": "943f06df98cbee380917856807a504775f1ef065a4e2116601599b589d1fbbdc",
+    "verify": "bbdd04b598846bcf9f064327cf79bf1e08504c1ce0d02ab39ec33f8678615040",
+}
+
+
+@pytest.mark.parametrize("trials", [1, 40])
+@pytest.mark.parametrize("experiment", sorted(SWEEP_CASES))
+def test_sweep_output_bytes(tmp_path, experiment, trials):
+    data = _run(tmp_path, "sweep", {**SWEEP_CASES[experiment], "trials": trials})
+    assert hashlib.sha256(data).hexdigest() == SWEEP_DIGESTS[experiment, trials]
+
+
+@pytest.mark.parametrize("table", sorted(TABLE_DIGESTS))
+def test_reproduce_output_bytes(tmp_path, table):
+    out = tmp_path / "table.csv"
+    assert main(["reproduce", "--table", table, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == TABLE_DIGESTS[table]
+
+
+@pytest.mark.parametrize("command", sorted(STDOUT_DIGESTS))
+def test_stdout_bytes(capsys, command):
+    assert main([command]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == STDOUT_DIGESTS[command]
