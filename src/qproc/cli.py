@@ -135,8 +135,8 @@ class ExperimentConfig:
             raise UsageError("max_rounds must be at least 1")
         if self.seed < 0 or self.experiment_index < 0:
             raise UsageError("seed and experiment_index must be non-negative")
-        if self.tol is not None and (isinstance(self.tol, bool) or not isinstance(self.tol, (int, float))):
-            raise UsageError(f"tol must be a number, got {self.tol!r}")
+        if self.tol is not None:
+            _real(self.tol, "tol")
         for name in ("params", "grid"):
             if not isinstance(getattr(self, name), dict):
                 raise UsageError(f"{name} must be a JSON object")
@@ -184,12 +184,6 @@ def _jsonify(x):
     return x
 
 
-def _as_complex(v) -> complex:
-    if isinstance(v, (list, tuple)) and len(v) == 2:
-        return complex(v[0], v[1])
-    return complex(v)
-
-
 # Config values are checked once, where they are read, and a bad one is a
 # UsageError (exit 2), not a numpy or zoo error deep inside a run.
 
@@ -215,13 +209,11 @@ def _integer(v, name: str, minimum: int) -> int:
 
 
 def _complex(v, name: str) -> complex:
-    if isinstance(v, (list, tuple)) and len(v) == 2:
-        ok = _is_real(v[0]) and _is_real(v[1])
-    else:
-        ok = _is_real(v) or (isinstance(v, complex) and cmath.isfinite(v))
-    if not ok:
-        raise UsageError(f"{name} must be a finite number or an [re, im] pair, got {v!r}")
-    return _as_complex(v)
+    if isinstance(v, (list, tuple)) and len(v) == 2 and _is_real(v[0]) and _is_real(v[1]):
+        return complex(v[0], v[1])
+    if _is_real(v) or (isinstance(v, complex) and cmath.isfinite(v)):
+        return complex(v)
+    raise UsageError(f"{name} must be a finite number or an [re, im] pair, got {v!r}")
 
 
 def _real_vector(v, name: str, length: int | None = None) -> np.ndarray:
@@ -246,28 +238,22 @@ def program_params_to_json(program: ProgramState) -> dict:
     return {"encoding": program.encoding, **_jsonify(dict(program.params))}
 
 
+# Encoding -> rebuild from serialized params through the encoding's zoo builder.
+_PROGRAM_DECODERS: dict[str, Callable[[dict], ProgramState]] = {
+    "u1": lambda o: (zoo.vmc3_program if o.get("program_qubits") == 2 else zoo.u1_program)(o["alpha"]),
+    "geometric": lambda o: zoo.geometric_program(_complex(o["z"], "z"), o["n_program"]),
+    "diagonal": lambda o: zoo.diagonal_program(_complex_vector(o["entries"], "entries")),
+    "su2": lambda o: zoo.su2_program(o["mu"]),
+    "weyl": lambda o: zoo.weyl_program([_complex_vector(row, "d") for row in o["d"]], o["scale"]),
+}
+
+
 def program_from_params(obj: dict) -> ProgramState:
     """Rebuild a ProgramState from its serialized parameters."""
-    enc = obj["encoding"]
-    if enc == "u1":
-        if obj.get("program_qubits") == 2:
-            return zoo.vmc3_program(obj["alpha"])
-        return zoo.u1_program(obj["alpha"])
-    if enc == "geometric":
-        return zoo.geometric_program(_as_complex(obj["z"]), obj["n_program"])
-    if enc == "diagonal":
-        return zoo.diagonal_program([_as_complex(e) for e in obj["entries"]])
-    if enc == "su2":
-        return zoo.su2_program(obj["mu"])
-    if enc == "weyl":
-        n = obj["n_dim"]
-        d = np.array([[_as_complex(obj["d"][m][k]) for k in range(n)] for m in range(n)])
-        k = np.zeros(n * n, dtype=complex)
-        for m in range(n):
-            for j in range(n):
-                k += d[m, j] * zoo.bell_state(m, j, n)
-        return ProgramState(ket=k, encoding="weyl", params={"d": d, "scale": obj["scale"], "n_dim": n})
-    raise UsageError(f"cannot rebuild a program with encoding {enc!r}")
+    decode = _PROGRAM_DECODERS.get(obj["encoding"])
+    if decode is None:
+        raise UsageError(f"cannot rebuild a program with encoding {obj['encoding']!r}")
+    return decode(obj)
 
 
 def trace_to_dict(
@@ -378,78 +364,151 @@ def sample_json(payload: dict) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Loop experiment setups
+# Families: one entry per construction, shared by sample, sweep, reproduce
+# and verify
 # ---------------------------------------------------------------------------
-
-@dataclass
-class _LoopSetup:
-    proc: ProcessorDefinition
-    rule: loops.CorrectionRule
-    target: np.ndarray
-    psi: np.ndarray | None  # None: draw a Haar-random state per trial
-    exact: float
-
 
 def _uniform_state(dim: int) -> np.ndarray:
     return np.ones(dim, dtype=complex) / np.sqrt(dim)
 
 
 def _config_state(p: dict, dim: int) -> np.ndarray:
-    """The config's data state `psi` (default: uniform superposition), normalized."""
-    try:
-        psi = np.asarray(p["psi"], dtype=complex) if "psi" in p else _uniform_state(dim)
-    except (TypeError, ValueError):
-        raise UsageError("params.psi must be a list of numbers") from None
-    if psi.shape != (dim,):
-        raise UsageError(f"params.psi must hold {dim} amplitudes for this processor, got shape {psi.shape}")
-    if not np.all(np.isfinite(psi)) or not np.any(psi):
-        raise UsageError("params.psi must be a finite, non-zero vector")
+    """The config's data state `psi` (default: uniform superposition), normalized.
+
+    Amplitudes are numbers or [re, im] pairs, as for every complex field.
+    """
+    psi = _complex_vector(p["psi"], "params.psi", dim) if "psi" in p else _uniform_state(dim)
+    with np.errstate(over="ignore"):  # an overflowing norm is reported below
+        norm = np.linalg.norm(psi)
+    if not 0 < norm < np.inf:
+        raise UsageError("params.psi must be a non-zero vector of finite norm")
     return qlinalg.normalize(psi)
 
 
-def _loop_setup(cfg: ExperimentConfig) -> _LoopSetup:
-    p = cfg.params
-    aux = derive_stream(cfg.seed, cfg.experiment_index, 0)
-    if cfg.experiment == "u1":
-        alpha = _real(p.get("alpha", _DEFAULT_ALPHA), "alpha")
-        proc, rule, target = zoo.u1_cnot(), loops.u1_rule(), zoo.u1_operator(alpha)
-    elif cfg.experiment == "bz":
-        z = _complex(p.get("z", 0.8), "z")
-        n_program = _integer(p.get("n_program", 2), "n_program", 2)
-        proc, rule, target = zoo.cyclic_shift_processor(n_program), loops.bz_rule(), zoo.bz_operator(z)
-    elif cfg.experiment == "bz_haar":
-        if cfg.max_rounds != 1:
-            raise UsageError("bz_haar averages single-shot success; set max_rounds to 1")
-        z = _complex(p.get("z", np.sqrt(0.5)), "z")
-        n_program = _integer(p.get("n_program", 4), "n_program", 2)
-        proc, rule, target = zoo.cyclic_shift_processor(n_program), loops.bz_rule(), zoo.bz_operator(z)
-        exact = zoo.closed_form("bz_finite", z=z, n_program=n_program).value
-        return _LoopSetup(proc=proc, rule=rule, target=target, psi=None, exact=exact)
-    elif cfg.experiment == "diagonal":
-        if "entries" in p:
-            entries = _complex_vector(p["entries"], "entries")
-        else:
-            entries = np.exp(1j * _real_vector(p.get("phases", _DEFAULT_PHASES), "phases"))
-        proc = zoo.qudit_diagonal_processor(len(entries))
-        rule, target = loops.diagonal_rule(len(entries)), np.diag(entries)
-    elif cfg.experiment == "qid2":
-        mu = _real_vector(p.get("mu", _DEFAULT_MU), "mu", 3)
-        proc, rule, target = zoo.qid2(), loops.qid2_rule(), su2_exp(mu)
-    elif cfg.experiment == "qidn":
-        n_dim = _integer(p.get("n_dim", 2), "n_dim", 2)
-        spec_target = p.get("target", "haar")
-        if spec_target == "haar":
-            target = random_unitary(n_dim, aux)
-        elif isinstance(spec_target, list) and len(spec_target) == n_dim:
-            target = np.array([_complex_vector(row, "target row", n_dim) for row in spec_target])
-        else:
-            raise UsageError(f'target must be "haar" or a list of {n_dim} rows, got {spec_target!r}')
-        proc, rule = zoo.qidN(n_dim), loops.qidN_rule(n_dim)
+_Setup = tuple[ProcessorDefinition, loops.CorrectionRule | None, np.ndarray]
+
+
+def _u1(p: dict, aux: tuple) -> _Setup:
+    return zoo.u1_cnot(), loops.u1_rule(), zoo.u1_operator(_real(p.get("alpha", _DEFAULT_ALPHA), "alpha"))
+
+
+def _bz(p: dict, aux: tuple) -> _Setup:
+    z = _complex(p["z"], "z")
+    n_program = _integer(p.get("n_program", 2), "n_program", 2)
+    return zoo.cyclic_shift_processor(n_program), loops.bz_rule(), zoo.bz_operator(z)
+
+
+def _b0(p: dict, aux: tuple) -> _Setup:
+    z = _complex(p["z"], "z")
+    dim = _integer(p.get("dim", 3), "dim", 2)
+    n_program = _integer(p.get("n_program", 2), "n_program", 2)
+    return zoo.amp_modifier_processor(dim, n_program), None, zoo.b0_operator(z, dim)
+
+
+def _diagonal(p: dict, aux: tuple) -> _Setup:
+    dim = _integer(p["dim"], "dim", 2) if "dim" in p else None  # given entries or phases must match it
+    if "entries" in p:
+        entries = _complex_vector(p["entries"], "entries", dim)
+    elif "phases" in p:
+        entries = np.exp(1j * _real_vector(p["phases"], "phases", dim))
     else:
-        raise UsageError(f"unknown sample experiment: {cfg.experiment!r} (known: {SAMPLE_EXPERIMENTS})")
+        dim = 3 if dim is None else dim
+        entries = np.exp(2j * np.pi * np.arange(dim) / dim)
+    return zoo.qudit_diagonal_processor(len(entries)), loops.diagonal_rule(len(entries)), np.diag(entries)
+
+
+def _qid2(p: dict, aux: tuple) -> _Setup:
+    return zoo.qid2(), loops.qid2_rule(), su2_exp(_real_vector(p.get("mu", _DEFAULT_MU), "mu", 3))
+
+
+def _qidn(p: dict, aux: tuple) -> _Setup:
+    n_dim = _integer(p.get("n_dim", 2), "n_dim", 2)
+    target = p.get("target", "haar")
+    if target == "haar":
+        stream = (_integer(p["target_seed"], "target_seed", 0), n_dim) if "target_seed" in p else aux
+        target = random_unitary(n_dim, derive_stream(*stream))
+    elif isinstance(target, list) and len(target) == n_dim:
+        target = np.array([_complex_vector(row, "target row", n_dim) for row in target])
+    else:
+        raise UsageError(f'target must be "haar" or a list of {n_dim} rows, got {target!r}')
+    return zoo.qidN(n_dim), loops.qidN_rule(n_dim), target
+
+
+def _bz_law(proc, target, psi, rounds) -> float:
+    alpha2 = None if psi is None else float(abs(psi[0]) ** 2)
+    return zoo.closed_form("bz_finite", z=target[1, 1], n_program=proc.program_dim, alpha2=alpha2).value
+
+
+def _b0_law(proc, target, psi, rounds) -> float:
+    bnorm2 = float(np.linalg.norm(target @ psi) ** 2)
+    return zoo.closed_form("b0_qudit", z=target[0, 0], n_program=proc.program_dim, bnorm2=bnorm2).value
+
+
+@dataclass(frozen=True)
+class _Family:
+    """How every command runs one construction.
+
+    `build(params, aux)` turns config params, after the command's defaults,
+    into (processor, correction rule, target); `aux` keys the stream of a
+    Haar target drawn without a `target_seed`. `law(proc, target, psi,
+    rounds)` is the zoo.closed_form reference of a sweep. It never reads the
+    rule's success labels: a wrong label set would move the exact value and
+    the reference together, and the check would pass silently.
+    """
+
+    build: Callable[[dict, tuple], _Setup]
+    law: Callable[..., float]
+    rounds: str = "n"  # sweep key of the round budget
+    # sweep: one shot of this program (the last outcome fails) instead of the loop
+    shot: Callable[[ProcessorDefinition, np.ndarray], ProgramState] | None = None
+    sample: dict = field(default_factory=dict)  # defaults of `sample`
+    sweep: dict = field(default_factory=dict)  # defaults of `sweep`
+    haar: bool = False  # sample: one round on a Haar-random psi per trial, state-averaged law
+
+
+_FAMILIES = {
+    "u1": _Family(_u1, lambda proc, target, psi, n: zoo.closed_form("u1_loop", n=n).value),
+    "bz": _Family(
+        _bz,
+        _bz_law,
+        shot=lambda proc, target: zoo.geometric_program(target[1, 1], proc.program_dim),
+        sample={"z": 0.8},
+        sweep={"psi": _PSI2.tolist()},
+    ),
+    "bz_haar": _Family(_bz, _bz_law, sample={"z": np.sqrt(0.5), "n_program": 4}, haar=True),
+    "diagonal": _Family(
+        _diagonal,
+        lambda proc, target, psi, n: zoo.closed_form("diagonal_loop", dim=proc.data_dim, n=n).value,
+        sample={"phases": _DEFAULT_PHASES},
+    ),
+    "qid2": _Family(_qid2, lambda proc, target, psi, n: zoo.closed_form("qid2_loop", n=n).value),
+    "qidn": _Family(
+        _qidn,
+        lambda proc, target, psi, k: zoo.closed_form("qidn_loop", n_dim=proc.data_dim, k=k).value,
+        rounds="k",
+        sweep={"target_seed": 7},
+    ),
+    "b0": _Family(_b0, _b0_law, shot=lambda proc, target: zoo.geometric_program(target[0, 0], proc.program_dim)),
+}
+
+
+def _family(experiment: str, command: str, known: tuple[str, ...]) -> _Family:
+    if experiment not in known:
+        raise UsageError(f"unknown {command} experiment: {experiment!r} (known: {known})")
+    return _FAMILIES[experiment]
+
+
+def _loop_setup(cfg: ExperimentConfig) -> tuple:
+    """(processor, rule, target, psi, exact success); psi None draws a Haar-random state per trial."""
+    family = _family(cfg.experiment, "sample", SAMPLE_EXPERIMENTS)
+    if family.haar and cfg.max_rounds != 1:
+        raise UsageError(f"{cfg.experiment} averages single-shot success; set max_rounds to 1")
+    p = {**family.sample, **cfg.params}
+    proc, rule, target = family.build(p, (cfg.seed, cfg.experiment_index, 0))
+    if family.haar:
+        return proc, rule, target, None, family.law(proc, target, None, 1)
     psi = _config_state(p, proc.data_dim)
-    exact = loops.exact_success(proc, target, rule, cfg.max_rounds, psi=psi)
-    return _LoopSetup(proc=proc, rule=rule, target=target, psi=psi, exact=exact)
+    return proc, rule, target, psi, loops.exact_success(proc, target, rule, cfg.max_rounds, psi=psi)
 
 
 def run_sample(cfg: ExperimentConfig) -> dict:
@@ -457,9 +516,9 @@ def run_sample(cfg: ExperimentConfig) -> dict:
 
     Rounds that ran the same program share one program_params dict.
     """
-    setup = _loop_setup(cfg)
+    proc, rule, target, fixed_psi, exact = _loop_setup(cfg)
     policy = loops.LoopPolicy(max_rounds=cfg.max_rounds)
-    tree = loops.OutcomeTree(setup.proc, setup.target, setup.rule)
+    tree = loops.OutcomeTree(proc, target, rule)
     # One program_params dict per distinct program. The entry keeps its
     # program alive: programs of nodes past the tree's retention cap are
     # rebuilt and freed, and a freed program's id can be reused.
@@ -475,8 +534,8 @@ def run_sample(cfg: ExperimentConfig) -> dict:
     successes = 0
     for t in range(cfg.trials):
         rng = derive_stream(cfg.seed, cfg.experiment_index, t + 1)
-        psi = setup.psi if setup.psi is not None else random_state(setup.proc.data_dim, rng)
-        trace = loops.run_loop(setup.proc, psi, setup.target, setup.rule, policy, rng, tree=tree)
+        psi = fixed_psi if fixed_psi is not None else random_state(proc.data_dim, rng)
+        trace = loops.run_loop(proc, psi, target, rule, policy, rng, tree=tree)
         successes += trace.succeeded
         traces.append(trace_to_dict(trace, program_params))
     empirical = successes / cfg.trials
@@ -484,8 +543,8 @@ def run_sample(cfg: ExperimentConfig) -> dict:
         "trials": cfg.trials,
         "successes": successes,
         "empirical": empirical,
-        "exact": setup.exact,
-        "three_sigma": 3.0 * float(np.sqrt(setup.exact * (1 - setup.exact) / cfg.trials)),
+        "exact": exact,
+        "three_sigma": 3.0 * float(np.sqrt(exact * (1 - exact) / cfg.trials)),
     }
     return {"config": cfg.to_dict(), "traces": traces, "summary": summary}
 
@@ -496,22 +555,14 @@ def run_sample(cfg: ExperimentConfig) -> dict:
 
 def _table_u1() -> list[ResultRow]:
     alpha = _DEFAULT_ALPHA
-    proc, rule = zoo.u1_cnot(), loops.u1_rule()
-    target = zoo.u1_operator(alpha)
+    proc, rule, target = _FAMILIES["u1"].build({"alpha": alpha}, ())
     dec = decompose(proc, _PSI2, zoo.u1_program(alpha))
+    loop = ExperimentConfig("u1", params={"psi": _PSI2.tolist()}, grid={"alpha": [alpha], "n": [3, 10, 20]})
     rows = [
         ResultRow("u1_single_round_success", f"alpha={alpha}", dec.by_label("0").probability, 0.5),
         ResultRow("u1_two_round_success", f"alpha={alpha}", loops.exact_success(proc, target, rule, 2, psi=_PSI2), 0.75),
+        *run_sweep(loop),
     ]
-    for n in (3, 10, 20):
-        rows.append(
-            ResultRow(
-                "u1_loop_success",
-                f"alpha={alpha},n={n}",
-                loops.exact_success(proc, target, rule, n, psi=_PSI2),
-                1 - 0.5**n,
-            )
-        )
     chain = zoo.u1_operator(2 * alpha) @ zoo.u1_operator(-alpha)
     rows.append(ResultRow("u1_correction_identity", f"alpha={alpha}", phase_distance(chain, target), 0.0))
     return rows
@@ -550,11 +601,6 @@ def _table_vmc3() -> list[ResultRow]:
     return rows
 
 
-def _bz_oracle(z: complex, n_program: int, psi: np.ndarray) -> float:
-    dec = decompose(zoo.cyclic_shift_processor(n_program), psi, zoo.geometric_program(z, n_program))
-    return sum(b.probability for b in dec.branches[:-1])
-
-
 def _table_bz() -> list[ResultRow]:
     z_half = np.sqrt(0.5)
     rows = [
@@ -564,11 +610,14 @@ def _table_bz() -> list[ResultRow]:
             zoo.closed_form("bz_finite", z=z_half, n_program=4).value,
             0.7,
         ),
-        ResultRow("bz_unit_modulus_success", "|z|=1,n_program=4", _bz_oracle(1.0, 4, _PSI2), 0.75),
+        ResultRow(
+            "bz_unit_modulus_success", "|z|=1,n_program=4", _sweep_point("bz", {"z": 1.0, "n_program": 4}, ())[1], 0.75
+        ),
     ]
+    # The sweep's single shot on the default psi = (0.6, 0.8): oracle and corrected closed form.
     z, n = 0.5, 3
+    _, oracle, corrected, _ = _sweep_point("bz", {"z": z, "n_program": n}, ())
     alpha2 = float(abs(_PSI2[0]) ** 2)
-    corrected = zoo.closed_form("bz_finite", z=z, n_program=n, alpha2=alpha2).value
     mod2 = abs(z) ** 2
     printed = 1 - (1 - mod2) * (alpha2 * mod2 ** (n - 1) + (1 - alpha2)) / (mod2**n - 1)
     rows.append(
@@ -580,15 +629,12 @@ def _table_bz() -> list[ResultRow]:
             note="erratum: formula as printed exceeds 1 for |z|<1; corrected denominator matches branch-sum oracle",
         )
     )
-    rows.append(
-        ResultRow("bz_oracle_agreement", f"z={z},n_program={n},psi=(0.6,0.8)", _bz_oracle(z, n, _PSI2), corrected)
-    )
+    rows.append(ResultRow("bz_oracle_agreement", f"z={z},n_program={n},psi=(0.6,0.8)", oracle, corrected))
     return rows
 
 
 def _table_qutrit() -> list[ResultRow]:
-    proc, rule = zoo.qudit_diagonal_processor(3), loops.diagonal_rule(3)
-    target = np.diag(np.exp(1j * np.asarray(_DEFAULT_PHASES)))
+    proc, rule, target = _FAMILIES["diagonal"].build({"phases": _DEFAULT_PHASES}, ())
     psi = _uniform_state(3)
     dec = decompose(proc, psi, zoo.diagonal_program(np.diagonal(target)))
     rows = [ResultRow("qutrit_per_round_success", "unitary diagonal target", dec.by_label("0").probability, 1 / 3)]
@@ -604,11 +650,6 @@ def _table_qutrit() -> list[ResultRow]:
     return rows
 
 
-def _b0_oracle(z: complex, dim: int, n_program: int, psi: np.ndarray) -> float:
-    dec = decompose(zoo.amp_modifier_processor(dim, n_program), psi, zoo.geometric_program(z, n_program))
-    return sum(b.probability for b in dec.branches[:-1])
-
-
 def _table_b0() -> list[ResultRow]:
     rows = []
     for dim in (2, 3, 5):
@@ -616,29 +657,20 @@ def _table_b0() -> list[ResultRow]:
             ResultRow(
                 "b0_unit_modulus_success",
                 f"dim={dim},n_program=5,|z|=1",
-                _b0_oracle(1.0, dim, 5, _uniform_state(dim)),
+                _sweep_point("b0", {"z": 1.0, "dim": dim, "n_program": 5}, ())[1],
                 4 / 5,
             )
         )
-    psi = _uniform_state(3)
     z, n = 0.7, 4
-    bnorm2 = float(np.linalg.norm(zoo.b0_operator(z, 3) @ psi) ** 2)
-    rows.append(
-        ResultRow(
-            "b0_oracle_agreement",
-            f"dim=3,n_program={n},z={z}",
-            _b0_oracle(z, 3, n, psi),
-            zoo.closed_form("b0_qudit", z=z, n_program=n, bnorm2=bnorm2).value,
-        )
-    )
+    _, oracle, closed, _ = _sweep_point("b0", {"z": z, "dim": 3, "n_program": n}, ())
+    rows.append(ResultRow("b0_oracle_agreement", f"dim=3,n_program={n},z={z}", oracle, closed))
     return rows
 
 
 def _table_qid2() -> list[ResultRow]:
-    proc, rule, basis = zoo.qid2(), loops.qid2_rule(), zoo.qid2_basis()
+    proc, rule, target = _FAMILIES["qid2"].build({}, ())
     mu = np.asarray(_DEFAULT_MU)
-    target = su2_exp(mu)
-    dec = decompose(proc, _PSI2, zoo.su2_program(mu), basis)
+    dec = decompose(proc, _PSI2, zoo.su2_program(mu), rule.basis_for(proc))
     probs = dec.probabilities()
     mu_label = f"mu={tuple(float(x) for x in mu)}"
     rows = [
@@ -665,19 +697,11 @@ def _table_qid2() -> list[ResultRow]:
 
 
 def _table_qidn() -> list[ResultRow]:
-    rows = []
-    for n_dim, k in ((2, 1), (2, 2), (3, 1), (3, 5)):
-        proc, rule = zoo.qidN(n_dim), loops.qidN_rule(n_dim)
-        target = random_unitary(n_dim, derive_stream(7, n_dim))
-        rows.append(
-            ResultRow(
-                "qidn_loop_success",
-                f"n_dim={n_dim},k={k}",
-                loops.exact_success(proc, target, rule, k, psi=_uniform_state(n_dim)),
-                1 - (1 - 1 / n_dim**2) ** k,
-            )
-        )
-    return rows
+    # The sweep's default Haar target (target_seed 7) and uniform data state.
+    return [
+        *run_sweep(ExperimentConfig("qidn", grid={"n_dim": [2], "k": [1, 2]})),
+        *run_sweep(ExperimentConfig("qidn", grid={"n_dim": [3], "k": [1, 5]})),
+    ]
 
 
 def _table_limits() -> list[ResultRow]:
@@ -735,11 +759,11 @@ def reproduce_table(table: str) -> list[ResultRow]:
 # Sweeps
 # ---------------------------------------------------------------------------
 
-def _single_shot_runner(proc, xi, psi, fail_label):
-    dec = decompose(proc, psi, xi)
+def _single_shot_runner(dec):
+    fail = dec.branches[-1].label
 
     def run_one(rng):
-        return select_branch(dec, rng).label != fail_label
+        return select_branch(dec, rng).label != fail
 
     return run_one
 
@@ -754,60 +778,21 @@ def _loop_runner(proc, rule, target, psi, rounds):
     return run_one
 
 
-def _sweep_point(experiment: str, merged: dict):
+def _sweep_point(experiment: str, merged: dict, aux: tuple):
     """(quantity, exact value, closed-form reference, success sampler) for one grid point."""
-    if experiment == "u1":
-        n = _integer(merged["n"], "n", 1)
-        proc, rule = zoo.u1_cnot(), loops.u1_rule()
-        target = zoo.u1_operator(_real(merged.get("alpha", _DEFAULT_ALPHA), "alpha"))
-        psi = _uniform_state(2)
-        computed = loops.exact_success(proc, target, rule, n, psi=psi)
-        closed = zoo.closed_form("u1_loop", n=n).value
-        return "u1_loop_success", computed, closed, _loop_runner(proc, rule, target, psi, n)
-    if experiment == "diagonal":
-        dim = _integer(merged.get("dim", 3), "dim", 2)
-        n = _integer(merged["n"], "n", 1)
-        proc, rule = zoo.qudit_diagonal_processor(dim), loops.diagonal_rule(dim)
-        target = np.diag(np.exp(2j * np.pi * np.arange(dim) / dim))
-        psi = _uniform_state(dim)
-        computed = loops.exact_success(proc, target, rule, n, psi=psi)
-        closed = zoo.closed_form("diagonal_loop", dim=dim, n=n).value
-        return "diagonal_loop_success", computed, closed, _loop_runner(proc, rule, target, psi, n)
-    if experiment == "qid2":
-        n = _integer(merged["n"], "n", 1)
-        proc, rule = zoo.qid2(), loops.qid2_rule()
-        target = su2_exp(_real_vector(merged.get("mu", _DEFAULT_MU), "mu", 3))
-        psi = _uniform_state(2)
-        computed = loops.exact_success(proc, target, rule, n, psi=psi)
-        closed = zoo.closed_form("qid2_loop", n=n).value
-        return "qid2_loop_success", computed, closed, _loop_runner(proc, rule, target, psi, n)
-    if experiment == "qidn":
-        n_dim, k = _integer(merged.get("n_dim", 2), "n_dim", 2), _integer(merged["k"], "k", 1)
-        proc, rule = zoo.qidN(n_dim), loops.qidN_rule(n_dim)
-        target = random_unitary(n_dim, derive_stream(_integer(merged.get("target_seed", 7), "target_seed", 0), n_dim))
-        psi = _uniform_state(n_dim)
-        computed = loops.exact_success(proc, target, rule, k, psi=psi)
-        closed = zoo.closed_form("qidn_loop", n_dim=n_dim, k=k).value
-        return "qidn_loop_success", computed, closed, _loop_runner(proc, rule, target, psi, k)
-    if experiment == "bz":
-        z = _complex(merged["z"], "z")
-        n_program = _integer(merged.get("n_program", 2), "n_program", 2)
-        psi = _config_state(merged, 2) if "psi" in merged else _PSI2
-        computed = _bz_oracle(z, n_program, psi)
-        closed = zoo.closed_form("bz_finite", z=z, n_program=n_program, alpha2=float(abs(psi[0]) ** 2)).value
-        runner = _single_shot_runner(zoo.cyclic_shift_processor(n_program), zoo.geometric_program(z, n_program), psi, str(n_program - 1))
-        return "bz_single_shot_success", computed, closed, runner
-    if experiment == "b0":
-        z = _complex(merged["z"], "z")
-        dim = _integer(merged.get("dim", 3), "dim", 2)
-        n_program = _integer(merged.get("n_program", 2), "n_program", 2)
-        psi = _uniform_state(dim)
-        bnorm2 = float(np.linalg.norm(zoo.b0_operator(z, dim) @ psi) ** 2)
-        computed = _b0_oracle(z, dim, n_program, psi)
-        closed = zoo.closed_form("b0_qudit", z=z, n_program=n_program, bnorm2=bnorm2).value
-        runner = _single_shot_runner(zoo.amp_modifier_processor(dim, n_program), zoo.geometric_program(z, n_program), psi, str(n_program - 1))
-        return "b0_single_shot_success", computed, closed, runner
-    raise UsageError(f"unknown sweep experiment: {experiment!r} (known: {SWEEP_EXPERIMENTS})")
+    family = _family(experiment, "sweep", SWEEP_EXPERIMENTS)
+    p = {**family.sweep, **merged}
+    rounds = 1 if family.shot else _integer(p[family.rounds], family.rounds, 1)
+    proc, rule, target = family.build(p, aux)
+    psi = _config_state(p, proc.data_dim) if "psi" in p else _uniform_state(proc.data_dim)
+    if family.shot:
+        dec = decompose(proc, psi, family.shot(proc, target))
+        computed, run_one = sum(b.probability for b in dec.branches[:-1]), _single_shot_runner(dec)
+    else:
+        computed = loops.exact_success(proc, target, rule, rounds, psi=psi)
+        run_one = _loop_runner(proc, rule, target, psi, rounds)
+    kind = "single_shot" if family.shot else "loop"
+    return f"{experiment}_{kind}_success", computed, family.law(proc, target, psi, rounds), run_one
 
 
 def run_sweep(cfg: ExperimentConfig) -> list[ResultRow]:
@@ -825,7 +810,7 @@ def run_sweep(cfg: ExperimentConfig) -> list[ResultRow]:
     rows = []
     for index, values in enumerate(itertools.product(*(cfg.grid[k] for k in keys))):
         point = dict(zip(keys, values))
-        quantity, computed, closed, run_one = _sweep_point(cfg.experiment, {**cfg.params, **point})
+        quantity, computed, closed, run_one = _sweep_point(cfg.experiment, {**cfg.params, **point}, (cfg.seed, index, 0))
         empirical = None
         if cfg.trials > 1:
             hits = sum(run_one(derive_stream(cfg.seed, index, t + 1)) for t in range(cfg.trials))
@@ -899,8 +884,8 @@ def _check_bz_closed_form():
         z = complex(rng.uniform(0.3, 1.7), rng.uniform(-0.5, 0.5))
         n = int(rng.integers(2, 9))
         psi = random_state(2, rng)
-        closed = zoo.closed_form("bz_finite", z=z, n_program=n, alpha2=float(abs(psi[0]) ** 2)).value
-        assert abs(closed - _bz_oracle(z, n, psi)) <= 1e-10, "bz closed form disagrees with branch-sum oracle"
+        _, oracle, closed, _ = _sweep_point("bz", {"z": z, "n_program": n, "psi": psi.tolist()}, ())
+        assert abs(closed - oracle) <= 1e-10, "bz closed form disagrees with branch-sum oracle"
 
 
 def _check_qid2_probabilities():
@@ -975,14 +960,15 @@ def _check_phi_basis():
 
 
 def _check_correction_soundness():
-    cases = []
-    rng = derive_stream(17)
-    cases.append(("u1", zoo.u1_cnot(), loops.u1_rule(), zoo.u1_operator(0.7)))
-    cases.append(("bz", zoo.cyclic_shift_processor(2), loops.bz_rule(), zoo.bz_operator(0.8 + 0.2j)))
-    cases.append(("diagonal", zoo.qudit_diagonal_processor(3), loops.diagonal_rule(3), np.diag([1.0, 0.6, 0.3 + 0.4j])))
-    cases.append(("qid2", zoo.qid2(), loops.qid2_rule(), su2_exp([0.2, -0.5, 0.9])))
-    cases.append(("qidN(3)", zoo.qidN(3), loops.qidN_rule(3), random_unitary(3, rng)))
-    for label, proc, rule, target in cases:
+    cases = [
+        ("u1", {"alpha": 0.7}),
+        ("bz", {"z": 0.8 + 0.2j}),
+        ("diagonal", {"entries": [1.0, 0.6, 0.3 + 0.4j]}),
+        ("qid2", {"mu": [0.2, -0.5, 0.9]}),
+        ("qidn", {"n_dim": 3, "target": random_unitary(3, derive_stream(17)).tolist()}),
+    ]
+    for experiment, params in cases:
+        proc, rule, target = _FAMILIES[experiment].build(params, ())
         basis = rule.basis_for(proc)
         success = rule.success_labels(proc)
         first = rule.next_program(proc, target, np.eye(proc.data_dim))
@@ -997,19 +983,21 @@ def _check_correction_soundness():
             sidx = next(i for i, l in enumerate(basis.labels) if l in success)
             composite = next_ops[sidx] @ ops[idx]
             scale = qlinalg.proportionality_scale(composite, target, tol=1e-8)
-            assert scale is not None and 0 < abs(scale) <= 1 + 1e-9, f"{label}: correction after {lab} unsound"
+            assert scale is not None and 0 < abs(scale) <= 1 + 1e-9, f"{proc.label}: correction after {lab} unsound"
 
 
 def _check_loop_closed_forms():
     checks = [
-        (zoo.u1_cnot(), loops.u1_rule(), zoo.u1_operator(0.4), 6, 1 - 0.5**6),
-        (zoo.qid2(), loops.qid2_rule(), su2_exp([0.3, 0.1, -0.8]), 6, 1 - 0.75**6),
-        (zoo.qudit_diagonal_processor(3), loops.diagonal_rule(3), np.diag(np.exp(1j * np.array([0.1, 1.0, -0.6]))), 6, 1 - (2 / 3) ** 6),
-        (zoo.qidN(2), loops.qidN_rule(2), random_unitary(2, derive_stream(18)), 5, 1 - 0.75**5),
-        (zoo.qidN(3), loops.qidN_rule(3), random_unitary(3, derive_stream(19)), 4, 1 - (8 / 9) ** 4),
+        ("u1", {"alpha": 0.4}, 6),
+        ("qid2", {"mu": [0.3, 0.1, -0.8]}, 6),
+        ("diagonal", {"phases": [0.1, 1.0, -0.6]}, 6),
+        ("qidn", {"n_dim": 2, "target": random_unitary(2, derive_stream(18)).tolist()}, 5),
+        ("qidn", {"n_dim": 3, "target": random_unitary(3, derive_stream(19)).tolist()}, 4),
     ]
-    for proc, rule, target, n, want in checks:
-        got = loops.exact_success(proc, target, rule, n)
+    for experiment, params, n in checks:
+        family = _FAMILIES[experiment]
+        proc, rule, target = family.build(params, ())
+        got, want = loops.exact_success(proc, target, rule, n), family.law(proc, target, None, n)
         assert abs(got - want) <= 1e-12, f"exact_success {got} != {want} for {proc.label}"
 
 
@@ -1018,11 +1006,8 @@ def _check_loop_post_states():
     # probability does not converge to 1), so proportionality is only
     # asserted on trajectories that did succeed.
     rng = derive_stream(20)
-    cases = [
-        (zoo.qid2(), loops.qid2_rule(), su2_exp([0.2, -0.5, 0.9])),
-        (zoo.cyclic_shift_processor(2), loops.bz_rule(), zoo.bz_operator(0.8)),
-    ]
-    for proc, rule, target in cases:
+    for experiment, params in (("qid2", {"mu": [0.2, -0.5, 0.9]}), ("bz", {"z": 0.8})):
+        proc, rule, target = _FAMILIES[experiment].build(params, ())
         successes = 0
         for _ in range(10):
             psi = random_state(proc.data_dim, rng)
@@ -1093,10 +1078,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
+    tol = _real(args.tol, "tol") if args.tol is not None else 1e-9
     rows = reproduce_table(args.table)
     out = _resolve_out(args.out, f"reproduce_{args.table}.csv")
     _write_text(out, rows_to_csv(rows))
-    tol = args.tol if args.tol is not None else 1e-9
     bad = [r for r in rows if r.deviation is not None and r.deviation > tol and not r.note]
     print(f"wrote {len(rows)} rows to {out}")
     if bad:

@@ -152,20 +152,21 @@ class ProcessorDefinition:
 def assemble(blocks, label: str = "", tol: float = _COMPLETENESS_TOL) -> ProcessorDefinition:
     """Validate a block grid and wrap it as a ProcessorDefinition.
 
-    `blocks` is anything shaped (N, N, D, D). Raises InvalidProcessor when
-    either completeness sum deviates from identity by more than tol.
+    `blocks` is anything shaped (N, N, D, D). The two completeness sums are
+    the blocks of G^dag G and G G^dag, so both are checked as dense products
+    of the global unitary G. Raises InvalidProcessor when either deviates
+    from identity by more than tol (largest absolute entry).
     """
     b = np.asarray(blocks, dtype=complex)
     if b.ndim != 4 or b.shape[0] != b.shape[1] or b.shape[2] != b.shape[3]:
         raise ValueError("blocks must form an N x N grid of D x D operators")
-    n, d = b.shape[0], b.shape[2]
-    eye = np.einsum("kl,bc->klbc", np.eye(n), np.eye(d))
-    left = np.einsum("jkab,jlac->klbc", np.conjugate(b), b)
-    right = np.einsum("kjab,ljcb->klac", b, np.conjugate(b))
-    dev = max(np.abs(left - eye).max(), np.abs(right - eye).max())
+    proc = ProcessorDefinition(data_dim=b.shape[2], program_dim=b.shape[0], blocks=_readonly(b), label=label)
+    g = proc.global_unitary()
+    eye = np.eye(g.shape[0])
+    dev = max(np.abs(g.conj().T @ g - eye).max(), np.abs(g @ g.conj().T - eye).max())
     if dev > tol:
         raise InvalidProcessor(f"completeness sums deviate by {dev:.3e} (> {tol:.1e})")
-    return ProcessorDefinition(data_dim=d, program_dim=n, blocks=_readonly(b), label=label)
+    return proc
 
 
 def _program_ket(xi) -> np.ndarray:

@@ -326,29 +326,18 @@ def conditional_shift(n: int, sign: int = +1) -> np.ndarray:
     return op
 
 
-def _three_qudit_shift(n: int, control: int, target: int, sign: int) -> np.ndarray:
-    """Conditional shift between two of three qudits, as an N^3 x N^3 matrix."""
-    dim = n**3
-    op = np.zeros((dim, dim), dtype=complex)
-    for idx in range(dim):
-        digits = [(idx // n**2) % n, (idx // n) % n, idx % n]
-        digits[target] = (digits[target] + sign * digits[control]) % n
-        out = digits[0] * n**2 + digits[1] * n + digits[2]
-        op[out, idx] = 1.0
-    return op
-
-
 def qid_network(n: int) -> np.ndarray:
     """The four-conditional-shift network D_31 D_21^dag D_13 D_12 on three qudits.
 
-    Qudit 1 is the data register, qudits 2 and 3 the program register. On
-    basis states: |n>|m>|k> -> |(n-m+k)>|(m+n)>|(k+n)> (all mod N).
+    Qudit 1 is the data register, qudits 2 and 3 the program register. The
+    product is the basis permutation |a>|b>|c> -> |(a-b+c)>|(b+a)>|(c+a)>
+    (all mod N), so its N^3 unit entries are set directly instead of
+    multiplying four dense N^3 x N^3 shifts (O(N^9)).
     """
-    d12 = _three_qudit_shift(n, control=0, target=1, sign=+1)
-    d13 = _three_qudit_shift(n, control=0, target=2, sign=+1)
-    d21d = _three_qudit_shift(n, control=1, target=0, sign=-1)
-    d31 = _three_qudit_shift(n, control=2, target=0, sign=+1)
-    return d31 @ d21d @ d13 @ d12
+    a, b, c = np.indices((n, n, n)).reshape(3, -1)
+    g = np.zeros((n**3, n**3), dtype=complex)
+    g[((a - b + c) % n) * n * n + ((b + a) % n) * n + (c + a) % n, np.arange(n**3)] = 1.0
+    return g
 
 
 @lru_cache(maxsize=None)
@@ -427,6 +416,13 @@ def weyl_expansion(v: np.ndarray) -> np.ndarray:
     return np.einsum("mkij,ij->mk", np.conjugate(_weyl_stack(n)), v) / n
 
 
+def weyl_program(d, scale: float) -> ProgramState:
+    """Program ket sum_mn d[m, n] |Xi_mn>; `scale` (see `program_for`) is recorded, not applied."""
+    d = np.asarray(d, dtype=complex)
+    k = np.tensordot(d, _bell_stack(d.shape[0]), axes=([0, 1], [0, 1]))
+    return ProgramState(ket=k, encoding="weyl", params={"d": d, "scale": float(scale), "n_dim": d.shape[0]})
+
+
 def program_for(v: np.ndarray) -> ProgramState:
     """Program ket sum_mn d_mn |Xi_mn> implementing the operator v.
 
@@ -435,14 +431,11 @@ def program_for(v: np.ndarray) -> ProgramState:
     the params (unitary operators have scale 1).
     """
     v = np.asarray(v, dtype=complex)
-    n = v.shape[0]
     norm = np.linalg.norm(v)
     if norm < 1e-12:
         raise ZeroOperator("cannot encode the zero operator")
-    scale = norm / np.sqrt(n)
-    d = weyl_expansion(v / scale)
-    k = np.tensordot(d, _bell_stack(n), axes=([0, 1], [0, 1]))
-    return ProgramState(ket=k, encoding="weyl", params={"d": d, "scale": float(scale), "n_dim": int(n)})
+    scale = norm / np.sqrt(v.shape[0])
+    return weyl_program(weyl_expansion(v / scale), scale)
 
 
 def qidN_branches(v: np.ndarray, psi: np.ndarray) -> BranchDecomposition:

@@ -88,6 +88,14 @@ def test_reproduce_unknown_table_is_usage_error(capsys):
     assert "unknown table" in capsys.readouterr().err
 
 
+def test_reproduce_nan_tol_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "u1.csv"
+    assert main(["reproduce", "--table", "u1", "--tol", "nan", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # sweep
 # ---------------------------------------------------------------------------
@@ -160,8 +168,14 @@ def test_sweep_unknown_experiment(tmp_path):
         {"experiment": "qid2", "grid": {"n": 5}},
         {"experiment": "qid2", "grid": {"n": [0]}},
         {"experiment": "u1", "params": {"alpha": "a"}, "grid": {"n": [1]}},
+        {"experiment": "u1", "params": {"psi": [1, 0, 0]}, "grid": {"n": [1]}},
+        {"experiment": "qid2", "grid": {"n": [1]}, "tol": float("nan")},
+        {"experiment": "diagonal", "params": {"entries": [1, 1, 1]}, "grid": {"dim": [3, 5], "n": [2]}},
     ],
-    ids=["bz-psi-dim", "n-not-number", "grid-not-list", "n-zero", "alpha-not-number"],
+    ids=[
+        "bz-psi-dim", "n-not-number", "grid-not-list", "n-zero", "alpha-not-number", "u1-psi-dim", "tol-nan",
+        "diagonal-dim-not-entries",
+    ],
 )
 def test_sweep_bad_config_is_usage_error(tmp_path, capsys, config):
     cfg_path = tmp_path / "cfg.json"
@@ -282,10 +296,15 @@ def test_config_rejects_bad_values():
         ({"experiment": "qidn", "params": {"n_dim": 2, "target": 5}}, []),
         ({"experiment": "qidn", "params": {"n_dim": 2, "target": [[1, 0], [0]]}}, []),
         ({"experiment": "diagonal", "params": {"entries": [1, "a"]}}, []),
+        ({"experiment": "qid2", "trials": 50, "tol": float("nan")}, []),
+        ({"experiment": "qid2", "trials": 50}, ["--tol", "nan"]),
+        ({"experiment": "u1", "params": {"psi": ["1", "0"]}}, []),
+        ({"experiment": "u1", "params": {"psi": [1e308, 1e308]}}, []),
     ],
     ids=[
         "trials-str", "trials-float", "psi-dim", "qidn-psi-dim", "psi-zero", "seed-negative", "params-not-object",
         "trials-flag-0", "qidn-target-not-list", "qidn-target-ragged", "diagonal-entry-not-number",
+        "tol-nan", "tol-flag-nan", "psi-strings", "psi-norm-overflow",
     ],
 )
 def test_sample_bad_config_is_usage_error(tmp_path, capsys, config, flags):
@@ -297,6 +316,18 @@ def test_sample_bad_config_is_usage_error(tmp_path, capsys, config, flags):
     assert not (tmp_path / "x.json").exists()
 
 
+def test_sample_psi_accepts_re_im_pairs(tmp_path):
+    # B(z) success depends on |psi_1|, so dropping the imaginary part would show.
+    def traces(psi):
+        return run_sample(ExperimentConfig("bz", params={"z": 0.5, "psi": psi}, max_rounds=3, trials=40, seed=4))["traces"]
+
+    cfg_path, out = tmp_path / "cfg.json", tmp_path / "pairs.json"
+    config = {"experiment": "bz", "params": {"z": 0.5, "psi": [[0.6, 0], [0, 0.8]]}, "max_rounds": 3, "trials": 40, "seed": 4}
+    cfg_path.write_text(json.dumps(config))
+    assert main(["sample", "--config", str(cfg_path), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["traces"] == traces([0.6, 0.8j]) != traces([1, 0])
+
+
 def test_list_shows_everything(capsys):
     assert main(["list"]) == 0
     out = capsys.readouterr().out
@@ -304,3 +335,66 @@ def test_list_shows_everything(capsys):
         assert table in out
     for exp in cli.SAMPLE_EXPERIMENTS:
         assert exp in out
+
+
+# ---------------------------------------------------------------------------
+# experiment registry: every listed experiment runs, and each family reads
+# the same keys in sample and sweep
+# ---------------------------------------------------------------------------
+
+# The smallest grid each sweep experiment accepts: one point.
+ONE_POINT = {
+    "u1": {"n": [1]},
+    "diagonal": {"n": [1]},
+    "qid2": {"n": [1]},
+    "qidn": {"k": [1]},
+    "bz": {"z": [0.5]},
+    "b0": {"z": [0.5]},
+}
+
+
+def _listed(capsys, command):
+    assert main(["list"]) == 0
+    line = next(l for l in capsys.readouterr().out.splitlines() if l.startswith(f"{command} experiments: "))
+    return line.split(": ", 1)[1].split(", ")
+
+
+def _exit_code(tmp_path, command, config):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    return main([command, "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+
+
+def test_every_listed_sample_experiment_runs(tmp_path, capsys):
+    for experiment in _listed(capsys, "sample"):
+        assert _exit_code(tmp_path, "sample", {"experiment": experiment, "trials": 1}) == 0, experiment
+
+
+def test_every_listed_sweep_experiment_runs(tmp_path, capsys):
+    listed = _listed(capsys, "sweep")
+    assert sorted(listed) == sorted(ONE_POINT)
+    for experiment in listed:
+        assert _exit_code(tmp_path, "sweep", {"experiment": experiment, "grid": ONE_POINT[experiment]}) == 0, experiment
+
+
+@pytest.mark.parametrize("command, experiment", [("sample", "b0"), ("sweep", "bz_haar"), ("sample", "qidN"), ("sweep", "x")])
+def test_experiment_not_listed_for_the_command_is_usage_error(tmp_path, capsys, command, experiment):
+    config = {"experiment": experiment, "grid": {"n": [1], "z": [0.5]}}
+    assert _exit_code(tmp_path, command, config) == 2
+    assert f"unknown {command} experiment" in capsys.readouterr().err
+
+
+def test_diagonal_sweep_reads_entries():
+    grid = {"n": [2]}
+    (default,) = run_sweep(ExperimentConfig("diagonal", grid=grid))
+    (given,) = run_sweep(ExperimentConfig("diagonal", params={"entries": [1, 0.5, [0, 0.25]]}, grid=grid))
+    assert given.computed != default.computed
+    assert given.computed < given.paper_value  # a non-unitary target succeeds less often
+
+
+def test_sample_qidn_reads_target_seed():
+    def traces(params):
+        return run_sample(ExperimentConfig("qidn", params=params, max_rounds=2, trials=10, seed=3))["traces"]
+
+    assert traces({"target_seed": 7}) != traces({})
+    assert traces({"target_seed": 7}) == traces({"target_seed": 7, "target": "haar"})

@@ -54,6 +54,32 @@ def test_assemble_rejects_incomplete_blocks():
         assemble(bad)
 
 
+def _einsum_deviation(blocks):
+    """The completeness sums written out block by block; the reference for `assemble`'s check."""
+    n, d = blocks.shape[0], blocks.shape[2]
+    eye = np.einsum("kl,bc->klbc", np.eye(n), np.eye(d))
+    left = np.einsum("jkab,jlac->klbc", np.conjugate(blocks), blocks)
+    right = np.einsum("kjab,ljcb->klac", blocks, np.conjugate(blocks))
+    return max(np.abs(left - eye).max(), np.abs(right - eye).max())
+
+
+@pytest.mark.parametrize("n, d", [(2, 2), (3, 2), (4, 3), (2, 5), (9, 3)])
+@pytest.mark.parametrize("eps", [1e-11, 1e-7, 1e-3])
+def test_assemble_deviation_matches_einsum_oracle(n, d, eps):
+    rng = derive_stream(401, n, d)
+    g = random_unitary(d * n, rng)
+    blocks = g.reshape(d, n, d, n).transpose(1, 3, 0, 2)
+    blocks = blocks + eps * (rng.standard_normal(blocks.shape) + 1j * rng.standard_normal(blocks.shape))
+    want = _einsum_deviation(blocks)
+    # `assemble` accepts exactly the grids whose deviation is within tol.
+    assemble(blocks, tol=want + 1e-15)
+    with pytest.raises(InvalidProcessor):
+        assemble(blocks, tol=want - 1e-15)
+    if want > 1e-9:
+        with pytest.raises(InvalidProcessor):
+            assemble(blocks)
+
+
 def test_assemble_rejects_malformed_grid():
     with pytest.raises(ValueError):
         assemble(np.zeros((2, 3, 2, 2)))

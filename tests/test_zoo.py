@@ -343,6 +343,26 @@ def test_distributor_network_basis_action():
                     assert col[dst] == 1.0 and np.count_nonzero(col) == 1
 
 
+def _three_qudit_shift(n, control, target, sign):
+    """Conditional shift between two of three qudits, as an N^3 x N^3 matrix."""
+    op = np.zeros((n**3, n**3), dtype=complex)
+    for idx in range(n**3):
+        digits = [(idx // n**2) % n, (idx // n) % n, idx % n]
+        digits[target] = (digits[target] + sign * digits[control]) % n
+        op[digits[0] * n**2 + digits[1] * n + digits[2], idx] = 1.0
+    return op
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_distributor_network_is_the_circuit_product(n):
+    # D_31 D_21^dag D_13 D_12, multiplied out as dense matrices
+    d12 = _three_qudit_shift(n, control=0, target=1, sign=+1)
+    d13 = _three_qudit_shift(n, control=0, target=2, sign=+1)
+    d21d = _three_qudit_shift(n, control=1, target=0, sign=-1)
+    d31 = _three_qudit_shift(n, control=2, target=0, sign=+1)
+    assert np.array_equal(zoo.qid_network(n), d31 @ d21d @ d13 @ d12)
+
+
 def test_distributor_covariance():
     for n in (2, 3):
         net = zoo.qid_network(n)
