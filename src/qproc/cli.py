@@ -153,11 +153,6 @@ class ExperimentConfig:
             raise UsageError("config must name an experiment")
         return cls(**d)
 
-    @classmethod
-    def from_file(cls, path: str) -> "ExperimentConfig":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
-
     def to_dict(self) -> dict:
         return {
             "experiment": self.experiment,
@@ -434,14 +429,17 @@ def _qidn(p: dict, aux: tuple) -> _Setup:
     return zoo.qidN(n_dim), loops.qidN_rule(n_dim), target
 
 
+def _loop_law(proc, target, psi, rounds) -> float:
+    return zoo.loop_success(proc.program_dim, rounds)
+
+
 def _bz_law(proc, target, psi, rounds) -> float:
     alpha2 = None if psi is None else float(abs(psi[0]) ** 2)
-    return zoo.closed_form("bz_finite", z=target[1, 1], n_program=proc.program_dim, alpha2=alpha2).value
+    return zoo.geometric_success(target[1, 1], proc.program_dim, zoo.bz_norm2(target[1, 1], alpha2))
 
 
 def _b0_law(proc, target, psi, rounds) -> float:
-    bnorm2 = float(np.linalg.norm(target @ psi) ** 2)
-    return zoo.closed_form("b0_qudit", z=target[0, 0], n_program=proc.program_dim, bnorm2=bnorm2).value
+    return zoo.geometric_success(target[0, 0], proc.program_dim, float(np.linalg.norm(target @ psi) ** 2))
 
 
 @dataclass(frozen=True)
@@ -451,13 +449,14 @@ class _Family:
     `build(params, aux)` turns config params, after the command's defaults,
     into (processor, correction rule, target); `aux` keys the stream of a
     Haar target drawn without a `target_seed`. `law(proc, target, psi,
-    rounds)` is the zoo.closed_form reference of a sweep. It never reads the
-    rule's success labels: a wrong label set would move the exact value and
-    the reference together, and the check would pass silently.
+    rounds)` is the closed-form reference of a sweep, by default the loop law
+    of the processor's program dimension. It never reads the rule's success
+    labels: a wrong label set would move the exact value and the reference
+    together, and the check would pass silently.
     """
 
     build: Callable[[dict, tuple], _Setup]
-    law: Callable[..., float]
+    law: Callable[..., float] = _loop_law
     rounds: str = "n"  # sweep key of the round budget
     # sweep: one shot of this program (the last outcome fails) instead of the loop
     shot: Callable[[ProcessorDefinition, np.ndarray], ProgramState] | None = None
@@ -467,7 +466,7 @@ class _Family:
 
 
 _FAMILIES = {
-    "u1": _Family(_u1, lambda proc, target, psi, n: zoo.closed_form("u1_loop", n=n).value),
+    "u1": _Family(_u1),
     "bz": _Family(
         _bz,
         _bz_law,
@@ -476,18 +475,9 @@ _FAMILIES = {
         sweep={"psi": _PSI2.tolist()},
     ),
     "bz_haar": _Family(_bz, _bz_law, sample={"z": np.sqrt(0.5), "n_program": 4}, haar=True),
-    "diagonal": _Family(
-        _diagonal,
-        lambda proc, target, psi, n: zoo.closed_form("diagonal_loop", dim=proc.data_dim, n=n).value,
-        sample={"phases": _DEFAULT_PHASES},
-    ),
-    "qid2": _Family(_qid2, lambda proc, target, psi, n: zoo.closed_form("qid2_loop", n=n).value),
-    "qidn": _Family(
-        _qidn,
-        lambda proc, target, psi, k: zoo.closed_form("qidn_loop", n_dim=proc.data_dim, k=k).value,
-        rounds="k",
-        sweep={"target_seed": 7},
-    ),
+    "diagonal": _Family(_diagonal, sample={"phases": _DEFAULT_PHASES}),
+    "qid2": _Family(_qid2),
+    "qidn": _Family(_qidn, rounds="k", sweep={"target_seed": 7}),
     "b0": _Family(_b0, _b0_law, shot=lambda proc, target: zoo.geometric_program(target[0, 0], proc.program_dim)),
 }
 
@@ -605,10 +595,7 @@ def _table_bz() -> list[ResultRow]:
     z_half = np.sqrt(0.5)
     rows = [
         ResultRow(
-            "bz_state_averaged_success",
-            "|z|^2=0.5,n_program=4",
-            zoo.closed_form("bz_finite", z=z_half, n_program=4).value,
-            0.7,
+            "bz_state_averaged_success", "|z|^2=0.5,n_program=4", zoo.geometric_success(z_half, 4, zoo.bz_norm2(z_half)), 0.7
         ),
         ResultRow(
             "bz_unit_modulus_success", "|z|=1,n_program=4", _sweep_point("bz", {"z": 1.0, "n_program": 4}, ())[1], 0.75
@@ -708,8 +695,8 @@ def _table_limits() -> list[ResultRow]:
     alpha2 = float(abs(_PSI2[0]) ** 2)
     rows = []
     for z in (0.5, 0.95, 2.0):
-        finite = zoo.closed_form("bz_finite", z=z, n_program=200, alpha2=alpha2).value
-        limit = zoo.closed_form("bz_limit", z=z, alpha2=alpha2).value
+        bnorm2 = zoo.bz_norm2(z, alpha2)
+        finite, limit = zoo.geometric_success(z, 200, bnorm2), zoo.geometric_limit(z, bnorm2)
         side = "|z|<1" if z < 1 else "|z|>1"
         rows.append(
             ResultRow(
@@ -723,8 +710,7 @@ def _table_limits() -> list[ResultRow]:
     psi = _uniform_state(3)
     for z in (0.5, 2.0):
         bnorm2 = float(np.linalg.norm(zoo.b0_operator(z, 3) @ psi) ** 2)
-        finite = zoo.closed_form("b0_qudit", z=z, n_program=200, bnorm2=bnorm2).value
-        limit = bnorm2 if z <= 1 else bnorm2 / abs(z) ** 2
+        finite, limit = zoo.geometric_success(z, 200, bnorm2), zoo.geometric_limit(z, bnorm2)
         rows.append(
             ResultRow(
                 "b0_limit_surrogate",
@@ -906,15 +892,18 @@ def _check_sigma_conjugation():
             assert np.abs(lhs + qlinalg.PAULIS[k]).max() <= 1e-15, "sigma_j sigma_k sigma_j != -sigma_k"
 
 
+def _shift_on(n: int, control: int, target: int, sign: int) -> np.ndarray:
+    """zoo.conditional_shift between qudits (control, target) of three, as an N^3 x N^3 matrix."""
+    order = [control, target, 3 - control - target]
+    axes = np.argsort(order)
+    op = np.kron(zoo.conditional_shift(n, sign), np.eye(n)).reshape([n] * 6)
+    return op.transpose(*axes, *(axes + 3)).reshape(n**3, n**3)
+
+
 def _check_qid_network_action():
     for n in (2, 3):
-        net = zoo.qid_network(n)
-        for a in range(n):
-            for b in range(n):
-                for c in range(n):
-                    src = a * n * n + b * n + c
-                    dst = ((a - b + c) % n) * n * n + ((b + a) % n) * n + ((c + a) % n)
-                    assert net[dst, src] == 1.0, f"network action wrong on |{a}{b}{c}> for N={n}"
+        circuit = _shift_on(n, 2, 0, +1) @ _shift_on(n, 1, 0, -1) @ _shift_on(n, 0, 2, +1) @ _shift_on(n, 0, 1, +1)
+        assert np.array_equal(zoo.qid_network(n), circuit), f"network is not D_31 D_21^dag D_13 D_12 for N={n}"
 
 
 def _check_weyl_identities():
@@ -1091,10 +1080,24 @@ def cmd_reproduce(args) -> int:
     return 0
 
 
+# Per command: the experiments it runs and the config keys it would silently ignore.
+_COMMAND_CONFIGS = {
+    "sweep": (SWEEP_EXPERIMENTS, {"max_rounds", "experiment_index"}),
+    "sample": (SAMPLE_EXPERIMENTS, {"grid"}),
+}
+
+
 def _load_config(args) -> ExperimentConfig:
     if not args.config:
         raise UsageError("this subcommand requires --config <json path>")
-    cfg = ExperimentConfig.from_file(args.config)
+    with open(args.config) as fh:
+        raw = json.load(fh)
+    cfg = ExperimentConfig.from_dict(raw)
+    experiments, unread = _COMMAND_CONFIGS[args.command]
+    _family(cfg.experiment, args.command, experiments)
+    stray = sorted(unread.intersection(raw))
+    if stray:
+        raise UsageError(f"{args.command} does not read config keys {stray}")
     overrides = {"seed": args.seed, "trials": args.trials, "tol": args.tol}
     # replace() re-runs the config checks on the overridden values
     return replace(cfg, **{k: v for k, v in overrides.items() if v is not None})

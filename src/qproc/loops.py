@@ -64,20 +64,13 @@ class SingularProgram(ValueError):
 
 @dataclass(frozen=True)
 class LoopPolicy:
-    """Round budget and which outcome labels count as success.
-
-    success_labels = None defers to the rule's per-family default (the
-    designated success outcome of each construction).
-    """
+    """Round budget of a loop; the rule's success labels end it early."""
 
     max_rounds: int
-    success_labels: frozenset[str] | None = None
 
     def __post_init__(self):
         if self.max_rounds < 1:
             raise ValueError("max_rounds must be at least 1")
-        if self.success_labels is not None:
-            object.__setattr__(self, "success_labels", frozenset(self.success_labels))
 
 
 @dataclass(frozen=True)
@@ -328,6 +321,7 @@ class OutcomeTree:
         self.target = np.asarray(target, dtype=complex)
         self.rule = rule
         self.basis = rule.basis_for(proc)
+        self.success = rule.success_labels(proc)
         self._root: _Node | None = None
         self._retained = 0
 
@@ -389,8 +383,7 @@ def run_loop(
         tree = OutcomeTree(proc, target, rule)
     elif not tree.serves(proc, target, rule):
         raise ValueError("outcome tree belongs to another processor, target or rule")
-    labels = tree.basis.labels
-    success = policy.success_labels if policy.success_labels is not None else rule.success_labels(proc)
+    labels, success = tree.basis.labels, tree.success
     node = tree.root
     rounds: list[LoopRound] = []
     status = "exhausted"
@@ -431,7 +424,6 @@ def exact_success(
     rule: CorrectionRule,
     n: int,
     psi=None,
-    success_labels: frozenset[str] | None = None,
 ) -> float:
     """Exact cumulative success probability of an n-round corrected loop.
 
@@ -451,10 +443,8 @@ def exact_success(
         psi = np.ones(proc.data_dim, dtype=complex) / np.sqrt(proc.data_dim)
     state0 = _require_state(psi, proc.data_dim)
     tree = OutcomeTree(proc, target, rule)
-    success = success_labels if success_labels is not None else rule.success_labels(proc)
-    labels = tree.basis.labels
-    success_idx = [i for i, lab in enumerate(labels) if lab in success]
-    fail_idx = [i for i, lab in enumerate(labels) if lab not in success]
+    success_idx = [i for i, lab in enumerate(tree.basis.labels) if lab in tree.success]
+    fail_idx = [i for i, lab in enumerate(tree.basis.labels) if lab not in tree.success]
 
     def visit(node: _Node, state: np.ndarray, remaining: int) -> float:
         if node.program is None:

@@ -14,14 +14,19 @@ Families
   single-qubit (SU(2)) and single-qudit operators in entangled program states.
 
 Each constructor returns validated ProcessorDefinitions; the companion
-program builders return ProgramState objects with encoding metadata, and
-`closed_form` evaluates every exact success probability the families admit.
+program builders return ProgramState objects with encoding metadata.
+
+Closed forms
+------------
+Three laws give every exact success probability the families admit:
+`loop_success` (n corrected rounds of a processor whose N program outcomes
+are equiprobable and one succeeds), `geometric_success` (one shot of B(z)
+or B0(z) on a geometric program, with `bz_norm2` for ||B(z) psi||^2) and
+`geometric_limit` (its infinite-program limit).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Any, Mapping
 
 import numpy as np
 
@@ -455,25 +460,10 @@ def qidN_branches(v: np.ndarray, psi: np.ndarray) -> BranchDecomposition:
 # Closed-form success probabilities
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ClosedFormProb:
-    """An exact success probability with the parameters that produced it."""
-
-    family: str
-    params: Mapping[str, Any]
-    value: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.value <= 1.0 + 1e-12:
-            raise ValueError(f"probability {self.value} outside [0, 1]")
-
-
-def _bz_ratio(z: complex, n: int) -> float:
-    """(1 - |z|^{2(N-1)}) / (1 - |z|^{2N}), with the |z| = 1 limit (N-1)/N."""
-    mod2 = abs(z) ** 2
-    if abs(mod2 - 1.0) < 1e-12:
-        return (n - 1) / n
-    return float((1 - mod2 ** (n - 1)) / (1 - mod2**n))
+def _probability(value: float) -> float:
+    if not 0.0 <= value <= 1.0 + 1e-12:
+        raise ValueError(f"probability {value} outside [0, 1]")
+    return float(value)
 
 
 def _pos_int(x, minimum: int = 1) -> int:
@@ -483,55 +473,45 @@ def _pos_int(x, minimum: int = 1) -> int:
     return n
 
 
-def _nonzero_z(p: dict) -> complex:
-    z = complex(p["z"])
+def _mod2(z) -> float:
+    """|z|^2 of a non-zero z (the geometric families exclude z = 0)."""
+    z = complex(z)
     if z == 0:
         raise InvalidParameter("z must be non-zero")
-    return z
+    return abs(z) ** 2
 
 
-def closed_form(family: str, **params) -> ClosedFormProb:
-    """Evaluate a family's exact success probability.
+def loop_success(n_outcomes: int, rounds: int) -> float:
+    """1 - (1 - 1/N)^n: n rounds, each heralding success on one of N equiprobable outcomes.
 
-    Families and parameters:
-
-    * ``u1_loop(n)``            -- 1 - (1/2)^n after n conditioned rounds.
-    * ``diagonal_loop(dim, n)`` -- 1 - (1 - 1/D)^n for unitary diagonal targets.
-    * ``qid2_loop(n)``          -- 1 - (3/4)^n after n rounds of the qubit distributor.
-    * ``qidn_loop(n_dim, k)``   -- 1 - (1 - 1/N^2)^k for the qudit distributor.
-    * ``bz_finite(z, n_program, alpha2=None)`` -- single-shot B(z) success for
-      a state with |<0|psi>|^2 = alpha2; alpha2=None averages over states.
-    * ``b0_qudit(z, n_program, bnorm2)``       -- single-shot B0(z) success,
-      bnorm2 = ||B0(z) psi||^2 (1 when |z| = 1).
-    * ``bz_limit(z, alpha2)``   -- the infinite-program limit of bz_finite.
+    N is the program dimension: 1 - (1/2)^n for u1, 1 - (1 - 1/D)^n for
+    unitary diagonal qudit targets, 1 - (3/4)^n for qid2 and
+    1 - (1 - 1/N^2)^k for the qudit distributor.
     """
-    p = dict(params)
-    if family == "u1_loop":
-        value = 1.0 - 0.5 ** _pos_int(p["n"])
-    elif family == "diagonal_loop":
-        value = 1.0 - (1.0 - 1.0 / _pos_int(p["dim"], minimum=2)) ** _pos_int(p["n"])
-    elif family == "qid2_loop":
-        value = 1.0 - 0.75 ** _pos_int(p["n"])
-    elif family == "qidn_loop":
-        ndim = _pos_int(p["n_dim"], minimum=2)
-        value = 1.0 - (1.0 - 1.0 / ndim**2) ** _pos_int(p["k"])
-    elif family == "bz_finite":
-        z = _nonzero_z(p)
-        mod2 = abs(z) ** 2
-        alpha2 = p.get("alpha2")
-        weight = 0.5 * (1 + mod2) if alpha2 is None else alpha2 + mod2 * (1 - alpha2)
-        value = _bz_ratio(z, _pos_int(p["n_program"], minimum=2)) * weight
-    elif family == "b0_qudit":
-        z = _nonzero_z(p)
-        value = _bz_ratio(z, _pos_int(p["n_program"], minimum=2)) * float(p.get("bnorm2", 1.0))
-    elif family == "bz_limit":
-        z = _nonzero_z(p)
-        mod2 = abs(z) ** 2
-        bnorm2 = float(p["alpha2"]) + mod2 * (1 - float(p["alpha2"]))
-        value = bnorm2 if mod2 <= 1 else bnorm2 / mod2
-    else:
-        raise InvalidParameter(f"unknown closed-form family: {family}")
-    return ClosedFormProb(family=family, params=p, value=float(value))
+    return _probability(1.0 - (1.0 - 1.0 / _pos_int(n_outcomes, minimum=2)) ** _pos_int(rounds))
+
+
+def bz_norm2(z, alpha2: float | None = None) -> float:
+    """||B(z) psi||^2 = alpha2 + |z|^2 (1 - alpha2) for |<0|psi>|^2 = alpha2; None averages over states."""
+    mod2 = _mod2(z)
+    return 0.5 * (1 + mod2) if alpha2 is None else alpha2 + mod2 * (1 - alpha2)
+
+
+def geometric_success(z, n_program: int, bnorm2: float = 1.0) -> float:
+    """Single-shot success of B(z) or B0(z) on an N-dim geometric program, bnorm2 = ||B psi||^2.
+
+    It is (1 - |z|^{2(N-1)}) / (1 - |z|^{2N}) * bnorm2, with the |z| = 1
+    limit (N-1)/N of the ratio.
+    """
+    mod2, n = _mod2(z), _pos_int(n_program, minimum=2)
+    ratio = (n - 1) / n if abs(mod2 - 1.0) < 1e-12 else (1 - mod2 ** (n - 1)) / (1 - mod2**n)
+    return _probability(ratio * float(bnorm2))
+
+
+def geometric_limit(z, bnorm2: float) -> float:
+    """The infinite-program limit of `geometric_success`: bnorm2, divided by |z|^2 when |z| > 1."""
+    mod2 = _mod2(z)
+    return _probability(bnorm2 if mod2 <= 1 else bnorm2 / mod2)
 
 
 # ---------------------------------------------------------------------------

@@ -72,7 +72,7 @@ def test_criterion_03_vmc3_success_and_erratum():
 
 def test_criterion_04_bz_averaged_success():
     z = np.sqrt(0.5)
-    closed = zoo.closed_form("bz_finite", z=z, n_program=4).value
+    closed = zoo.geometric_success(z, 4, zoo.bz_norm2(z))
     assert abs(closed - 0.7) <= 1e-12
     # Monte Carlo over 10^4 Haar-random states (exact per-state probability)
     proc = zoo.cyclic_shift_processor(4)
@@ -101,14 +101,14 @@ def test_criterion_05_bz_closed_form_oracle_and_limits():
         psi = random_state(2, rng)
         dec = decompose(zoo.cyclic_shift_processor(n), psi, zoo.geometric_program(z, n))
         oracle = sum(b.probability for b in dec.branches[:-1])
-        closed = zoo.closed_form("bz_finite", z=z, n_program=n, alpha2=float(abs(psi[0]) ** 2)).value
+        closed = zoo.geometric_success(z, n, zoo.bz_norm2(z, float(abs(psi[0]) ** 2)))
         assert abs(closed - oracle) <= 1e-10
     for n in (2, 5, 8):
-        assert abs(zoo.closed_form("bz_finite", z=1.0, n_program=n, alpha2=0.3).value - (1 - 1 / n)) <= 1e-12
+        assert abs(zoo.geometric_success(1.0, n, zoo.bz_norm2(1.0, 0.3)) - (1 - 1 / n)) <= 1e-12
     alpha2 = 0.36
     for z in (0.5, 2.0):
-        finite = zoo.closed_form("bz_finite", z=z, n_program=200, alpha2=alpha2).value
-        limit = zoo.closed_form("bz_limit", z=z, alpha2=alpha2).value
+        finite = zoo.geometric_success(z, 200, zoo.bz_norm2(z, alpha2))
+        limit = zoo.geometric_limit(z, zoo.bz_norm2(z, alpha2))
         assert abs(finite - limit) <= 1e-6
     _report(5, "closed form = oracle on 200 random cases; 1-1/N at |z|=1; N=200 limits within 1e-6")
 
@@ -137,7 +137,7 @@ def test_criterion_07_b0_qudit_processor():
             dec = decompose(zoo.amp_modifier_processor(dim, n), psi, zoo.geometric_program(z, n))
             oracle = sum(b.probability for b in dec.branches[:-1])
             bnorm2 = float(np.linalg.norm(zoo.b0_operator(z, dim) @ psi) ** 2)
-            closed = zoo.closed_form("b0_qudit", z=z, n_program=n, bnorm2=bnorm2).value
+            closed = zoo.geometric_success(z, n, bnorm2)
             assert abs(closed - oracle) <= 1e-10
     _report(7, "(N-1)/N at |z|=1 for D in {2,3,5}; closed form = oracle")
 

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from qproc import cli
+from qproc import cli, zoo
 from qproc.cli import ExperimentConfig, UsageError, main, reproduce_table, run_sample, run_sweep
 from qproc.processor import ProcessorDefinition
 
@@ -33,6 +33,21 @@ def test_verify_corrupted_processor_fails(monkeypatch, capsys):
     monkeypatch.setattr(cli, "PROCESSOR_CATALOG", cli.PROCESSOR_CATALOG + [("corrupted", lambda: corrupted)])
     assert main(["verify"]) == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_verify_network_check_fails_on_a_wrong_network(monkeypatch, capsys):
+    real = zoo.qid_network
+
+    def swapped(n):
+        g = real(n).copy()
+        g[:, [0, 1]] = g[:, [1, 0]]
+        return g
+
+    zoo.qidN(2), zoo.qidN(3)  # keep the cached processors genuine for later tests
+    monkeypatch.setattr(zoo, "qid_network", swapped)
+    assert main(["verify"]) == 1
+    line = next(x for x in capsys.readouterr().out.splitlines() if "distributor network basis action" in x)
+    assert "FAIL" in line
 
 
 def test_verify_reports_both_errata(capsys):
@@ -171,10 +186,12 @@ def test_sweep_unknown_experiment(tmp_path):
         {"experiment": "u1", "params": {"psi": [1, 0, 0]}, "grid": {"n": [1]}},
         {"experiment": "qid2", "grid": {"n": [1]}, "tol": float("nan")},
         {"experiment": "diagonal", "params": {"entries": [1, 1, 1]}, "grid": {"dim": [3, 5], "n": [2]}},
+        {"experiment": "qid2", "grid": {"n": [1]}, "max_rounds": 3},
+        {"experiment": "qid2", "grid": {"n": [1]}, "experiment_index": 1},
     ],
     ids=[
         "bz-psi-dim", "n-not-number", "grid-not-list", "n-zero", "alpha-not-number", "u1-psi-dim", "tol-nan",
-        "diagonal-dim-not-entries",
+        "diagonal-dim-not-entries", "max-rounds-unread", "experiment-index-unread",
     ],
 )
 def test_sweep_bad_config_is_usage_error(tmp_path, capsys, config):
@@ -300,11 +317,12 @@ def test_config_rejects_bad_values():
         ({"experiment": "qid2", "trials": 50}, ["--tol", "nan"]),
         ({"experiment": "u1", "params": {"psi": ["1", "0"]}}, []),
         ({"experiment": "u1", "params": {"psi": [1e308, 1e308]}}, []),
+        ({"experiment": "u1", "grid": {"n": [1, 2]}}, []),
     ],
     ids=[
         "trials-str", "trials-float", "psi-dim", "qidn-psi-dim", "psi-zero", "seed-negative", "params-not-object",
         "trials-flag-0", "qidn-target-not-list", "qidn-target-ragged", "diagonal-entry-not-number",
-        "tol-nan", "tol-flag-nan", "psi-strings", "psi-norm-overflow",
+        "tol-nan", "tol-flag-nan", "psi-strings", "psi-norm-overflow", "grid-unread",
     ],
 )
 def test_sample_bad_config_is_usage_error(tmp_path, capsys, config, flags):

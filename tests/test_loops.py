@@ -1,6 +1,10 @@
 """Tests for correction rules, exact loop trees and Monte Carlo trajectories."""
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qproc import loops, zoo
 from qproc.loops import LoopPolicy, SingularProgram, exact_success, run_loop
@@ -62,13 +66,15 @@ def test_u1_rule_doubles_angle_each_failure():
 
 
 def test_u1_rule_alpha_zero_any_outcome_succeeds():
+    # alpha = 0: both outcomes apply I/sqrt(2), so every round leaves psi in
+    # the target state and a failed round retries the same program.
     proc, rule = zoo.u1_cnot(), loops.u1_rule()
-    policy = LoopPolicy(max_rounds=1, success_labels=frozenset({"0", "1"}))
+    policy = LoopPolicy(max_rounds=60)
     psi = np.array([0.6, 0.8])
     for t in range(20):
         trace = run_loop(proc, psi, np.eye(2), rule, policy, derive_stream(400, t))
-        assert trace.succeeded and trace.rounds_used == 1
-        assert phase_distance(trace.rounds[-1].post_state, psi) <= 1e-12
+        assert trace.succeeded
+        assert all(phase_distance(r.post_state, psi) <= 1e-12 for r in trace.rounds)
 
 
 def test_u1_exact_three_rounds():
@@ -332,6 +338,37 @@ def test_exact_success_collapse_matches_full_enumeration(monkeypatch):
         full = exact_success(proc, target, rule, n, psi=psi)
         monkeypatch.undo()
         assert abs(collapsed - full) <= 1e-12
+
+
+angles = st.floats(-np.pi, np.pi)
+
+
+@st.composite
+def unitary_loops(draw):
+    """(proc, rule, target) with a random unitary target for u1, diagonal, qid2 or qidN."""
+    family = draw(st.sampled_from(("u1", "diagonal", "qid2", "qidN")))
+    if family == "u1":
+        return zoo.u1_cnot(), loops.u1_rule(), zoo.u1_operator(draw(angles))
+    if family == "diagonal":
+        dim = draw(st.integers(2, 5))
+        phases = np.array(draw(st.lists(angles, min_size=dim, max_size=dim)))
+        return zoo.qudit_diagonal_processor(dim), loops.diagonal_rule(dim), np.diag(np.exp(1j * phases))
+    if family == "qid2":
+        return zoo.qid2(), loops.qid2_rule(), su2_exp(draw(st.lists(st.floats(-1.2, 1.2), min_size=3, max_size=3)))
+    n = draw(st.integers(2, 3))
+    return zoo.qidN(n), loops.qidN_rule(n), random_unitary(n, derive_stream(draw(st.integers(0, 2**32 - 1))))
+
+
+@settings(max_examples=100)
+@given(case=unitary_loops(), n=st.integers(1, 6))
+def test_exact_success_is_the_loop_law(case, n):
+    # One law for every unitary loop: 1 - (1 - 1/N)^n, N the program dimension.
+    proc, rule, target = case
+    collapsed = exact_success(proc, target, rule, n)
+    assert abs(collapsed - zoo.loop_success(proc.program_dim, n)) <= 1e-12
+    if n <= 4:
+        with mock.patch.object(loops, "_state_independent", lambda ops, probs: False):
+            assert abs(exact_success(proc, target, rule, n) - collapsed) <= 1e-12
 
 
 def test_exact_success_validates_rounds():

@@ -11,7 +11,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qproc import loops, zoo
@@ -63,7 +63,7 @@ def _run(proc, rule, target, seed, order, tree_for):
     return out
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=40)
 @given(family=st.sampled_from(FAMILIES), seed=st.integers(0, 2**32 - 1))
 def test_traces_do_not_depend_on_tree_state(family, seed):
     proc, rule, target = _family(family, seed)
@@ -79,7 +79,7 @@ def test_traces_do_not_depend_on_tree_state(family, seed):
         assert uncached.root.children == {}
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=40)
 @given(family=st.sampled_from(FAMILIES), seed=st.integers(0, 2**32 - 1))
 def test_loop_rounds_draw_as_decompose_and_select_branch(family, seed):
     """Each lazily drawn round equals select_branch(decompose(...)) on the same stream, bit for bit."""

@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qproc import loops
@@ -15,7 +15,7 @@ def _oracle(payload: dict) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=40)
 @given(
     experiment=st.sampled_from(SAMPLE_EXPERIMENTS),
     seed=st.integers(0, 2**31 - 1),

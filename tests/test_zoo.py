@@ -161,7 +161,7 @@ def test_bz_branches_proportional_to_target():
 
 
 def test_bz_averaged_success_is_point_seven():
-    assert abs(zoo.closed_form("bz_finite", z=np.sqrt(0.5), n_program=4).value - 0.7) <= 1e-12
+    assert abs(zoo.geometric_success(np.sqrt(0.5), 4, zoo.bz_norm2(np.sqrt(0.5))) - 0.7) <= 1e-12
 
 
 def test_bz_unit_z_success_for_any_state():
@@ -193,7 +193,7 @@ def test_bz_closed_form_vs_oracle_random():
         psi = random_state(2, rng)
         dec = decompose(zoo.cyclic_shift_processor(n), psi, zoo.geometric_program(z, n))
         oracle = sum(b.probability for b in dec.branches[:-1])
-        closed = zoo.closed_form("bz_finite", z=z, n_program=n, alpha2=float(abs(psi[0]) ** 2)).value
+        closed = zoo.geometric_success(z, n, zoo.bz_norm2(z, float(abs(psi[0]) ** 2)))
         assert abs(oracle - closed) <= 1e-10
 
 
@@ -258,7 +258,7 @@ def test_b0_closed_form_vs_oracle():
     dec = decompose(zoo.amp_modifier_processor(dim, n), psi, zoo.geometric_program(z, n))
     oracle = sum(b.probability for b in dec.branches[:-1])
     bnorm2 = float(np.linalg.norm(zoo.b0_operator(z, dim) @ psi) ** 2)
-    closed = zoo.closed_form("b0_qudit", z=z, n_program=n, bnorm2=bnorm2).value
+    closed = zoo.geometric_success(z, n, bnorm2)
     assert abs(oracle - closed) <= 1e-10
 
 
@@ -477,35 +477,33 @@ def test_qidn_success_branch_proportional_to_target():
 # ---------------------------------------------------------------------------
 
 def test_closed_form_quoted_values():
-    assert zoo.closed_form("qid2_loop", n=2).value == 7 / 16
-    assert zoo.closed_form("qidn_loop", n_dim=2, k=1).value == 0.25
-    assert zoo.closed_form("qidn_loop", n_dim=2, k=2).value == 7 / 16
-    assert zoo.closed_form("u1_loop", n=3).value == 7 / 8
-    assert abs(zoo.closed_form("diagonal_loop", dim=3, n=4).value - (1 - (2 / 3) ** 4)) <= 1e-15
+    assert zoo.loop_success(zoo.qid2().program_dim, 2) == 7 / 16
+    assert zoo.loop_success(zoo.qidN(2).program_dim, 1) == 0.25
+    assert zoo.loop_success(zoo.qidN(2).program_dim, 2) == 7 / 16
+    assert zoo.loop_success(zoo.u1_cnot().program_dim, 3) == 7 / 8
+    assert abs(zoo.loop_success(zoo.qudit_diagonal_processor(3).program_dim, 4) - (1 - (2 / 3) ** 4)) <= 1e-15
 
 
 def test_closed_form_thirty_loops():
     # (3/4)^30 evaluates to ~1.79e-4 residual failure
-    failure = 1 - zoo.closed_form("qid2_loop", n=30).value
+    failure = 1 - zoo.loop_success(zoo.qid2().program_dim, 30)
     assert abs(failure - 1.785820901700763e-04) <= 1e-15
 
 
 def test_closed_form_limits():
     # |z| < 1 limit is ||B(z) psi||^2; |z| > 1 limit carries the 1/|z|^2 factor
     alpha2 = 0.36
-    low = zoo.closed_form("bz_limit", z=0.5, alpha2=alpha2).value
+    low = zoo.geometric_limit(0.5, zoo.bz_norm2(0.5, alpha2))
     assert abs(low - (alpha2 + 0.25 * (1 - alpha2))) <= 1e-15
-    high = zoo.closed_form("bz_limit", z=2.0, alpha2=alpha2).value
+    high = zoo.geometric_limit(2.0, zoo.bz_norm2(2.0, alpha2))
     assert abs(high - (alpha2 + 4 * (1 - alpha2)) / 4) <= 1e-15
 
 
 def test_closed_form_validates():
     with pytest.raises(zoo.InvalidParameter):
-        zoo.closed_form("no_such_family", n=1)
+        zoo.loop_success(2, 0)
     with pytest.raises(zoo.InvalidParameter):
-        zoo.closed_form("u1_loop", n=0)
-    with pytest.raises(zoo.InvalidParameter):
-        zoo.closed_form("bz_finite", z=0.0, n_program=4)
+        zoo.geometric_success(0.0, 4)
 
 
 def test_closed_form_value_in_unit_interval():
@@ -513,8 +511,8 @@ def test_closed_form_value_in_unit_interval():
     for _ in range(50):
         z = complex(rng.uniform(0.1, 2.0), rng.uniform(-1, 1))
         n = int(rng.integers(2, 10))
-        cf = zoo.closed_form("bz_finite", z=z, n_program=n, alpha2=float(rng.uniform(0, 1)))
-        assert 0.0 <= cf.value <= 1.0 + 1e-12
+        value = zoo.geometric_success(z, n, zoo.bz_norm2(z, float(rng.uniform(0, 1))))
+        assert 0.0 <= value <= 1.0 + 1e-12
 
 
 def test_errata_register():
