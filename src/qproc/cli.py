@@ -40,10 +40,10 @@ from .processor import (
     ProgramState,
     branch_operators,
     decompose,
-    select_branch,
+    inverse_cdf_many,
 )
 from .qlinalg import dagger, phase_distance, random_state, random_unitary, su2_exp
-from .streams import derive_stream
+from .streams import derive_stream, first_uniforms, reseeded, trial_indices
 
 ENV_OUT_DIR = "QPROC_OUT_DIR"
 
@@ -522,8 +522,7 @@ def run_sample(cfg: ExperimentConfig) -> dict:
 
     traces = []
     successes = 0
-    for t in range(cfg.trials):
-        rng = derive_stream(cfg.seed, cfg.experiment_index, t + 1)
+    for rng in reseeded((cfg.seed, cfg.experiment_index), trial_indices(cfg.trials)):
         psi = fixed_psi if fixed_psi is not None else random_state(proc.data_dim, rng)
         trace = loops.run_loop(proc, psi, target, rule, policy, rng, tree=tree)
         successes += trace.succeeded
@@ -745,27 +744,32 @@ def reproduce_table(table: str) -> list[ResultRow]:
 # Sweeps
 # ---------------------------------------------------------------------------
 
-def _single_shot_runner(dec):
-    fail = dec.branches[-1].label
+def _single_shot_hits(dec):
+    """Hit counter of one shot per stream: the first uniform draws a branch; the last one fails."""
+    fail, probs = len(dec.branches) - 1, dec.probability_tuple
 
-    def run_one(rng):
-        return select_branch(dec, rng).label != fail
+    def hits(entropy, ks):
+        return sum(int(np.count_nonzero(inverse_cdf_many(probs, r) != fail)) for r in first_uniforms(entropy, ks))
 
-    return run_one
+    return hits
 
 
-def _loop_runner(proc, rule, target, psi, rounds):
+def _loop_hits(proc, rule, target, psi, rounds):
     policy = loops.LoopPolicy(max_rounds=rounds)
     tree = loops.OutcomeTree(proc, target, rule)
 
-    def run_one(rng):
-        return loops.run_loop(proc, psi, target, rule, policy, rng, tree=tree).succeeded
+    def hits(entropy, ks):
+        return sum(loops.run_loop(proc, psi, target, rule, policy, rng, tree=tree).succeeded for rng in reseeded(entropy, ks))
 
-    return run_one
+    return hits
 
 
 def _sweep_point(experiment: str, merged: dict, aux: tuple):
-    """(quantity, exact value, closed-form reference, success sampler) for one grid point."""
+    """(quantity, exact value, closed-form reference, hit counter) for one grid point.
+
+    The hit counter takes (entropy, ks) and counts successful trials over
+    the streams derive_stream(*entropy, k), k in ks.
+    """
     family = _family(experiment, "sweep", SWEEP_EXPERIMENTS)
     p = {**family.sweep, **merged}
     rounds = 1 if family.shot else _integer(p[family.rounds], family.rounds, 1)
@@ -773,12 +777,12 @@ def _sweep_point(experiment: str, merged: dict, aux: tuple):
     psi = _config_state(p, proc.data_dim) if "psi" in p else _uniform_state(proc.data_dim)
     if family.shot:
         dec = decompose(proc, psi, family.shot(proc, target))
-        computed, run_one = sum(b.probability for b in dec.branches[:-1]), _single_shot_runner(dec)
+        computed, hits = sum(b.probability for b in dec.branches[:-1]), _single_shot_hits(dec)
     else:
         computed = loops.exact_success(proc, target, rule, rounds, psi=psi)
-        run_one = _loop_runner(proc, rule, target, psi, rounds)
+        hits = _loop_hits(proc, rule, target, psi, rounds)
     kind = "single_shot" if family.shot else "loop"
-    return f"{experiment}_{kind}_success", computed, family.law(proc, target, psi, rounds), run_one
+    return f"{experiment}_{kind}_success", computed, family.law(proc, target, psi, rounds), hits
 
 
 def run_sweep(cfg: ExperimentConfig) -> list[ResultRow]:
@@ -796,11 +800,10 @@ def run_sweep(cfg: ExperimentConfig) -> list[ResultRow]:
     rows = []
     for index, values in enumerate(itertools.product(*(cfg.grid[k] for k in keys))):
         point = dict(zip(keys, values))
-        quantity, computed, closed, run_one = _sweep_point(cfg.experiment, {**cfg.params, **point}, (cfg.seed, index, 0))
+        quantity, computed, closed, hits = _sweep_point(cfg.experiment, {**cfg.params, **point}, (cfg.seed, index, 0))
         empirical = None
         if cfg.trials > 1:
-            hits = sum(run_one(derive_stream(cfg.seed, index, t + 1)) for t in range(cfg.trials))
-            empirical = hits / cfg.trials
+            empirical = hits((cfg.seed, index), trial_indices(cfg.trials)) / cfg.trials
         label = ",".join(f"{k}={v}" for k, v in point.items())
         rows.append(ResultRow(quantity, label, computed, closed, empirical=empirical))
     return rows

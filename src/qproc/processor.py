@@ -256,6 +256,29 @@ def inverse_cdf(probabilities: Iterable[float], r: float) -> tuple[int, float]:
     return chosen, chosen_p
 
 
+def inverse_cdf_many(probabilities: Iterable[float], r: np.ndarray) -> np.ndarray:
+    """`inverse_cdf` branch index for every uniform in the array r.
+
+    The cumulative masses come from the same sequential walk, so each index
+    equals inverse_cdf(probabilities, r[i])[0] bit for bit: the first
+    qualifying branch with r < cumulative mass, else the last qualifying one.
+    Raises ValueError when no branch qualifies.
+    """
+    chosen, cums = [], []
+    acc = 0.0
+    for i, p in enumerate(probabilities):
+        if p < PROB_CUTOFF:
+            continue
+        acc += p
+        chosen.append(i)
+        cums.append(acc)
+    if not chosen:
+        raise ValueError("no branch has probability above the cutoff")
+    # side="right": the first mass strictly above r
+    pos = np.searchsorted(cums, r, side="right")
+    return np.asarray(chosen)[np.minimum(pos, len(chosen) - 1)]
+
+
 def select_branch(dec: BranchDecomposition, rng: np.random.Generator) -> Branch:
     """Inverse-CDF draw over branches in label order; sub-cutoff branches never fire."""
     i, _ = inverse_cdf(dec.probability_tuple, rng.random())

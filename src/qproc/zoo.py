@@ -156,10 +156,13 @@ def cyclic_shift_processor(n_program: int) -> ProcessorDefinition:
 
 
 def _geometric_c0(z: complex, n: int) -> float:
-    mod2 = abs(z) ** 2
-    if abs(mod2 - 1.0) < 1e-12:
-        return 1.0 / np.sqrt(n)  # analytic |z| = 1 limit of the 0/0 form
-    return float(np.sqrt((1 - mod2) / (1 - mod2**n)))
+    try:
+        mod2 = abs(z) ** 2
+        if abs(mod2 - 1.0) < 1e-12:
+            return 1.0 / np.sqrt(n)  # analytic |z| = 1 limit of the 0/0 form
+        return float(np.sqrt((1 - mod2) / (1 - mod2**n)))
+    except OverflowError:
+        raise InvalidParameter(f"|z|^(2N) overflows a float at z={z!r}, N={n}") from None
 
 
 def geometric_program(z: complex, n_program: int) -> ProgramState:

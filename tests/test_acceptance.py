@@ -18,7 +18,7 @@ from qproc.qlinalg import (
     random_unitary,
     su2_exp,
 )
-from qproc.streams import derive_stream
+from qproc.streams import derive_stream, reseeded
 
 
 def _report(num: int, text: str) -> None:
@@ -161,7 +161,8 @@ def test_criterion_08_qid2_probabilities_and_loop():
     psi = np.array([0.6, 0.8])
     policy = LoopPolicy(max_rounds=2)
     tree = OutcomeTree(proc, target, rule)
-    hits = sum(run_loop(proc, psi, target, rule, policy, derive_stream(1007, t), tree=tree).succeeded for t in range(trials))
+    # reseeded yields the streams derive_stream(1007, t), t < trials, without per-trial seeding
+    hits = sum(run_loop(proc, psi, target, rule, policy, rng, tree=tree).succeeded for rng in reseeded((1007,), range(trials)))
     sigma = np.sqrt((7 / 16) * (9 / 16) / trials)
     assert abs(hits / trials - 7 / 16) <= 3 * sigma
     _report(8, f"outcomes 1/4; 7/16 and 1-(3/4)^n exact; failure(30) = {failure30:.3e}; {trials} traces freq {hits / trials:.5f}")
@@ -217,7 +218,7 @@ def test_criterion_09_qudit_distributor():
     psi2 = np.ones(2) / np.sqrt(2)
     policy = LoopPolicy(max_rounds=1)
     tree = OutcomeTree(proc2, v2, rule2)
-    hits = sum(run_loop(proc2, psi2, v2, rule2, policy, derive_stream(1011, t), tree=tree).succeeded for t in range(trials))
+    hits = sum(run_loop(proc2, psi2, v2, rule2, policy, rng, tree=tree).succeeded for rng in reseeded((1011,), range(trials)))
     sigma = np.sqrt(0.25 * 0.75 / trials)
     assert abs(hits / trials - 0.25) <= 3 * sigma
     _report(9, f"all identities for N in {{2,3,4}}; p(K) exact; {trials} traces freq {hits / trials:.5f}")

@@ -1,12 +1,17 @@
 """Tests for the command-line harness: verify, reproduce, sweep, sample, list."""
 import json
 
+import random
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qproc import cli, zoo
-from qproc.cli import ExperimentConfig, UsageError, main, reproduce_table, run_sample, run_sweep
-from qproc.processor import ProcessorDefinition
+from qproc import cli, loops, qlinalg, zoo
+from qproc.cli import ExperimentConfig, UsageError, main, reproduce_table, run_sample, run_sweep, trace_to_dict
+from qproc.processor import ProcessorDefinition, decompose, select_branch
+from qproc.streams import derive_stream
 
 
 def _read_rows(path):
@@ -151,6 +156,32 @@ def test_sweep_single_shot_empirical_column():
     assert abs(row.empirical - row.computed) <= 3 * sigma
 
 
+@settings(max_examples=30)
+@given(
+    experiment=st.sampled_from(["bz", "b0"]),
+    modulus=st.floats(0.2, 3.0),
+    phase=st.floats(-np.pi, np.pi),
+    n_program=st.integers(2, 6),
+    dim=st.integers(2, 5),
+    seed=st.integers(0, 2**32 - 1),
+    trials=st.integers(2, 300),
+)
+def test_sweep_single_shot_hits_equal_per_shot_select_branch(experiment, modulus, phase, n_program, dim, seed, trials):
+    """The vectorised shots count the hits of select_branch on derive_stream(seed, point, t + 1)."""
+    z = complex(modulus * np.cos(phase), modulus * np.sin(phase))
+    grid = {"z": [0.5, [z.real, z.imag]], "n_program": [n_program]}
+    if experiment == "bz":
+        proc, psi = zoo.cyclic_shift_processor(n_program), qlinalg.normalize(np.array([0.6, 0.8], dtype=complex))
+    else:
+        grid["dim"] = [dim]
+        proc, psi = zoo.amp_modifier_processor(dim, n_program), np.ones(dim, dtype=complex) / np.sqrt(dim)
+    rows = run_sweep(ExperimentConfig(experiment=experiment, grid=grid, trials=trials, seed=seed))
+    dec = decompose(proc, psi, zoo.geometric_program(z, n_program))
+    fail = dec.branches[-1].label
+    hits = sum(select_branch(dec, derive_stream(seed, 1, t + 1)).label != fail for t in range(trials))
+    assert rows[1].empirical == hits / trials
+
+
 def test_sweep_bz_success_increases_with_program_dimension():
     for z in (0.25, 0.5, 1.0, 1.5, 2.0):
         cfg = ExperimentConfig(experiment="bz", grid={"z": [z], "n_program": list(range(2, 9))})
@@ -188,10 +219,14 @@ def test_sweep_unknown_experiment(tmp_path):
         {"experiment": "diagonal", "params": {"entries": [1, 1, 1]}, "grid": {"dim": [3, 5], "n": [2]}},
         {"experiment": "qid2", "grid": {"n": [1]}, "max_rounds": 3},
         {"experiment": "qid2", "grid": {"n": [1]}, "experiment_index": 1},
+        {"experiment": "bz", "grid": {"z": [1e20], "n_program": [8]}},
+        {"experiment": "bz", "grid": {"z": [1e160]}},
+        {"experiment": "b0", "grid": {"z": [1e160]}},
     ],
     ids=[
         "bz-psi-dim", "n-not-number", "grid-not-list", "n-zero", "alpha-not-number", "u1-psi-dim", "tol-nan",
         "diagonal-dim-not-entries", "max-rounds-unread", "experiment-index-unread",
+        "bz-z-power-overflows", "bz-z-square-overflows", "b0-z-square-overflows",
     ],
 )
 def test_sweep_bad_config_is_usage_error(tmp_path, capsys, config):
@@ -214,6 +249,22 @@ def test_sample_byte_identical_across_runs(tmp_path):
     assert main(["sample", "--config", str(cfg_path), "--out", str(a)]) == 0
     assert main(["sample", "--config", str(cfg_path), "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("experiment", cli.SAMPLE_EXPERIMENTS)
+def test_sample_trials_are_independent_of_order_and_tree(experiment):
+    """Trial t's trace is run_loop on derive_stream(seed, e, t + 1) alone: any order, a fresh tree each."""
+    cfg = ExperimentConfig(experiment=experiment, max_rounds=1 if experiment == "bz_haar" else 4, trials=40, seed=31, experiment_index=2)
+    traces = run_sample(cfg)["traces"]
+    proc, rule, target, fixed_psi, _ = cli._loop_setup(cfg)
+    policy = loops.LoopPolicy(max_rounds=cfg.max_rounds)
+    order = list(range(cfg.trials))
+    random.Random(experiment).shuffle(order)
+    for t in order:
+        rng = derive_stream(cfg.seed, cfg.experiment_index, t + 1)
+        psi = fixed_psi if fixed_psi is not None else qlinalg.random_state(proc.data_dim, rng)
+        trace = loops.run_loop(proc, psi, target, rule, policy, rng, tree=loops.OutcomeTree(proc, target, rule))
+        assert trace_to_dict(trace) == traces[t]
 
 
 def test_sample_summary_within_three_sigma(tmp_path):

@@ -1,6 +1,8 @@
 """Unit tests for the generic processor engine."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qproc import zoo
 from qproc.processor import (
@@ -13,6 +15,7 @@ from qproc.processor import (
     branch_operators,
     decompose,
     inverse_cdf,
+    inverse_cdf_many,
     program_operator,
     sample,
 )
@@ -275,6 +278,46 @@ def test_inverse_cdf_stops_at_the_drawn_branch():
 
     assert inverse_cdf(probs(), 0.1) == (0, 0.5)
     assert seen == [0.5]
+
+
+def _boundaries(probs):
+    """The running sums of the walk: r exactly on them tests the strict r < mass."""
+    acc, out = 0.0, []
+    for p in probs:
+        if p >= PROB_CUTOFF:
+            acc += p
+            out.append(acc)
+    return out
+
+
+_PROB = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, PROB_CUTOFF / 2, PROB_CUTOFF, 1 / 3]))
+
+
+@settings(max_examples=200)
+@given(
+    probs=st.lists(_PROB, min_size=1, max_size=8),
+    uniforms=st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=20),
+)
+def test_inverse_cdf_many_matches_inverse_cdf(probs, uniforms):
+    if all(p < PROB_CUTOFF for p in probs):
+        with pytest.raises(ValueError):
+            inverse_cdf_many(probs, np.array(uniforms))
+        return
+    bounds = _boundaries(probs)
+    r = np.array([*uniforms, *bounds, *np.nextafter(bounds, 0.0), 0.0, bounds[-1] + 0.25])
+    want = [inverse_cdf(probs, x)[0] for x in r]
+    assert inverse_cdf_many(probs, r).tolist() == want
+
+
+def test_inverse_cdf_many_edges():
+    probs = (0.25, PROB_CUTOFF / 2, 0.5, 0.0, 0.2)
+    r = np.array([0.0, 0.25, 0.75, 0.9, 0.95, 0.99])
+    # 0.25 and 0.75 sit on a boundary and move on; 0.99 lies past the total and falls back to the last branch
+    assert inverse_cdf_many(probs, r).tolist() == [0, 2, 4, 4, 4, 4]
+    with pytest.raises(ValueError):
+        inverse_cdf_many([PROB_CUTOFF / 2, 0.0], np.array([0.1]))
+    with pytest.raises(ValueError):
+        inverse_cdf_many([], np.array([0.1]))
 
 
 def test_program_state_requires_normalized_ket():
