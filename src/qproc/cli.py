@@ -169,6 +169,8 @@ def _jsonify(x):
     if isinstance(x, complex):
         return [x.real, x.imag]
     if isinstance(x, np.ndarray):
+        if x.dtype.kind == "c":  # the same floats as complex.real and .imag
+            return np.stack((x.real, x.imag), axis=-1).tolist()
         return [_jsonify(v) for v in x.tolist()]
     if isinstance(x, (np.floating, np.integer)):
         return x.item()
@@ -296,15 +298,55 @@ _SCALAR_JSON = {
 }
 
 
-def _json_at(value, pad: str) -> str:
+def _float_grid(value: list) -> tuple[tuple[int, ...], list[float]] | None:
+    """Shape and flat elements of a rectangular nested list of finite floats, else None."""
+    shape = []
+    items, kinds = [value], {list}
+    while kinds == {list}:
+        lengths = set(map(len, items))
+        if len(lengths) != 1 or 0 in lengths:
+            return None
+        shape.append(lengths.pop())
+        items = list(itertools.chain.from_iterable(items))
+        kinds = set(map(type, items))
+    # A finite sum means no inf or nan; an overflowing one only costs the fallback.
+    if kinds != {float} or not math.isfinite(sum(items)):
+        return None
+    return tuple(shape), items
+
+
+def _grid_template(shape: tuple[int, ...], pad: str) -> str:
+    """json.dumps(indent=2) layout of a float grid of this shape at `pad`, one %r per float."""
+    if not shape:
+        return "%r"
+    inner = pad + "  "
+    item = _grid_template(shape[1:], inner)
+    return "[\n" + inner + (",\n" + inner).join([item] * shape[0]) + "\n" + pad + "]"
+
+
+def _json_at(value, pad: str, templates: dict) -> str:
     """json.dumps(value, indent=2) for a value nested `len(pad)` spaces in.
 
-    Raw newlines cannot occur inside JSON strings, so shifting every line
-    break by `pad` is exact.
+    Dicts with string keys are walked key by key, and a rectangular nested
+    list of finite floats is one %-format of a template kept in `templates`
+    by (shape, pad); %r of a float is float.__repr__, json's own float
+    form. Anything else goes through json.dumps: raw newlines cannot occur
+    inside JSON strings, so shifting every line break by `pad` is exact.
     """
     scalar = _SCALAR_JSON.get(value.__class__)
     if scalar is not None:
         return scalar(value)
+    if value.__class__ is dict and value and all(k.__class__ is str for k in value):
+        inner = pad + "  "
+        fields = (encode_basestring_ascii(k) + ": " + _json_at(v, inner, templates) for k, v in value.items())
+        return "{\n" + inner + (",\n" + inner).join(fields) + "\n" + pad + "}"
+    grid = _float_grid(value) if value.__class__ is list else None
+    if grid is not None:
+        shape, items = grid
+        template = templates.get((shape, pad))
+        if template is None:
+            template = templates[shape, pad] = _grid_template(shape, pad)
+        return template % tuple(items)
     return json.dumps(value, indent=2).replace("\n", "\n" + pad)
 
 
@@ -321,21 +363,27 @@ _TRACE_JSON = (
 def sample_json(payload: dict) -> str:
     """The text of json.dumps(payload, indent=2) + "\\n" for a `run_sample` payload.
 
-    json's indenting encoder runs in pure Python. This writer renders the
-    config and summary through json.dumps, each distinct program_params
-    dict once, and the per-round and per-trace fields from fixed templates,
-    so the bytes are the same at a fraction of the cost. It relies on the
-    payload's key order: config, traces, summary; rounds, succeeded, status,
-    rounds_used; program_params, outcome, prob.
+    json's indenting encoder runs in pure Python. This writer renders each
+    distinct program_params dict once, the per-round and per-trace fields
+    from fixed templates, and every value through `_json_at`, whose float
+    grid templates (a weyl program's complex block, a config's target) are
+    built once per shape and nesting depth in this call. The bytes are the
+    same at a fraction of the cost. It relies on the payload's key order:
+    config, traces, summary; rounds, succeeded, status, rounds_used;
+    program_params, outcome, prob.
     """
+    templates: dict[tuple, str] = {}
     # Keyed by id: the payload keeps every dict alive while this runs.
     params_text: dict[int, str] = {}
+
+    def json_at(value, pad: str) -> str:
+        return _json_at(value, pad, templates)
 
     def round_json(r: dict) -> str:
         params = params_text.get(id(r["program_params"]))
         if params is None:
-            params = params_text[id(r["program_params"])] = _json_at(r["program_params"], _PAD_ROUND)
-        return _ROUND_JSON % (params, _json_at(r["outcome"], _PAD_ROUND), _json_at(r["prob"], _PAD_ROUND))
+            params = params_text[id(r["program_params"])] = json_at(r["program_params"], _PAD_ROUND)
+        return _ROUND_JSON % (params, json_at(r["outcome"], _PAD_ROUND), json_at(r["prob"], _PAD_ROUND))
 
     traces = []
     for t in payload["traces"]:
@@ -344,16 +392,16 @@ def sample_json(payload: dict) -> str:
             _TRACE_JSON
             % (
                 rounds + "\n      " if rounds else "",
-                _json_at(t["succeeded"], _PAD_TRACE),
-                _json_at(t["status"], _PAD_TRACE),
-                _json_at(t["rounds_used"], _PAD_TRACE),
+                json_at(t["succeeded"], _PAD_TRACE),
+                json_at(t["status"], _PAD_TRACE),
+                json_at(t["rounds_used"], _PAD_TRACE),
             )
         )
     body = ",".join(traces) + "\n  " if traces else ""
     return (
-        '{\n  "config": ' + _json_at(payload["config"], "  ")
+        '{\n  "config": ' + json_at(payload["config"], "  ")
         + ',\n  "traces": [' + body
-        + '],\n  "summary": ' + _json_at(payload["summary"], "  ")
+        + '],\n  "summary": ' + json_at(payload["summary"], "  ")
         + "\n}\n"
     )
 

@@ -135,7 +135,11 @@ class ProcessorDefinition:
     blocks[j, k] is the D x D operator A_jk; validity means both
     completeness sums hold: sum_j A_jk1^dag A_jk2 = I delta_k1k2 and
     sum_j A_k1j A_k2j^dag = I delta_k1k2 (equivalently G is unitary).
-    Construct through `assemble`, which enforces them.
+    Construct through `assemble`, which enforces them. An assembled
+    processor's `blocks` is a read-only (N, N, D, D) view of one
+    C-contiguous grid stored in (N, D, D, N) order, program input index k
+    last, which is the layout `branch_operators` contracts over; any array
+    of the right shape also works, at the cost of a copy per contraction.
     """
 
     data_dim: int
@@ -152,15 +156,23 @@ class ProcessorDefinition:
 def assemble(blocks, label: str = "", tol: float = _COMPLETENESS_TOL) -> ProcessorDefinition:
     """Validate a block grid and wrap it as a ProcessorDefinition.
 
-    `blocks` is anything shaped (N, N, D, D). The two completeness sums are
-    the blocks of G^dag G and G G^dag, so both are checked as dense products
-    of the global unitary G. Raises InvalidProcessor when either deviates
-    from identity by more than tol (largest absolute entry).
+    `blocks` is anything shaped (N, N, D, D). It is copied once, into
+    read-only (N, D, D, N) storage, and the processor's `blocks` is the
+    (N, N, D, D) view of that copy, so `np.tensordot` over the program
+    index reshapes it without copying (see ProcessorDefinition). The two
+    completeness sums are the blocks of G^dag G and G G^dag, so both are
+    checked as dense products of the global unitary G. Raises
+    InvalidProcessor when either deviates from identity by more than tol
+    (largest absolute entry).
     """
     b = np.asarray(blocks, dtype=complex)
     if b.ndim != 4 or b.shape[0] != b.shape[1] or b.shape[2] != b.shape[3]:
         raise ValueError("blocks must form an N x N grid of D x D operators")
-    proc = ProcessorDefinition(data_dim=b.shape[2], program_dim=b.shape[0], blocks=_readonly(b), label=label)
+    grid = np.array(b.transpose(0, 2, 3, 1), order="C")  # (N, D, D, N)
+    grid.setflags(write=False)
+    proc = ProcessorDefinition(
+        data_dim=b.shape[2], program_dim=b.shape[0], blocks=grid.transpose(0, 3, 1, 2), label=label
+    )
     g = proc.global_unitary()
     eye = np.eye(g.shape[0])
     dev = max(np.abs(g.conj().T @ g - eye).max(), np.abs(g @ g.conj().T - eye).max())

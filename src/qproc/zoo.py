@@ -481,7 +481,10 @@ def _mod2(z) -> float:
     z = complex(z)
     if z == 0:
         raise InvalidParameter("z must be non-zero")
-    return abs(z) ** 2
+    try:
+        return abs(z) ** 2
+    except OverflowError:
+        raise InvalidParameter(f"|z|^2 overflows a float at z={z!r}") from None
 
 
 def loop_success(n_outcomes: int, rounds: int) -> float:
@@ -507,7 +510,10 @@ def geometric_success(z, n_program: int, bnorm2: float = 1.0) -> float:
     limit (N-1)/N of the ratio.
     """
     mod2, n = _mod2(z), _pos_int(n_program, minimum=2)
-    ratio = (n - 1) / n if abs(mod2 - 1.0) < 1e-12 else (1 - mod2 ** (n - 1)) / (1 - mod2**n)
+    try:
+        ratio = (n - 1) / n if abs(mod2 - 1.0) < 1e-12 else (1 - mod2 ** (n - 1)) / (1 - mod2**n)
+    except OverflowError:
+        raise InvalidParameter(f"|z|^(2N) overflows a float at z={complex(z)!r}, N={n}") from None
     return _probability(ratio * float(bnorm2))
 
 

@@ -304,6 +304,14 @@ def test_trace_round_trip_weyl_programs():
         assert cli.trace_to_dict(cli.trace_from_dict(obj)) == obj
 
 
+def test_jsonify_complex_array_gives_the_floats_of_each_entry():
+    d = np.array([[1 + 2j, complex(-0.0, -0.0)], [complex(np.nan, np.inf), complex(3e-300, -1e300)]])
+    want = [[[z.real, z.imag] for z in row] for row in d.tolist()]
+    got = cli._jsonify(d)
+    assert json.dumps(got) == json.dumps(want)  # json text tells -0.0 and nan apart
+    assert {type(x) for row in got for pair in row for x in pair} == {float}
+
+
 def test_sample_seed_flag_overrides_config(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"experiment": "u1", "trials": 50, "seed": 1}))
@@ -369,11 +377,14 @@ def test_config_rejects_bad_values():
         ({"experiment": "u1", "params": {"psi": ["1", "0"]}}, []),
         ({"experiment": "u1", "params": {"psi": [1e308, 1e308]}}, []),
         ({"experiment": "u1", "grid": {"n": [1, 2]}}, []),
+        ({"experiment": "bz_haar", "params": {"z": 1e20, "n_program": 8}, "max_rounds": 1}, []),
+        ({"experiment": "bz_haar", "params": {"z": 1e160}, "max_rounds": 1}, []),
     ],
     ids=[
         "trials-str", "trials-float", "psi-dim", "qidn-psi-dim", "psi-zero", "seed-negative", "params-not-object",
         "trials-flag-0", "qidn-target-not-list", "qidn-target-ragged", "diagonal-entry-not-number",
         "tol-nan", "tol-flag-nan", "psi-strings", "psi-norm-overflow", "grid-unread",
+        "bz-haar-z-power-overflows", "bz-haar-z-square-overflows",
     ],
 )
 def test_sample_bad_config_is_usage_error(tmp_path, capsys, config, flags):

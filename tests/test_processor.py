@@ -9,6 +9,7 @@ from qproc.processor import (
     PROB_CUTOFF,
     DimensionMismatch,
     InvalidProcessor,
+    ProcessorDefinition,
     ProgramBasis,
     ProgramState,
     assemble,
@@ -342,3 +343,79 @@ def test_blocks_are_immutable():
     proc = zoo.u1_cnot()
     with pytest.raises(ValueError):
         proc.blocks[0, 0, 0, 0] = 5.0
+
+
+# ---------------------------------------------------------------------------
+# Block storage: (N, D, D, N) contiguous, exposed as an (N, N, D, D) view
+# ---------------------------------------------------------------------------
+
+def _old_branch_operators(blocks, amps, basis):
+    """branch_operators as computed over a C-contiguous (N, N, D, D) grid."""
+    a_j = np.tensordot(np.ascontiguousarray(blocks), amps, axes=([1], [0]))
+    return np.tensordot(np.conjugate(basis.vectors), a_j, axes=([1], [0]))
+
+
+def _old_global_unitary(blocks):
+    n, d = blocks.shape[0], blocks.shape[2]
+    return np.ascontiguousarray(blocks).transpose(2, 0, 3, 1).reshape(d * n, d * n)
+
+
+def _haar_grid(n, d, seed):
+    """A Haar-random G on data (x) program, with its block grid."""
+    g = random_unitary(d * n, derive_stream(405, n, d, seed))
+    return g, g.reshape(d, n, d, n).transpose(1, 3, 0, 2)
+
+
+def _check_layout(proc, rng):
+    n = proc.program_dim
+    assert proc.blocks.shape == (n, n, proc.data_dim, proc.data_dim)
+    # The program input axis is last in memory, so tensordot reshapes without a copy.
+    assert proc.blocks.transpose(0, 2, 3, 1).flags.c_contiguous
+    assert not proc.blocks.flags.writeable
+    with pytest.raises(ValueError):
+        proc.blocks.setflags(write=True)
+    assert _old_global_unitary(proc.blocks).tobytes() == proc.global_unitary().tobytes()
+    mixed = ProgramBasis(vectors=random_unitary(n, rng), labels=tuple(map(str, range(n))))
+    for basis in (ProgramBasis.computational(n), mixed):
+        for _ in range(3):
+            amps = random_state(n, rng)
+            got = branch_operators(proc, amps, basis)
+            assert got.tobytes() == _old_branch_operators(proc.blocks, amps, basis).tobytes()
+
+
+@pytest.mark.parametrize("proc", [*_all_processors(), zoo.qidN(4), zoo.qidN(8)], ids=lambda p: p.label)
+def test_zoo_blocks_keep_their_bytes_in_contraction_layout(proc):
+    _check_layout(proc, derive_stream(406, proc.program_dim, proc.data_dim))
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(1, 8), d=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+def test_haar_processor_completeness_and_reconstruction(n, d, seed):
+    g, blocks = _haar_grid(n, d, seed)
+    proc = assemble(blocks)
+    assert proc.global_unitary().tobytes() == np.ascontiguousarray(g).tobytes()
+    _check_layout(proc, derive_stream(407, seed))
+    rng = derive_stream(408, seed)
+    psi = random_state(d, rng)
+    xi = ProgramState(ket=random_state(n, rng))
+    dec = decompose(proc, psi, xi)
+    assert abs(sum(dec.probabilities()) - 1.0) <= 1e-9
+    joint = sum(np.kron(b.operator @ psi, np.eye(n)[j]) for j, b in enumerate(dec.branches))
+    assert np.linalg.norm(joint - g @ np.kron(psi, xi.ket)) <= 1e-10
+
+
+@pytest.mark.parametrize("n, d", [(2, 2), (3, 4), (8, 8)])
+def test_plain_block_processor_decomposes_like_the_assembled_one(n, d):
+    g, blocks = _haar_grid(n, d, 0)
+    plain = ProcessorDefinition(data_dim=d, program_dim=n, blocks=np.ascontiguousarray(blocks), label="plain")
+    proc = assemble(blocks)
+    rng = derive_stream(409, n, d)
+    for _ in range(3):
+        psi = random_state(d, rng)
+        xi = ProgramState(ket=random_state(n, rng))
+        want, got = decompose(proc, psi, xi), decompose(plain, psi, xi)
+        assert [b.probability for b in got.branches] == [b.probability for b in want.branches]
+        for b, w in zip(got.branches, want.branches):
+            assert b.operator.tobytes() == w.operator.tobytes()
+        joint = sum(np.kron(b.operator @ psi, np.eye(n)[j]) for j, b in enumerate(got.branches))
+        assert np.linalg.norm(joint - g @ np.kron(psi, xi.ket)) <= 1e-10

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qproc import loops
-from qproc.cli import SAMPLE_EXPERIMENTS, ExperimentConfig, run_sample, sample_json
+from qproc.cli import SAMPLE_EXPERIMENTS, ExperimentConfig, _float_grid, run_sample, sample_json
 
 
 def _oracle(payload: dict) -> str:
@@ -30,12 +30,31 @@ def test_writer_matches_json_dumps(experiment, seed, trials, max_rounds):
     assert sample_json(payload) == _oracle(payload)
 
 
+@settings(max_examples=12, deadline=None)
+@given(
+    n_dim=st.integers(4, 8),
+    seed=st.integers(0, 2**31 - 1),
+    trials=st.integers(1, 6),
+    max_rounds=st.integers(1, 3),
+)
+def test_writer_matches_json_dumps_on_wide_qidn(n_dim, seed, trials, max_rounds):
+    # Each weyl program carries an n_dim x n_dim block of [re, im] pairs.
+    cfg = ExperimentConfig(experiment="qidn", params={"n_dim": n_dim}, seed=seed, trials=trials, max_rounds=max_rounds)
+    payload = run_sample(cfg)
+    assert sample_json(payload) == _oracle(payload)
+
+
 def _round(params, outcome="0", prob=0.5):
     return {"program_params": params, "outcome": outcome, "prob": prob}
 
 
 def _trace(rounds, status="succeeded"):
     return {"rounds": rounds, "succeeded": status == "succeeded", "status": status, "rounds_used": len(rounds)}
+
+
+def _params_payload(params):
+    """One payload that carries `params` as a program's params and as the config's."""
+    return {"config": {**CONFIG, "params": params}, "traces": [_trace([_round(params)])], "summary": SUMMARY}
 
 
 CONFIG = {"experiment": "u1", "params": {"alpha": 0.3}, "max_rounds": 2, "trials": 1, "seed": 0, "experiment_index": 0}
@@ -63,6 +82,34 @@ HAND_BUILT = {
         ],
         "summary": SUMMARY,
     },
+    "ragged-and-empty-lists": _params_payload(
+        {"d": [[1.0, 2.0], [3.0]], "e": [], "f": [[]], "g": [[1.0], []], "h": [[[0.5, 0.5]], [[0.5]]]}
+    ),
+    "ints-and-bools-in-lists": _params_payload(
+        {"m": [1.0, 2, 3.0], "b": [[True, 1.0], [0.5, False]], "i": [[1, 2], [3, 4]], "n": [None, 1.0]}
+    ),
+    "negative-zero": _params_payload({"d": [[-0.0, 0.0], [-0.0, -0.0]], "s": -0.0, "v": [-0.0]}),
+    "non-finite-nested": _params_payload(
+        {"d": [[1.0, float("nan")], [2.0, 3.0]], "e": [[[float("inf"), 0.0]]], "f": [1.0, float("-inf")]}
+    ),
+    "overflowing-sum": _params_payload({"d": [[1.7e308, 1.7e308], [-0.5, 0.5]]}),
+    "numpy-float-elements": _params_payload(
+        {"d": [[np.float64(0.5), 1.0], [2.0, 3.0]], "e": [np.float64(1.0)], "f": [0.25, np.float64(-0.0)]}
+    ),
+    "tuples": _params_payload({"d": ((1.0, 2.0), (3.0, 4.0)), "e": [(1.0, 2.0), (3.0, 4.0)], "f": (0.5,)}),
+    "non-string-keys": _params_payload({"encoding": "raw", "d": {1: [1.0, 2.0], 2.5: [[0.5]], True: "x", None: -0.0}}),
+    "strings-and-dicts-in-lists": _params_payload(
+        {"d": [["a", "b"], ["c", "d"]], "e": [{"x": 1.0}], "f": {"g": {}}}
+    ),
+    "same-shape-at-two-depths": {
+        # (shape, pad) keys the template: [x, y] sits at three depths, (2, 2, 2) at one.
+        "config": {
+            **CONFIG,
+            "params": {"psi": [0.6, 0.8], "target": [[[1.0, 0.0], [0.5, 0.5]], [[0.5, 0.5], [1.0, 0.0]]]},
+        },
+        "traces": [_trace([_round({"encoding": "raw", "v": [0.1, 0.2], "w": {"v": [0.3, 0.4]}})])],
+        "summary": SUMMARY,
+    },
     "numpy-scalars": {
         "config": CONFIG,
         "traces": [_trace([_round(SHARED, prob=np.float64(0.25))])],
@@ -75,6 +122,23 @@ HAND_BUILT = {
 def test_writer_matches_json_dumps_on_edge_payloads(case):
     payload = HAND_BUILT[case]
     assert sample_json(payload) == _oracle(payload)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        [], [[]], [[1.0], []], [[1.0, 2.0], [3.0]], [1.0, 2], [True, 1.0], [1.0, None], [1.0, float("nan")],
+        [[float("inf")]], [1e308, 1e308], [np.float64(1.0)], [(1.0, 2.0)], [[1.0], (2.0,)], ["a"], [{"x": 1.0}],
+    ],
+    ids=repr,
+)
+def test_only_rectangular_finite_float_lists_take_a_template(value):
+    assert _float_grid(value) is None
+
+
+def test_float_grid_shape_and_elements():
+    assert _float_grid([0.5, -0.0]) == ((2,), [0.5, -0.0])
+    assert _float_grid([[[1.0, 2.0]], [[3.0, 4.0]]]) == ((2, 1, 2), [1.0, 2.0, 3.0, 4.0])
 
 
 def test_rounds_of_one_program_share_its_params():
