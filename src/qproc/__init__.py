@@ -22,7 +22,7 @@ from .processor import (
     program_operator,
     sample,
 )
-from .loops import CorrectionRule, LoopPolicy, LoopTrace, exact_success, run_loop
+from .loops import CorrectionRule, LoopTrace, OutcomeTree, exact_success, run_loop
 from .streams import derive_stream
 
 __version__ = "0.1.0"
@@ -33,8 +33,8 @@ __all__ = [
     "CorrectionRule",
     "DimensionMismatch",
     "InvalidProcessor",
-    "LoopPolicy",
     "LoopTrace",
+    "OutcomeTree",
     "ProcessorDefinition",
     "ProgramBasis",
     "ProgramState",

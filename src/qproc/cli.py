@@ -235,24 +235,6 @@ def program_params_to_json(program: ProgramState) -> dict:
     return {"encoding": program.encoding, **_jsonify(dict(program.params))}
 
 
-# Encoding -> rebuild from serialized params through the encoding's zoo builder.
-_PROGRAM_DECODERS: dict[str, Callable[[dict], ProgramState]] = {
-    "u1": lambda o: (zoo.vmc3_program if o.get("program_qubits") == 2 else zoo.u1_program)(o["alpha"]),
-    "geometric": lambda o: zoo.geometric_program(_complex(o["z"], "z"), o["n_program"]),
-    "diagonal": lambda o: zoo.diagonal_program(_complex_vector(o["entries"], "entries")),
-    "su2": lambda o: zoo.su2_program(o["mu"]),
-    "weyl": lambda o: zoo.weyl_program([_complex_vector(row, "d") for row in o["d"]], o["scale"]),
-}
-
-
-def program_from_params(obj: dict) -> ProgramState:
-    """Rebuild a ProgramState from its serialized parameters."""
-    decode = _PROGRAM_DECODERS.get(obj["encoding"])
-    if decode is None:
-        raise UsageError(f"cannot rebuild a program with encoding {obj['encoding']!r}")
-    return decode(obj)
-
-
 def trace_to_dict(
     trace: loops.LoopTrace, program_params: Callable[[ProgramState], dict] = program_params_to_json
 ) -> dict:
@@ -270,19 +252,6 @@ def trace_to_dict(
         "status": trace.status,
         "rounds_used": trace.rounds_used,
     }
-
-
-def trace_from_dict(obj: dict) -> loops.LoopTrace:
-    rounds = tuple(
-        loops.LoopRound(
-            program=program_from_params(r["program_params"]),
-            outcome=r["outcome"],
-            probability=r["prob"],
-            post_state=None,
-        )
-        for r in obj["rounds"]
-    )
-    return loops.LoopTrace(rounds=rounds, succeeded=obj["succeeded"], status=obj["status"])
 
 
 def _json_float(x: float) -> str:
@@ -472,6 +441,10 @@ def _qidn(p: dict, aux: tuple) -> _Setup:
         target = random_unitary(n_dim, derive_stream(*stream))
     elif isinstance(target, list) and len(target) == n_dim:
         target = np.array([_complex_vector(row, "target row", n_dim) for row in target])
+        with np.errstate(over="ignore"):  # an overflowing norm is reported below
+            norm = float(np.linalg.norm(target))
+        if not 1e-12 <= norm < np.inf:  # the bounds of zoo.program_for
+            raise UsageError(f"target must have a Frobenius norm in [1e-12, inf), got {norm!r}")
     else:
         raise UsageError(f'target must be "haar" or a list of {n_dim} rows, got {target!r}')
     return zoo.qidN(n_dim), loops.qidN_rule(n_dim), target
@@ -555,7 +528,6 @@ def run_sample(cfg: ExperimentConfig) -> dict:
     Rounds that ran the same program share one program_params dict.
     """
     proc, rule, target, fixed_psi, exact = _loop_setup(cfg)
-    policy = loops.LoopPolicy(max_rounds=cfg.max_rounds)
     tree = loops.OutcomeTree(proc, target, rule)
     # One program_params dict per distinct program. The entry keeps its
     # program alive: programs of nodes past the tree's retention cap are
@@ -572,7 +544,7 @@ def run_sample(cfg: ExperimentConfig) -> dict:
     successes = 0
     for rng in reseeded((cfg.seed, cfg.experiment_index), trial_indices(cfg.trials)):
         psi = fixed_psi if fixed_psi is not None else random_state(proc.data_dim, rng)
-        trace = loops.run_loop(proc, psi, target, rule, policy, rng, tree=tree)
+        trace = loops.run_loop(tree, psi, cfg.max_rounds, rng)
         successes += trace.succeeded
         traces.append(trace_to_dict(trace, program_params))
     empirical = successes / cfg.trials
@@ -802,12 +774,9 @@ def _single_shot_hits(dec):
     return hits
 
 
-def _loop_hits(proc, rule, target, psi, rounds):
-    policy = loops.LoopPolicy(max_rounds=rounds)
-    tree = loops.OutcomeTree(proc, target, rule)
-
+def _loop_hits(tree, psi, rounds):
     def hits(entropy, ks):
-        return sum(loops.run_loop(proc, psi, target, rule, policy, rng, tree=tree).succeeded for rng in reseeded(entropy, ks))
+        return sum(loops.run_loop(tree, psi, rounds, rng).succeeded for rng in reseeded(entropy, ks))
 
     return hits
 
@@ -828,7 +797,7 @@ def _sweep_point(experiment: str, merged: dict, aux: tuple):
         computed, hits = sum(b.probability for b in dec.branches[:-1]), _single_shot_hits(dec)
     else:
         computed = loops.exact_success(proc, target, rule, rounds, psi=psi)
-        hits = _loop_hits(proc, rule, target, psi, rounds)
+        hits = _loop_hits(loops.OutcomeTree(proc, target, rule), psi, rounds)
     kind = "single_shot" if family.shot else "loop"
     return f"{experiment}_{kind}_success", computed, family.law(proc, target, psi, rounds), hits
 
@@ -1048,10 +1017,11 @@ def _check_loop_post_states():
     rng = derive_stream(20)
     for experiment, params in (("qid2", {"mu": [0.2, -0.5, 0.9]}), ("bz", {"z": 0.8})):
         proc, rule, target = _FAMILIES[experiment].build(params, ())
+        tree = loops.OutcomeTree(proc, target, rule)
         successes = 0
         for _ in range(10):
             psi = random_state(proc.data_dim, rng)
-            trace = loops.run_loop(proc, psi, target, rule, loops.LoopPolicy(max_rounds=50), rng)
+            trace = loops.run_loop(tree, psi, 50, rng)
             if not trace.succeeded:
                 continue
             successes += 1
@@ -1141,8 +1111,11 @@ _COMMAND_CONFIGS = {
 def _load_config(args) -> ExperimentConfig:
     if not args.config:
         raise UsageError("this subcommand requires --config <json path>")
-    with open(args.config) as fh:
-        raw = json.load(fh)
+    try:
+        with open(args.config, encoding="utf-8") as fh:
+            raw = json.load(fh)
+    except (OSError, UnicodeDecodeError) as exc:  # a directory, no permission, not UTF-8
+        raise UsageError(f"cannot read config {args.config!r}: {exc}") from None
     cfg = ExperimentConfig.from_dict(raw)
     experiments, unread = _COMMAND_CONFIGS[args.command]
     _family(cfg.experiment, args.command, experiments)
@@ -1227,7 +1200,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, zoo.InvalidParameter, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (UsageError, zoo.InvalidParameter, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except KeyError as exc:

@@ -8,12 +8,13 @@ residual (the accumulated applied operator) is tracked as a matrix and the
 comparison is always up to global phase.
 
 The program of round k+1 is fixed by the outcomes of rounds 1..k: it
-depends neither on the data state nor on the RNG. An `OutcomeTree` holds one
+depends neither on the data state nor on the RNG. An `OutcomeTree`, built
+from one (processor, target, rule), is therefore the whole loop: it holds one
 node per outcome history (residual, program or an "uncorrectable" marker,
-and read-only branch operators), built lazily on first visit. `run_loop`
-samples Monte Carlo trajectories from a caller-supplied RNG stream by walking
-a tree; callers that run many trajectories of one (processor, target, rule)
-build one tree and pass it to every call. Retained node arrays are capped at
+and read-only branch operators), built lazily on first visit.
+`run_loop(tree, psi, max_rounds, rng)` samples one Monte Carlo trajectory
+from a caller-supplied RNG stream by walking the tree; callers build one tree
+per loop and pass it to every trajectory. Retained node arrays are capped at
 `_RETAINED_BYTES` per tree; nodes past the cap are built and used but not
 kept, and nodes nearer the root are built first, so they are the ones kept.
 Nothing is cached between trees, and a trajectory's output does not depend
@@ -63,17 +64,6 @@ class SingularProgram(ValueError):
 
 
 @dataclass(frozen=True)
-class LoopPolicy:
-    """Round budget of a loop; the rule's success labels end it early."""
-
-    max_rounds: int
-
-    def __post_init__(self):
-        if self.max_rounds < 1:
-            raise ValueError("max_rounds must be at least 1")
-
-
-@dataclass(frozen=True)
 class LoopRound:
     program: ProgramState
     outcome: str
@@ -108,13 +98,9 @@ class CorrectionRule:
     target itself, so it also provides the first-round program.
     """
 
-    family: str
     basis_for: Callable[[ProcessorDefinition], ProgramBasis] = field(repr=False)
-    success_labels_for: Callable[[ProcessorDefinition], frozenset[str]] = field(repr=False)
+    success_labels: Callable[[ProcessorDefinition], frozenset[str]] = field(repr=False)
     _next_program: Callable = field(repr=False)
-
-    def success_labels(self, proc: ProcessorDefinition) -> frozenset[str]:
-        return self.success_labels_for(proc)
 
     def next_program(self, proc: ProcessorDefinition, target: np.ndarray, residual: np.ndarray) -> ProgramState:
         return self._next_program(proc, np.asarray(target, dtype=complex), np.asarray(residual, dtype=complex))
@@ -127,8 +113,9 @@ def _computational_basis(proc: ProcessorDefinition) -> ProgramBasis:
 def _diag_entries(m: np.ndarray, what: str) -> np.ndarray:
     d = np.diagonal(m)
     off = m - np.diag(d)
-    if np.linalg.norm(off) > 1e-9 * max(1.0, float(np.linalg.norm(m))):
-        raise ValueError(f"{what} must be diagonal for this correction family")
+    with np.errstate(over="ignore"):  # a norm past float range is inf, which lets m pass
+        if np.linalg.norm(off) > 1e-9 * max(1.0, float(np.linalg.norm(m))):
+            raise ValueError(f"{what} must be diagonal for this correction family")
     return d
 
 
@@ -154,9 +141,8 @@ def u1_rule() -> CorrectionRule:
         return zoo.u1_program(float(beta))
 
     return CorrectionRule(
-        family="u1",
         basis_for=_computational_basis,
-        success_labels_for=lambda proc: frozenset({"0"}),
+        success_labels=lambda proc: frozenset({"0"}),
         _next_program=next_program,
     )
 
@@ -175,14 +161,17 @@ def bz_rule() -> CorrectionRule:
         t = _diag_entries(target, "target")
         r = _diag_entries(residual, "residual")
         m = _safe_ratio(t, r)
-        if abs(m[0]) <= 1e-12 * abs(m).max():
+        # The cutoff guards corrected ratios, powers of z that leave the
+        # range; the first program is the target's own (residual I), and
+        # geometric_program rejects a z that a float cannot hold.
+        cutoff = 0.0 if np.array_equal(residual, _eye(2)) else 1e-12
+        if abs(m[0]) <= cutoff * abs(m).max():
             raise SingularProgram("corrected ratio is unbounded (m00 ~ 0)")
         return zoo.geometric_program(complex(m[1] / m[0]), proc.program_dim)
 
     return CorrectionRule(
-        family="bz",
         basis_for=_computational_basis,
-        success_labels_for=lambda proc: frozenset(str(j) for j in range(proc.program_dim - 1)),
+        success_labels=lambda proc: frozenset(str(j) for j in range(proc.program_dim - 1)),
         _next_program=next_program,
     )
 
@@ -204,9 +193,8 @@ def diagonal_rule(dim: int) -> CorrectionRule:
         return zoo.diagonal_program(_safe_ratio(t, r))
 
     return CorrectionRule(
-        family="diagonal",
         basis_for=_computational_basis,
-        success_labels_for=lambda proc: frozenset({"0"}),
+        success_labels=lambda proc: frozenset({"0"}),
         _next_program=next_program,
     )
 
@@ -248,9 +236,8 @@ def qid2_rule() -> CorrectionRule:
         return zoo.su2_program(mu_vec)
 
     return CorrectionRule(
-        family="qid2",
         basis_for=lambda proc: zoo.qid2_basis(),
-        success_labels_for=lambda proc: frozenset({"0+"}),
+        success_labels=lambda proc: frozenset({"0+"}),
         _next_program=next_program,
     )
 
@@ -270,9 +257,8 @@ def qidN_rule(n: int) -> CorrectionRule:
         return zoo.program_for(_needed(target, residual))
 
     return CorrectionRule(
-        family="qidN",
         basis_for=lambda proc: zoo.phi_basis(n),
-        success_labels_for=lambda proc: frozenset({"0,0"}),
+        success_labels=lambda proc: frozenset({"0,0"}),
         _next_program=next_program,
     )
 
@@ -303,17 +289,18 @@ class _Node:
         self.residual = residual
         self.program = program  # None: no correcting program exists (uncorrectable)
         self.ops = ops
-        self.children: dict[str, _Node] = {}
+        self.children: dict[int, _Node] = {}
 
 
 class OutcomeTree:
-    """Lazily memoized outcome tree of one (processor, target, rule).
+    """Lazily memoized outcome tree of one loop: all `run_loop` knows of it.
 
-    A node is reached by its outcome-label history from the root (residual
-    I). Children are built on first visit and kept while the tree's retained
-    node arrays stay within `_RETAINED_BYTES`. The tree takes no lock:
-    threads sharing one may build a node twice (identically, so outputs do
-    not change) and overshoot the cap, so give each thread its own tree.
+    A node is reached by its outcome history, the branch indices drawn from
+    the root (residual I). Children are built on first visit and kept while
+    the tree's retained node arrays stay within `_RETAINED_BYTES`. The tree
+    takes no lock: threads sharing one may build a node twice (identically,
+    so outputs do not change) and overshoot the cap, so give each thread its
+    own tree.
     """
 
     def __init__(self, proc: ProcessorDefinition, target, rule: CorrectionRule):
@@ -341,55 +328,38 @@ class OutcomeTree:
         ops.setflags(write=False)
         return _Node(residual, program, ops)
 
-    def child(self, parent: _Node, label: str, operator: np.ndarray) -> _Node:
-        """The node after `parent` when outcome `label` applied branch operator `operator`."""
-        found = parent.children.get(label)
+    def child(self, parent: _Node, i: int) -> _Node:
+        """The node after `parent` when its branch i fired."""
+        found = parent.children.get(i)
         if found is not None:
             return found
-        node = self.node(_rescaled(operator @ parent.residual))
+        node = self.node(_rescaled(parent.ops[i] @ parent.residual))
         size = node.residual.nbytes + (0 if node.ops is None else node.ops.nbytes)
         if self._retained + size <= _RETAINED_BYTES:
-            parent.children[label] = node
+            parent.children[i] = node
             self._retained += size
         return node
 
-    def serves(self, proc: ProcessorDefinition, target, rule: CorrectionRule) -> bool:
-        """True when this tree was built for (proc, target, rule)."""
-        return proc is self.proc and rule is self.rule and (
-            target is self.target or np.array_equal(np.asarray(target, dtype=complex), self.target)
-        )
 
+def run_loop(tree: OutcomeTree, psi, max_rounds: int, rng: np.random.Generator) -> LoopTrace:
+    """Sample one trajectory of the loop that `tree` describes.
 
-def run_loop(
-    proc: ProcessorDefinition,
-    psi,
-    target,
-    rule: CorrectionRule,
-    policy: LoopPolicy,
-    rng: np.random.Generator,
-    tree: OutcomeTree | None = None,
-) -> LoopTrace:
-    """Sample one corrected-loop trajectory.
-
-    Rounds are sampled until a success label fires or the budget runs out;
-    the trace records the program, outcome, branch probability and
+    Rounds are sampled until a success label fires or `max_rounds` rounds
+    have run; the trace records the program, outcome, branch probability and
     post-state of every round. On success the final post-state is
-    proportional to target @ psi (up to global phase). `tree` is an
-    OutcomeTree of (proc, target, rule) shared with other trajectories; by
-    default the trajectory builds its own. The trace is the same either way.
+    proportional to target @ psi (up to global phase). Trajectories of one
+    loop share its tree; the trace does not depend on what the tree holds.
     """
-    state = _require_state(psi, proc.data_dim)
-    if tree is None:
-        tree = OutcomeTree(proc, target, rule)
-    elif not tree.serves(proc, target, rule):
-        raise ValueError("outcome tree belongs to another processor, target or rule")
+    if max_rounds < 1:
+        raise ValueError("max_rounds must be at least 1")
+    state = _require_state(psi, tree.proc.data_dim)
     labels, success = tree.basis.labels, tree.success
     node = tree.root
     rounds: list[LoopRound] = []
     status = "exhausted"
-    for k in range(policy.max_rounds):
+    for k in range(max_rounds):
         if k:
-            node = tree.child(node, label, node.ops[i])
+            node = tree.child(node, i)
         if node.program is None:
             status = "uncorrectable"
             break

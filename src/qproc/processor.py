@@ -224,25 +224,14 @@ def decompose(
     if basis is None:
         basis = ProgramBasis.computational(proc.program_dim)
     ops = branch_operators(proc, xi, basis)
-    ops.setflags(write=False)
-    return BranchDecomposition(branches=split_branches(ops, basis.labels, psi))
-
-
-def split_branches(ops: np.ndarray, labels: tuple[str, ...], psi: np.ndarray) -> tuple[Branch, ...]:
-    """Branch b of a run on psi: operator ops[b], probability ||ops[b] psi||^2, post-state.
-
-    `ops` is a read-only (N, D, D) stack (each branch keeps a view of it) and
-    psi a validated data ket. Loop rounds split lazily instead (one stacked
-    `ops @ psi`, probabilities only up to the drawn branch); stacked and
-    per-branch products agree to the last bit.
-    """
+    ops.setflags(write=False)  # each branch keeps a view of the stack
     branches = []
-    for op, label in zip(ops, labels):
+    for op, label in zip(ops, basis.labels):
         amp = op @ psi
         p = float(np.vdot(amp, amp).real)
         post = amp / np.sqrt(p) if p >= PROB_CUTOFF else None
         branches.append(Branch(label=label, operator=op, probability=p, post_state=post))
-    return tuple(branches)
+    return BranchDecomposition(branches=tuple(branches))
 
 
 def inverse_cdf(probabilities: Iterable[float], r: float) -> tuple[int, float]:

@@ -222,11 +222,12 @@ def test_sweep_unknown_experiment(tmp_path):
         {"experiment": "bz", "grid": {"z": [1e20], "n_program": [8]}},
         {"experiment": "bz", "grid": {"z": [1e160]}},
         {"experiment": "b0", "grid": {"z": [1e160]}},
+        {"experiment": "qidn", "params": {"target": [[0, 0], [0, 0]]}, "grid": {"n_dim": [2], "k": [1]}},
     ],
     ids=[
         "bz-psi-dim", "n-not-number", "grid-not-list", "n-zero", "alpha-not-number", "u1-psi-dim", "tol-nan",
         "diagonal-dim-not-entries", "max-rounds-unread", "experiment-index-unread",
-        "bz-z-power-overflows", "bz-z-square-overflows", "b0-z-square-overflows",
+        "bz-z-power-overflows", "bz-z-square-overflows", "b0-z-square-overflows", "qidn-target-zero",
     ],
 )
 def test_sweep_bad_config_is_usage_error(tmp_path, capsys, config):
@@ -257,13 +258,12 @@ def test_sample_trials_are_independent_of_order_and_tree(experiment):
     cfg = ExperimentConfig(experiment=experiment, max_rounds=1 if experiment == "bz_haar" else 4, trials=40, seed=31, experiment_index=2)
     traces = run_sample(cfg)["traces"]
     proc, rule, target, fixed_psi, _ = cli._loop_setup(cfg)
-    policy = loops.LoopPolicy(max_rounds=cfg.max_rounds)
     order = list(range(cfg.trials))
     random.Random(experiment).shuffle(order)
     for t in order:
         rng = derive_stream(cfg.seed, cfg.experiment_index, t + 1)
         psi = fixed_psi if fixed_psi is not None else qlinalg.random_state(proc.data_dim, rng)
-        trace = loops.run_loop(proc, psi, target, rule, policy, rng, tree=loops.OutcomeTree(proc, target, rule))
+        trace = loops.run_loop(loops.OutcomeTree(proc, target, rule), psi, cfg.max_rounds, rng)
         assert trace_to_dict(trace) == traces[t]
 
 
@@ -287,21 +287,6 @@ def test_sample_single_trial_trace_schema(tmp_path):
     assert set(trace) == {"rounds", "succeeded", "status", "rounds_used"}
     for r in trace["rounds"]:
         assert set(r) == {"program_params", "outcome", "prob"}
-
-
-def test_trace_round_trip():
-    cfg = ExperimentConfig(experiment="bz", params={"z": 0.7}, max_rounds=5, trials=20, seed=5)
-    payload = run_sample(cfg)
-    for obj in payload["traces"]:
-        rebuilt = cli.trace_to_dict(cli.trace_from_dict(obj))
-        assert rebuilt == obj
-
-
-def test_trace_round_trip_weyl_programs():
-    cfg = ExperimentConfig(experiment="qidn", params={"n_dim": 3}, max_rounds=3, trials=5, seed=6)
-    payload = run_sample(cfg)
-    for obj in payload["traces"]:
-        assert cli.trace_to_dict(cli.trace_from_dict(obj)) == obj
 
 
 def test_jsonify_complex_array_gives_the_floats_of_each_entry():
@@ -337,6 +322,32 @@ def test_sample_unknown_experiment(tmp_path):
 
 def test_sample_missing_config_file(tmp_path):
     assert main(["sample", "--config", str(tmp_path / "absent.json"), "--out", str(tmp_path / "x.json")]) == 2
+
+
+@pytest.mark.parametrize("command", ["sample", "sweep"])
+@pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+def test_unreadable_config_is_usage_error(tmp_path, capsys, command, kind):
+    path = tmp_path / "cfg"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b'\xff\xfe{"experiment": "u1"}')
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "x").exists()
+
+
+def test_sample_bz_first_program_at_large_z(tmp_path):
+    """At z = 1e13 the first program is the target's own; only corrected ratios meet the range cutoff."""
+    z = 1e13
+    payload = run_sample(ExperimentConfig("bz", params={"z": z, "psi": [0.6, 0.8]}, max_rounds=1, trials=50, seed=1))
+    (row,) = run_sweep(ExperimentConfig("bz", grid={"z": [z]}))
+    assert abs(payload["summary"]["exact"] - row.computed) <= 1e-12
+    assert {t["status"] for t in payload["traces"]} == {"succeeded", "exhausted"}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"experiment": "bz_haar", "params": {"z": z}, "max_rounds": 1, "trials": 200}))
+    assert main(["sample", "--config", str(cfg_path), "--out", str(tmp_path / "x.json"), "--tol", "0"]) == 0
 
 
 def test_default_out_dir_env(tmp_path, monkeypatch):
@@ -379,12 +390,17 @@ def test_config_rejects_bad_values():
         ({"experiment": "u1", "grid": {"n": [1, 2]}}, []),
         ({"experiment": "bz_haar", "params": {"z": 1e20, "n_program": 8}, "max_rounds": 1}, []),
         ({"experiment": "bz_haar", "params": {"z": 1e160}, "max_rounds": 1}, []),
+        ({"experiment": "bz", "params": {"z": 1e160}, "max_rounds": 1}, []),
+        ({"experiment": "qidn", "params": {"n_dim": 2, "target": [[0, 0], [0, 0]]}}, []),
+        ({"experiment": "qidn", "params": {"n_dim": 2, "target": [[1e-13, 0], [0, 0]]}}, []),
+        ({"experiment": "qidn", "params": {"n_dim": 2, "target": [[1e300, 0], [0, 1e300]]}}, []),
     ],
     ids=[
         "trials-str", "trials-float", "psi-dim", "qidn-psi-dim", "psi-zero", "seed-negative", "params-not-object",
         "trials-flag-0", "qidn-target-not-list", "qidn-target-ragged", "diagonal-entry-not-number",
         "tol-nan", "tol-flag-nan", "psi-strings", "psi-norm-overflow", "grid-unread",
-        "bz-haar-z-power-overflows", "bz-haar-z-square-overflows",
+        "bz-haar-z-power-overflows", "bz-haar-z-square-overflows", "bz-z-square-overflows",
+        "qidn-target-zero", "qidn-target-norm-tiny", "qidn-target-norm-overflows",
     ],
 )
 def test_sample_bad_config_is_usage_error(tmp_path, capsys, config, flags):

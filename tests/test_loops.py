@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qproc import loops, zoo
-from qproc.loops import LoopPolicy, SingularProgram, exact_success, run_loop
+from qproc.loops import OutcomeTree, SingularProgram, exact_success, run_loop
 from qproc.processor import branch_operators, decompose
 from qproc.qlinalg import (
     phase_distance,
@@ -69,10 +69,10 @@ def test_u1_rule_alpha_zero_any_outcome_succeeds():
     # alpha = 0: both outcomes apply I/sqrt(2), so every round leaves psi in
     # the target state and a failed round retries the same program.
     proc, rule = zoo.u1_cnot(), loops.u1_rule()
-    policy = LoopPolicy(max_rounds=60)
+    tree = OutcomeTree(proc, np.eye(2), rule)
     psi = np.array([0.6, 0.8])
     for t in range(20):
-        trace = run_loop(proc, psi, np.eye(2), rule, policy, derive_stream(400, t))
+        trace = run_loop(tree, psi, 60, derive_stream(400, t))
         assert trace.succeeded
         assert all(phase_distance(r.post_state, psi) <= 1e-12 for r in trace.rounds)
 
@@ -157,10 +157,8 @@ def test_bz_exact_tree_three_rounds_vs_monte_carlo():
     exact = exact_success(proc, target, rule, rounds, psi=psi)
 
     trials = 20_000
-    hits = sum(
-        run_loop(proc, psi, target, rule, LoopPolicy(max_rounds=rounds), derive_stream(402, t)).succeeded
-        for t in range(trials)
-    )
+    tree = OutcomeTree(proc, target, rule)
+    hits = sum(run_loop(tree, psi, rounds, derive_stream(402, t)).succeeded for t in range(trials))
     sigma = np.sqrt(exact * (1 - exact) / trials)
     assert abs(hits / trials - exact) <= 3 * sigma
 
@@ -231,7 +229,7 @@ def test_diagonal_loop_uncorrectable_status():
     proc, rule = zoo.qudit_diagonal_processor(3), loops.diagonal_rule(3)
     target = np.diag([1.0, 1.0, 0.0]) / np.sqrt(2)
     psi = np.array([0.0, 1.0, 0.0])
-    trace = run_loop(proc, psi, target, rule, LoopPolicy(max_rounds=5), _FixedDraws([0.9, 0.0]))
+    trace = run_loop(OutcomeTree(proc, target, rule), psi, 5, _FixedDraws([0.9, 0.0]))
     assert trace.status == "uncorrectable"
     assert not trace.succeeded
     assert trace.rounds[-1].outcome == "2"
@@ -384,11 +382,9 @@ def test_run_loop_single_round_qid2_frequency():
     proc, rule = zoo.qid2(), loops.qid2_rule()
     target = su2_exp([0.2, -0.5, 0.9])
     psi = np.array([0.6, 0.8])
-    policy = LoopPolicy(max_rounds=1)
+    tree = OutcomeTree(proc, target, rule)
     trials = 10000
-    hits = sum(
-        run_loop(proc, psi, target, rule, policy, derive_stream(407, t)).succeeded for t in range(trials)
-    )
+    hits = sum(run_loop(tree, psi, 1, derive_stream(407, t)).succeeded for t in range(trials))
     sigma = np.sqrt(0.25 * 0.75 / trials)
     assert abs(hits / trials - 0.25) <= 3 * sigma
 
@@ -398,9 +394,10 @@ def test_run_loop_success_post_state():
     mu = np.array([0.7, 0.1, -0.4])
     target = su2_exp(mu)
     rng = derive_stream(408)
+    tree = OutcomeTree(proc, target, rule)
     for _ in range(25):
         psi = random_state(2, rng)
-        trace = run_loop(proc, psi, target, rule, LoopPolicy(max_rounds=60), rng)
+        trace = run_loop(tree, psi, 60, rng)
         assert trace.succeeded
         want = target @ psi
         assert phase_distance(trace.rounds[-1].post_state, want / np.linalg.norm(want)) <= 1e-8
@@ -408,16 +405,17 @@ def test_run_loop_success_post_state():
 
 def test_run_loop_trace_shape():
     proc, rule = zoo.u1_cnot(), loops.u1_rule()
-    policy = LoopPolicy(max_rounds=7)
+    max_rounds = 7
+    tree = OutcomeTree(proc, zoo.u1_operator(0.5), rule)
     success = rule.success_labels(proc)
     for t in range(30):
-        trace = run_loop(proc, np.array([0.6, 0.8]), zoo.u1_operator(0.5), rule, policy, derive_stream(409, t))
-        assert trace.rounds_used <= policy.max_rounds
+        trace = run_loop(tree, np.array([0.6, 0.8]), max_rounds, derive_stream(409, t))
+        assert trace.rounds_used <= max_rounds
         if trace.succeeded:
             assert trace.rounds[-1].outcome in success
             assert all(r.outcome not in success for r in trace.rounds[:-1])
         else:
-            assert trace.rounds_used == policy.max_rounds
+            assert trace.rounds_used == max_rounds
 
 
 def test_run_loop_rounds_to_success_geometric():
@@ -427,11 +425,11 @@ def test_run_loop_rounds_to_success_geometric():
     proc, rule = zoo.qidN(n), loops.qidN_rule(n)
     target = random_unitary(n, derive_stream(410))
     psi = np.ones(n) / np.sqrt(n)
-    policy = LoopPolicy(max_rounds=60)
+    tree = OutcomeTree(proc, target, rule)
     trials = 4000
     counts = np.zeros(4)
     for t in range(trials):
-        trace = run_loop(proc, psi, target, rule, policy, derive_stream(411, t))
+        trace = run_loop(tree, psi, 60, derive_stream(411, t))
         if trace.succeeded and trace.rounds_used <= 3:
             counts[trace.rounds_used] += 1
     p = 1 / n**2
@@ -442,8 +440,10 @@ def test_run_loop_rounds_to_success_geometric():
 
 
 def test_loop_policy_validation():
+    # the round budget is run_loop's max_rounds; it must be at least 1
+    tree = OutcomeTree(zoo.u1_cnot(), zoo.u1_operator(0.3), loops.u1_rule())
     with pytest.raises(ValueError):
-        LoopPolicy(max_rounds=0)
+        run_loop(tree, np.array([1.0, 0.0]), 0, derive_stream(1))
 
 
 def test_correction_soundness_all_families():

@@ -10,13 +10,12 @@ from dataclasses import replace
 from unittest import mock
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qproc import loops, zoo
 from qproc.cli import trace_to_dict
-from qproc.loops import LoopPolicy, OutcomeTree, run_loop
+from qproc.loops import OutcomeTree, run_loop
 from qproc.processor import decompose, select_branch
 from qproc.qlinalg import random_state, random_unitary, su2_exp
 from qproc.streams import derive_stream
@@ -53,13 +52,12 @@ def _trace_bytes(trace) -> tuple:
 
 
 def _run(proc, rule, target, seed, order, tree_for):
-    """Traces of trials in `order`, each on tree_for(t) (None: a private tree), by trial index."""
-    policy = LoopPolicy(max_rounds=MAX_ROUNDS)
+    """Traces of trials in `order`, each on the tree tree_for(t), by trial index."""
     out = {}
     for t in order:
         rng = derive_stream(seed, 1, t + 1)
         psi = random_state(proc.data_dim, rng)
-        out[t] = _trace_bytes(run_loop(proc, psi, target, rule, policy, rng, tree=tree_for(t)))
+        out[t] = _trace_bytes(run_loop(tree_for(t), psi, MAX_ROUNDS, rng))
     return out
 
 
@@ -70,7 +68,7 @@ def test_traces_do_not_depend_on_tree_state(family, seed):
     forward = range(TRIALS)
     shared = OutcomeTree(proc, target, rule)
     reference = _run(proc, rule, target, seed, forward, lambda t: shared)
-    assert _run(proc, rule, target, seed, forward, lambda t: None) == reference
+    assert _run(proc, rule, target, seed, forward, lambda t: OutcomeTree(proc, target, rule)) == reference
     reversed_tree = OutcomeTree(proc, target, rule)
     assert _run(proc, rule, target, seed, reversed(forward), lambda t: reversed_tree) == reference
     with mock.patch.object(loops, "_RETAINED_BYTES", 0):
@@ -86,7 +84,7 @@ def test_loop_rounds_draw_as_decompose_and_select_branch(family, seed):
     proc, rule, target = _family(family, seed)
     basis = rule.basis_for(proc)
     psi = random_state(proc.data_dim, derive_stream(seed, 1))
-    trace = run_loop(proc, psi, target, rule, LoopPolicy(max_rounds=MAX_ROUNDS), derive_stream(seed, 2))
+    trace = run_loop(OutcomeTree(proc, target, rule), psi, MAX_ROUNDS, derive_stream(seed, 2))
     rng = derive_stream(seed, 2)
     state = psi
     for r in trace.rounds:
@@ -111,10 +109,9 @@ def test_shared_tree_builds_each_round_program_once():
     # u1 has one failure branch, so its tree is a chain of max_rounds nodes
     rule, calls = _counting(loops.u1_rule())
     proc, target = zoo.u1_cnot(), zoo.u1_operator(0.3)
-    policy = LoopPolicy(max_rounds=MAX_ROUNDS)
     tree = OutcomeTree(proc, target, rule)
     psi = np.array([0.6, 0.8])
-    traces = [run_loop(proc, psi, target, rule, policy, derive_stream(5, t), tree=tree) for t in range(200)]
+    traces = [run_loop(tree, psi, MAX_ROUNDS, derive_stream(5, t)) for t in range(200)]
     assert max(t.rounds_used for t in traces) == MAX_ROUNDS
     assert len(calls) == MAX_ROUNDS
 
@@ -133,10 +130,3 @@ def test_retained_node_arrays_stay_within_cap():
         stack.extend(node.children.values())
     assert kept == 4
     assert tree._retained == cap
-
-
-def test_run_loop_rejects_a_tree_of_another_target():
-    proc, rule = zoo.u1_cnot(), loops.u1_rule()
-    tree = OutcomeTree(proc, zoo.u1_operator(0.3), rule)
-    with pytest.raises(ValueError):
-        run_loop(proc, np.array([1.0, 0.0]), zoo.u1_operator(0.4), rule, LoopPolicy(max_rounds=2), derive_stream(1), tree=tree)
