@@ -98,15 +98,20 @@ def rows_to_csv(rows: list[ResultRow]) -> str:
 
 
 def _resolve_out(out: str | None, default_name: str) -> str:
-    if out:
-        return out
-    return os.path.join(os.environ.get(ENV_OUT_DIR, "."), default_name)
+    """The output path; one that is a directory is rejected now, before any run."""
+    path = out or os.path.join(os.environ.get(ENV_OUT_DIR, "."), default_name)
+    if os.path.isdir(path):
+        raise UsageError(f"output path {path!r} is a directory")
+    return path
 
 
 def _write_text(path: str, text: str) -> None:
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        fh.write(text)
+    try:
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:  # a parent that is a file, no permission, a full disk
+        raise UsageError(f"cannot write {path!r}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -235,19 +240,15 @@ def program_params_to_json(program: ProgramState) -> dict:
     return {"encoding": program.encoding, **_jsonify(dict(program.params))}
 
 
-def trace_to_dict(
-    trace: loops.LoopTrace, program_params: Callable[[ProgramState], dict] = program_params_to_json
-) -> dict:
-    """Plain-JSON form of one trace; `program_params` renders each round's program."""
+def round_to_dict(r: loops.LoopRound, program_params: Callable[[ProgramState], dict] = program_params_to_json) -> dict:
+    """Plain-JSON form of one round; `program_params` renders its program."""
+    return {"program_params": program_params(r.program), "outcome": r.outcome, "prob": r.probability}
+
+
+def trace_to_dict(trace: loops.LoopTrace, round_dict: Callable[[loops.LoopRound], dict] = round_to_dict) -> dict:
+    """Plain-JSON form of one trace; `round_dict` renders each round."""
     return {
-        "rounds": [
-            {
-                "program_params": program_params(r.program),
-                "outcome": r.outcome,
-                "prob": r.probability,
-            }
-            for r in trace.rounds
-        ],
+        "rounds": [round_dict(r) for r in trace.rounds],
         "succeeded": trace.succeeded,
         "status": trace.status,
         "rounds_used": trace.rounds_used,
@@ -321,9 +322,8 @@ def _json_at(value, pad: str, templates: dict) -> str:
 
 _PAD_ROUND = " " * 10
 _PAD_TRACE = " " * 6
-_ROUND_JSON = (
-    '\n        {\n          "program_params": %s,\n          "outcome": %s,\n          "prob": %s\n        }'
-)
+_ROUND_HEAD = '\n        {\n          "program_params": '
+_ROUND_TAIL = ',\n          "outcome": %s,\n          "prob": %s\n        }'
 _TRACE_JSON = (
     '\n    {\n      "rounds": [%s],\n      "succeeded": %s,\n      "status": %s,\n      "rounds_used": %s\n    }'
 )
@@ -333,17 +333,23 @@ def sample_json(payload: dict) -> str:
     """The text of json.dumps(payload, indent=2) + "\\n" for a `run_sample` payload.
 
     json's indenting encoder runs in pure Python. This writer renders each
-    distinct program_params dict once, the per-round and per-trace fields
-    from fixed templates, and every value through `_json_at`, whose float
-    grid templates (a weyl program's complex block, a config's target) are
-    built once per shape and nesting depth in this call. The bytes are the
-    same at a fraction of the cost. It relies on the payload's key order:
-    config, traces, summary; rounds, succeeded, status, rounds_used;
+    distinct trace dict once, and in it each distinct program_params dict
+    and each distinct round's outcome/prob tail once (`run_sample` shares
+    one dict per distinct round and trace when the data state is fixed).
+    The per-round and per-trace fields come from fixed templates and every
+    value goes through `_json_at`, whose float grid templates (a weyl
+    program's complex block, a config's target) are built once per shape
+    and nesting depth in this call. The bytes are the same at a fraction of
+    the cost. Whole round texts are not kept: that would hold every
+    program's params text a second time. It relies on the payload's key
+    order: config, traces, summary; rounds, succeeded, status, rounds_used;
     program_params, outcome, prob.
     """
     templates: dict[tuple, str] = {}
     # Keyed by id: the payload keeps every dict alive while this runs.
     params_text: dict[int, str] = {}
+    tail_text: dict[int, str] = {}
+    trace_text: dict[int, str] = {}
 
     def json_at(value, pad: str) -> str:
         return _json_at(value, pad, templates)
@@ -352,20 +358,24 @@ def sample_json(payload: dict) -> str:
         params = params_text.get(id(r["program_params"]))
         if params is None:
             params = params_text[id(r["program_params"])] = json_at(r["program_params"], _PAD_ROUND)
-        return _ROUND_JSON % (params, json_at(r["outcome"], _PAD_ROUND), json_at(r["prob"], _PAD_ROUND))
+        tail = tail_text.get(id(r))
+        if tail is None:
+            tail = tail_text[id(r)] = _ROUND_TAIL % (json_at(r["outcome"], _PAD_ROUND), json_at(r["prob"], _PAD_ROUND))
+        return _ROUND_HEAD + params + tail
 
-    traces = []
-    for t in payload["traces"]:
-        rounds = ",".join(map(round_json, t["rounds"]))
-        traces.append(
-            _TRACE_JSON
-            % (
+    def trace_json(t: dict) -> str:
+        text = trace_text.get(id(t))
+        if text is None:
+            rounds = ",".join(map(round_json, t["rounds"]))
+            text = trace_text[id(t)] = _TRACE_JSON % (
                 rounds + "\n      " if rounds else "",
                 json_at(t["succeeded"], _PAD_TRACE),
                 json_at(t["status"], _PAD_TRACE),
                 json_at(t["rounds_used"], _PAD_TRACE),
             )
-        )
+        return text
+
+    traces = list(map(trace_json, payload["traces"]))
     body = ",".join(traces) + "\n  " if traces else ""
     return (
         '{\n  "config": ' + json_at(payload["config"], "  ")
@@ -522,23 +532,44 @@ def _loop_setup(cfg: ExperimentConfig) -> tuple:
     return proc, rule, target, psi, loops.exact_success(proc, target, rule, cfg.max_rounds, psi=psi)
 
 
+def _memo(key: Callable, make: Callable) -> Callable:
+    """x -> make(x), built once per key(x).
+
+    Each entry keeps its x alive: objects of nodes past the tree's retention
+    cap are rebuilt and freed, and a freed object's id can be reused.
+    """
+    memo: dict = {}
+
+    def get(x):
+        entry = memo.get(key(x))
+        if entry is None:
+            entry = memo[key(x)] = (x, make(x))
+        return entry[1]
+
+    return get
+
+
 def run_sample(cfg: ExperimentConfig) -> dict:
     """Run the configured trajectories and return the JSON payload.
 
-    Rounds that ran the same program share one program_params dict.
+    Rounds that ran the same program share one program_params dict. With a
+    fixed data state the tree hands out one LoopRound per node and branch,
+    so rounds share one dict per LoopRound, and traces one dict per
+    outcome path.
     """
     proc, rule, target, fixed_psi, exact = _loop_setup(cfg)
-    tree = loops.OutcomeTree(proc, target, rule)
-    # One program_params dict per distinct program. The entry keeps its
-    # program alive: programs of nodes past the tree's retention cap are
-    # rebuilt and freed, and a freed program's id can be reused.
-    params_memo: dict[int, tuple[ProgramState, dict]] = {}
+    tree = loops.OutcomeTree(proc, target, rule, fixed_psi)
+    program_params = _memo(id, program_params_to_json)
 
-    def program_params(program: ProgramState) -> dict:
-        entry = params_memo.get(id(program))
-        if entry is None:
-            entry = params_memo[id(program)] = (program, program_params_to_json(program))
-        return entry[1]
+    def round_dict(r: loops.LoopRound) -> dict:
+        return round_to_dict(r, program_params)
+
+    if fixed_psi is not None:
+        round_dict = _memo(id, round_dict)
+        trace_dict = _memo(lambda t: (t.status, *map(id, t.rounds)), lambda t: trace_to_dict(t, round_dict))
+    else:  # every round is new: nothing to share
+        def trace_dict(t: loops.LoopTrace) -> dict:
+            return trace_to_dict(t, round_dict)
 
     traces = []
     successes = 0
@@ -546,7 +577,7 @@ def run_sample(cfg: ExperimentConfig) -> dict:
         psi = fixed_psi if fixed_psi is not None else random_state(proc.data_dim, rng)
         trace = loops.run_loop(tree, psi, cfg.max_rounds, rng)
         successes += trace.succeeded
-        traces.append(trace_to_dict(trace, program_params))
+        traces.append(trace_dict(trace))
     empirical = successes / cfg.trials
     summary = {
         "trials": cfg.trials,
@@ -797,7 +828,7 @@ def _sweep_point(experiment: str, merged: dict, aux: tuple):
         computed, hits = sum(b.probability for b in dec.branches[:-1]), _single_shot_hits(dec)
     else:
         computed = loops.exact_success(proc, target, rule, rounds, psi=psi)
-        hits = _loop_hits(loops.OutcomeTree(proc, target, rule), psi, rounds)
+        hits = _loop_hits(loops.OutcomeTree(proc, target, rule, psi), psi, rounds)
     kind = "single_shot" if family.shot else "loop"
     return f"{experiment}_{kind}_success", computed, family.law(proc, target, psi, rounds), hits
 
@@ -1089,8 +1120,8 @@ def cmd_verify(args) -> int:
 
 def cmd_reproduce(args) -> int:
     tol = _real(args.tol, "tol") if args.tol is not None else 1e-9
-    rows = reproduce_table(args.table)
     out = _resolve_out(args.out, f"reproduce_{args.table}.csv")
+    rows = reproduce_table(args.table)
     _write_text(out, rows_to_csv(rows))
     bad = [r for r in rows if r.deviation is not None and r.deviation > tol and not r.note]
     print(f"wrote {len(rows)} rows to {out}")
@@ -1129,8 +1160,8 @@ def _load_config(args) -> ExperimentConfig:
 
 def cmd_sweep(args) -> int:
     cfg = _load_config(args)
-    rows = run_sweep(cfg)
     out = _resolve_out(args.out, f"sweep_{cfg.experiment}.csv")
+    rows = run_sweep(cfg)
     _write_text(out, rows_to_csv(rows))
     print(f"wrote {len(rows)} rows to {out}")
     tol = cfg.tol if cfg.tol is not None else 1e-9
@@ -1144,8 +1175,8 @@ def cmd_sweep(args) -> int:
 
 def cmd_sample(args) -> int:
     cfg = _load_config(args)
-    payload = run_sample(cfg)
     out = _resolve_out(args.out, f"sample_{cfg.experiment}.json")
+    payload = run_sample(cfg)
     _write_text(out, sample_json(payload))
     s = payload["summary"]
     print(

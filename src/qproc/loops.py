@@ -28,6 +28,17 @@ the walk `select_branch` also uses), and normalizes only the chosen
 post-state. The stacked product equals the per-branch `op @ psi` of
 `decompose` bit for bit, so a round draws the same label, probability and
 post-state as `select_branch(decompose(...))` on the same stream.
+
+When every trajectory starts from one data state, pass it to the tree:
+`OutcomeTree(proc, target, rule, psi)`. The outcomes then fix the state at
+each node too, so a node's round is computed once. The first trajectory to
+reach a node stores the product, the probabilities it read and the
+LoopRound of the branch it drew; later ones draw a uniform over the stored
+probabilities (extending them only as far as a draw reads) and reuse the
+stored rounds, post-states included. Each stored value comes from the same
+expression on the same inputs, so traces are byte-identical to those of a
+tree without a state. A tree without a state (a Haar-random psi per
+trajectory) computes each round afresh, in the same loop body.
 """
 from __future__ import annotations
 
@@ -280,16 +291,45 @@ def _require_state(psi, dim: int) -> np.ndarray:
     return v
 
 
-class _Node:
-    """One outcome history: its residual and, unless uncorrectable, program and branch operators."""
+class _Round:
+    """A node's round on one data state: amplitudes, probabilities read so far, drawn rounds.
 
-    __slots__ = ("residual", "program", "ops", "children")
+    `probs` grows in label order only as far as a draw reads it, and
+    `drawn[i]` is the LoopRound of branch i, post-state included, made on
+    the first draw of i.
+    """
+
+    __slots__ = ("amps", "probs", "drawn")
+
+    def __init__(self, amps: np.ndarray):
+        self.amps = amps  # (N, D): branch operator b applied to the state
+        self.probs: list[float] = []
+        self.drawn: dict[int, LoopRound] = {}
+
+    def probabilities(self):
+        """Branch probabilities in label order: the stored ones, then new ones as they are read."""
+        yield from self.probs
+        for a in self.amps[len(self.probs):]:
+            p = float(np.vdot(a, a).real)
+            self.probs.append(p)
+            yield p
+
+
+class _Node:
+    """One outcome history: its residual and, unless uncorrectable, program and branch operators.
+
+    On a tree with a data state, `round` caches the node's round on the
+    state every trajectory brings to it.
+    """
+
+    __slots__ = ("residual", "program", "ops", "children", "round")
 
     def __init__(self, residual: np.ndarray, program: ProgramState | None, ops: np.ndarray | None):
         self.residual = residual
         self.program = program  # None: no correcting program exists (uncorrectable)
         self.ops = ops
         self.children: dict[int, _Node] = {}
+        self.round: _Round | None = None
 
 
 class OutcomeTree:
@@ -297,18 +337,33 @@ class OutcomeTree:
 
     A node is reached by its outcome history, the branch indices drawn from
     the root (residual I). Children are built on first visit and kept while
-    the tree's retained node arrays stay within `_RETAINED_BYTES`. The tree
-    takes no lock: threads sharing one may build a node twice (identically,
-    so outputs do not change) and overshoot the cap, so give each thread its
-    own tree.
+    the tree's retained node arrays stay within `_RETAINED_BYTES`.
+
+    `psi`, when given, is the data state every trajectory of the loop
+    starts from. Outcomes then fix the state at every node as well, so a
+    node's round is computed once: the first trajectory to reach it stores
+    the amplitudes `ops @ state`, the branch probabilities it reads and the
+    LoopRound of each branch it draws, and later trajectories only draw a
+    uniform over the stored probabilities. Those arrays count against the
+    cap too. Without `psi` (a fresh state per trajectory) nothing of a
+    round is kept.
+
+    The tree takes no lock: threads sharing one may build a node twice and
+    overshoot the cap, and on a tree with a state two threads extending one
+    node's probability list could interleave their entries, so give each
+    thread its own tree.
     """
 
-    def __init__(self, proc: ProcessorDefinition, target, rule: CorrectionRule):
+    def __init__(self, proc: ProcessorDefinition, target, rule: CorrectionRule, psi=None):
         self.proc = proc
         self.target = np.asarray(target, dtype=complex)
         self.rule = rule
         self.basis = rule.basis_for(proc)
         self.success = rule.success_labels(proc)
+        self.psi = None
+        if psi is not None:
+            self.psi = _require_state(psi, proc.data_dim).copy()
+            self.psi.setflags(write=False)
         self._root: _Node | None = None
         self._retained = 0
 
@@ -334,11 +389,33 @@ class OutcomeTree:
         if found is not None:
             return found
         node = self.node(_rescaled(parent.ops[i] @ parent.residual))
-        size = node.residual.nbytes + (0 if node.ops is None else node.ops.nbytes)
+        size = node.residual.nbytes
+        if node.ops is not None:
+            size += node.ops.nbytes
+            if self.psi is not None:  # its round: amps, plus at most one post-state per branch
+                size += 2 * node.ops.nbytes // self.proc.data_dim
         if self._retained + size <= _RETAINED_BYTES:
             parent.children[i] = node
             self._retained += size
         return node
+
+    def start(self, psi) -> np.ndarray:
+        """The validated data state a trajectory starts from; on a tree with a state, psi must be it."""
+        state = _require_state(psi, self.proc.data_dim)
+        if self.psi is None:
+            return state
+        if state.tobytes() != self.psi.tobytes():
+            raise ValueError("psi differs from the data state the outcome tree was built for")
+        return self.psi
+
+    def round_at(self, node: _Node, state: np.ndarray) -> _Round:
+        """The round of `node` on `state`: cached on a tree with a state, else a throwaway."""
+        held = node.round
+        if held is None:
+            held = _Round(node.ops @ state)
+            if self.psi is not None:
+                node.round = held
+        return held
 
 
 def run_loop(tree: OutcomeTree, psi, max_rounds: int, rng: np.random.Generator) -> LoopTrace:
@@ -349,10 +426,15 @@ def run_loop(tree: OutcomeTree, psi, max_rounds: int, rng: np.random.Generator) 
     post-state of every round. On success the final post-state is
     proportional to target @ psi (up to global phase). Trajectories of one
     loop share its tree; the trace does not depend on what the tree holds.
+
+    On a tree built with a data state, psi must equal it (ValueError
+    otherwise) and the trace's LoopRound objects, read-only post-states
+    included, are the ones the tree stores: trajectories with the same
+    outcome history share them.
     """
     if max_rounds < 1:
         raise ValueError("max_rounds must be at least 1")
-    state = _require_state(psi, tree.proc.data_dim)
+    state = tree.start(psi)
     labels, success = tree.basis.labels, tree.success
     node = tree.root
     rounds: list[LoopRound] = []
@@ -363,12 +445,16 @@ def run_loop(tree: OutcomeTree, psi, max_rounds: int, rng: np.random.Generator) 
         if node.program is None:
             status = "uncorrectable"
             break
-        amps = node.ops @ state
-        i, p = inverse_cdf((float(np.vdot(a, a).real) for a in amps), rng.random())
-        label = labels[i]
-        state = amps[i] / np.sqrt(p)
-        rounds.append(LoopRound(program=node.program, outcome=label, probability=p, post_state=state))
-        if label in success:
+        held = tree.round_at(node, state)
+        i, p = inverse_cdf(held.probabilities(), rng.random())
+        r = held.drawn.get(i)
+        if r is None:
+            post = held.amps[i] / np.sqrt(p)
+            post.setflags(write=False)
+            r = held.drawn[i] = LoopRound(program=node.program, outcome=labels[i], probability=p, post_state=post)
+        state = r.post_state
+        rounds.append(r)
+        if r.outcome in success:
             status = "succeeded"
             break
     return LoopTrace(rounds=tuple(rounds), succeeded=(status == "succeeded"), status=status)

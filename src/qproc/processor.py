@@ -94,6 +94,11 @@ class ProgramBasis:
     def dim(self) -> int:
         return self.vectors.shape[0]
 
+    @cached_property
+    def bras(self) -> np.ndarray:
+        """conj(vectors), read-only: row i is the bra <i|, built once per basis."""
+        return _readonly(np.conjugate(self.vectors))
+
     @classmethod
     @lru_cache(maxsize=32)
     def computational(cls, dim: int) -> "ProgramBasis":
@@ -158,8 +163,8 @@ def assemble(blocks, label: str = "", tol: float = _COMPLETENESS_TOL) -> Process
 
     `blocks` is anything shaped (N, N, D, D). It is copied once, into
     read-only (N, D, D, N) storage, and the processor's `blocks` is the
-    (N, N, D, D) view of that copy, so `np.tensordot` over the program
-    index reshapes it without copying (see ProcessorDefinition). The two
+    (N, N, D, D) view of that copy, so `branch_operators` reshapes it to
+    an (N*D*D, N) matrix without copying (see ProcessorDefinition). The two
     completeness sums are the blocks of G^dag G and G G^dag, so both are
     checked as dense products of the global unitary G. Raises
     InvalidProcessor when either deviates from identity by more than tol
@@ -200,8 +205,14 @@ def branch_operators(proc: ProcessorDefinition, xi, basis: ProgramBasis) -> np.n
         raise DimensionMismatch("program dimension does not match processor")
     if basis.dim != proc.program_dim:
         raise DimensionMismatch("basis dimension does not match processor")
-    a_j = np.tensordot(proc.blocks, amps, axes=([1], [0]))  # (N, D, D)
-    return np.tensordot(np.conjugate(basis.vectors), a_j, axes=([1], [0]))
+    # The two products np.tensordot forms for these operands, without its
+    # axis bookkeeping: the stored (N, D, D, N) grid as an (N*D*D, N) matrix
+    # times the program as an (N, 1) column, then the basis bras times the
+    # (N, D*D) matrix of A_j. Same operands and layouts, so the same bits.
+    n, d = proc.program_dim, proc.data_dim
+    grid = proc.blocks.transpose(0, 2, 3, 1).reshape(n * d * d, n)
+    a_j = np.dot(grid, amps.reshape(n, 1))
+    return np.dot(basis.bras, a_j.reshape(n, d * d)).reshape(n, d, d)
 
 
 def decompose(

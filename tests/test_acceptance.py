@@ -159,7 +159,7 @@ def test_criterion_08_qid2_probabilities_and_loop():
     # 10^5 trajectory Monte Carlo of the two-round chain (criterion 10 companion)
     trials = 100_000
     psi = np.array([0.6, 0.8])
-    tree = OutcomeTree(proc, target, rule)
+    tree = OutcomeTree(proc, target, rule, psi)
     # reseeded yields the streams derive_stream(1007, t), t < trials, without per-trial seeding
     hits = sum(run_loop(tree, psi, 2, rng).succeeded for rng in reseeded((1007,), range(trials)))
     sigma = np.sqrt((7 / 16) * (9 / 16) / trials)
@@ -215,7 +215,7 @@ def test_criterion_09_qudit_distributor():
     proc2, rule2 = zoo.qidN(2), loops.qidN_rule(2)
     v2 = random_unitary(2, derive_stream(1010))
     psi2 = np.ones(2) / np.sqrt(2)
-    tree = OutcomeTree(proc2, v2, rule2)
+    tree = OutcomeTree(proc2, v2, rule2, psi2)
     hits = sum(run_loop(tree, psi2, 1, rng).succeeded for rng in reseeded((1011,), range(trials)))
     sigma = np.sqrt(0.25 * 0.75 / trials)
     assert abs(hits / trials - 0.25) <= 3 * sigma

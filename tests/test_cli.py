@@ -338,6 +338,33 @@ def test_unreadable_config_is_usage_error(tmp_path, capsys, command, kind):
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("command", ["sample", "reproduce"])
+def test_out_directory_is_usage_error_before_the_run(tmp_path, capsys, monkeypatch, command):
+    def no_run(*args):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(cli, "run_sample", no_run)
+    monkeypatch.setattr(cli, "reproduce_table", no_run)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"experiment": "u1", "trials": 5}))
+    argv = ["sample", "--config", str(cfg_path)] if command == "sample" else ["reproduce", "--table", "u1"]
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["sample", "reproduce"])
+def test_unwritable_out_is_usage_error(tmp_path, capsys, command):
+    (tmp_path / "file").write_text("")
+    out = tmp_path / "file" / "x"  # its parent is a regular file
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"experiment": "u1", "trials": 5}))
+    argv = ["sample", "--config", str(cfg_path)] if command == "sample" else ["reproduce", "--table", "u1"]
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write") and err.count("\n") == 1
+
+
 def test_sample_bz_first_program_at_large_z(tmp_path):
     """At z = 1e13 the first program is the target's own; only corrected ratios meet the range cutoff."""
     z = 1e13

@@ -329,6 +329,14 @@ def test_exact_success_collapse_matches_full_enumeration(monkeypatch):
             None,
         ),
         (zoo.cyclic_shift_processor(4), loops.bz_rule(), zoo.bz_operator(0.7), 4, np.array([0.6, 0.8])),
+        (zoo.cyclic_shift_processor(3), loops.bz_rule(), zoo.bz_operator(1.6j), 4, np.array([0.8, 0.6j])),
+        (
+            zoo.qudit_diagonal_processor(3),
+            loops.diagonal_rule(3),
+            np.diag([0.5, 1.3 * np.exp(0.4j), 0.9 * np.exp(-1.1j)]),
+            4,
+            np.array([0.6, 0.0, 0.8]),
+        ),
     ]
     for proc, rule, target, n, psi in cases:
         collapsed = exact_success(proc, target, rule, n, psi=psi)
@@ -367,6 +375,36 @@ def test_exact_success_is_the_loop_law(case, n):
     if n <= 4:
         with mock.patch.object(loops, "_state_independent", lambda ops, probs: False):
             assert abs(exact_success(proc, target, rule, n) - collapsed) <= 1e-12
+
+
+moduli = st.floats(0.2, 3.0).filter(lambda r: abs(r - 1.0) > 1e-3)
+
+
+@st.composite
+def non_unitary_loops(draw):
+    """(proc, rule, target, psi): bz with |z| != 1, or a diagonal target with an entry off the unit circle."""
+    psi_seed = draw(st.integers(0, 2**32 - 1))
+    if draw(st.sampled_from(("bz", "diagonal"))) == "bz":
+        z = draw(moduli) * np.exp(1j * draw(angles))
+        proc, rule, target = zoo.cyclic_shift_processor(draw(st.integers(2, 4))), loops.bz_rule(), zoo.bz_operator(z)
+    else:
+        dim = draw(st.integers(2, 4))
+        radii = [draw(moduli)] + draw(st.lists(st.floats(0.2, 3.0), min_size=dim - 1, max_size=dim - 1))
+        entries = np.array(radii) * np.exp(1j * np.array(draw(st.lists(angles, min_size=dim, max_size=dim))))
+        proc, rule, target = zoo.qudit_diagonal_processor(dim), loops.diagonal_rule(dim), np.diag(entries)
+    return proc, rule, target, random_state(proc.data_dim, derive_stream(psi_seed))
+
+
+@settings(max_examples=100)
+@given(case=non_unitary_loops(), n=st.integers(1, 4))
+def test_exact_success_collapse_matches_full_enumeration_off_the_unit_circle(case, n):
+    # Non-unitary branch operators make outcome probabilities state-dependent,
+    # so the collapse must not fire on them and change the sum.
+    proc, rule, target, psi = case
+    collapsed = exact_success(proc, target, rule, n, psi=psi)
+    with mock.patch.object(loops, "_state_independent", lambda ops, probs: False):
+        full = exact_success(proc, target, rule, n, psi=psi)
+    assert abs(collapsed - full) <= 1e-12
 
 
 def test_exact_success_validates_rounds():

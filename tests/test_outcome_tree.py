@@ -4,12 +4,16 @@ A trajectory's program in round k+1 depends only on the outcomes of rounds
 1..k, so sharing an OutcomeTree between trajectories, running them in any
 order or keeping no nodes at all must leave every trace byte unchanged. That
 is what lets trials run concurrently (or in chunks) without changing output.
+With a fixed data state the outcomes fix each node's state too, and a tree
+built with that state caches each node's round; its traces must equal those
+of a tree without one.
 """
 import json
 from dataclasses import replace
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -130,3 +134,78 @@ def test_retained_node_arrays_stay_within_cap():
         stack.extend(node.children.values())
     assert kept == 4
     assert tree._retained == cap
+
+
+def _run_fixed(psi, seed, order, tree):
+    """Traces of trials in `order` from the fixed state psi, by trial index."""
+    return {t: _trace_bytes(run_loop(tree, psi, MAX_ROUNDS, derive_stream(seed, 1, t + 1))) for t in order}
+
+
+def _node_bytes(proc, with_state: bool) -> int:
+    """Bytes one retained node counts: residual, branch operators and, with a state, its round."""
+    n, d = proc.program_dim, proc.data_dim
+    return 16 * (d * d + n * d * d + (2 * n * d if with_state else 0))
+
+
+@settings(max_examples=40)
+@given(family=st.sampled_from(FAMILIES), seed=st.integers(0, 2**32 - 1))
+def test_tree_with_a_state_gives_the_traces_of_a_tree_without(family, seed):
+    proc, rule, target = _family(family, seed)
+    psi = random_state(proc.data_dim, derive_stream(seed, 3))
+    forward = range(3 * TRIALS)
+    shuffled = derive_stream(seed, 4).permutation(len(forward)).tolist()
+    reference = _run_fixed(psi, seed, forward, OutcomeTree(proc, target, rule))
+    for cap in (loops._RETAINED_BYTES, 0, 3 * _node_bytes(proc, True)):
+        with mock.patch.object(loops, "_RETAINED_BYTES", cap):
+            for order in (forward, shuffled):
+                assert _run_fixed(psi, seed, order, OutcomeTree(proc, target, rule, psi)) == reference
+
+
+def _retained_nodes(tree) -> list:
+    kept, stack = [], [tree.root]
+    while stack:
+        children = list(stack.pop().children.values())
+        kept += children
+        stack += children
+    return kept
+
+
+def test_retained_bytes_with_a_state_stay_within_cap():
+    proc, rule, target = _family("qidN3", 9)
+    psi = random_state(proc.data_dim, derive_stream(9, 3))
+    cap = 4 * _node_bytes(proc, True)
+    with mock.patch.object(loops, "_RETAINED_BYTES", cap):
+        tree = OutcomeTree(proc, target, rule, psi)
+        _run_fixed(psi, 9, range(200), tree)
+    kept = _retained_nodes(tree)
+    held = sum(
+        node.residual.nbytes
+        + node.ops.nbytes
+        + node.round.amps.nbytes
+        + sum(r.post_state.nbytes for r in node.round.drawn.values())
+        for node in kept
+    )
+    assert len(kept) == 4
+    assert held <= tree._retained == cap
+
+
+def test_tree_with_a_state_shares_each_round():
+    # u1 from a fixed state: every trajectory's first round is one of the
+    # root's two stored LoopRounds, and the root stores one probability per branch.
+    proc, rule, target = zoo.u1_cnot(), loops.u1_rule(), zoo.u1_operator(0.3)
+    psi = np.array([0.6, 0.8])
+    tree = OutcomeTree(proc, target, rule, psi)
+    firsts = [run_loop(tree, psi, MAX_ROUNDS, derive_stream(6, t)).rounds[0] for t in range(100)]
+    assert len({id(r) for r in firsts}) == 2 == len({r.outcome for r in firsts})
+    assert len(tree.root.round.probs) == 2
+    assert not firsts[0].post_state.flags.writeable
+
+
+def test_run_loop_rejects_a_psi_other_than_the_trees():
+    proc, rule, target = _family("qid2", 4)
+    psi = np.array([0.6, 0.8])
+    tree = OutcomeTree(proc, target, rule, psi)
+    run_loop(tree, psi.astype(complex), MAX_ROUNDS, derive_stream(1))  # the same state in another array
+    for other in ([0.8, 0.6], [0.6, -0.8], [0.6j, 0.8j]):
+        with pytest.raises(ValueError):
+            run_loop(tree, np.array(other), MAX_ROUNDS, derive_stream(1))

@@ -1,6 +1,8 @@
 """Unit tests for the dense linear algebra layer."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qproc import qlinalg
 from qproc.qlinalg import (
@@ -13,6 +15,7 @@ from qproc.qlinalg import (
     dagger,
     inverse,
     is_unitary,
+    phase_distance,
     su2_exp,
     su2_log,
     tensor,
@@ -181,6 +184,19 @@ def test_su2_log_exp_roundtrip():
         rec, phase = su2_log(su2_exp(mu))
         assert np.linalg.norm(rec - mu) <= 1e-9
         assert abs(phase) <= 1e-9
+
+
+unit_axes = st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3).filter(lambda v: np.linalg.norm(v) > 1e-3)
+
+
+@settings(max_examples=300)
+@given(axis=unit_axes, below_pi=st.one_of(st.just(0.0), st.floats(0.0, 1e-3)))
+def test_su2_log_exp_roundtrip_near_pi(axis, below_pi):
+    # Near |mu| = pi the axis comes from a vanishing sin|mu|; the rotation
+    # must still come back, up to global phase.
+    mu = np.asarray(axis) / np.linalg.norm(axis) * (np.pi - below_pi)
+    rec, _ = su2_log(su2_exp(mu))
+    assert phase_distance(su2_exp(rec), su2_exp(mu)) <= 1e-8
 
 
 def test_su2_log_axis_free_at_pi():
