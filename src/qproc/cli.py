@@ -440,7 +440,13 @@ def _diagonal(p: dict, aux: tuple) -> _Setup:
 
 
 def _qid2(p: dict, aux: tuple) -> _Setup:
-    return zoo.qid2(), loops.qid2_rule(), su2_exp(_real_vector(p.get("mu", _DEFAULT_MU), "mu", 3))
+    mu = _real_vector(p.get("mu", _DEFAULT_MU), "mu", 3)
+    with np.errstate(over="ignore", invalid="ignore"):  # a |mu| past float range gives nan, rejected below
+        target = su2_exp(mu)
+    # np.sinc loses precision at huge |mu|; su2_log, which the rule calls, needs unitarity within 1e-8.
+    if not qlinalg.is_unitary(target, 1e-8):
+        raise UsageError(f"mu = {mu.tolist()} gives a target that is not unitary within 1e-8 (|mu| too large)")
+    return zoo.qid2(), loops.qid2_rule(), target
 
 
 def _qidn(p: dict, aux: tuple) -> _Setup:
@@ -519,17 +525,22 @@ def _family(experiment: str, command: str, known: tuple[str, ...]) -> _Family:
     return _FAMILIES[experiment]
 
 
-def _loop_setup(cfg: ExperimentConfig) -> tuple:
-    """(processor, rule, target, psi, exact success); psi None draws a Haar-random state per trial."""
+def _loop_setup(cfg: ExperimentConfig) -> tuple[loops.OutcomeTree, float]:
+    """(outcome tree, exact success) of the sampled loop.
+
+    The tree's psi is the data state of every trial, or None for a
+    Haar-random state per trial; the exact value is walked on the tree the
+    trials then share.
+    """
     family = _family(cfg.experiment, "sample", SAMPLE_EXPERIMENTS)
     if family.haar and cfg.max_rounds != 1:
         raise UsageError(f"{cfg.experiment} averages single-shot success; set max_rounds to 1")
     p = {**family.sample, **cfg.params}
     proc, rule, target = family.build(p, (cfg.seed, cfg.experiment_index, 0))
     if family.haar:
-        return proc, rule, target, None, family.law(proc, target, None, 1)
-    psi = _config_state(p, proc.data_dim)
-    return proc, rule, target, psi, loops.exact_success(proc, target, rule, cfg.max_rounds, psi=psi)
+        return loops.OutcomeTree(proc, target, rule), family.law(proc, target, None, 1)
+    tree = loops.OutcomeTree(proc, target, rule, _config_state(p, proc.data_dim))
+    return tree, loops.exact_walk(tree, cfg.max_rounds)
 
 
 def _memo(key: Callable, make: Callable) -> Callable:
@@ -557,8 +568,8 @@ def run_sample(cfg: ExperimentConfig) -> dict:
     so rounds share one dict per LoopRound, and traces one dict per
     outcome path.
     """
-    proc, rule, target, fixed_psi, exact = _loop_setup(cfg)
-    tree = loops.OutcomeTree(proc, target, rule, fixed_psi)
+    tree, exact = _loop_setup(cfg)
+    proc, fixed_psi = tree.proc, tree.psi
     program_params = _memo(id, program_params_to_json)
 
     def round_dict(r: loops.LoopRound) -> dict:
@@ -595,13 +606,16 @@ def run_sample(cfg: ExperimentConfig) -> dict:
 
 def _table_u1() -> list[ResultRow]:
     alpha = _DEFAULT_ALPHA
-    proc, rule, target = _FAMILIES["u1"].build({"alpha": alpha}, ())
+    proc, _, target = _FAMILIES["u1"].build({"alpha": alpha}, ())
     dec = decompose(proc, _PSI2, zoo.u1_program(alpha))
-    loop = ExperimentConfig("u1", params={"psi": _PSI2.tolist()}, grid={"alpha": [alpha], "n": [3, 10, 20]})
+    params = {"psi": _PSI2.tolist()}
+    loop = ExperimentConfig("u1", params=params, grid={"alpha": [alpha], "n": [3, 10, 20]})
+    trees: dict = {}  # the two-round row and the sweep walk one tree
+    two_rounds = _sweep_point("u1", {**params, "alpha": alpha, "n": 2}, (), trees)[1]
     rows = [
         ResultRow("u1_single_round_success", f"alpha={alpha}", dec.by_label("0").probability, 0.5),
-        ResultRow("u1_two_round_success", f"alpha={alpha}", loops.exact_success(proc, target, rule, 2, psi=_PSI2), 0.75),
-        *run_sweep(loop),
+        ResultRow("u1_two_round_success", f"alpha={alpha}", two_rounds, 0.75),
+        *run_sweep(loop, trees),
     ]
     chain = zoo.u1_operator(2 * alpha) @ zoo.u1_operator(-alpha)
     rows.append(ResultRow("u1_correction_identity", f"alpha={alpha}", phase_distance(chain, target), 0.0))
@@ -674,16 +688,10 @@ def _table_qutrit() -> list[ResultRow]:
     proc, rule, target = _FAMILIES["diagonal"].build({"phases": _DEFAULT_PHASES}, ())
     psi = _uniform_state(3)
     dec = decompose(proc, psi, zoo.diagonal_program(np.diagonal(target)))
+    tree = loops.OutcomeTree(proc, target, rule, psi)
     rows = [ResultRow("qutrit_per_round_success", "unitary diagonal target", dec.by_label("0").probability, 1 / 3)]
     for n in (5, 10, 20):
-        rows.append(
-            ResultRow(
-                "qutrit_loop_success",
-                f"n={n}",
-                loops.exact_success(proc, target, rule, n, psi=psi),
-                1 - (2 / 3) ** n,
-            )
-        )
+        rows.append(ResultRow("qutrit_loop_success", f"n={n}", loops.exact_walk(tree, n), 1 - (2 / 3) ** n))
     return rows
 
 
@@ -710,22 +718,19 @@ def _table_qid2() -> list[ResultRow]:
     dec = decompose(proc, _PSI2, zoo.su2_program(mu), rule.basis_for(proc))
     probs = dec.probabilities()
     mu_label = f"mu={tuple(float(x) for x in mu)}"
+    tree = loops.OutcomeTree(proc, target, rule, _PSI2)
     rows = [
         ResultRow("qid2_outcome_probability_min", mu_label, float(probs.min()), 0.25),
         ResultRow("qid2_outcome_probability_max", mu_label, float(probs.max()), 0.25),
-        ResultRow("qid2_one_loop_success", "rounds=2", loops.exact_success(proc, target, rule, 2, psi=_PSI2), 7 / 16),
+        ResultRow("qid2_one_loop_success", "rounds=2", loops.exact_walk(tree, 2), 7 / 16),
     ]
     for n in (5, 40):
-        rows.append(
-            ResultRow(
-                "qid2_loop_success", f"rounds={n}", loops.exact_success(proc, target, rule, n, psi=_PSI2), 1 - 0.75**n
-            )
-        )
+        rows.append(ResultRow("qid2_loop_success", f"rounds={n}", loops.exact_walk(tree, n), 1 - 0.75**n))
     rows.append(
         ResultRow(
             "qid2_failure_after_30_loops",
             "rounds=30",
-            1 - loops.exact_success(proc, target, rule, 30, psi=_PSI2),
+            1 - loops.exact_walk(tree, 30),
             1e-4,
             note="approx: reference quotes the failure only to order of magnitude (~1e-4); exact value (3/4)^30",
         )
@@ -812,11 +817,15 @@ def _loop_hits(tree, psi, rounds):
     return hits
 
 
-def _sweep_point(experiment: str, merged: dict, aux: tuple):
+def _sweep_point(experiment: str, merged: dict, aux: tuple, trees: dict | None = None):
     """(quantity, exact value, closed-form reference, hit counter) for one grid point.
 
     The hit counter takes (entropy, ks) and counts successful trials over
-    the streams derive_stream(*entropy, k), k in ks.
+    the streams derive_stream(*entropy, k), k in ks. A loop point walks the
+    OutcomeTree that `trees` holds for its loop, built on first use: points
+    that differ only in the round budget share it, keyed by everything the
+    set-up reads but the round key (experiment, other params, target and
+    psi bytes).
     """
     family = _family(experiment, "sweep", SWEEP_EXPERIMENTS)
     p = {**family.sweep, **merged}
@@ -827,18 +836,27 @@ def _sweep_point(experiment: str, merged: dict, aux: tuple):
         dec = decompose(proc, psi, family.shot(proc, target))
         computed, hits = sum(b.probability for b in dec.branches[:-1]), _single_shot_hits(dec)
     else:
-        computed = loops.exact_success(proc, target, rule, rounds, psi=psi)
-        hits = _loop_hits(loops.OutcomeTree(proc, target, rule, psi), psi, rounds)
+        trees = {} if trees is None else trees
+        others = repr(sorted((k, v) for k, v in p.items() if k != family.rounds))
+        key = (experiment, others, target.tobytes(), psi.tobytes())
+        tree = trees.get(key)
+        if tree is None:
+            tree = trees[key] = loops.OutcomeTree(proc, target, rule, psi)
+        computed, hits = loops.exact_walk(tree, rounds), _loop_hits(tree, psi, rounds)
     kind = "single_shot" if family.shot else "loop"
     return f"{experiment}_{kind}_success", computed, family.law(proc, target, psi, rounds), hits
 
 
-def run_sweep(cfg: ExperimentConfig) -> list[ResultRow]:
+def run_sweep(cfg: ExperimentConfig, trees: dict | None = None) -> list[ResultRow]:
     """One row per grid point, iterated in declared key order.
 
     With trials > 1 each point also gets a sampled success frequency in the
     empirical column, drawn from streams (seed, point index, trial index).
+    Loop points that differ only in the round budget share one outcome tree
+    (see `_sweep_point`). The trees live in `trees`: a fresh dict for this
+    call, or the caller's, which shares them with its own evaluations.
     """
+    trees = {} if trees is None else trees
     if not cfg.grid:
         raise UsageError("sweep config must declare a grid")
     keys = list(cfg.grid)
@@ -848,7 +866,7 @@ def run_sweep(cfg: ExperimentConfig) -> list[ResultRow]:
     rows = []
     for index, values in enumerate(itertools.product(*(cfg.grid[k] for k in keys))):
         point = dict(zip(keys, values))
-        quantity, computed, closed, hits = _sweep_point(cfg.experiment, {**cfg.params, **point}, (cfg.seed, index, 0))
+        quantity, computed, closed, hits = _sweep_point(cfg.experiment, {**cfg.params, **point}, (cfg.seed, index, 0), trees)
         empirical = None
         if cfg.trials > 1:
             empirical = hits((cfg.seed, index), trial_indices(cfg.trials)) / cfg.trials

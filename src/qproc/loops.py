@@ -18,8 +18,10 @@ per loop and pass it to every trajectory. Retained node arrays are capped at
 `_RETAINED_BYTES` per tree; nodes past the cap are built and used but not
 kept, and nodes nearer the root are built first, so they are the ones kept.
 Nothing is cached between trees, and a trajectory's output does not depend
-on what the tree already holds. `exact_success` evaluates the outcome tree
-exactly, building its nodes the same way without retaining them.
+on what the tree already holds. `exact_walk(tree, n)` evaluates the loop
+exactly on a tree built with its data state, so the exact values at many
+round budgets and the sampled trajectories of one loop share one tree's
+nodes; `exact_success` is that walk on a fresh tree.
 
 A sampled round does not split every branch. It applies the node's stacked
 branch operators to the state in one product, computes branch probabilities
@@ -39,6 +41,16 @@ stored rounds, post-states included. Each stored value comes from the same
 expression on the same inputs, so traces are byte-identical to those of a
 tree without a state. A tree without a state (a Haar-random psi per
 trajectory) computes each round afresh, in the same loop body.
+
+The exact walk stores its own entry on each node it reaches (`_Exact`:
+amplitudes and probabilities by `np.einsum`, the success mass, the failure
+branches and whether the node collapses), so a deeper round budget on the
+same tree re-folds the stored entries and builds only the nodes past the
+previous depth. The sampled round keeps its `ops @ state` and `np.vdot`
+arithmetic, which `decompose` shares; the two disagree in the last bits, so
+neither walk reads the other's numbers. The exact walk keeps its own stack
+instead of recursing, so a round budget of any depth runs within Python's
+recursion limit, and it adds each node's failure terms in label order.
 """
 from __future__ import annotations
 
@@ -315,14 +327,32 @@ class _Round:
             yield p
 
 
+class _Exact:
+    """A node's entry in the exact walk: amplitudes, probabilities, success mass, failure branches.
+
+    `collapses` (whether every branch operator is proportional to an
+    isometry) is None until a walk first needs it, below the node.
+    """
+
+    __slots__ = ("amps", "probs", "s", "fails", "collapses")
+
+    def __init__(self, ops: np.ndarray, state: np.ndarray, success_idx: list[int], fail_idx: list[int]):
+        self.amps = np.einsum("bij,j->bi", ops, state)
+        # a copy, so the entry holds only the arrays counted against the cap
+        self.probs = np.einsum("bi,bi->b", np.conjugate(self.amps), self.amps).real.copy()
+        self.s = float(self.probs[success_idx].sum())
+        self.fails = [i for i in fail_idx if self.probs[i] > _PRUNE]
+        self.collapses: bool | None = None
+
+
 class _Node:
     """One outcome history: its residual and, unless uncorrectable, program and branch operators.
 
     On a tree with a data state, `round` caches the node's round on the
-    state every trajectory brings to it.
+    state every trajectory brings to it, and `exact` its exact-walk entry.
     """
 
-    __slots__ = ("residual", "program", "ops", "children", "round")
+    __slots__ = ("residual", "program", "ops", "children", "round", "exact")
 
     def __init__(self, residual: np.ndarray, program: ProgramState | None, ops: np.ndarray | None):
         self.residual = residual
@@ -330,10 +360,11 @@ class _Node:
         self.ops = ops
         self.children: dict[int, _Node] = {}
         self.round: _Round | None = None
+        self.exact: _Exact | None = None
 
 
 class OutcomeTree:
-    """Lazily memoized outcome tree of one loop: all `run_loop` knows of it.
+    """Lazily memoized outcome tree of one loop: all `run_loop` and `exact_walk` know of it.
 
     A node is reached by its outcome history, the branch indices drawn from
     the root (residual I). Children are built on first visit and kept while
@@ -345,8 +376,10 @@ class OutcomeTree:
     the amplitudes `ops @ state`, the branch probabilities it reads and the
     LoopRound of each branch it draws, and later trajectories only draw a
     uniform over the stored probabilities. Those arrays count against the
-    cap too. Without `psi` (a fresh state per trajectory) nothing of a
-    round is kept.
+    cap too, and so do the entries `exact_walk` keeps on the retained nodes
+    it reaches.
+    Without `psi` (a fresh state per trajectory) nothing of a round is kept
+    and there is no exact walk.
 
     The tree takes no lock: threads sharing one may build a node twice and
     overshoot the cap, and on a tree with a state two threads extending one
@@ -383,21 +416,29 @@ class OutcomeTree:
         ops.setflags(write=False)
         return _Node(residual, program, ops)
 
-    def child(self, parent: _Node, i: int) -> _Node:
-        """The node after `parent` when its branch i fired."""
+    def child(self, parent: _Node, i: int, retain: bool = True) -> _Node:
+        """The node after `parent` when its branch i fired; `retain=False` builds a missing one without keeping it."""
         found = parent.children.get(i)
         if found is not None:
             return found
         node = self.node(_rescaled(parent.ops[i] @ parent.residual))
+        if not retain:
+            return node
         size = node.residual.nbytes
         if node.ops is not None:
             size += node.ops.nbytes
             if self.psi is not None:  # its round: amps, plus at most one post-state per branch
                 size += 2 * node.ops.nbytes // self.proc.data_dim
-        if self._retained + size <= _RETAINED_BYTES:
+        if self._keep(size):
             parent.children[i] = node
-            self._retained += size
         return node
+
+    def _keep(self, nbytes: int) -> bool:
+        """Count nbytes against `_RETAINED_BYTES` if they fit; False: the caller must not keep them."""
+        if self._retained + nbytes > _RETAINED_BYTES:
+            return False
+        self._retained += nbytes
+        return True
 
     def start(self, psi) -> np.ndarray:
         """The validated data state a trajectory starts from; on a tree with a state, psi must be it."""
@@ -474,6 +515,77 @@ def _state_independent(ops: np.ndarray, probs: np.ndarray) -> bool:
     return True
 
 
+def exact_walk(tree: OutcomeTree, n: int) -> float:
+    """Exact cumulative success probability of the first n rounds of `tree`'s loop.
+
+    The tree must have been built with the data state the loop starts from.
+    Each node's entry is computed from the node's branch operators and data
+    state, and kept with the node while the node is kept and its arrays fit
+    within `_RETAINED_BYTES`. Nodes whose branch operators are all
+    proportional to isometries have state-independent probabilities; their
+    failure subtrees are congruent (the residuals are conjugation-related),
+    so a single representative child is evaluated and retained: it is the
+    chain that deeper round budgets walk again. Other nodes (non-unitary
+    targets) go branch by branch, through children built without retaining
+    them. The collapsed and fully enumerated evaluations are checked against
+    each other for small n in the test suite. The value at n does not depend
+    on what the tree already holds.
+    """
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    if tree.psi is None:
+        raise ValueError("the exact walk needs a tree built with a data state")
+    labels, success = tree.basis.labels, tree.success
+    success_idx = [i for i, lab in enumerate(labels) if lab in success]
+    fail_idx = [i for i, lab in enumerate(labels) if lab not in success]
+    # Frames of the nodes being folded: [node, entry, remaining, position in entry.fails, running total].
+    # `kept`: the node is held by the tree, so a child retained under it stays reachable.
+    stack: list[list] = []
+    node, state, remaining, kept = tree.root, tree.psi, n, True
+    while True:
+        if node.program is None:
+            value = 0.0
+        else:
+            entry = node.exact
+            if entry is None:
+                if state is None:  # the parent's amplitudes of the branch that led here, normalized
+                    _, up, _, pos, _ = stack[-1]
+                    i = up.fails[pos]
+                    state = up.amps[i] / np.sqrt(up.probs[i])
+                entry = _Exact(node.ops, state, success_idx, fail_idx)
+                if kept and tree._keep(entry.amps.nbytes + entry.probs.nbytes):
+                    node.exact = entry
+            if remaining == 1 or not entry.fails:
+                value = entry.s
+            else:
+                if entry.collapses is None:
+                    entry.collapses = _state_independent(node.ops, entry.probs)
+                stack.append([node, entry, remaining, 0, entry.s])
+                i = entry.fails[0]
+                child = tree.child(node, i, retain=kept and entry.collapses)
+                node, state, remaining, kept = child, None, remaining - 1, child is node.children.get(i)
+                continue
+        # Fold the value into the frames above it until one has a branch left to walk.
+        while stack:
+            frame = stack[-1]
+            parent, entry, rem, pos, total = frame
+            if entry.collapses:
+                value = entry.s + (1.0 - entry.s) * value
+                stack.pop()
+                continue
+            total += entry.probs[entry.fails[pos]] * value
+            if pos + 1 < len(entry.fails):
+                frame[3], frame[4] = pos + 1, total
+                i = entry.fails[pos + 1]
+                child = tree.child(parent, i, retain=False)
+                node, state, remaining, kept = child, None, rem - 1, child is parent.children.get(i)
+                break
+            value = total
+            stack.pop()
+        else:
+            return float(value)
+
+
 def exact_success(
     proc: ProcessorDefinition,
     target,
@@ -481,47 +593,12 @@ def exact_success(
     n: int,
     psi=None,
 ) -> float:
-    """Exact cumulative success probability of an n-round corrected loop.
+    """Exact cumulative success probability of an n-round corrected loop from `psi`.
 
-    Every node is built by `OutcomeTree.node` and visited once, so none is
-    retained; its branch probabilities come from its branch operators and
-    the node's data state. Nodes whose
-    branch operators are all proportional to isometries have
-    state-independent probabilities; their failure subtrees are congruent
-    (the residuals are conjugation-related), so a single representative
-    child is evaluated. Other nodes (non-unitary targets) recurse branch by
-    branch. The collapsed and fully enumerated evaluations are checked
-    against each other for small n in the test suite.
+    `exact_walk` on a fresh `OutcomeTree` built with psi (default: the
+    uniform superposition). Callers that evaluate one loop at several round
+    budgets, or also sample it, build the tree once and walk it instead.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
     if psi is None:
         psi = np.ones(proc.data_dim, dtype=complex) / np.sqrt(proc.data_dim)
-    state0 = _require_state(psi, proc.data_dim)
-    tree = OutcomeTree(proc, target, rule)
-    success_idx = [i for i, lab in enumerate(tree.basis.labels) if lab in tree.success]
-    fail_idx = [i for i, lab in enumerate(tree.basis.labels) if lab not in tree.success]
-
-    def visit(node: _Node, state: np.ndarray, remaining: int) -> float:
-        if node.program is None:
-            return 0.0
-        ops = node.ops
-        amps = np.einsum("bij,j->bi", ops, state)
-        probs = np.einsum("bi,bi->b", np.conjugate(amps), amps).real
-        s = float(probs[success_idx].sum())
-        if remaining == 1:
-            return s
-        fails = [i for i in fail_idx if probs[i] > _PRUNE]
-        if not fails:
-            return s
-        if _state_independent(ops, probs):
-            i = fails[0]
-            child = visit(tree.node(_rescaled(ops[i] @ node.residual)), amps[i] / np.sqrt(probs[i]), remaining - 1)
-            return s + (1.0 - s) * child
-        total = s
-        for i in fails:
-            child = visit(tree.node(_rescaled(ops[i] @ node.residual)), amps[i] / np.sqrt(probs[i]), remaining - 1)
-            total += probs[i] * child
-        return total
-
-    return float(visit(tree.root, state0, n))
+    return exact_walk(OutcomeTree(proc, target, rule, psi), n)

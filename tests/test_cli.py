@@ -1,4 +1,5 @@
 """Tests for the command-line harness: verify, reproduce, sweep, sample, list."""
+import itertools
 import json
 
 import random
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from qproc import cli, loops, qlinalg, zoo
 from qproc.cli import ExperimentConfig, UsageError, main, reproduce_table, run_sample, run_sweep, trace_to_dict
 from qproc.processor import ProcessorDefinition, decompose, select_branch
-from qproc.streams import derive_stream
+from qproc.streams import derive_stream, trial_indices
 
 
 def _read_rows(path):
@@ -239,6 +240,83 @@ def test_sweep_bad_config_is_usage_error(tmp_path, capsys, config):
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["sweep", "sample"])
+def test_qid2_mu_past_sinc_precision_is_usage_error(tmp_path, capsys, command):
+    """At |mu| = 1e200 np.sinc loses precision and su2_exp(mu) is not unitary: exit 2, not a traceback."""
+    config = {"experiment": "qid2", "params": {"mu": [1e200, 0, 0]}}
+    config.update({"grid": {"n": [1]}} if command == "sweep" else {"max_rounds": 2, "trials": 5})
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("experiment", ["qid2", "u1"])
+def test_sweep_round_budget_past_the_recursion_limit(tmp_path, experiment):
+    """The exact walk folds with an explicit stack, so n = 2000 runs and meets the loop law."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"experiment": experiment, "grid": {"n": [2000]}}))
+    out = tmp_path / "x.csv"
+    assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 0
+    header, (line,) = _read_rows(out)
+    computed = float(line.split(",")[header.index("computed")])
+    program_dim = {"qid2": 4, "u1": 2}[experiment]
+    assert abs(computed - zoo.loop_success(program_dim, 2000)) <= 1e-12
+
+
+def test_sample_round_budget_past_the_recursion_limit(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"experiment": "qid2", "max_rounds": 2000, "trials": 5, "seed": 3}))
+    out = tmp_path / "x.json"
+    assert main(["sample", "--config", str(cfg_path), "--out", str(out)]) == 0
+    assert abs(json.loads(out.read_text())["summary"]["exact"] - zoo.loop_success(4, 2000)) <= 1e-12
+
+
+# Grids whose points share outcome trees: the round key first, in the middle or
+# last; the default Haar target; a non-collapsing (non-unitary) diagonal from
+# two data states.
+SHARED_SWEEPS = [
+    ("qid2", {}, {"mu": [[0.2, -0.5, 0.9], [1.0, 0.1, -0.3]], "n": [1, 2, 5, 9]}),
+    ("u1", {"psi": [0.6, 0.8]}, {"n": [1, 3, 4, 8], "alpha": [0.3, 1.1]}),
+    ("qidn", {}, {"n_dim": [2, 3], "k": [1, 2, 4], "target_seed": [3, 7]}),
+    ("qidn", {}, {"n_dim": [2], "k": [1, 3, 2]}),
+    ("diagonal", {"entries": [0.5, [1.1, 0.3], 0.9]}, {"n": [1, 2, 3, 4], "psi": [[0.6, 0, 0.8], [0.8, 0.6, 0]]}),
+]
+
+
+@pytest.mark.parametrize(
+    "case, loops_in_grid",
+    [
+        (SHARED_SWEEPS[0], 2),  # one tree per mu
+        (SHARED_SWEEPS[2], 4),  # per (n_dim, target_seed)
+        (SHARED_SWEEPS[3], 1),  # every point draws the default target_seed's Haar target
+        (SHARED_SWEEPS[4], 2),  # per psi
+    ],
+)
+def test_sweep_shares_one_tree_per_loop(case, loops_in_grid):
+    experiment, params, grid = case
+    trees: dict = {}
+    run_sweep(ExperimentConfig(experiment, params=params, grid=grid), trees)
+    assert len(trees) == loops_in_grid
+
+
+@settings(max_examples=25, deadline=None)
+@given(case=st.sampled_from(SHARED_SWEEPS), trials=st.sampled_from([1, 4]), seed=st.integers(0, 2**31 - 1), data=st.data())
+def test_sweep_rows_equal_per_point_evaluation(case, trials, seed, data):
+    """Points that share a tree give the rows of points evaluated alone, on a shuffled grid."""
+    experiment, params, grid = case
+    grid = {k: data.draw(st.permutations(v)) for k, v in grid.items()}
+    rows = run_sweep(ExperimentConfig(experiment, params=params, grid=grid, trials=trials, seed=seed))
+    for index, (row, values) in enumerate(zip(rows, itertools.product(*grid.values()), strict=True)):
+        merged = {**params, **dict(zip(grid, values))}
+        _, computed, closed, hits = cli._sweep_point(experiment, merged, (seed, index, 0))
+        assert row.computed == computed and row.paper_value == closed
+        if trials > 1:
+            assert row.empirical == hits((seed, index), trial_indices(trials)) / trials
+
+
 # ---------------------------------------------------------------------------
 # sample
 # ---------------------------------------------------------------------------
@@ -257,7 +335,8 @@ def test_sample_trials_are_independent_of_order_and_tree(experiment):
     """Trial t's trace is run_loop on derive_stream(seed, e, t + 1) alone: any order, a fresh tree each."""
     cfg = ExperimentConfig(experiment=experiment, max_rounds=1 if experiment == "bz_haar" else 4, trials=40, seed=31, experiment_index=2)
     traces = run_sample(cfg)["traces"]
-    proc, rule, target, fixed_psi, _ = cli._loop_setup(cfg)
+    tree, _ = cli._loop_setup(cfg)
+    proc, rule, target, fixed_psi = tree.proc, tree.rule, tree.target, tree.psi
     order = list(range(cfg.trials))
     random.Random(experiment).shuffle(order)
     for t in order:

@@ -407,6 +407,47 @@ def test_exact_success_collapse_matches_full_enumeration_off_the_unit_circle(cas
     assert abs(collapsed - full) <= 1e-12
 
 
+def _recursive_exact_success(proc, target, rule, n, psi) -> float:
+    """Reference for exact_success: the walk as plain recursion, same expressions in the same order."""
+    tree = OutcomeTree(proc, target, rule)
+    success_idx = [i for i, lab in enumerate(tree.basis.labels) if lab in tree.success]
+    fail_idx = [i for i, lab in enumerate(tree.basis.labels) if lab not in tree.success]
+
+    def visit(node, state, remaining):
+        if node.program is None:
+            return 0.0
+        amps = np.einsum("bij,j->bi", node.ops, state)
+        probs = np.einsum("bi,bi->b", np.conjugate(amps), amps).real
+        s = float(probs[success_idx].sum())
+        if remaining == 1:
+            return s
+        fails = [i for i in fail_idx if probs[i] > loops._PRUNE]
+        if not fails:
+            return s
+
+        def child(i):
+            return visit(tree.node(loops._rescaled(node.ops[i] @ node.residual)), amps[i] / np.sqrt(probs[i]), remaining - 1)
+
+        if loops._state_independent(node.ops, probs):
+            return s + (1.0 - s) * child(fails[0])
+        total = s
+        for i in fails:
+            total += probs[i] * child(i)
+        return total
+
+    return float(visit(tree.root, np.asarray(psi, dtype=complex), n))
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=st.one_of(unitary_loops(), non_unitary_loops()), n=st.integers(1, 7), psi_seed=st.integers(0, 2**32 - 1))
+def test_exact_success_equals_the_recursive_walk_bit_for_bit(case, n, psi_seed):
+    proc, rule, target = case[:3]
+    psi = case[3] if len(case) == 4 else random_state(proc.data_dim, derive_stream(psi_seed))
+    if len(case) == 4:  # non-unitary: branch by branch
+        n = min(n, 4)
+    assert exact_success(proc, target, rule, n, psi=psi) == _recursive_exact_success(proc, target, rule, n, psi)
+
+
 def test_exact_success_validates_rounds():
     with pytest.raises(ValueError):
         exact_success(zoo.u1_cnot(), zoo.u1_operator(0.3), loops.u1_rule(), 0)

@@ -6,7 +6,9 @@ order or keeping no nodes at all must leave every trace byte unchanged. That
 is what lets trials run concurrently (or in chunks) without changing output.
 With a fixed data state the outcomes fix each node's state too, and a tree
 built with that state caches each node's round; its traces must equal those
-of a tree without one.
+of a tree without one. The exact walk keeps its own entry on the nodes of
+such a tree: its value at any round budget, and the traces sampled after it,
+must equal those of a fresh tree.
 """
 import json
 from dataclasses import replace
@@ -19,7 +21,7 @@ from hypothesis import strategies as st
 
 from qproc import loops, zoo
 from qproc.cli import trace_to_dict
-from qproc.loops import OutcomeTree, run_loop
+from qproc.loops import OutcomeTree, exact_success, exact_walk, run_loop
 from qproc.processor import decompose, select_branch
 from qproc.qlinalg import random_state, random_unitary, su2_exp
 from qproc.streams import derive_stream
@@ -43,7 +45,7 @@ def _family(name: str, seed: int):
         return zoo.qudit_diagonal_processor(dim), loops.diagonal_rule(dim), np.diag(entries)
     if name == "qid2":
         return zoo.qid2(), loops.qid2_rule(), su2_exp(rng.uniform(-1.2, 1.2, 3))
-    n = {"qidN2": 2, "qidN3": 3}[name]
+    n = {"qidN2": 2, "qidN3": 3, "qidN4": 4}[name]
     return zoo.qidN(n), loops.qidN_rule(n), random_unitary(n, rng)
 
 
@@ -209,3 +211,61 @@ def test_run_loop_rejects_a_psi_other_than_the_trees():
     for other in ([0.8, 0.6], [0.6, -0.8], [0.6j, 0.8j]):
         with pytest.raises(ValueError):
             run_loop(tree, np.array(other), MAX_ROUNDS, derive_stream(1))
+
+
+# Collapsing (unitary) and non-collapsing (bz, diagonal off the unit circle) loops.
+EXACT_FAMILIES = ("u1", "qid2", "qidN2", "qidN3", "qidN4", "bz", "diagonal")
+
+
+@settings(max_examples=60, deadline=None)
+@given(family=st.sampled_from(EXACT_FAMILIES), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_exact_walk_on_a_shared_tree_equals_a_fresh_evaluation(family, seed, data):
+    """Any round budgets (shuffled, repeated, descending) on one tree give fresh exact_success bit for bit."""
+    proc, rule, target = _family(family, seed)
+    psi = random_state(proc.data_dim, derive_stream(seed, 3))
+    deepest = 4 if family == "diagonal" else 9  # a diagonal walk goes branch by branch
+    depths = data.draw(st.lists(st.integers(1, deepest), min_size=1, max_size=8))
+    fresh = {n: exact_success(proc, target, rule, n, psi=psi) for n in range(1, deepest + 1)}
+    for cap in (loops._RETAINED_BYTES, 0, 3 * _node_bytes(proc, True)):
+        with mock.patch.object(loops, "_RETAINED_BYTES", cap):
+            tree = OutcomeTree(proc, target, rule, psi)
+            for n in depths + sorted(depths, reverse=True):
+                assert exact_walk(tree, n) == fresh[n]
+            assert tree._retained <= cap
+
+
+@pytest.mark.parametrize("family", ["qid2", "qidN3", "diagonal"])
+def test_exact_walk_retains_only_the_collapsed_chain(family):
+    proc, rule, target = _family(family, 8)
+    psi = random_state(proc.data_dim, derive_stream(8, 3))
+    tree = OutcomeTree(proc, target, rule, psi)
+    exact_walk(tree, 4)
+    kept = _retained_nodes(tree)
+    if family == "diagonal":  # off the unit circle: branch by branch, nothing kept
+        assert kept == [] and tree.root.exact.collapses is False
+    else:  # the representative child of each collapsed node, one per round past the first
+        assert len(kept) == 3 and all(len(node.children) <= 1 for node in kept)
+    entries = [node.exact for node in [tree.root, *kept]]
+    held = sum(e.amps.nbytes + e.probs.nbytes for e in entries)  # each kept node holds its exact entry
+    assert tree._retained == len(kept) * _node_bytes(proc, True) + held
+
+
+@settings(max_examples=40, deadline=None)
+@given(family=st.sampled_from(FAMILIES), seed=st.integers(0, 2**32 - 1))
+def test_traces_after_the_exact_walk_equal_those_of_a_fresh_tree(family, seed):
+    proc, rule, target = _family(family, seed)
+    psi = random_state(proc.data_dim, derive_stream(seed, 3))
+    forward = range(3 * TRIALS)
+    reference = _run_fixed(psi, seed, forward, OutcomeTree(proc, target, rule, psi))
+    for cap in (loops._RETAINED_BYTES, 0, 3 * _node_bytes(proc, True)):
+        with mock.patch.object(loops, "_RETAINED_BYTES", cap):
+            tree = OutcomeTree(proc, target, rule, psi)
+            for n in (4, 1, 2):
+                exact_walk(tree, n)
+            assert _run_fixed(psi, seed, forward, tree) == reference
+
+
+def test_exact_walk_needs_a_tree_with_a_state():
+    proc, rule, target = _family("qid2", 4)
+    with pytest.raises(ValueError):
+        exact_walk(OutcomeTree(proc, target, rule), 2)
