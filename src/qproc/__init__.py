@@ -19,8 +19,6 @@ from .processor import (
     assemble,
     branch_operators,
     decompose,
-    program_operator,
-    sample,
 )
 from .loops import CorrectionRule, LoopTrace, OutcomeTree, exact_success, run_loop
 from .streams import derive_stream
@@ -45,10 +43,8 @@ __all__ = [
     "exact_success",
     "loops",
     "processor",
-    "program_operator",
     "qlinalg",
     "run_loop",
-    "sample",
     "streams",
     "zoo",
 ]

@@ -436,7 +436,11 @@ def _diagonal(p: dict, aux: tuple) -> _Setup:
     else:
         dim = 3 if dim is None else dim
         entries = np.exp(2j * np.pi * np.arange(dim) / dim)
-    return zoo.qudit_diagonal_processor(len(entries)), loops.diagonal_rule(len(entries)), np.diag(entries)
+    with np.errstate(over="ignore"):  # an overflowing norm is reported below
+        norm = float(np.linalg.norm(entries))
+    if not norm < np.inf:  # the norm zoo.diagonal_program divides by
+        raise UsageError(f"entries must have a finite 2-norm (each |entry| below about 1.3e154), got {norm!r}")
+    return zoo.qudit_diagonal_processor(len(entries)), loops.diagonal_rule(), np.diag(entries)
 
 
 def _qid2(p: dict, aux: tuple) -> _Setup:
@@ -463,10 +467,13 @@ def _qidn(p: dict, aux: tuple) -> _Setup:
             raise UsageError(f"target must have a Frobenius norm in [1e-12, inf), got {norm!r}")
     else:
         raise UsageError(f'target must be "haar" or a list of {n_dim} rows, got {target!r}')
-    return zoo.qidN(n_dim), loops.qidN_rule(n_dim), target
+    return zoo.qidN(n_dim), loops.qidN_rule(), target
 
 
-def _loop_law(proc, target, psi, rounds) -> float:
+def _loop_law(proc, target, psi, rounds) -> float | None:
+    with np.errstate(over="ignore"):  # a norm past float range is inf there: not unitary, no warning
+        if loops.unitary_scale(target) is None:
+            return None
     return zoo.loop_success(proc.program_dim, rounds)
 
 
@@ -487,9 +494,11 @@ class _Family:
     into (processor, correction rule, target); `aux` keys the stream of a
     Haar target drawn without a `target_seed`. `law(proc, target, psi,
     rounds)` is the closed-form reference of a sweep, by default the loop law
-    of the processor's program dimension. It never reads the rule's success
-    labels: a wrong label set would move the exact value and the reference
-    together, and the check would pass silently.
+    of the processor's program dimension, or None (no reference) for a
+    target that is not proportional to a unitary, to which that law does not
+    apply. It never reads the rule's success labels: a wrong label set would
+    move the exact value and the reference together, and the check would
+    pass silently.
     """
 
     build: Callable[[dict, tuple], _Setup]
@@ -610,12 +619,11 @@ def _table_u1() -> list[ResultRow]:
     dec = decompose(proc, _PSI2, zoo.u1_program(alpha))
     params = {"psi": _PSI2.tolist()}
     loop = ExperimentConfig("u1", params=params, grid={"alpha": [alpha], "n": [3, 10, 20]})
-    trees: dict = {}  # the two-round row and the sweep walk one tree
-    two_rounds = _sweep_point("u1", {**params, "alpha": alpha, "n": 2}, (), trees)[1]
+    two_rounds = _sweep_point("u1", {**params, "alpha": alpha, "n": 2}, ())[1]
     rows = [
         ResultRow("u1_single_round_success", f"alpha={alpha}", dec.by_label("0").probability, 0.5),
         ResultRow("u1_two_round_success", f"alpha={alpha}", two_rounds, 0.75),
-        *run_sweep(loop, trees),
+        *run_sweep(loop),
     ]
     chain = zoo.u1_operator(2 * alpha) @ zoo.u1_operator(-alpha)
     rows.append(ResultRow("u1_correction_identity", f"alpha={alpha}", phase_distance(chain, target), 0.0))
@@ -847,16 +855,15 @@ def _sweep_point(experiment: str, merged: dict, aux: tuple, trees: dict | None =
     return f"{experiment}_{kind}_success", computed, family.law(proc, target, psi, rounds), hits
 
 
-def run_sweep(cfg: ExperimentConfig, trees: dict | None = None) -> list[ResultRow]:
+def run_sweep(cfg: ExperimentConfig) -> list[ResultRow]:
     """One row per grid point, iterated in declared key order.
 
     With trials > 1 each point also gets a sampled success frequency in the
     empirical column, drawn from streams (seed, point index, trial index).
     Loop points that differ only in the round budget share one outcome tree
-    (see `_sweep_point`). The trees live in `trees`: a fresh dict for this
-    call, or the caller's, which shares them with its own evaluations.
+    (see `_sweep_point`), for this call only.
     """
-    trees = {} if trees is None else trees
+    trees: dict = {}
     if not cfg.grid:
         raise UsageError("sweep config must declare a grid")
     keys = list(cfg.grid)

@@ -66,10 +66,11 @@ from .processor import (
     ProgramBasis,
     ProgramState,
     branch_operators,
+    data_state,
     decompose,  # noqa: F401 - re-exported: callers look it up in loops
     inverse_cdf,
 )
-from .qlinalg import SingularOperator, is_normalized, inverse, su2_log
+from .qlinalg import SingularOperator, inverse, su2_log
 
 # Failure branches with less probability mass than this cannot move a
 # 1e-12 comparison and are pruned from the exact tree.
@@ -199,7 +200,7 @@ def bz_rule() -> CorrectionRule:
     )
 
 
-def diagonal_rule(dim: int) -> CorrectionRule:
+def diagonal_rule() -> CorrectionRule:
     """Entrywise-quotient correction for the qudit diagonal processor.
 
     Next program entries are lambda * (target entry) / (residual entry),
@@ -209,8 +210,6 @@ def diagonal_rule(dim: int) -> CorrectionRule:
     """
 
     def next_program(proc, target, residual):
-        if proc.data_dim != dim:
-            raise ValueError("rule dimension does not match processor")
         t = _diag_entries(target, "target")
         r = _diag_entries(residual, "residual")
         return zoo.diagonal_program(_safe_ratio(t, r))
@@ -236,11 +235,19 @@ def _needed(target: np.ndarray, residual: np.ndarray) -> np.ndarray:
     return target @ inverse(residual)
 
 
-def _unitary_part(m: np.ndarray) -> np.ndarray:
-    """Rescale a proportional-to-unitary matrix to an exact unitary."""
+def unitary_scale(m: np.ndarray) -> float | None:
+    """c with m^dag m = c I within 1e-8 (relative), or None: m is not proportional to a unitary."""
     g = np.conjugate(m).T @ m
     c = float(np.trace(g).real) / m.shape[0]
-    if c <= 0 or np.linalg.norm(g - c * np.eye(m.shape[0])) > 1e-8 * max(1.0, c) * m.shape[0]:
+    if c > 0 and np.linalg.norm(g - c * np.eye(m.shape[0])) <= 1e-8 * max(1.0, c) * m.shape[0]:
+        return c
+    return None
+
+
+def _unitary_part(m: np.ndarray) -> np.ndarray:
+    """Rescale a proportional-to-unitary matrix to an exact unitary."""
+    c = unitary_scale(m)
+    if c is None:
         raise ValueError("operator is not proportional to a unitary")
     return m / np.sqrt(c)
 
@@ -265,7 +272,7 @@ def qid2_rule() -> CorrectionRule:
     )
 
 
-def qidN_rule(n: int) -> CorrectionRule:
+def qidN_rule() -> CorrectionRule:
     """Conjugation correction for the qudit distributor.
 
     On outcome (r,s) != (0,0) the applied operator is proportional to
@@ -275,12 +282,10 @@ def qidN_rule(n: int) -> CorrectionRule:
     """
 
     def next_program(proc, target, residual):
-        if proc.data_dim != n:
-            raise ValueError("rule dimension does not match processor")
         return zoo.program_for(_needed(target, residual))
 
     return CorrectionRule(
-        basis_for=lambda proc: zoo.phi_basis(n),
+        basis_for=lambda proc: zoo.phi_basis(proc.data_dim),
         success_labels=lambda proc: frozenset({"0,0"}),
         _next_program=next_program,
     )
@@ -292,15 +297,6 @@ def _rescaled(residual: np.ndarray) -> np.ndarray:
     if norm == 0:
         raise SingularProgram("residual collapsed to zero")
     return residual * (np.sqrt(residual.shape[0]) / norm)
-
-
-def _require_state(psi, dim: int) -> np.ndarray:
-    v = np.asarray(psi, dtype=complex).reshape(-1)
-    if v.shape[0] != dim:
-        raise ValueError("data state dimension does not match processor")
-    if not is_normalized(v, tol=1e-8):
-        raise ValueError("data state must be normalized")
-    return v
 
 
 class _Round:
@@ -395,7 +391,7 @@ class OutcomeTree:
         self.success = rule.success_labels(proc)
         self.psi = None
         if psi is not None:
-            self.psi = _require_state(psi, proc.data_dim).copy()
+            self.psi = data_state(proc, psi).copy()
             self.psi.setflags(write=False)
         self._root: _Node | None = None
         self._retained = 0
@@ -442,7 +438,7 @@ class OutcomeTree:
 
     def start(self, psi) -> np.ndarray:
         """The validated data state a trajectory starts from; on a tree with a state, psi must be it."""
-        state = _require_state(psi, self.proc.data_dim)
+        state = data_state(self.proc, psi)
         if self.psi is None:
             return state
         if state.tobytes() != self.psi.tobytes():

@@ -9,7 +9,7 @@ validates processors, decomposes runs into branches and samples outcomes;
 the concrete constructions live in `zoo`.
 
 All types are immutable after construction and safe to share across tasks;
-`decompose` is pure and `sample` touches only the caller-supplied RNG
+`decompose` is pure and `select_branch` touches only the caller-supplied RNG
 stream (derive independent streams per task via `streams.derive_stream`).
 """
 from __future__ import annotations
@@ -190,16 +190,8 @@ def _program_ket(xi) -> np.ndarray:
     return xi.ket if isinstance(xi, ProgramState) else qlinalg.ket(xi)
 
 
-def program_operator(proc: ProcessorDefinition, xi, j: int) -> np.ndarray:
-    """A_j(program) = sum_k <k|program> A_jk for computational outcome j."""
-    if not 0 <= j < proc.program_dim:
-        raise IndexError(f"program outcome index {j} out of range")
-    amps = _program_ket(xi)
-    return np.tensordot(amps, proc.blocks[j], axes=(0, 0))
-
-
 def branch_operators(proc: ProcessorDefinition, xi, basis: ProgramBasis) -> np.ndarray:
-    """All branch operators A_b = sum_j <b|j> A_j(program), shape (N, D, D)."""
+    """All branch operators A_b = sum_j <b|j> A_j, shape (N, D, D), with A_j = sum_k <k|program> A_jk."""
     amps = _program_ket(xi)
     if amps.shape[0] != proc.program_dim:
         raise DimensionMismatch("program dimension does not match processor")
@@ -215,6 +207,16 @@ def branch_operators(proc: ProcessorDefinition, xi, basis: ProgramBasis) -> np.n
     return np.dot(basis.bras, a_j.reshape(n, d * d)).reshape(n, d, d)
 
 
+def data_state(proc: ProcessorDefinition, psi) -> np.ndarray:
+    """psi as a 1-d complex ket: DimensionMismatch off the data dimension, ValueError unless normalized (so finite)."""
+    v = np.asarray(psi, dtype=complex).reshape(-1)
+    if v.shape[0] != proc.data_dim:
+        raise DimensionMismatch("data state dimension does not match processor")
+    if not qlinalg.is_normalized(v, tol=_INPUT_NORM_TOL):
+        raise ValueError("data state must be normalized")
+    return v
+
+
 def decompose(
     proc: ProcessorDefinition,
     psi: np.ndarray,
@@ -227,11 +229,7 @@ def decompose(
     normalized post-state; probabilities sum to 1 for a valid processor.
     The basis defaults to the computational program basis.
     """
-    psi = qlinalg.ket(psi)
-    if psi.shape[0] != proc.data_dim:
-        raise DimensionMismatch("data state dimension does not match processor")
-    if not qlinalg.is_normalized(psi, tol=_INPUT_NORM_TOL):
-        raise ValueError("data state must be normalized")
+    psi = data_state(proc, psi)
     if basis is None:
         basis = ProgramBasis.computational(proc.program_dim)
     ops = branch_operators(proc, xi, basis)
@@ -296,17 +294,3 @@ def select_branch(dec: BranchDecomposition, rng: np.random.Generator) -> Branch:
     i, _ = inverse_cdf(dec.probability_tuple, rng.random())
     return dec.branches[i]
 
-
-def sample(
-    proc: ProcessorDefinition,
-    psi: np.ndarray,
-    xi,
-    basis: ProgramBasis | None = None,
-    rng: np.random.Generator | None = None,
-) -> tuple[str, np.ndarray]:
-    """Run once: draw an outcome label and return (label, post_state)."""
-    if rng is None:
-        raise ValueError("sample requires an explicitly seeded RNG stream")
-    dec = decompose(proc, psi, xi, basis)
-    branch = select_branch(dec, rng)
-    return branch.label, branch.post_state

@@ -3,8 +3,8 @@
 Kets are 1-d complex numpy arrays, operators 2-d complex numpy arrays; all
 functions are pure. The composite-index convention is row-major throughout
 (first tensor factor major): the joint index of (i_a, i_b) is
-i_a * dim_b + i_b. It is fixed once here so every module agrees on basis
-ordering.
+i_a * dim_b + i_b, the order of np.kron, which every module uses for
+tensor products.
 """
 from __future__ import annotations
 
@@ -56,20 +56,8 @@ def is_normalized(v: np.ndarray, tol: float = TOL_NORM) -> bool:
     return abs(np.vdot(v, v).real - 1.0) <= tol
 
 
-def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of kets or operators, row-major index convention."""
-    return np.kron(a, b)
-
-
 def dagger(m: np.ndarray) -> np.ndarray:
     return np.conjugate(m).T
-
-
-def apply(m: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Matrix-vector product m @ v with an explicit dimension check."""
-    if m.shape[1] != v.shape[0]:
-        raise ValueError(f"dimension mismatch: operator cols {m.shape[1]} vs ket dim {v.shape[0]}")
-    return m @ v
 
 
 def is_unitary(m: np.ndarray, tol: float = 1e-10) -> bool:

@@ -32,14 +32,13 @@ import numpy as np
 
 from . import qlinalg
 from .processor import (
-    BranchDecomposition,
     ProcessorDefinition,
     ProgramBasis,
     ProgramState,
     assemble,
-    decompose,
+    decompose,  # noqa: F401 - re-exported: callers look it up in zoo
 )
-from .qlinalg import SIGMA_0, SIGMA_X, SIGMA_Y, SIGMA_Z, basis_ket
+from .qlinalg import basis_ket
 
 
 class InvalidParameter(ValueError):
@@ -309,10 +308,6 @@ def qid2_basis() -> ProgramBasis:
     return ProgramBasis(vectors=vecs, labels=("0+", "0-", "1+", "1-"))
 
 
-# The sigma conjugating the data on each qid2 outcome, by label.
-QID2_OUTCOME_SIGMA = {"0+": SIGMA_0, "0-": SIGMA_Z, "1+": SIGMA_X, "1-": SIGMA_Y}
-
-
 # ---------------------------------------------------------------------------
 # SU(N) rotations: qudit information distributor
 # ---------------------------------------------------------------------------
@@ -444,19 +439,6 @@ def program_for(v: np.ndarray) -> ProgramState:
         raise ZeroOperator("cannot encode the zero operator")
     scale = norm / np.sqrt(v.shape[0])
     return weyl_program(weyl_expansion(v / scale), scale)
-
-
-def qidN_branches(v: np.ndarray, psi: np.ndarray) -> BranchDecomposition:
-    """Decompose one distributor run for target v in the Phi basis.
-
-    For unitary v, branch (r,s) carries (1/N) U^{(s,r)} v U^{(s,r)dag} with
-    probability 1/N^2; for non-unitary v the operators are proportional to
-    the conjugated target with the recorded scale and the probabilities are
-    state-dependent.
-    """
-    v = np.asarray(v, dtype=complex)
-    n = v.shape[0]
-    return decompose(qidN(n), psi, program_for(v), phi_basis(n))
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import numpy as np
 from qproc import cli, loops, zoo
 from qproc.cli import ExperimentConfig, run_sample
 from qproc.loops import OutcomeTree, exact_success, run_loop
-from qproc.processor import ProgramBasis, decompose, sample
+from qproc.processor import ProgramBasis, decompose, select_branch
 from qproc.qlinalg import (
     dagger,
     phase_distance,
@@ -37,7 +37,7 @@ def test_criterion_01_u1_half_probability_and_sampling():
     xi = zoo.u1_program(0.4)
     trials = 100_000
     mc = derive_stream(1001)
-    zeros = sum(sample(proc, psi, xi, None, mc)[0] == "0" for _ in range(trials))
+    zeros = sum(select_branch(decompose(proc, psi, xi), mc).label == "0" for _ in range(trials))
     sigma = np.sqrt(0.25 / trials)
     assert abs(zeros / trials - 0.5) <= 3 * sigma
     _report(1, f"success 1/2 exact over 100 cases; {trials} samples freq {zeros / trials:.5f}")
@@ -114,7 +114,7 @@ def test_criterion_05_bz_closed_form_oracle_and_limits():
 
 
 def test_criterion_06_qutrit_diagonal_loop():
-    proc, rule = zoo.qudit_diagonal_processor(3), loops.diagonal_rule(3)
+    proc, rule = zoo.qudit_diagonal_processor(3), loops.diagonal_rule()
     target = np.diag(np.exp(1j * np.array([0.4, -0.9, 1.3])))
     dec = decompose(proc, np.ones(3) / np.sqrt(3), zoo.diagonal_program(np.diagonal(target)))
     assert abs(dec.by_label("0").probability - 1 / 3) <= 1e-12
@@ -198,7 +198,7 @@ def test_criterion_09_qudit_distributor():
                 assert np.linalg.norm(out - np.kron(zoo.weyl(m, k, n) @ psi, xi)) <= 1e-10
         # branch decomposition in the Phi basis vs the conjugation formula
         v = random_unitary(n, derive_stream(1009, n))
-        dec = zoo.qidN_branches(v, psi)
+        dec = decompose(zoo.qidN(n), psi, zoo.program_for(v), zoo.phi_basis(n))
         for r in range(n):
             for s in range(n):
                 branch = dec.by_label(f"{r},{s}")
@@ -206,13 +206,13 @@ def test_criterion_09_qudit_distributor():
                 assert np.abs(branch.operator - u @ v @ dagger(u) / n).max() <= 1e-9
                 assert abs(branch.probability - 1 / n**2) <= 1e-12
         # cumulative loop success
-        rule = loops.qidN_rule(n)
+        rule = loops.qidN_rule()
         for k in (1, 5, 20):
             got = exact_success(zoo.qidN(n), v, rule, k)
             assert abs(got - (1 - (1 - 1 / n**2) ** k)) <= 1e-12
     # 10^5 single-round trajectories for N=2 (criterion 10 companion)
     trials = 100_000
-    proc2, rule2 = zoo.qidN(2), loops.qidN_rule(2)
+    proc2, rule2 = zoo.qidN(2), loops.qidN_rule()
     v2 = random_unitary(2, derive_stream(1010))
     psi2 = np.ones(2) / np.sqrt(2)
     tree = OutcomeTree(proc2, v2, rule2, psi2)

@@ -1,4 +1,6 @@
 """Tests for the command-line harness: verify, reproduce, sweep, sample, list."""
+import csv
+import io
 import itertools
 import json
 
@@ -224,11 +226,14 @@ def test_sweep_unknown_experiment(tmp_path):
         {"experiment": "bz", "grid": {"z": [1e160]}},
         {"experiment": "b0", "grid": {"z": [1e160]}},
         {"experiment": "qidn", "params": {"target": [[0, 0], [0, 0]]}, "grid": {"n_dim": [2], "k": [1]}},
+        {"experiment": "diagonal", "params": {"entries": [1e155, 1, 1]}, "grid": {"n": [3]}},
+        {"experiment": "diagonal", "params": {"entries": [1e300, 1, 1]}, "grid": {"n": [3]}},
     ],
     ids=[
         "bz-psi-dim", "n-not-number", "grid-not-list", "n-zero", "alpha-not-number", "u1-psi-dim", "tol-nan",
         "diagonal-dim-not-entries", "max-rounds-unread", "experiment-index-unread",
         "bz-z-power-overflows", "bz-z-square-overflows", "b0-z-square-overflows", "qidn-target-zero",
+        "diagonal-entries-norm-overflows", "diagonal-entries-huge",
     ],
 )
 def test_sweep_bad_config_is_usage_error(tmp_path, capsys, config):
@@ -295,10 +300,17 @@ SHARED_SWEEPS = [
         (SHARED_SWEEPS[4], 2),  # per psi
     ],
 )
-def test_sweep_shares_one_tree_per_loop(case, loops_in_grid):
+def test_sweep_shares_one_tree_per_loop(monkeypatch, case, loops_in_grid):
     experiment, params, grid = case
-    trees: dict = {}
-    run_sweep(ExperimentConfig(experiment, params=params, grid=grid), trees)
+    trees = []
+
+    class CountedTree(loops.OutcomeTree):
+        def __init__(self, *args):
+            super().__init__(*args)
+            trees.append(self)
+
+    monkeypatch.setattr(loops, "OutcomeTree", CountedTree)
+    run_sweep(ExperimentConfig(experiment, params=params, grid=grid))
     assert len(trees) == loops_in_grid
 
 
@@ -500,6 +512,8 @@ def test_config_rejects_bad_values():
         ({"experiment": "qidn", "params": {"n_dim": 2, "target": [[0, 0], [0, 0]]}}, []),
         ({"experiment": "qidn", "params": {"n_dim": 2, "target": [[1e-13, 0], [0, 0]]}}, []),
         ({"experiment": "qidn", "params": {"n_dim": 2, "target": [[1e300, 0], [0, 1e300]]}}, []),
+        ({"experiment": "diagonal", "params": {"entries": [1e155, 1, 1]}, "max_rounds": 3}, []),
+        ({"experiment": "diagonal", "params": {"entries": [1e300, 1, 1]}, "max_rounds": 3}, []),
     ],
     ids=[
         "trials-str", "trials-float", "psi-dim", "qidn-psi-dim", "psi-zero", "seed-negative", "params-not-object",
@@ -507,6 +521,7 @@ def test_config_rejects_bad_values():
         "tol-nan", "tol-flag-nan", "psi-strings", "psi-norm-overflow", "grid-unread",
         "bz-haar-z-power-overflows", "bz-haar-z-square-overflows", "bz-z-square-overflows",
         "qidn-target-zero", "qidn-target-norm-tiny", "qidn-target-norm-overflows",
+        "diagonal-entries-norm-overflows", "diagonal-entries-huge",
     ],
 )
 def test_sample_bad_config_is_usage_error(tmp_path, capsys, config, flags):
@@ -591,7 +606,26 @@ def test_diagonal_sweep_reads_entries():
     (default,) = run_sweep(ExperimentConfig("diagonal", grid=grid))
     (given,) = run_sweep(ExperimentConfig("diagonal", params={"entries": [1, 0.5, [0, 0.25]]}, grid=grid))
     assert given.computed != default.computed
-    assert given.computed < given.paper_value  # a non-unitary target succeeds less often
+    assert given.computed < zoo.loop_success(3, 2)  # a non-unitary target succeeds less often
+    assert given.paper_value is None and given.deviation is None  # the loop law is no reference for it
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"experiment": "diagonal", "params": {"entries": [1e-300, 1, 1]}, "grid": {"n": [3]}},
+        {"experiment": "qidn", "params": {"target": [[1e-6, 0], [0, 1]]}, "grid": {"n_dim": [2], "k": [3]}},
+    ],
+    ids=["diagonal-entry-tiny", "qidn-target-not-unitary"],
+)
+def test_sweep_of_a_non_unitary_target_has_no_reference(tmp_path, config):
+    """The loop law holds for unitary targets only; any other loop has no reference to fail against."""
+    cfg_path, out = tmp_path / "cfg.json", tmp_path / "x.csv"
+    cfg_path.write_text(json.dumps(config))
+    assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 0
+    (row,) = csv.DictReader(io.StringIO(out.read_text()))
+    assert row["paper_value"] == row["deviation"] == ""
+    assert 0 < float(row["computed"]) < 0.5
 
 
 def test_sample_qidn_reads_target_seed():

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 from qproc import loops, zoo
 from qproc.loops import OutcomeTree, SingularProgram, exact_success, run_loop
-from qproc.processor import branch_operators, decompose
+from qproc.processor import DimensionMismatch, branch_operators, decompose
 from qproc.qlinalg import (
+    SIGMA_X,
     phase_distance,
     proportionality_scale,
     random_state,
@@ -187,7 +188,7 @@ def test_bz_exact_tree_three_rounds_vs_monte_carlo():
 # ---------------------------------------------------------------------------
 
 def test_diagonal_rule_qutrit_unitary_closed_form():
-    proc, rule = zoo.qudit_diagonal_processor(3), loops.diagonal_rule(3)
+    proc, rule = zoo.qudit_diagonal_processor(3), loops.diagonal_rule()
     target = np.diag(np.exp(1j * np.array([0.2, -1.1, 0.7])))
     for n in (1, 5, 20):
         got = exact_success(proc, target, rule, n)
@@ -195,7 +196,7 @@ def test_diagonal_rule_qutrit_unitary_closed_form():
 
 
 def test_diagonal_rule_identity_target_uniform_program():
-    proc, rule = zoo.qudit_diagonal_processor(3), loops.diagonal_rule(3)
+    proc, rule = zoo.qudit_diagonal_processor(3), loops.diagonal_rule()
     program = rule.next_program(proc, np.eye(3), np.eye(3))
     ops = branch_operators(proc, program, rule.basis_for(proc))
     for op in ops:
@@ -205,7 +206,7 @@ def test_diagonal_rule_identity_target_uniform_program():
 def test_diagonal_rule_two_round_composite():
     # outcome 1 then outcome 0: the product of the two applied operators is
     # proportional to the target (explicit matrix multiplication)
-    proc, rule = zoo.qudit_diagonal_processor(3), loops.diagonal_rule(3)
+    proc, rule = zoo.qudit_diagonal_processor(3), loops.diagonal_rule()
     target = np.diag([1.0, 0.6, 0.3 + 0.4j])
     basis = rule.basis_for(proc)
     first = rule.next_program(proc, target, np.eye(3))
@@ -217,7 +218,7 @@ def test_diagonal_rule_two_round_composite():
 
 
 def test_diagonal_rule_singular_residual():
-    rule = loops.diagonal_rule(3)
+    rule = loops.diagonal_rule()
     proc = zoo.qudit_diagonal_processor(3)
     with pytest.raises(SingularProgram):
         rule.next_program(proc, np.eye(3), np.diag([0.0, 1.0, 1.0]))
@@ -226,7 +227,7 @@ def test_diagonal_rule_singular_residual():
 def test_diagonal_loop_uncorrectable_status():
     # target with a vanishing entry: the failure branch applies a singular
     # operator and the loop must stop with the distinct status
-    proc, rule = zoo.qudit_diagonal_processor(3), loops.diagonal_rule(3)
+    proc, rule = zoo.qudit_diagonal_processor(3), loops.diagonal_rule()
     target = np.diag([1.0, 1.0, 0.0]) / np.sqrt(2)
     psi = np.array([0.0, 1.0, 0.0])
     trace = run_loop(OutcomeTree(proc, target, rule), psi, 5, _FixedDraws([0.9, 0.0]))
@@ -252,8 +253,7 @@ def test_qid2_rule_encodes_conjugation_correction():
     scale = proportionality_scale(composite, target, tol=1e-9)
     assert scale is not None and 0 < abs(scale) <= 1
     # the correction encodes U sigma_x U^dag sigma_x up to global phase
-    sx = zoo.QID2_OUTCOME_SIGMA["1+"]
-    want = target @ sx @ np.conjugate(target).T @ sx
+    want = target @ SIGMA_X @ np.conjugate(target).T @ SIGMA_X
     assert phase_distance(su2_exp(second.params["mu"]), want) <= 1e-9
 
 
@@ -271,15 +271,15 @@ def test_qid2_exact_success_closed_form():
 
 def test_qidn_rule_closed_forms():
     for n_dim, k in ((2, 2), (3, 10), (4, 8), (5, 20)):
-        proc, rule = zoo.qidN(n_dim), loops.qidN_rule(n_dim)
+        proc, rule = zoo.qidN(n_dim), loops.qidN_rule()
         target = random_unitary(n_dim, derive_stream(403, n_dim))
         got = exact_success(proc, target, rule, k)
         assert abs(got - (1 - (1 - 1 / n_dim**2) ** k)) <= 1e-12
-    assert abs(exact_success(zoo.qidN(2), np.eye(2), loops.qidN_rule(2), 2) - 7 / 16) <= 1e-12
+    assert abs(exact_success(zoo.qidN(2), np.eye(2), loops.qidN_rule(), 2) - 7 / 16) <= 1e-12
 
 
 def test_qidn_rule_identity_target_all_branches_identity():
-    proc, rule = zoo.qidN(3), loops.qidN_rule(3)
+    proc, rule = zoo.qidN(3), loops.qidN_rule()
     program = rule.next_program(proc, np.eye(3), np.eye(3))
     ops = branch_operators(proc, program, rule.basis_for(proc))
     for op in ops:
@@ -290,7 +290,7 @@ def test_qidn_rule_forced_failure_then_success():
     # forced outcome (1,2), then the corrected success branch: composite
     # proportional to the target (explicit operator products)
     n = 3
-    proc, rule = zoo.qidN(n), loops.qidN_rule(n)
+    proc, rule = zoo.qidN(n), loops.qidN_rule()
     target = random_unitary(n, derive_stream(404))
     basis = rule.basis_for(proc)
     first = rule.next_program(proc, target, np.eye(n))
@@ -319,11 +319,11 @@ def test_exact_success_collapse_matches_full_enumeration(monkeypatch):
     # enumeration of every failure branch
     cases = [
         (zoo.qid2(), loops.qid2_rule(), su2_exp([0.2, -0.5, 0.9]), 4, None),
-        (zoo.qidN(2), loops.qidN_rule(2), random_unitary(2, derive_stream(405)), 4, None),
-        (zoo.qidN(3), loops.qidN_rule(3), random_unitary(3, derive_stream(406)), 3, None),
+        (zoo.qidN(2), loops.qidN_rule(), random_unitary(2, derive_stream(405)), 4, None),
+        (zoo.qidN(3), loops.qidN_rule(), random_unitary(3, derive_stream(406)), 3, None),
         (
             zoo.qudit_diagonal_processor(3),
-            loops.diagonal_rule(3),
+            loops.diagonal_rule(),
             np.diag(np.exp(1j * np.array([0.3, 1.2, -0.4]))),
             5,
             None,
@@ -332,7 +332,7 @@ def test_exact_success_collapse_matches_full_enumeration(monkeypatch):
         (zoo.cyclic_shift_processor(3), loops.bz_rule(), zoo.bz_operator(1.6j), 4, np.array([0.8, 0.6j])),
         (
             zoo.qudit_diagonal_processor(3),
-            loops.diagonal_rule(3),
+            loops.diagonal_rule(),
             np.diag([0.5, 1.3 * np.exp(0.4j), 0.9 * np.exp(-1.1j)]),
             4,
             np.array([0.6, 0.0, 0.8]),
@@ -358,11 +358,11 @@ def unitary_loops(draw):
     if family == "diagonal":
         dim = draw(st.integers(2, 5))
         phases = np.array(draw(st.lists(angles, min_size=dim, max_size=dim)))
-        return zoo.qudit_diagonal_processor(dim), loops.diagonal_rule(dim), np.diag(np.exp(1j * phases))
+        return zoo.qudit_diagonal_processor(dim), loops.diagonal_rule(), np.diag(np.exp(1j * phases))
     if family == "qid2":
         return zoo.qid2(), loops.qid2_rule(), su2_exp(draw(st.lists(st.floats(-1.2, 1.2), min_size=3, max_size=3)))
     n = draw(st.integers(2, 3))
-    return zoo.qidN(n), loops.qidN_rule(n), random_unitary(n, derive_stream(draw(st.integers(0, 2**32 - 1))))
+    return zoo.qidN(n), loops.qidN_rule(), random_unitary(n, derive_stream(draw(st.integers(0, 2**32 - 1))))
 
 
 @settings(max_examples=100)
@@ -391,7 +391,7 @@ def non_unitary_loops(draw):
         dim = draw(st.integers(2, 4))
         radii = [draw(moduli)] + draw(st.lists(st.floats(0.2, 3.0), min_size=dim - 1, max_size=dim - 1))
         entries = np.array(radii) * np.exp(1j * np.array(draw(st.lists(angles, min_size=dim, max_size=dim))))
-        proc, rule, target = zoo.qudit_diagonal_processor(dim), loops.diagonal_rule(dim), np.diag(entries)
+        proc, rule, target = zoo.qudit_diagonal_processor(dim), loops.diagonal_rule(), np.diag(entries)
     return proc, rule, target, random_state(proc.data_dim, derive_stream(psi_seed))
 
 
@@ -501,7 +501,7 @@ def test_run_loop_rounds_to_success_geometric():
     # per-round success 1/9 for the N=3 distributor: the rounds-used
     # distribution is geometric with ratio 8/9
     n = 3
-    proc, rule = zoo.qidN(n), loops.qidN_rule(n)
+    proc, rule = zoo.qidN(n), loops.qidN_rule()
     target = random_unitary(n, derive_stream(410))
     psi = np.ones(n) / np.sqrt(n)
     tree = OutcomeTree(proc, target, rule)
@@ -525,6 +525,35 @@ def test_loop_policy_validation():
         run_loop(tree, np.array([1.0, 0.0]), 0, derive_stream(1))
 
 
+def _decompose_u1(psi):
+    decompose(zoo.u1_cnot(), psi, zoo.u1_program(0.3))
+
+
+def _tree_with_state(psi):
+    OutcomeTree(zoo.u1_cnot(), zoo.u1_operator(0.3), loops.u1_rule(), psi)
+
+
+def _run_loop_on(psi):
+    run_loop(OutcomeTree(zoo.u1_cnot(), zoo.u1_operator(0.3), loops.u1_rule()), psi, 1, derive_stream(2))
+
+
+@pytest.mark.parametrize("call", [_decompose_u1, _tree_with_state, _run_loop_on], ids=["decompose", "tree", "run_loop"])
+@pytest.mark.parametrize(
+    "psi, error",
+    [
+        (np.ones(3) / np.sqrt(3), DimensionMismatch),
+        (np.array([1.0, 1.0]), ValueError),
+        (np.array([np.nan, 1.0]), ValueError),
+        (np.array([np.inf, 0.0]), ValueError),
+    ],
+    ids=["wrong-dimension", "unnormalized", "nan", "inf"],
+)
+def test_every_data_state_gets_the_one_check(call, psi, error):
+    """decompose, a tree built with a state and run_loop share processor.data_state."""
+    with pytest.raises(error, match="data state"):
+        call(psi)
+
+
 def test_correction_soundness_all_families():
     # every failure outcome: (next success branch) o (failed branch) is
     # proportional to the target with |scale| in (0, 1]
@@ -532,9 +561,9 @@ def test_correction_soundness_all_families():
     cases = [
         (zoo.u1_cnot(), loops.u1_rule(), zoo.u1_operator(1.1)),
         (zoo.cyclic_shift_processor(3), loops.bz_rule(), zoo.bz_operator(0.6 + 0.3j)),
-        (zoo.qudit_diagonal_processor(4), loops.diagonal_rule(4), np.diag([1.0, 0.8, 0.5 + 0.2j, 0.9])),
+        (zoo.qudit_diagonal_processor(4), loops.diagonal_rule(), np.diag([1.0, 0.8, 0.5 + 0.2j, 0.9])),
         (zoo.qid2(), loops.qid2_rule(), random_unitary(2, rng)),
-        (zoo.qidN(3), loops.qidN_rule(3), random_unitary(3, rng)),
+        (zoo.qidN(3), loops.qidN_rule(), random_unitary(3, rng)),
     ]
     for proc, rule, target in cases:
         basis = rule.basis_for(proc)

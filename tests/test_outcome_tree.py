@@ -42,11 +42,11 @@ def _family(name: str, seed: int):
     if name == "diagonal":
         dim = int(rng.integers(2, 5))
         entries = rng.uniform(0.3, 1.0, dim) * np.exp(1j * rng.uniform(-np.pi, np.pi, dim))
-        return zoo.qudit_diagonal_processor(dim), loops.diagonal_rule(dim), np.diag(entries)
+        return zoo.qudit_diagonal_processor(dim), loops.diagonal_rule(), np.diag(entries)
     if name == "qid2":
         return zoo.qid2(), loops.qid2_rule(), su2_exp(rng.uniform(-1.2, 1.2, 3))
     n = {"qidN2": 2, "qidN3": 3, "qidN4": 4}[name]
-    return zoo.qidN(n), loops.qidN_rule(n), random_unitary(n, rng)
+    return zoo.qidN(n), loops.qidN_rule(), random_unitary(n, rng)
 
 
 FAMILIES = ("u1", "bz", "diagonal", "qid2", "qidN2", "qidN3")

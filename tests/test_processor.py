@@ -17,10 +17,9 @@ from qproc.processor import (
     decompose,
     inverse_cdf,
     inverse_cdf_many,
-    program_operator,
-    sample,
+    select_branch,
 )
-from qproc.qlinalg import is_unitary, random_state, random_unitary
+from qproc.qlinalg import SIGMA_Y, is_unitary, random_state, random_unitary
 from qproc.streams import derive_stream
 
 _P0 = np.diag([1.0, 0.0]).astype(complex)
@@ -102,24 +101,20 @@ def test_assemble_cyclic_shift_grid():
 
 
 def test_program_operator_u1():
+    # the computational basis gives the program operators A_j(program) = sum_k <k|program> A_jk
     proc = zoo.u1_cnot()
     alpha = 0.7
-    xi = zoo.u1_program(alpha)
-    assert np.allclose(program_operator(proc, xi, 0), zoo.u1_operator(alpha) / np.sqrt(2), atol=1e-15)
-    assert np.allclose(program_operator(proc, xi, 1), zoo.u1_operator(-alpha) / np.sqrt(2), atol=1e-15)
+    a = branch_operators(proc, zoo.u1_program(alpha), ProgramBasis.computational(2))
+    assert np.allclose(a[0], zoo.u1_operator(alpha) / np.sqrt(2), atol=1e-15)
+    assert np.allclose(a[1], zoo.u1_operator(-alpha) / np.sqrt(2), atol=1e-15)
 
 
 def test_program_operator_general_program():
     proc = zoo.u1_cnot()
     c = np.array([0.6, 0.8j])
-    xi = ProgramState(ket=c)
-    assert np.allclose(program_operator(proc, xi, 0), np.diag(c), atol=1e-15)
-    assert np.allclose(program_operator(proc, xi, 1), np.diag(c[::-1]), atol=1e-15)
-
-
-def test_program_operator_index_error():
-    with pytest.raises(IndexError):
-        program_operator(zoo.u1_cnot(), zoo.u1_program(0.1), 2)
+    a = branch_operators(proc, ProgramState(ket=c), ProgramBasis.computational(2))
+    assert np.allclose(a[0], np.diag(c), atol=1e-15)
+    assert np.allclose(a[1], np.diag(c[::-1]), atol=1e-15)
 
 
 def test_decompose_cnot_half_half():
@@ -141,7 +136,7 @@ def test_decompose_degenerate_program_single_branch():
     # branches below the probability cutoff carry no post-state
     assert dec.branches[0].post_state is None
     # sigma_y applied directly to the data
-    want = zoo.QID2_OUTCOME_SIGMA["1-"] @ psi
+    want = SIGMA_Y @ psi
     assert np.allclose(dec.branches[2].post_state, want / np.linalg.norm(want), atol=1e-12)
 
 
@@ -208,9 +203,9 @@ def test_sample_degenerate_certainty():
     proc = zoo.qid2()
     bell = ProgramBasis(vectors=zoo.bell_basis(), labels=("I", "x", "y", "z"))
     rng = derive_stream(205)
-    label, post = sample(proc, np.array([0.6, 0.8]), ProgramState(ket=zoo.bell_basis()[0]), bell, rng)
-    assert label == "I"
-    assert np.allclose(post, [0.6, 0.8], atol=1e-12)
+    branch = select_branch(decompose(proc, np.array([0.6, 0.8]), ProgramState(ket=zoo.bell_basis()[0]), bell), rng)
+    assert branch.label == "I"
+    assert np.allclose(branch.post_state, [0.6, 0.8], atol=1e-12)
 
 
 def test_sample_frequency_cnot():
@@ -219,7 +214,7 @@ def test_sample_frequency_cnot():
     psi = np.array([0.6, 0.8])
     rng = derive_stream(206)
     trials = 20000
-    zeros = sum(sample(proc, psi, xi, None, rng)[0] == "0" for _ in range(trials))
+    zeros = sum(select_branch(decompose(proc, psi, xi), rng).label == "0" for _ in range(trials))
     sigma = np.sqrt(0.25 / trials)
     assert abs(zeros / trials - 0.5) <= 3 * sigma
 
@@ -232,7 +227,7 @@ def test_sample_frequency_bz_vs_decompose_oracle():
     exact = sum(b.probability for b in decompose(proc, psi, xi).branches[:3])
     rng = derive_stream(207)
     trials = 20000
-    hits = sum(sample(proc, psi, xi, None, rng)[0] != "3" for _ in range(trials))
+    hits = sum(select_branch(decompose(proc, psi, xi), rng).label != "3" for _ in range(trials))
     sigma = np.sqrt(exact * (1 - exact) / trials)
     assert abs(hits / trials - exact) <= 3 * sigma
 
@@ -240,8 +235,8 @@ def test_sample_frequency_bz_vs_decompose_oracle():
 def test_sample_reproducible():
     proc, xi = zoo.u1_cnot(), zoo.u1_program(0.9)
     psi = np.array([0.6, 0.8])
-    seq1 = [sample(proc, psi, xi, None, derive_stream(208, t))[0] for t in range(50)]
-    seq2 = [sample(proc, psi, xi, None, derive_stream(208, t))[0] for t in range(50)]
+    seq1 = [select_branch(decompose(proc, psi, xi), derive_stream(208, t)).label for t in range(50)]
+    seq2 = [select_branch(decompose(proc, psi, xi), derive_stream(208, t)).label for t in range(50)]
     assert seq1 == seq2
 
 

@@ -6,6 +6,10 @@ from qproc import zoo
 from qproc.processor import ProgramBasis, ProgramState, decompose, branch_operators
 from qproc.qlinalg import (
     PAULIS,
+    SIGMA_0,
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
     dagger,
     is_unitary,
     phase_distance,
@@ -295,8 +299,9 @@ def test_qid2_branches_are_sigma_conjugations():
     mu = np.array([0.2, -0.5, 0.9])
     u = su2_exp(mu)
     ops = branch_operators(proc, zoo.su2_program(mu), basis)
+    outcome_sigma = {"0+": SIGMA_0, "0-": SIGMA_Z, "1+": SIGMA_X, "1-": SIGMA_Y}
     for idx, label in enumerate(basis.labels):
-        sig = zoo.QID2_OUTCOME_SIGMA[label]
+        sig = outcome_sigma[label]
         assert phase_distance(ops[idx], sig @ u @ sig / 2) <= 1e-12
         if label != "1-":
             assert np.abs(ops[idx] - sig @ u @ sig / 2).max() <= 1e-12
@@ -450,7 +455,7 @@ def test_program_for_records_scale():
 def test_qidn_branches_match_conjugation():
     hadamard = (PAULIS[1] + PAULIS[3]) / np.sqrt(2)
     psi = random_state(2, derive_stream(309))
-    dec = zoo.qidN_branches(hadamard, psi)
+    dec = decompose(zoo.qidN(2), psi, zoo.program_for(hadamard), zoo.phi_basis(2))
     for r in range(2):
         for s in range(2):
             b = dec.by_label(f"{r},{s}")
@@ -460,14 +465,14 @@ def test_qidn_branches_match_conjugation():
 
 
 def test_qidn_branches_identity_target():
-    dec = zoo.qidN_branches(np.eye(3), np.ones(3) / np.sqrt(3))
+    dec = decompose(zoo.qidN(3), np.ones(3) / np.sqrt(3), zoo.program_for(np.eye(3)), zoo.phi_basis(3))
     for b in dec.branches:
         assert proportionality_scale(b.operator, np.eye(3), tol=1e-10) is not None
 
 
 def test_qidn_success_branch_proportional_to_target():
     v = random_unitary(3, derive_stream(310))
-    dec = zoo.qidN_branches(v, random_state(3, derive_stream(311)))
+    dec = decompose(zoo.qidN(3), random_state(3, derive_stream(311)), zoo.program_for(v), zoo.phi_basis(3))
     scale = proportionality_scale(dec.by_label("0,0").operator, v, tol=1e-10)
     assert scale is not None and abs(abs(scale) - 1 / 3) <= 1e-12
 
