@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import csv
+import functools
 import io
 import itertools
 import json
@@ -240,15 +241,15 @@ def program_params_to_json(program: ProgramState) -> dict:
     return {"encoding": program.encoding, **_jsonify(dict(program.params))}
 
 
-def round_to_dict(r: loops.LoopRound, program_params: Callable[[ProgramState], dict] = program_params_to_json) -> dict:
-    """Plain-JSON form of one round; `program_params` renders its program."""
-    return {"program_params": program_params(r.program), "outcome": r.outcome, "prob": r.probability}
+def round_to_dict(r: loops.LoopRound) -> dict:
+    """Plain-JSON form of one round, as `sample_json` writes it."""
+    return {"program_params": program_params_to_json(r.program), "outcome": r.outcome, "prob": r.probability}
 
 
-def trace_to_dict(trace: loops.LoopTrace, round_dict: Callable[[loops.LoopRound], dict] = round_to_dict) -> dict:
-    """Plain-JSON form of one trace; `round_dict` renders each round."""
+def trace_to_dict(trace: loops.LoopTrace) -> dict:
+    """Plain-JSON form of one trace, as `sample_json` writes it."""
     return {
-        "rounds": [round_dict(r) for r in trace.rounds],
+        "rounds": [round_to_dict(r) for r in trace.rounds],
         "succeeded": trace.succeeded,
         "status": trace.status,
         "rounds_used": trace.rounds_used,
@@ -330,48 +331,44 @@ _TRACE_JSON = (
 
 
 def sample_json(payload: dict) -> str:
-    """The text of json.dumps(payload, indent=2) + "\\n" for a `run_sample` payload.
+    """json.dumps({**payload, "traces": [trace_to_dict(t) for t in payload["traces"]]}, indent=2) + "\\n".
 
     json's indenting encoder runs in pure Python. This writer renders each
-    distinct trace dict once, and in it each distinct program_params dict
-    and each distinct round's outcome/prob tail once (`run_sample` shares
-    one dict per distinct round and trace when the data state is fixed).
-    The per-round and per-trace fields come from fixed templates and every
-    value goes through `_json_at`, whose float grid templates (a weyl
-    program's complex block, a config's target) are built once per shape
-    and nesting depth in this call. The bytes are the same at a fraction of
-    the cost. Whole round texts are not kept: that would hold every
-    program's params text a second time. It relies on the payload's key
-    order: config, traces, summary; rounds, succeeded, status, rounds_used;
-    program_params, outcome, prob.
+    distinct LoopTrace of a `run_sample` payload once, and in it each
+    distinct program's params and each distinct LoopRound's outcome/prob
+    tail once: with a fixed data state the outcome tree hands trajectories
+    of one outcome history the same objects. Fixed templates give the
+    per-round and per-trace fields, and `_json_at` every value, its float
+    grid templates (a weyl program's complex block, a config's target)
+    built once per shape and depth in this call. Whole round texts are not
+    kept: that would hold every program's params text a second time. It
+    relies on the payload's key order: config, traces, summary.
     """
     templates: dict[tuple, str] = {}
-    # Keyed by id: the payload keeps every dict alive while this runs.
+    # Keyed by id: the payload keeps every trace, round and program alive while this runs.
     params_text: dict[int, str] = {}
     tail_text: dict[int, str] = {}
     trace_text: dict[int, str] = {}
+    json_at = functools.partial(_json_at, templates=templates)
 
-    def json_at(value, pad: str) -> str:
-        return _json_at(value, pad, templates)
-
-    def round_json(r: dict) -> str:
-        params = params_text.get(id(r["program_params"]))
+    def round_json(r: loops.LoopRound) -> str:
+        params = params_text.get(id(r.program))
         if params is None:
-            params = params_text[id(r["program_params"])] = json_at(r["program_params"], _PAD_ROUND)
+            params = params_text[id(r.program)] = json_at(program_params_to_json(r.program), _PAD_ROUND)
         tail = tail_text.get(id(r))
         if tail is None:
-            tail = tail_text[id(r)] = _ROUND_TAIL % (json_at(r["outcome"], _PAD_ROUND), json_at(r["prob"], _PAD_ROUND))
+            tail = tail_text[id(r)] = _ROUND_TAIL % (json_at(r.outcome, _PAD_ROUND), json_at(r.probability, _PAD_ROUND))
         return _ROUND_HEAD + params + tail
 
-    def trace_json(t: dict) -> str:
+    def trace_json(t: loops.LoopTrace) -> str:
         text = trace_text.get(id(t))
         if text is None:
-            rounds = ",".join(map(round_json, t["rounds"]))
+            rounds = ",".join(map(round_json, t.rounds))
             text = trace_text[id(t)] = _TRACE_JSON % (
                 rounds + "\n      " if rounds else "",
-                json_at(t["succeeded"], _PAD_TRACE),
-                json_at(t["status"], _PAD_TRACE),
-                json_at(t["rounds_used"], _PAD_TRACE),
+                json_at(t.succeeded, _PAD_TRACE),
+                json_at(t.status, _PAD_TRACE),
+                json_at(t.rounds_used, _PAD_TRACE),
             )
         return text
 
@@ -552,52 +549,17 @@ def _loop_setup(cfg: ExperimentConfig) -> tuple[loops.OutcomeTree, float]:
     return tree, loops.exact_walk(tree, cfg.max_rounds)
 
 
-def _memo(key: Callable, make: Callable) -> Callable:
-    """x -> make(x), built once per key(x).
-
-    Each entry keeps its x alive: objects of nodes past the tree's retention
-    cap are rebuilt and freed, and a freed object's id can be reused.
-    """
-    memo: dict = {}
-
-    def get(x):
-        entry = memo.get(key(x))
-        if entry is None:
-            entry = memo[key(x)] = (x, make(x))
-        return entry[1]
-
-    return get
-
-
 def run_sample(cfg: ExperimentConfig) -> dict:
-    """Run the configured trajectories and return the JSON payload.
-
-    Rounds that ran the same program share one program_params dict. With a
-    fixed data state the tree hands out one LoopRound per node and branch,
-    so rounds share one dict per LoopRound, and traces one dict per
-    outcome path.
-    """
+    """Run the configured trajectories: the payload that `sample_json` writes, one LoopTrace per trial."""
     tree, exact = _loop_setup(cfg)
     proc, fixed_psi = tree.proc, tree.psi
-    program_params = _memo(id, program_params_to_json)
-
-    def round_dict(r: loops.LoopRound) -> dict:
-        return round_to_dict(r, program_params)
-
-    if fixed_psi is not None:
-        round_dict = _memo(id, round_dict)
-        trace_dict = _memo(lambda t: (t.status, *map(id, t.rounds)), lambda t: trace_to_dict(t, round_dict))
-    else:  # every round is new: nothing to share
-        def trace_dict(t: loops.LoopTrace) -> dict:
-            return trace_to_dict(t, round_dict)
-
     traces = []
     successes = 0
     for rng in reseeded((cfg.seed, cfg.experiment_index), trial_indices(cfg.trials)):
         psi = fixed_psi if fixed_psi is not None else random_state(proc.data_dim, rng)
         trace = loops.run_loop(tree, psi, cfg.max_rounds, rng)
         successes += trace.succeeded
-        traces.append(trace_dict(trace))
+        traces.append(trace)
     empirical = successes / cfg.trials
     summary = {
         "trials": cfg.trials,

@@ -37,7 +37,8 @@ each node too, so a node's round is computed once. The first trajectory to
 reach a node stores the product, the probabilities it read and the
 LoopRound of the branch it drew; later ones draw a uniform over the stored
 probabilities (extending them only as far as a draw reads) and reuse the
-stored rounds, post-states included. Each stored value comes from the same
+stored rounds, post-states included, and the stored LoopTrace of a
+trajectory that ends there. Each stored value comes from the same
 expression on the same inputs, so traces are byte-identical to those of a
 tree without a state. A tree without a state (a Haar-random psi per
 trajectory) computes each round afresh, in the same loop body.
@@ -304,15 +305,16 @@ class _Round:
 
     `probs` grows in label order only as far as a draw reads it, and
     `drawn[i]` is the LoopRound of branch i, post-state included, made on
-    the first draw of i.
+    the first draw of i, and `ends[i, status]` the LoopTrace that ends so.
     """
 
-    __slots__ = ("amps", "probs", "drawn")
+    __slots__ = ("amps", "probs", "drawn", "ends")
 
     def __init__(self, amps: np.ndarray):
         self.amps = amps  # (N, D): branch operator b applied to the state
         self.probs: list[float] = []
         self.drawn: dict[int, LoopRound] = {}
+        self.ends: dict[tuple[int, str], LoopTrace] = {}
 
     def probabilities(self):
         """Branch probabilities in label order: the stored ones, then new ones as they are read."""
@@ -465,9 +467,9 @@ def run_loop(tree: OutcomeTree, psi, max_rounds: int, rng: np.random.Generator) 
     loop share its tree; the trace does not depend on what the tree holds.
 
     On a tree built with a data state, psi must equal it (ValueError
-    otherwise) and the trace's LoopRound objects, read-only post-states
-    included, are the ones the tree stores: trajectories with the same
-    outcome history share them.
+    otherwise) and the trace and its LoopRound objects, read-only
+    post-states included, are the ones the tree stores: trajectories with
+    the same outcome history and status share them.
     """
     if max_rounds < 1:
         raise ValueError("max_rounds must be at least 1")
@@ -494,7 +496,12 @@ def run_loop(tree: OutcomeTree, psi, max_rounds: int, rng: np.random.Generator) 
         if r.outcome in success:
             status = "succeeded"
             break
-    return LoopTrace(rounds=tuple(rounds), succeeded=(status == "succeeded"), status=status)
+    if not rounds:  # the root is uncorrectable
+        return LoopTrace(rounds=(), succeeded=False, status=status)
+    trace = held.ends.get((i, status))
+    if trace is None:
+        trace = held.ends[i, status] = LoopTrace(rounds=tuple(rounds), succeeded=(status == "succeeded"), status=status)
+    return trace
 
 
 def _state_independent(ops: np.ndarray, probs: np.ndarray) -> bool:

@@ -355,7 +355,7 @@ def test_sample_trials_are_independent_of_order_and_tree(experiment):
         rng = derive_stream(cfg.seed, cfg.experiment_index, t + 1)
         psi = fixed_psi if fixed_psi is not None else qlinalg.random_state(proc.data_dim, rng)
         trace = loops.run_loop(loops.OutcomeTree(proc, target, rule), psi, cfg.max_rounds, rng)
-        assert trace_to_dict(trace) == traces[t]
+        assert trace_to_dict(trace) == trace_to_dict(traces[t])
 
 
 def test_sample_summary_within_three_sigma(tmp_path):
@@ -462,7 +462,7 @@ def test_sample_bz_first_program_at_large_z(tmp_path):
     payload = run_sample(ExperimentConfig("bz", params={"z": z, "psi": [0.6, 0.8]}, max_rounds=1, trials=50, seed=1))
     (row,) = run_sweep(ExperimentConfig("bz", grid={"z": [z]}))
     assert abs(payload["summary"]["exact"] - row.computed) <= 1e-12
-    assert {t["status"] for t in payload["traces"]} == {"succeeded", "exhausted"}
+    assert {trace_to_dict(t)["status"] for t in payload["traces"]} == {"succeeded", "exhausted"}
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"experiment": "bz_haar", "params": {"z": z}, "max_rounds": 1, "trials": 200}))
     assert main(["sample", "--config", str(cfg_path), "--out", str(tmp_path / "x.json"), "--tol", "0"]) == 0
@@ -536,7 +536,8 @@ def test_sample_bad_config_is_usage_error(tmp_path, capsys, config, flags):
 def test_sample_psi_accepts_re_im_pairs(tmp_path):
     # B(z) success depends on |psi_1|, so dropping the imaginary part would show.
     def traces(psi):
-        return run_sample(ExperimentConfig("bz", params={"z": 0.5, "psi": psi}, max_rounds=3, trials=40, seed=4))["traces"]
+        payload = run_sample(ExperimentConfig("bz", params={"z": 0.5, "psi": psi}, max_rounds=3, trials=40, seed=4))
+        return [trace_to_dict(t) for t in payload["traces"]]
 
     cfg_path, out = tmp_path / "cfg.json", tmp_path / "pairs.json"
     config = {"experiment": "bz", "params": {"z": 0.5, "psi": [[0.6, 0], [0, 0.8]]}, "max_rounds": 3, "trials": 40, "seed": 4}
@@ -630,7 +631,8 @@ def test_sweep_of_a_non_unitary_target_has_no_reference(tmp_path, config):
 
 def test_sample_qidn_reads_target_seed():
     def traces(params):
-        return run_sample(ExperimentConfig("qidn", params=params, max_rounds=2, trials=10, seed=3))["traces"]
+        payload = run_sample(ExperimentConfig("qidn", params=params, max_rounds=2, trials=10, seed=3))
+        return [trace_to_dict(t) for t in payload["traces"]]
 
     assert traces({"target_seed": 7}) != traces({})
     assert traces({"target_seed": 7}) == traces({"target_seed": 7, "target": "haar"})

@@ -1,4 +1,4 @@
-"""The `sample` trace writer: its text is json.dumps(payload, indent=2) + "\\n"."""
+"""The `sample` trace writer: its text is json.dumps of the payload with trace_to_dict traces, + "\\n"."""
 import json
 from unittest import mock
 
@@ -8,11 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qproc import loops
-from qproc.cli import SAMPLE_EXPERIMENTS, ExperimentConfig, _float_grid, run_sample, sample_json
+from qproc.cli import SAMPLE_EXPERIMENTS, ExperimentConfig, _float_grid, run_sample, sample_json, trace_to_dict
+from qproc.loops import LoopRound, LoopTrace
+from qproc.processor import ProgramState
 
 
 def _oracle(payload: dict) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+    return json.dumps({**payload, "traces": [trace_to_dict(t) for t in payload["traces"]]}, indent=2) + "\n"
 
 
 @settings(max_examples=40)
@@ -44,29 +46,41 @@ def test_writer_matches_json_dumps_on_wide_qidn(n_dim, seed, trials, max_rounds)
     assert sample_json(payload) == _oracle(payload)
 
 
-def _round(params, outcome="0", prob=0.5):
-    return {"program_params": params, "outcome": outcome, "prob": prob}
+def _program(params, encoding="raw"):
+    return ProgramState(ket=np.array([1.0, 0.0]), encoding=encoding, params=params)
+
+
+def _round(program, outcome="0", prob=0.5):
+    if not isinstance(program, ProgramState):
+        program = _program(program)
+    return LoopRound(program=program, outcome=outcome, probability=prob)
 
 
 def _trace(rounds, status="succeeded"):
-    return {"rounds": rounds, "succeeded": status == "succeeded", "status": status, "rounds_used": len(rounds)}
+    return LoopTrace(rounds=tuple(rounds), succeeded=status == "succeeded", status=status)
 
 
 def _params_payload(params):
-    """One payload that carries `params` as a program's params and as the config's."""
+    """One payload that carries `params` as a program's params and, as given, as the config's.
+
+    The program's params reach the writer through `_jsonify` (numpy scalars
+    become floats, tuples lists); the config's reach it raw.
+    """
     return {"config": {**CONFIG, "params": params}, "traces": [_trace([_round(params)])], "summary": SUMMARY}
 
 
 CONFIG = {"experiment": "u1", "params": {"alpha": 0.3}, "max_rounds": 2, "trials": 1, "seed": 0, "experiment_index": 0}
 SUMMARY = {"trials": 1, "successes": 1, "empirical": 1.0, "exact": 0.75, "three_sigma": 1.299038105676658}
-SHARED = {"encoding": "u1", "alpha": 0.3}
+SHARED = _program({"alpha": 0.3}, "u1")
+SHARED_ROUND = _round(SHARED, outcome="1", prob=0.25)
+SHARED_TRACE = _trace([SHARED_ROUND, _round(SHARED)])
 
 HAND_BUILT = {
     "zero-rounds": {"config": CONFIG, "traces": [_trace([], "uncorrectable")], "summary": SUMMARY},
     "no-traces": {"config": CONFIG, "traces": [], "summary": SUMMARY},
     "non-ascii": {
         "config": {**CONFIG, "params": {"label": "ψ→φ größe"}},
-        "traces": [_trace([_round({"encoding": "raw", "note": "é \"\\"}, outcome="ϕ")])],
+        "traces": [_trace([_round(_program({"note": "é \"\\", "ψ": "→"}, "räw"), outcome="ϕ")], "ünknown")],
         "summary": SUMMARY,
     },
     "non-finite": {
@@ -77,7 +91,7 @@ HAND_BUILT = {
     "nested-params": {
         "config": CONFIG,
         "traces": [
-            _trace([_round({"encoding": "weyl", "d": [[[1.0, -0.0], [0.5, 2e-300]], []], "empty": {}, "n_dim": 2})]),
+            _trace([_round(_program({"d": [[[1.0, -0.0], [0.5, 2e-300]], []], "empty": {}, "n_dim": 2}, "weyl"))]),
             _trace([_round(SHARED), _round(SHARED, outcome="1", prob=1e-13)], "exhausted"),
         ],
         "summary": SUMMARY,
@@ -107,13 +121,19 @@ HAND_BUILT = {
             **CONFIG,
             "params": {"psi": [0.6, 0.8], "target": [[[1.0, 0.0], [0.5, 0.5]], [[0.5, 0.5], [1.0, 0.0]]]},
         },
-        "traces": [_trace([_round({"encoding": "raw", "v": [0.1, 0.2], "w": {"v": [0.3, 0.4]}})])],
+        "traces": [_trace([_round({"v": [0.1, 0.2], "w": {"v": [0.3, 0.4]}})])],
         "summary": SUMMARY,
     },
     "numpy-scalars": {
-        "config": CONFIG,
+        "config": {**CONFIG, "params": {"alpha": np.float64(0.3)}},
         "traces": [_trace([_round(SHARED, prob=np.float64(0.25))])],
         "summary": {**SUMMARY, "exact": np.float64(0.75)},
+    },
+    "shared-objects": {
+        # One trace object twice, its rounds also in a trace of another status.
+        "config": CONFIG,
+        "traces": [SHARED_TRACE, _trace([SHARED_ROUND], "exhausted"), SHARED_TRACE],
+        "summary": SUMMARY,
     },
 }
 
@@ -141,17 +161,12 @@ def test_float_grid_shape_and_elements():
     assert _float_grid([[[1.0, 2.0]], [[3.0, 4.0]]]) == ((2, 1, 2), [1.0, 2.0, 3.0, 4.0])
 
 
-def test_rounds_of_one_program_share_its_params():
-    payload = run_sample(ExperimentConfig(experiment="u1", seed=3, trials=30, max_rounds=4))
-    firsts = [t["rounds"][0]["program_params"] for t in payload["traces"]]
-    assert all(p is firsts[0] for p in firsts)
-
-
 @pytest.mark.parametrize("experiment", ["u1", "qid2", "qidn"])
 def test_params_memo_survives_rebuilt_programs(experiment):
-    # With no node retained, every round past the first runs a program that
-    # is built, used and freed, so CPython soon reuses its id for another.
+    # With no node retained, every round past the first runs a program built
+    # for its trajectory alone. The writer keys params text on the program's
+    # id, so the text must not change when thousands of programs come and go.
     cfg = ExperimentConfig(experiment=experiment, seed=4, trials=200, max_rounds=5)
-    reference = run_sample(cfg)
+    reference = sample_json(run_sample(cfg))
     with mock.patch.object(loops, "_RETAINED_BYTES", 0):
-        assert run_sample(cfg) == reference
+        assert sample_json(run_sample(cfg)) == reference
