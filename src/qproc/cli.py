@@ -233,6 +233,35 @@ def _complex_vector(v, name: str, length: int | None = None) -> np.ndarray:
     return np.array([_complex(e, name) for e in v])
 
 
+_TINY = math.sqrt(sys.float_info.min)  # below this modulus a square leaves the normal float range
+
+
+def _direction(v: np.ndarray, name: str) -> np.ndarray:
+    """v, of which only the direction is read, checked for a non-zero, finite 2-norm.
+
+    If every |v_i| is below _TINY (about 1.5e-154), where the 2-norm
+    underflows, v is first divided by its largest modulus; other vectors keep their bits.
+    """
+    with np.errstate(over="ignore"):  # an overflowing modulus or norm is inf, reported below
+        m = np.abs(v).max()
+        v = v / m if 0 < m < _TINY else v
+        norm = float(np.linalg.norm(v))
+    if not 0 < norm < np.inf:
+        raise UsageError(f"{name} must have a non-zero 2-norm within float range (each |entry| below about 1.3e154)")
+    return v
+
+
+# The largest processor a config may ask for: program dimension N times data
+# dimension D, checked before anything is built. The block grid has (N D)^2
+# entries: cyclic_shift_processor(512) assembles in 0.64 s at a 124 MB peak.
+_MAX_SIZE = 1024
+
+
+def _check_size(program_dim: int, data_dim: int, what: str) -> None:
+    if program_dim * data_dim > _MAX_SIZE:
+        raise UsageError(f"{what} asks for a processor of size N*D = {program_dim * data_dim}, above {_MAX_SIZE}")
+
+
 # ---------------------------------------------------------------------------
 # Trace serialization (JSON schema used by `sample`)
 # ---------------------------------------------------------------------------
@@ -397,11 +426,7 @@ def _config_state(p: dict, dim: int) -> np.ndarray:
     Amplitudes are numbers or [re, im] pairs, as for every complex field.
     """
     psi = _complex_vector(p["psi"], "params.psi", dim) if "psi" in p else _uniform_state(dim)
-    with np.errstate(over="ignore"):  # an overflowing norm is reported below
-        norm = np.linalg.norm(psi)
-    if not 0 < norm < np.inf:
-        raise UsageError("params.psi must be a non-zero vector of finite norm")
-    return qlinalg.normalize(psi)
+    return qlinalg.normalize(_direction(psi, "params.psi"))
 
 
 _Setup = tuple[ProcessorDefinition, loops.CorrectionRule | None, np.ndarray]
@@ -414,6 +439,7 @@ def _u1(p: dict, aux: tuple) -> _Setup:
 def _bz(p: dict, aux: tuple) -> _Setup:
     z = _complex(p["z"], "z")
     n_program = _integer(p.get("n_program", 2), "n_program", 2)
+    _check_size(n_program, 2, f"n_program={n_program}")
     return zoo.cyclic_shift_processor(n_program), loops.bz_rule(), zoo.bz_operator(z)
 
 
@@ -421,11 +447,14 @@ def _b0(p: dict, aux: tuple) -> _Setup:
     z = _complex(p["z"], "z")
     dim = _integer(p.get("dim", 3), "dim", 2)
     n_program = _integer(p.get("n_program", 2), "n_program", 2)
+    _check_size(n_program, dim, f"dim={dim}, n_program={n_program}")
     return zoo.amp_modifier_processor(dim, n_program), None, zoo.b0_operator(z, dim)
 
 
 def _diagonal(p: dict, aux: tuple) -> _Setup:
     dim = _integer(p["dim"], "dim", 2) if "dim" in p else None  # given entries or phases must match it
+    if dim is not None:
+        _check_size(dim, dim, f"dim={dim}")
     if "entries" in p:
         entries = _complex_vector(p["entries"], "entries", dim)
     elif "phases" in p:
@@ -433,10 +462,8 @@ def _diagonal(p: dict, aux: tuple) -> _Setup:
     else:
         dim = 3 if dim is None else dim
         entries = np.exp(2j * np.pi * np.arange(dim) / dim)
-    with np.errstate(over="ignore"):  # an overflowing norm is reported below
-        norm = float(np.linalg.norm(entries))
-    if not norm < np.inf:  # the norm zoo.diagonal_program divides by
-        raise UsageError(f"entries must have a finite 2-norm (each |entry| below about 1.3e154), got {norm!r}")
+    _check_size(len(entries), len(entries), f"{len(entries)} entries")
+    entries = _direction(entries, "entries")  # zoo.diagonal_program divides by their 2-norm
     return zoo.qudit_diagonal_processor(len(entries)), loops.diagonal_rule(), np.diag(entries)
 
 
@@ -452,6 +479,7 @@ def _qid2(p: dict, aux: tuple) -> _Setup:
 
 def _qidn(p: dict, aux: tuple) -> _Setup:
     n_dim = _integer(p.get("n_dim", 2), "n_dim", 2)
+    _check_size(n_dim**2, n_dim, f"n_dim={n_dim}")
     target = p.get("target", "haar")
     if target == "haar":
         stream = (_integer(p["target_seed"], "target_seed", 0), n_dim) if "target_seed" in p else aux

@@ -636,3 +636,131 @@ def test_sample_qidn_reads_target_seed():
 
     assert traces({"target_seed": 7}) != traces({})
     assert traces({"target_seed": 7}) == traces({"target_seed": 7, "target": "haar"})
+
+
+# ---------------------------------------------------------------------------
+# numerical edges of config vectors; the processor size cap
+# ---------------------------------------------------------------------------
+
+# (experiment, a vector whose 2-norm underflows, the same direction in range)
+UNDERFLOWING = [
+    ("u1", {"psi": [1e-300, 1e-160]}, {"psi": [1e-300 / 1e-160, 1.0]}),
+    ("u1", {"psi": [1e-200, 0]}, {"psi": [1.0, 0.0]}),
+    ("diagonal", {"entries": [1e-160, 1e-160, 1e-160]}, {"entries": [1, 1, 1]}),
+    ("diagonal", {"entries": [1e-200, 1e-200, 1e-200]}, {"entries": [1, 1, 1]}),
+]
+
+
+@pytest.mark.parametrize("command", ["sweep", "sample"])
+@pytest.mark.parametrize(
+    "experiment, tiny, in_range",
+    UNDERFLOWING,
+    ids=["psi-norm-subnormal", "psi-norm-zero", "entries-1e-160", "entries-1e-200"],
+)
+def test_a_vector_whose_norm_underflows_runs_as_its_rescaled_direction(tmp_path, command, experiment, tiny, in_range):
+    def output(params):
+        config = {"experiment": experiment, "params": params}
+        config.update({"grid": {"n": [1, 3]}} if command == "sweep" else {"max_rounds": 3, "trials": 20})
+        assert _exit_code(tmp_path, command, config) == 0
+        text = (tmp_path / "out").read_text()
+        return text if command == "sweep" else {k: v for k, v in json.loads(text).items() if k != "config"}
+
+    assert output(tiny) == output(in_range)
+
+
+class _Built(Exception):
+    """A zoo constructor ran."""
+
+
+def _constructor_raises(monkeypatch, name):
+    def build(*args):
+        raise _Built(name)
+
+    monkeypatch.setattr(zoo, name, build)
+
+
+# (command, experiment, params at the largest size allowed, the key that sets
+# the size, the zoo constructor): each case is also run with that key one past
+# the cap of N*D = 1024 and at 2**70.
+AT_THE_CAP = [
+    ("sweep", "bz", {"n_program": 512}, "n_program", "cyclic_shift_processor"),
+    ("sample", "bz", {"n_program": 512}, "n_program", "cyclic_shift_processor"),
+    ("sample", "bz_haar", {"n_program": 512}, "n_program", "cyclic_shift_processor"),
+    ("sweep", "b0", {"dim": 2, "n_program": 512}, "n_program", "amp_modifier_processor"),
+    ("sweep", "b0", {"dim": 512, "n_program": 2}, "dim", "amp_modifier_processor"),
+    ("sweep", "diagonal", {"dim": 32}, "dim", "qudit_diagonal_processor"),
+    ("sample", "diagonal", {"dim": 32, "phases": [0.0] * 32}, "dim", "qudit_diagonal_processor"),
+    ("sample", "qidn", {"n_dim": 10}, "n_dim", "qidN"),
+    ("sweep", "qidn", {"n_dim": 10}, "n_dim", "qidN"),
+]
+
+
+def _sized_config(command, experiment, params):
+    config = {"experiment": experiment, "params": params}
+    return {**config, "grid": ONE_POINT[experiment]} if command == "sweep" else config
+
+
+@pytest.mark.parametrize("command, experiment, params, key, constructor", AT_THE_CAP)
+def test_the_largest_allowed_processor_reaches_its_constructor(
+    tmp_path, monkeypatch, command, experiment, params, key, constructor
+):
+    _constructor_raises(monkeypatch, constructor)
+    with pytest.raises(_Built):
+        _exit_code(tmp_path, command, _sized_config(command, experiment, params))
+
+
+@pytest.mark.parametrize("size", ["cap+1", "2**70"])
+@pytest.mark.parametrize("command, experiment, params, key, constructor", AT_THE_CAP)
+def test_a_processor_past_the_size_cap_is_usage_error(
+    tmp_path, capsys, monkeypatch, command, experiment, params, key, constructor, size
+):
+    _constructor_raises(monkeypatch, constructor)
+    value = 2**70 if size == "2**70" else params[key] + 1
+    assert _exit_code(tmp_path, command, _sized_config(command, experiment, {**params, key: value})) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "above 1024" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["sweep", "sample"])
+@pytest.mark.parametrize("key", ["entries", "phases"])
+def test_diagonal_values_past_the_size_cap_are_usage_error(tmp_path, capsys, monkeypatch, command, key):
+    _constructor_raises(monkeypatch, "qudit_diagonal_processor")
+    assert _exit_code(tmp_path, command, _sized_config(command, "diagonal", {key: [1.0] * 33})) == 2
+    err = capsys.readouterr().err
+    assert err == "error: 33 entries asks for a processor of size N*D = 1089, above 1024\n"
+
+
+# ---------------------------------------------------------------------------
+# exit code 1 outside verify
+# ---------------------------------------------------------------------------
+
+def test_sweep_deviation_above_tol_exits_1(tmp_path, capsys):
+    # The exact walk reads this point 7.9e-14 off the loop law, above a 1e-15 tolerance.
+    config = {"experiment": "qidn", "params": {"n_dim": 2, "target_seed": 7}, "grid": {"k": [24]}}
+    cfg_path, out = tmp_path / "cfg.json", tmp_path / "x.csv"
+    cfg_path.write_text(json.dumps(config))
+    assert main(["sweep", "--config", str(cfg_path), "--out", str(out), "--tol", "1e-15"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("deviation ") and err.endswith(" above 1.0e-15 in qidn_loop_success (k=24)\n")
+    assert len(out.read_text().splitlines()) == 2
+
+
+def test_sample_outside_tolerance_exits_1(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(loops, "exact_walk", lambda tree, n: 0.0)  # an exact value no trial frequency meets
+    cfg_path, out = tmp_path / "cfg.json", tmp_path / "x.json"
+    cfg_path.write_text(json.dumps({"experiment": "u1", "max_rounds": 2, "trials": 50}))
+    assert main(["sample", "--config", str(cfg_path), "--out", str(out), "--tol", "0.01"]) == 1
+    assert capsys.readouterr().err == "empirical frequency outside the requested tolerance\n"
+    assert json.loads(out.read_text())["summary"]["exact"] == 0.0
+
+
+def test_reproduce_unflagged_deviation_exits_1(tmp_path, capsys, monkeypatch):
+    rows = [
+        cli.ResultRow("u1_probe", "alpha=0.3", 0.5, 0.75),
+        cli.ResultRow("u1_flagged", "alpha=0.3", 0.5, 0.75, note="approx: a flagged row does not count"),
+    ]
+    monkeypatch.setitem(cli._TABLE_BUILDERS, "u1", lambda: rows)
+    out = tmp_path / "u1.csv"
+    assert main(["reproduce", "--table", "u1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "unflagged deviation 2.500e-01 in u1_probe (alpha=0.3)\n"
+    assert len(out.read_text().splitlines()) == 3
