@@ -305,7 +305,8 @@ class _Round:
 
     `probs` grows in label order only as far as a draw reads it, and
     `drawn[i]` is the LoopRound of branch i, post-state included, made on
-    the first draw of i, and `ends[i, status]` the LoopTrace that ends so.
+    the first draw of i; `ends[i, status]` is the LoopTrace of a trajectory
+    whose last draw was i here and that ended with that status.
     """
 
     __slots__ = ("amps", "probs", "drawn", "ends")

@@ -203,6 +203,26 @@ def test_tree_with_a_state_shares_each_round():
     assert not firsts[0].post_state.flags.writeable
 
 
+def test_tree_with_a_state_shares_each_trace():
+    # One LoopTrace per outcome history and status: u1 ends succeeded or
+    # exhausted, and bz at z = 2 also uncorrectable once the corrected ratio
+    # z^(2^k) leaves the range.
+    psi = np.array([0.6, 0.8])
+    statuses = set()
+    for proc, rule, target, max_rounds in (
+        (zoo.u1_cnot(), loops.u1_rule(), zoo.u1_operator(0.3), 3),
+        (zoo.cyclic_shift_processor(2), loops.bz_rule(), zoo.bz_operator(2.0), 60),
+    ):
+        tree = OutcomeTree(proc, target, rule, psi)
+        traces = [run_loop(tree, psi, max_rounds, derive_stream(7, t)) for t in range(200)]
+        ids = {}
+        for trace in traces:
+            ids.setdefault((trace.status, tuple(r.outcome for r in trace.rounds)), set()).add(id(trace))
+        assert all(len(shared) == 1 for shared in ids.values())
+        statuses |= {status for status, _ in ids}
+    assert statuses == {"succeeded", "exhausted", "uncorrectable"}
+
+
 def test_run_loop_rejects_a_psi_other_than_the_trees():
     proc, rule, target = _family("qid2", 4)
     psi = np.array([0.6, 0.8])
