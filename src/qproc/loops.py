@@ -240,7 +240,7 @@ def unitary_scale(m: np.ndarray) -> float | None:
     """c with m^dag m = c I within 1e-8 (relative), or None: m is not proportional to a unitary."""
     g = np.conjugate(m).T @ m
     c = float(np.trace(g).real) / m.shape[0]
-    if c > 0 and np.linalg.norm(g - c * np.eye(m.shape[0])) <= 1e-8 * max(1.0, c) * m.shape[0]:
+    if c > 0 and np.linalg.norm(g - c * np.eye(m.shape[0])) <= 1e-8 * c * m.shape[0]:
         return c
     return None
 

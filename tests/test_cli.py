@@ -3,8 +3,8 @@ import csv
 import io
 import itertools
 import json
-
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -342,6 +342,21 @@ def test_sample_byte_identical_across_runs(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_sample_peak_memory_stays_below_the_file_size(tmp_path):
+    # The trace file is written piece by piece as it is rendered. Held whole,
+    # with the copies that joining its pieces makes, it would peak at about
+    # four times its own size.
+    cfg_path, out = tmp_path / "cfg.json", tmp_path / "traces.json"
+    cfg_path.write_text(json.dumps({"experiment": "qid2", "max_rounds": 8, "trials": 8000, "seed": 5}))
+    tracemalloc.start()
+    try:
+        assert main(["sample", "--config", str(cfg_path), "--out", str(out)]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < out.stat().st_size
+
+
 @pytest.mark.parametrize("experiment", cli.SAMPLE_EXPERIMENTS)
 def test_sample_trials_are_independent_of_order_and_tree(experiment):
     """Trial t's trace is run_loop on derive_stream(seed, e, t + 1) alone: any order, a fresh tree each."""
@@ -616,8 +631,11 @@ def test_diagonal_sweep_reads_entries():
     [
         {"experiment": "diagonal", "params": {"entries": [1e-300, 1, 1]}, "grid": {"n": [3]}},
         {"experiment": "qidn", "params": {"target": [[1e-6, 0], [0, 1]]}, "grid": {"n_dim": [2], "k": [3]}},
+        # Not unitary at any scale: the test of m^dag m = cI is relative to c.
+        {"experiment": "diagonal", "params": {"entries": [1e-5, 2e-5, 3e-5]}, "grid": {"n": [3]}},
+        {"experiment": "qidn", "params": {"target": [[1e-5, 0], [0, 2e-5]]}, "grid": {"k": [3]}},
     ],
-    ids=["diagonal-entry-tiny", "qidn-target-not-unitary"],
+    ids=["diagonal-entry-tiny", "qidn-target-not-unitary", "diagonal-small-scale", "qidn-small-scale"],
 )
 def test_sweep_of_a_non_unitary_target_has_no_reference(tmp_path, config):
     """The loop law holds for unitary targets only; any other loop has no reference to fail against."""
@@ -627,6 +645,24 @@ def test_sweep_of_a_non_unitary_target_has_no_reference(tmp_path, config):
     (row,) = csv.DictReader(io.StringIO(out.read_text()))
     assert row["paper_value"] == row["deviation"] == ""
     assert 0 < float(row["computed"]) < 0.5
+
+
+@pytest.mark.parametrize(
+    "experiment, params, grid",
+    [
+        ("diagonal", {"entries": [1e-5, [0, 1e-5], -1e-5]}, {"n": [3]}),
+        ("qidn", {"target": [[1e-5, 0], [0, -1e-5]]}, {"k": [3]}),
+    ],
+    ids=["diagonal", "qidn"],
+)
+def test_sweep_of_a_small_multiple_of_a_unitary_gets_the_loop_law(tmp_path, experiment, params, grid):
+    cfg_path, out = tmp_path / "cfg.json", tmp_path / "x.csv"
+    cfg_path.write_text(json.dumps({"experiment": experiment, "params": params, "grid": grid}))
+    assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 0
+    (row,) = csv.DictReader(io.StringIO(out.read_text()))
+    n_program = 3 if experiment == "diagonal" else 4
+    assert float(row["paper_value"]) == zoo.loop_success(n_program, 3)
+    assert float(row["deviation"]) <= 1e-9
 
 
 def test_sample_qidn_reads_target_seed():

@@ -66,7 +66,9 @@ def _einsum_deviation(blocks):
     return max(np.abs(left - eye).max(), np.abs(right - eye).max())
 
 
-@pytest.mark.parametrize("n, d", [(2, 2), (3, 2), (4, 3), (2, 5), (9, 3)])
+# (15, 9): 135 rows, so the check runs a full block of processor._CHECK_ROWS
+# (128) and a partial one.
+@pytest.mark.parametrize("n, d", [(2, 2), (3, 2), (4, 3), (2, 5), (9, 3), (15, 9)])
 @pytest.mark.parametrize("eps", [1e-11, 1e-7, 1e-3])
 def test_assemble_deviation_matches_einsum_oracle(n, d, eps):
     rng = derive_stream(401, n, d)
@@ -81,6 +83,27 @@ def test_assemble_deviation_matches_einsum_oracle(n, d, eps):
     if want > 1e-9:
         with pytest.raises(InvalidProcessor):
             assemble(blocks)
+
+
+def test_assemble_sees_a_defect_in_the_last_rows_alone():
+    # Scaling grid row (N-1, D-1) puts the largest deviation on the last
+    # diagonal entry of G G^dag, which only the final, partial row block forms.
+    n, d = 15, 9
+    g = random_unitary(d * n, derive_stream(402))
+    blocks = g.reshape(d, n, d, n).transpose(1, 3, 0, 2).copy()
+    blocks[n - 1, :, d - 1, :] *= 1 + 1e-6
+    want = _einsum_deviation(blocks)
+    assemble(blocks, tol=want + 1e-15)
+    with pytest.raises(InvalidProcessor):
+        assemble(blocks, tol=want - 1e-15)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_assemble_rejects_non_finite_grid(value):
+    blocks = _cnot_blocks().astype(complex)
+    blocks[1, 1, 0, 1] = value
+    with pytest.raises(InvalidProcessor, match="nan"):
+        assemble(blocks)
 
 
 def test_assemble_rejects_malformed_grid():

@@ -1,4 +1,4 @@
-"""The `sample` trace writer: its text is json.dumps of the payload with trace_to_dict traces, + "\\n"."""
+"""The `sample` trace writer: its joined pieces are json.dumps of the payload with trace_to_dict traces, + "\\n"."""
 import json
 from unittest import mock
 
@@ -17,6 +17,10 @@ def _oracle(payload: dict) -> str:
     return json.dumps({**payload, "traces": [trace_to_dict(t) for t in payload["traces"]]}, indent=2) + "\n"
 
 
+def _written(payload: dict) -> str:
+    return "".join(sample_json(payload))
+
+
 @settings(max_examples=40)
 @given(
     experiment=st.sampled_from(SAMPLE_EXPERIMENTS),
@@ -29,7 +33,7 @@ def test_writer_matches_json_dumps(experiment, seed, trials, max_rounds):
         max_rounds = 1  # bz_haar is single-shot
     cfg = ExperimentConfig(experiment=experiment, seed=seed, trials=trials, max_rounds=max_rounds)
     payload = run_sample(cfg)
-    assert sample_json(payload) == _oracle(payload)
+    assert _written(payload) == _oracle(payload)
 
 
 @settings(max_examples=12, deadline=None)
@@ -43,7 +47,7 @@ def test_writer_matches_json_dumps_on_wide_qidn(n_dim, seed, trials, max_rounds)
     # Each weyl program carries an n_dim x n_dim block of [re, im] pairs.
     cfg = ExperimentConfig(experiment="qidn", params={"n_dim": n_dim}, seed=seed, trials=trials, max_rounds=max_rounds)
     payload = run_sample(cfg)
-    assert sample_json(payload) == _oracle(payload)
+    assert _written(payload) == _oracle(payload)
 
 
 def _program(params, encoding="raw"):
@@ -141,7 +145,15 @@ HAND_BUILT = {
 @pytest.mark.parametrize("case", sorted(HAND_BUILT))
 def test_writer_matches_json_dumps_on_edge_payloads(case):
     payload = HAND_BUILT[case]
-    assert sample_json(payload) == _oracle(payload)
+    assert _written(payload) == _oracle(payload)
+
+
+def test_writer_yields_the_head_one_piece_per_trace_and_the_tail():
+    payload = HAND_BUILT["shared-objects"]
+    pieces = list(sample_json(payload))
+    assert len(pieces) == len(payload["traces"]) + 2
+    # The first and last occurrence of the shared trace are the same text.
+    assert pieces[1] == pieces[3][1:]
 
 
 @pytest.mark.parametrize(
@@ -167,6 +179,6 @@ def test_params_memo_survives_rebuilt_programs(experiment):
     # for its trajectory alone. The writer keys params text on the program's
     # id, so the text must not change when thousands of programs come and go.
     cfg = ExperimentConfig(experiment=experiment, seed=4, trials=200, max_rounds=5)
-    reference = sample_json(run_sample(cfg))
+    reference = _written(run_sample(cfg))
     with mock.patch.object(loops, "_RETAINED_BYTES", 0):
-        assert sample_json(run_sample(cfg)) == reference
+        assert _written(run_sample(cfg)) == reference
