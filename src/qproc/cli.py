@@ -817,9 +817,9 @@ def _single_shot_hits(dec):
     return hits
 
 
-def _loop_hits(tree, psi, rounds):
+def _loop_hits(tree, rounds):
     def hits(entropy, ks):
-        return sum(loops.run_loop(tree, psi, rounds, rng).succeeded for rng in reseeded(entropy, ks))
+        return sum(loops.run_loop(tree, tree.psi, rounds, rng).succeeded for rng in reseeded(entropy, ks))
 
     return hits
 
@@ -849,7 +849,7 @@ def _sweep_point(experiment: str, merged: dict, aux: tuple, trees: dict | None =
         tree = trees.get(key)
         if tree is None:
             tree = trees[key] = loops.OutcomeTree(proc, target, rule, psi)
-        computed, hits = loops.exact_walk(tree, rounds), _loop_hits(tree, psi, rounds)
+        computed, hits = loops.exact_walk(tree, rounds), _loop_hits(tree, rounds)
     kind = "single_shot" if family.shot else "loop"
     return f"{experiment}_{kind}_success", computed, family.law(proc, target, psi, rounds), hits
 

@@ -24,21 +24,20 @@ round budgets and the sampled trajectories of one loop share one tree's
 nodes; `exact_success` is that walk on a fresh tree.
 
 A sampled round does not split every branch. It applies the node's stacked
-branch operators to the state in one product, computes branch probabilities
-in label order only until the uniform draw lands (`processor.inverse_cdf`,
-the walk `select_branch` also uses), and normalizes only the chosen
-post-state. The stacked product equals the per-branch `op @ psi` of
-`decompose` bit for bit, so a round draws the same label, probability and
-post-state as `select_branch(decompose(...))` on the same stream.
+branch operators to the state in one product, computes all branch
+probabilities from one stacked product (`processor.branch_probabilities`),
+draws a label by `processor.inverse_cdf` (the walk `select_branch` also
+uses), and normalizes only the chosen post-state. `decompose` forms the same
+two products, so a round draws the same label, probability and post-state as
+`select_branch(decompose(...))` on the same stream.
 
 When every trajectory starts from one data state, pass it to the tree:
 `OutcomeTree(proc, target, rule, psi)`. The outcomes then fix the state at
 each node too, so a node's round is computed once. The first trajectory to
-reach a node stores the product, the probabilities it read and the
+reach a node stores the product, the branch probabilities and the
 LoopRound of the branch it drew; later ones draw a uniform over the stored
-probabilities (extending them only as far as a draw reads) and reuse the
-stored rounds, post-states included, and the stored LoopTrace of a
-trajectory that ends there. Each stored value comes from the same
+probabilities and reuse the stored rounds, post-states included, and the
+stored LoopTrace of a trajectory that ends there. Each stored value comes from the same
 expression on the same inputs, so traces are byte-identical to those of a
 tree without a state. A tree without a state (a Haar-random psi per
 trajectory) computes each round afresh, in the same loop body.
@@ -47,11 +46,12 @@ The exact walk stores its own entry on each node it reaches (`_Exact`:
 amplitudes and probabilities by `np.einsum`, the success mass, the failure
 branches and whether the node collapses), so a deeper round budget on the
 same tree re-folds the stored entries and builds only the nodes past the
-previous depth. The sampled round keeps its `ops @ state` and `np.vdot`
-arithmetic, which `decompose` shares; the two disagree in the last bits, so
-neither walk reads the other's numbers. The exact walk keeps its own stack
-instead of recursing, so a round budget of any depth runs within Python's
-recursion limit, and it adds each node's failure terms in label order.
+previous depth. The sampled round keeps its `ops @ state` and
+`branch_probabilities` arithmetic, which `decompose` shares; the two
+disagree in the last bits, so neither walk reads the other's numbers. The
+exact walk keeps its own stack instead of recursing, so a round budget of
+any depth runs within Python's recursion limit, and it adds each node's
+failure terms in label order.
 """
 from __future__ import annotations
 
@@ -67,6 +67,7 @@ from .processor import (
     ProgramBasis,
     ProgramState,
     branch_operators,
+    branch_probabilities,
     data_state,
     decompose,  # noqa: F401 - re-exported: callers look it up in loops
     inverse_cdf,
@@ -301,29 +302,22 @@ def _rescaled(residual: np.ndarray) -> np.ndarray:
 
 
 class _Round:
-    """A node's round on one data state: amplitudes, probabilities read so far, drawn rounds.
+    """A node's round on one data state: amplitudes, branch probabilities, drawn rounds.
 
-    `probs` grows in label order only as far as a draw reads it, and
-    `drawn[i]` is the LoopRound of branch i, post-state included, made on
-    the first draw of i; `ends[i, status]` is the LoopTrace of a trajectory
-    whose last draw was i here and that ended with that status.
+    `probs` holds every branch probability in label order, computed when
+    the round is made, and `drawn[i]` is the LoopRound of branch i,
+    post-state included, made on the first draw of i; `ends[i, status]` is
+    the LoopTrace of a trajectory whose last draw was i here and that ended
+    with that status.
     """
 
     __slots__ = ("amps", "probs", "drawn", "ends")
 
     def __init__(self, amps: np.ndarray):
         self.amps = amps  # (N, D): branch operator b applied to the state
-        self.probs: list[float] = []
+        self.probs = branch_probabilities(amps)
         self.drawn: dict[int, LoopRound] = {}
         self.ends: dict[tuple[int, str], LoopTrace] = {}
-
-    def probabilities(self):
-        """Branch probabilities in label order: the stored ones, then new ones as they are read."""
-        yield from self.probs
-        for a in self.amps[len(self.probs):]:
-            p = float(np.vdot(a, a).real)
-            self.probs.append(p)
-            yield p
 
 
 class _Exact:
@@ -372,7 +366,7 @@ class OutcomeTree:
     `psi`, when given, is the data state every trajectory of the loop
     starts from. Outcomes then fix the state at every node as well, so a
     node's round is computed once: the first trajectory to reach it stores
-    the amplitudes `ops @ state`, the branch probabilities it reads and the
+    the amplitudes `ops @ state`, the branch probabilities and the
     LoopRound of each branch it draws, and later trajectories only draw a
     uniform over the stored probabilities. Those arrays count against the
     cap too, and so do the entries `exact_walk` keeps on the retained nodes
@@ -381,9 +375,7 @@ class OutcomeTree:
     and there is no exact walk.
 
     The tree takes no lock: threads sharing one may build a node twice and
-    overshoot the cap, and on a tree with a state two threads extending one
-    node's probability list could interleave their entries, so give each
-    thread its own tree.
+    overshoot the cap, so give each thread its own tree.
     """
 
     def __init__(self, proc: ProcessorDefinition, target, rule: CorrectionRule, psi=None):
@@ -440,7 +432,12 @@ class OutcomeTree:
         return True
 
     def start(self, psi) -> np.ndarray:
-        """The validated data state a trajectory starts from; on a tree with a state, psi must be it."""
+        """The validated data state a trajectory starts from; on a tree with a state, psi must be it.
+
+        The tree's own `psi` object, read-only, is returned unchecked.
+        """
+        if psi is self.psi and psi is not None:
+            return psi
         state = data_state(self.proc, psi)
         if self.psi is None:
             return state
@@ -486,7 +483,7 @@ def run_loop(tree: OutcomeTree, psi, max_rounds: int, rng: np.random.Generator) 
             status = "uncorrectable"
             break
         held = tree.round_at(node, state)
-        i, p = inverse_cdf(held.probabilities(), rng.random())
+        i, p = inverse_cdf(held.probs, rng.random())
         r = held.drawn.get(i)
         if r is None:
             post = held.amps[i] / np.sqrt(p)

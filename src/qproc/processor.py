@@ -148,12 +148,18 @@ class ProcessorDefinition:
     C-contiguous grid stored in (N, D, D, N) order, program input index k
     last, which is the layout `branch_operators` contracts over; any array
     of the right shape also works, at the cost of a copy per contraction.
+
+    `gather`, set by `assemble` on a 0/1 grid (each row of the (N*D*D, N)
+    grid holds at most one nonzero entry, an exact 1), maps each row to the
+    program index of its 1, and an empty row to N. It is None on any other
+    grid, such as qid2's or a Haar grid, and without `assemble`.
     """
 
     data_dim: int
     program_dim: int
     blocks: np.ndarray  # shape (N, N, D, D)
     label: str = ""
+    gather: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def global_unitary(self) -> np.ndarray:
         """Materialize G = sum_jk A_jk (x) |j><k| as a (D*N) x (D*N) matrix."""
@@ -195,7 +201,8 @@ def assemble(blocks, label: str = "", tol: float = _COMPLETENESS_TOL) -> Process
     G G^dag with rows and columns permuted alike: both sums are checked on M,
     a few rows of each product at a time (`_completeness_deviation`). Raises
     InvalidProcessor when either deviates from identity by more than tol
-    (largest absolute entry) or holds a nan.
+    (largest absolute entry) or holds a nan. A valid 0/1 grid also gets its
+    `gather` map.
     """
     b = np.asarray(blocks, dtype=complex)
     if b.ndim != 4 or b.shape[0] != b.shape[1] or b.shape[2] != b.shape[3]:
@@ -208,7 +215,18 @@ def assemble(blocks, label: str = "", tol: float = _COMPLETENESS_TOL) -> Process
     dev = _completeness_deviation(grid.reshape(grid.shape[0] * grid.shape[1], -1))
     if not dev <= tol:  # a nan entry fails
         raise InvalidProcessor(f"completeness sums deviate by {dev:.3e} (> {tol:.1e})")
+    object.__setattr__(proc, "gather", _gather_index(grid.reshape(-1, grid.shape[-1])))
     return proc
+
+
+def _gather_index(rows: np.ndarray) -> np.ndarray | None:
+    """Read-only column of each row's one entry, N for an empty row; None unless every entry is 0 or exactly 1."""
+    nonzero = rows != 0
+    if nonzero.sum(axis=1).max() > 1 or not np.all(rows[nonzero] == 1):
+        return None
+    index = np.where(nonzero.any(axis=1), nonzero.argmax(axis=1), rows.shape[1])
+    index.setflags(write=False)
+    return index
 
 
 def _program_ket(xi) -> np.ndarray:
@@ -216,19 +234,29 @@ def _program_ket(xi) -> np.ndarray:
 
 
 def branch_operators(proc: ProcessorDefinition, xi, basis: ProgramBasis) -> np.ndarray:
-    """All branch operators A_b = sum_j <b|j> A_j, shape (N, D, D), with A_j = sum_k <k|program> A_jk."""
+    """All branch operators A_b = sum_j <b|j> A_j, shape (N, D, D), with A_j = sum_k <k|program> A_jk.
+
+    The bits are those of np.tensordot's two products: the stored
+    (N, D, D, N) grid as an (N*D*D, N) matrix times the program as an
+    (N, 1) column, then the basis bras times the (N, D*D) matrix of A_j.
+    On a 0/1 grid (`ProcessorDefinition.gather`) the first product is a
+    gather instead: each entry of A_j is one program amplitude (1*x is
+    exact) or none (a sum of exact zeros), and adding +0.0 gives a zero the
+    sign the product's sum gives it. Other grids form the product.
+    """
     amps = _program_ket(xi)
     if amps.shape[0] != proc.program_dim:
         raise DimensionMismatch("program dimension does not match processor")
     if basis.dim != proc.program_dim:
         raise DimensionMismatch("basis dimension does not match processor")
-    # The two products np.tensordot forms for these operands, without its
-    # axis bookkeeping: the stored (N, D, D, N) grid as an (N*D*D, N) matrix
-    # times the program as an (N, 1) column, then the basis bras times the
-    # (N, D*D) matrix of A_j. Same operands and layouts, so the same bits.
     n, d = proc.program_dim, proc.data_dim
-    grid = proc.blocks.transpose(0, 2, 3, 1).reshape(n * d * d, n)
-    a_j = np.dot(grid, amps.reshape(n, 1))
+    if proc.gather is not None:
+        ext = np.zeros(n + 1, dtype=complex)  # ext[n] stays 0: the slot of the empty rows
+        np.add(amps, 0.0, out=ext[:n])
+        a_j = ext.take(proc.gather)
+    else:
+        grid = proc.blocks.transpose(0, 2, 3, 1).reshape(n * d * d, n)
+        a_j = np.dot(grid, amps.reshape(n, 1))
     return np.dot(basis.bras, a_j.reshape(n, d * d)).reshape(n, d, d)
 
 
@@ -252,20 +280,30 @@ def decompose(
 
     Branch b carries operator A_b, probability ||A_b psi||^2 and the
     normalized post-state; probabilities sum to 1 for a valid processor.
-    The basis defaults to the computational program basis.
+    The basis defaults to the computational program basis. The amplitudes
+    are one stacked `ops @ psi` and the probabilities `branch_probabilities`,
+    the arithmetic of a sampled loop round.
     """
     psi = data_state(proc, psi)
     if basis is None:
         basis = ProgramBasis.computational(proc.program_dim)
     ops = branch_operators(proc, xi, basis)
     ops.setflags(write=False)  # each branch keeps a view of the stack
+    amps = ops @ psi
     branches = []
-    for op, label in zip(ops, basis.labels):
-        amp = op @ psi
-        p = float(np.vdot(amp, amp).real)
+    for op, label, amp, p in zip(ops, basis.labels, amps, branch_probabilities(amps)):
         post = amp / np.sqrt(p) if p >= PROB_CUTOFF else None
         branches.append(Branch(label=label, operator=op, probability=p, post_state=post))
     return BranchDecomposition(branches=tuple(branches))
+
+
+def branch_probabilities(amps: np.ndarray) -> list[float]:
+    """||a||^2 for each row a of the (N, D) stack, with the bits of float(np.vdot(a, a).real), from one product.
+
+    numpy hands each stacked 1 x D times D x 1 product to BLAS `zdotu` on
+    the conjugated row, which gives the bits of `np.vdot`'s `zdotc`.
+    """
+    return (np.conjugate(amps)[:, None, :] @ amps[:, :, None]).real.reshape(-1).tolist()
 
 
 def inverse_cdf(probabilities: Iterable[float], r: float) -> tuple[int, float]:

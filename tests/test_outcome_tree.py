@@ -233,6 +233,16 @@ def test_run_loop_rejects_a_psi_other_than_the_trees():
             run_loop(tree, np.array(other), MAX_ROUNDS, derive_stream(1))
 
 
+def test_start_returns_the_trees_own_psi_without_checking_it_again():
+    proc, rule, target = _family("qid2", 4)
+    tree = OutcomeTree(proc, target, rule, np.array([0.6, 0.8]))
+    with mock.patch.object(loops, "data_state", side_effect=AssertionError("checked again")):
+        assert tree.start(tree.psi) is tree.psi
+    assert tree.start(np.array([0.6, 0.8])) is tree.psi  # an equal copy is checked, then the tree's psi is used
+    with pytest.raises(ValueError):
+        tree.start(np.array([0.8, 0.6]))
+
+
 # Collapsing (unitary) and non-collapsing (bz, diagonal off the unit circle) loops.
 EXACT_FAMILIES = ("u1", "qid2", "qidN2", "qidN3", "qidN4", "bz", "diagonal")
 

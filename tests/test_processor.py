@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qproc import zoo
+from qproc import processor, zoo
 from qproc.processor import (
     PROB_CUTOFF,
     DimensionMismatch,
@@ -437,3 +437,67 @@ def test_plain_block_processor_decomposes_like_the_assembled_one(n, d):
             assert b.operator.tobytes() == w.operator.tobytes()
         joint = sum(np.kron(b.operator @ psi, np.eye(n)[j]) for j, b in enumerate(got.branches))
         assert np.linalg.norm(joint - g @ np.kron(psi, xi.ket)) <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# Gather on 0/1 grids, and the stacked branch probabilities
+# ---------------------------------------------------------------------------
+
+# Signed and exact zeros, negatives and subnormals: the parts where a gather
+# could differ from the dense product in a bit.
+_EDGE_PARTS = np.array([0.0, -0.0, 1.0, -1.0, 0.6, -2.5, 5e-324, -5e-324, 1e-300, -3e7])
+
+
+def _check_gather_bits(proc, rng):
+    n = proc.program_dim
+    kets = 40 if n <= 16 else 10  # the reference product on qidN(8) reads 4 MiB
+    mixed = ProgramBasis(vectors=random_unitary(n, rng), labels=tuple(map(str, range(n))))
+    for basis in (ProgramBasis.computational(n), mixed):
+        for _ in range(kets):
+            amps = rng.choice(_EDGE_PARTS, n) + 1j * rng.choice(_EDGE_PARTS, n)
+            got = branch_operators(proc, amps, basis)
+            assert got.tobytes() == _old_branch_operators(proc.blocks, amps, basis).tobytes()
+
+
+@pytest.mark.parametrize("proc", [*_all_processors(), zoo.qidN(4), zoo.qidN(8)], ids=lambda p: p.label)
+def test_gather_matches_the_dense_product_bit_for_bit(proc):
+    # Every zoo grid is 0/1 except qid2's.
+    assert (proc.gather is None) == (proc.label == "qid2")
+    assert proc.gather is None or not proc.gather.flags.writeable
+    _check_gather_bits(proc, derive_stream(410, proc.program_dim, proc.data_dim))
+
+
+def _with_first_entry(proc, value):
+    blocks = np.array(proc.blocks)
+    blocks[tuple(np.argwhere(blocks != 0)[0])] = value
+    return assemble(blocks, label=f"{proc.label} with {value!r}")
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: assemble(_haar_grid(3, 2, 1)[1]),
+        lambda: _with_first_entry(zoo.qidN(2), -1.0),
+        lambda: _with_first_entry(zoo.cyclic_shift_processor(3), np.exp(0.7j)),
+        lambda: _with_first_entry(zoo.u1_cnot(), 1.0 - 2.0**-52),
+        lambda: ProcessorDefinition(data_dim=2, program_dim=2, blocks=_cnot_blocks(), label="plain cnot"),
+    ],
+    ids=["haar", "minus-one", "phase", "just-below-one", "not-assembled"],
+)
+def test_grids_that_are_not_0_1_keep_the_dense_product(make):
+    proc = make()
+    assert proc.gather is None
+    _check_gather_bits(proc, derive_stream(411, proc.program_dim, proc.data_dim))
+
+
+@settings(max_examples=60)
+@given(n=st.integers(1, 70), d=st.integers(2, 32), seed=st.integers(0, 2**32 - 1))
+def test_branch_probabilities_are_the_bits_of_vdot(n, d, seed):
+    rng = derive_stream(412, seed)
+    a = rng.normal(size=(n, d)) + 1j * rng.normal(size=(n, d))
+    a *= 10.0 ** rng.uniform(-150, 2, size=(n, 1))
+    a.real[rng.random((n, d)) < 0.2] = -0.0
+    a.imag[rng.random((n, d)) < 0.2] = 0.0
+    got = processor.branch_probabilities(a)
+    assert np.array(got).tobytes() == np.array([float(np.vdot(r, r).real) for r in a]).tobytes()
+    assert all(type(p) is float for p in got)
