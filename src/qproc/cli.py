@@ -45,7 +45,7 @@ from .processor import (
     inverse_cdf_many,
 )
 from .qlinalg import dagger, phase_distance, random_state, random_unitary, su2_exp
-from .streams import derive_stream, first_uniforms, reseeded, trial_indices
+from .streams import derive_stream, first_uniforms, reseeded, trial_indices, uniform_draws
 
 ENV_OUT_DIR = "QPROC_OUT_DIR"
 
@@ -587,16 +587,20 @@ def _loop_setup(cfg: ExperimentConfig) -> tuple[loops.OutcomeTree, float]:
 
 
 def run_sample(cfg: ExperimentConfig) -> dict:
-    """Run the configured trajectories: the payload that `sample_json` writes, one LoopTrace per trial."""
+    """Run the configured trajectories: the payload that `sample_json` writes, one LoopTrace per trial.
+
+    From a fixed data state the trials of each stream chunk are sampled
+    together (`loops.run_trials`); a Haar-random state per trial comes
+    from the trial's own stream, before its rounds' draws.
+    """
     tree, exact = _loop_setup(cfg)
-    proc, fixed_psi = tree.proc, tree.psi
-    traces = []
-    successes = 0
-    for rng in reseeded((cfg.seed, cfg.experiment_index), trial_indices(cfg.trials)):
-        psi = fixed_psi if fixed_psi is not None else random_state(proc.data_dim, rng)
-        trace = loops.run_loop(tree, psi, cfg.max_rounds, rng)
-        successes += trace.succeeded
-        traces.append(trace)
+    entropy, ks = (cfg.seed, cfg.experiment_index), trial_indices(cfg.trials)
+    if tree.psi is None:
+        dim = tree.proc.data_dim
+        traces = [loops.run_loop(tree, random_state(dim, rng), cfg.max_rounds, rng) for rng in reseeded(entropy, ks)]
+    else:
+        traces = [t for n, draw in uniform_draws(entropy, ks) for t in loops.run_trials(tree, cfg.max_rounds, n, draw)]
+    successes = sum(t.succeeded for t in traces)
     empirical = successes / cfg.trials
     summary = {
         "trials": cfg.trials,
@@ -819,7 +823,7 @@ def _single_shot_hits(dec):
 
 def _loop_hits(tree, rounds):
     def hits(entropy, ks):
-        return sum(loops.run_loop(tree, tree.psi, rounds, rng).succeeded for rng in reseeded(entropy, ks))
+        return sum(t.succeeded for n, draw in uniform_draws(entropy, ks) for t in loops.run_trials(tree, rounds, n, draw))
 
     return hits
 

@@ -16,9 +16,9 @@ and read-only branch operators), built lazily on first visit.
 from a caller-supplied RNG stream by walking the tree; callers build one tree
 per loop and pass it to every trajectory. Retained node arrays are capped at
 `_RETAINED_BYTES` per tree; nodes past the cap are built and used but not
-kept, and nodes nearer the root are built first, so they are the ones kept.
-Nothing is cached between trees, and a trajectory's output does not depend
-on what the tree already holds. `exact_walk(tree, n)` evaluates the loop
+kept, and the nodes built first are the ones kept. Nothing is cached
+between trees, and a trajectory's output does not depend on what the tree
+already holds. `exact_walk(tree, n)` evaluates the loop
 exactly on a tree built with its data state, so the exact values at many
 round budgets and the sampled trajectories of one loop share one tree's
 nodes; `exact_success` is that walk on a fresh tree.
@@ -42,6 +42,16 @@ expression on the same inputs, so traces are byte-identical to those of a
 tree without a state. A tree without a state (a Haar-random psi per
 trajectory) computes each round afresh, in the same loop body.
 
+Such trajectories need not run one by one. `run_trials(tree, max_rounds,
+n, draw)` walks n of them depth first as groups that share an outcome
+history: at a node it draws each member's next uniform (`draw(j)`, for
+trajectory j), splits the group by the drawn branch, and builds a child
+only when its subgroup is popped. A node past the cap is then built once
+per call, not once per trajectory that reaches it, and only the nodes of
+the current path and their rounds are alive. `run_loop` is this walk with
+one trajectory whose draws come from its rng, so the round step exists
+once.
+
 The exact walk stores its own entry on each node it reaches (`_Exact`:
 amplitudes and probabilities by `np.einsum`, the success mass, the failure
 branches and whether the node collapses), so a deeper round budget on the
@@ -55,6 +65,7 @@ failure terms in label order.
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable
@@ -78,10 +89,13 @@ from .qlinalg import SingularOperator, inverse, su2_log
 # 1e-12 comparison and are pruned from the exact tree.
 _PRUNE = 1e-25
 
-# Bytes of node arrays (residual and branch operators) one OutcomeTree keeps.
-# A qubit-family node with N outcomes takes 64 (N + 1) bytes and a qidN(3)
-# node 1.4 KiB, so thousands fit; on qidN(8) (64 KiB per node) only the
-# root side of the tree is kept, which bounds resident memory growth.
+# Bytes of node arrays (residual, branch operators and, on a tree with a data
+# state, the round: amplitudes, post-states and the probability list) one
+# OutcomeTree keeps. The residual and operators of a qubit-family node with
+# N outcomes take 64 (N + 1) bytes and those of a qidN(3) node 1.4 KiB, so
+# thousands fit; on qidN(8) (83 KiB per node with its round) about 25 fit,
+# the first ones built. Nodes past the cap are built again per `run_trials`
+# call (a stream chunk of a command), which bounds resident memory growth.
 _RETAINED_BYTES = 2 * 1024 * 1024
 
 
@@ -385,9 +399,14 @@ class OutcomeTree:
         self.basis = rule.basis_for(proc)
         self.success = rule.success_labels(proc)
         self.psi = None
+        self._round_bytes = 0  # what a node's round adds to the node's arrays
         if psi is not None:
             self.psi = data_state(proc, psi).copy()
             self.psi.setflags(write=False)
+            # amplitudes and at most one post-state per branch, N x D complex each,
+            # and the list of N probabilities with its floats
+            n = len(self.basis.labels)
+            self._round_bytes = 2 * 16 * n * proc.data_dim + sys.getsizeof([0.0] * n) + n * sys.getsizeof(0.0)
         self._root: _Node | None = None
         self._retained = 0
 
@@ -417,9 +436,7 @@ class OutcomeTree:
             return node
         size = node.residual.nbytes
         if node.ops is not None:
-            size += node.ops.nbytes
-            if self.psi is not None:  # its round: amps, plus at most one post-state per branch
-                size += 2 * node.ops.nbytes // self.proc.data_dim
+            size += node.ops.nbytes + self._round_bytes
         if self._keep(size):
             parent.children[i] = node
         return node
@@ -467,39 +484,79 @@ def run_loop(tree: OutcomeTree, psi, max_rounds: int, rng: np.random.Generator) 
     On a tree built with a data state, psi must equal it (ValueError
     otherwise) and the trace and its LoopRound objects, read-only
     post-states included, are the ones the tree stores: trajectories with
-    the same outcome history and status share them.
+    the same outcome history and status share them. This is `run_trials`
+    with one trajectory whose draws come from rng.
+    """
+    return _walk(tree, tree.start(psi), max_rounds, 1, lambda j: rng.random())[0]
+
+
+def run_trials(tree: OutcomeTree, max_rounds: int, n: int, draw: Callable[[int], float]) -> list[LoopTrace]:
+    """Traces of n trajectories from the data state of `tree`, sampled together.
+
+    Trajectory j draws the uniform of each of its rounds by draw(j), in round
+    order, so its trace is `run_loop`'s on a stream whose random() calls
+    return those draws; `streams.uniform_draws` gives the draws of the trial
+    streams. Trajectories with one outcome history share one node, round and
+    trace, each made once per call whatever the tree retains.
+    """
+    if tree.psi is None:
+        raise ValueError("trajectories sampled together need a tree built with a data state")
+    return _walk(tree, tree.psi, max_rounds, n, draw)
+
+
+def _walk(tree: OutcomeTree, state: np.ndarray, max_rounds: int, n: int, draw: Callable[[int], float]) -> list[LoopTrace]:
+    """The sampled loop of n trajectories from `state`, depth first over their outcome histories.
+
+    A frame on the stack is one group: the trajectories that share an
+    outcome history, with the parent node, the branch drawn there, the
+    parent's round and the rounds so far. Popping a group builds its node,
+    draws each member's next uniform over the node's probabilities and
+    pushes one group per drawn branch that neither succeeded nor spent the
+    budget, to be popped in label order. Pending groups hold only parents
+    on the current path, so no other unretained node is alive.
     """
     if max_rounds < 1:
         raise ValueError("max_rounds must be at least 1")
-    state = tree.start(psi)
     labels, success = tree.basis.labels, tree.success
-    node = tree.root
-    rounds: list[LoopRound] = []
-    status = "exhausted"
-    for k in range(max_rounds):
-        if k:
-            node = tree.child(node, i)
+    out: list = [None] * n
+    stack: list[tuple] = [(None, 0, None, (), range(n))]
+    while stack:
+        parent, i, up, rounds, group = stack.pop()
+        node = tree.root if parent is None else tree.child(parent, i)
         if node.program is None:
-            status = "uncorrectable"
-            break
-        held = tree.round_at(node, state)
-        i, p = inverse_cdf(held.probs, rng.random())
-        r = held.drawn.get(i)
-        if r is None:
-            post = held.amps[i] / np.sqrt(p)
-            post.setflags(write=False)
-            r = held.drawn[i] = LoopRound(program=node.program, outcome=labels[i], probability=p, post_state=post)
-        state = r.post_state
-        rounds.append(r)
-        if r.outcome in success:
-            status = "succeeded"
-            break
-    if not rounds:  # the root is uncorrectable
-        return LoopTrace(rounds=(), succeeded=False, status=status)
-    trace = held.ends.get((i, status))
-    if trace is None:
-        trace = held.ends[i, status] = LoopTrace(rounds=tuple(rounds), succeeded=(status == "succeeded"), status=status)
-    return trace
+            _end(out, group, up, i, rounds, "uncorrectable")
+            continue
+        held = tree.round_at(node, rounds[-1].post_state if rounds else state)
+        probs = held.probs
+        split: dict[int, list[int]] = {}
+        for j in group:
+            split.setdefault(inverse_cdf(probs, draw(j))[0], []).append(j)
+        for b in sorted(split, reverse=True):  # popped in label order
+            r = held.drawn.get(b)
+            if r is None:
+                post = held.amps[b] / np.sqrt(probs[b])
+                post.setflags(write=False)
+                r = held.drawn[b] = LoopRound(program=node.program, outcome=labels[b], probability=probs[b], post_state=post)
+            path = rounds + (r,)
+            if r.outcome in success:
+                _end(out, split[b], held, b, path, "succeeded")
+            elif len(path) == max_rounds:
+                _end(out, split[b], held, b, path, "exhausted")
+            else:
+                stack.append((node, b, held, path, split[b]))
+    return out
+
+
+def _end(out: list, group, held: _Round | None, i: int, rounds: tuple, status: str) -> None:
+    """Give every trajectory of `group` the trace that ends after branch i of `held` with `status`."""
+    if held is None:  # the root is uncorrectable
+        trace = LoopTrace(rounds=(), succeeded=False, status=status)
+    else:
+        trace = held.ends.get((i, status))
+        if trace is None:
+            trace = held.ends[i, status] = LoopTrace(rounds=rounds, succeeded=(status == "succeeded"), status=status)
+    for j in group:
+        out[j] = trace
 
 
 def _state_independent(ops: np.ndarray, probs: np.ndarray) -> bool:

@@ -33,15 +33,18 @@ rounding exists to differ. The hash multipliers advance the same way for
 every stream whatever the data, so one numpy operation serves a chunk.
 `first_uniforms` takes one more PCG64 step (XSL-RR output, `>> 11`,
 `* 2**-53`), which is `Generator.random()`; `reseeded` sets one reused
-Generator to each state in turn. The tests compare all three with
-`derive_stream` bit for bit.
+Generator to each state in turn. `uniform_draws` holds a chunk's states as
+Python ints and takes the same step per draw, so a walk that draws each
+trial's uniforms when that trial reaches its next round keeps one 128-bit
+int per trial, not a trials x rounds matrix. The tests compare all of them
+with `derive_stream` bit for bit.
 
 (O'Neill, "PCG: a family of simple fast space-efficient statistically good
 algorithms for random number generation", HMC-CS-2014-0905; NumPy NEP 19.)
 """
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -72,6 +75,8 @@ _M64_HI, _M64_LO = np.uint64(_PCG_MULT_HI), np.uint64(_PCG_MULT_LO)
 _M32_LO, _M32_HI = np.uint64(_PCG_MULT_LO & _MASK32), np.uint64(_PCG_MULT_LO >> 32)
 _U64_MASK32 = np.uint64(_MASK32)
 _U64 = {s: np.uint64(s) for s in (1, 11, 32, 58, 63, 64)}
+_PCG_MULT = _PCG_MULT_HI << 64 | _PCG_MULT_LO
+_MASK64, _MASK128 = (1 << 64) - 1, (1 << 128) - 1
 
 
 def _words(n: int) -> list[int]:
@@ -200,3 +205,21 @@ def reseeded(entropy: Sequence[int], ks: range) -> Iterator[np.random.Generator]
             state["state"] = {"state": sh << 64 | sl, "inc": ih << 64 | il}
             bitgen.state = state
             yield rng
+
+
+def uniform_draws(entropy: Sequence[int], ks: range) -> Iterator[tuple[int, Callable[[int], float]]]:
+    """(n, draw) per chunk of ks: draw(j) is the next derive_stream(*entropy, k).random() of the chunk's j-th k.
+
+    Each stream's PCG64 state is a Python int, stepped on each call for that
+    stream alone, so the streams of a chunk may be drawn in any interleaving.
+    """
+    for hi, lo, inc_hi, inc_lo in pcg64_states(entropy, ks):
+        states = [h << 64 | l for h, l in zip(hi.tolist(), lo.tolist())]
+        incs = [h << 64 | l for h, l in zip(inc_hi.tolist(), inc_lo.tolist())]
+
+        def draw(j: int, states=states, incs=incs) -> float:
+            s = states[j] = (states[j] * _PCG_MULT + incs[j]) & _MASK128
+            x, rot = ((s >> 64) ^ s) & _MASK64, s >> 122  # XSL-RR, as in first_uniforms
+            return ((((x >> rot) | (x << (64 - rot))) & _MASK64) >> 11) * (1.0 / 9007199254740992.0)
+
+        yield len(states), draw

@@ -357,6 +357,22 @@ def test_sample_peak_memory_stays_below_the_file_size(tmp_path):
     assert peak < out.stat().st_size
 
 
+def test_sample_draws_each_round_when_a_trial_reaches_it(tmp_path):
+    # 4097 trials cross a stream chunk. u1 ends at the first success, so a
+    # walk that drew every trial's max_rounds uniforms up front would hold
+    # a 4097 x 2000 float matrix (66 MB); drawing per round needs one state
+    # per trial.
+    cfg_path, out = tmp_path / "cfg.json", tmp_path / "traces.json"
+    cfg_path.write_text(json.dumps({"experiment": "u1", "max_rounds": 2000, "trials": 4097, "seed": 5}))
+    tracemalloc.start()
+    try:
+        assert main(["sample", "--config", str(cfg_path), "--out", str(out)]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
 @pytest.mark.parametrize("experiment", cli.SAMPLE_EXPERIMENTS)
 def test_sample_trials_are_independent_of_order_and_tree(experiment):
     """Trial t's trace is run_loop on derive_stream(seed, e, t + 1) alone: any order, a fresh tree each."""

@@ -11,6 +11,7 @@ such a tree: its value at any round budget, and the traces sampled after it,
 must equal those of a fresh tree.
 """
 import json
+import sys
 from dataclasses import replace
 from unittest import mock
 
@@ -134,6 +135,7 @@ def test_retained_node_arrays_stay_within_cap():
         node = stack.pop()
         kept += len(node.children)
         stack.extend(node.children.values())
+        assert node.round is None  # without a state no round, probabilities included, is kept
     assert kept == 4
     assert tree._retained == cap
 
@@ -143,10 +145,16 @@ def _run_fixed(psi, seed, order, tree):
     return {t: _trace_bytes(run_loop(tree, psi, MAX_ROUNDS, derive_stream(seed, 1, t + 1))) for t in order}
 
 
+def _probs_bytes(probs: list) -> int:
+    """What a round's probability list holds: the list and its floats."""
+    return sys.getsizeof(probs) + sum(map(sys.getsizeof, probs))
+
+
 def _node_bytes(proc, with_state: bool) -> int:
     """Bytes one retained node counts: residual, branch operators and, with a state, its round."""
     n, d = proc.program_dim, proc.data_dim
-    return 16 * (d * d + n * d * d + (2 * n * d if with_state else 0))
+    arrays = 16 * (d * d + n * d * d + (2 * n * d if with_state else 0))
+    return arrays + (_probs_bytes([0.5] * n) if with_state else 0)
 
 
 @settings(max_examples=40)
@@ -184,11 +192,14 @@ def test_retained_bytes_with_a_state_stay_within_cap():
         node.residual.nbytes
         + node.ops.nbytes
         + node.round.amps.nbytes
+        + _probs_bytes(node.round.probs)
         + sum(r.post_state.nbytes for r in node.round.drawn.values())
         for node in kept
     )
+    # the count reserves a post-state for every branch, drawn or not
+    undrawn = sum(16 * proc.data_dim * (proc.program_dim - len(node.round.drawn)) for node in kept)
     assert len(kept) == 4
-    assert held <= tree._retained == cap
+    assert held + undrawn == tree._retained == cap
 
 
 def test_tree_with_a_state_shares_each_round():

@@ -1,18 +1,18 @@
 """The batch stream derivation equals derive_stream bit for bit.
 
-`pcg64_states`, `first_uniforms` and `reseeded` recompute numpy's
-SeedSequence hash and PCG64 seeding for a run of trailing indices; every
-draw they lead to must equal the draw of derive_stream(*entropy, k).
+`pcg64_states`, `first_uniforms`, `reseeded` and `uniform_draws` recompute
+numpy's SeedSequence hash and PCG64 seeding for a run of trailing indices;
+every draw they lead to must equal the draw of derive_stream(*entropy, k).
 """
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qproc.streams import CHUNK, derive_stream, first_uniforms, pcg64_states, reseeded, trial_indices
+from qproc.streams import CHUNK, derive_stream, first_uniforms, pcg64_states, reseeded, trial_indices, uniform_draws
 
 
-def _assert_matches(entropy, ks):
+def _assert_matches(entropy, ks, n=50, order_seed=0):
     got = np.concatenate([np.empty(0), *first_uniforms(entropy, ks)])
     want = np.array([derive_stream(*entropy, k).random() for k in ks])
     assert got.tobytes() == want.tobytes()
@@ -23,6 +23,18 @@ def _assert_matches(entropy, ks):
         assert rng.standard_normal(3).tobytes() == ref.standard_normal(3).tobytes()
         seen += 1
     assert seen == len(ks)
+    # uniform_draws: each stream's first n random() calls, the streams of a chunk interleaved
+    draws = {k: [] for k in ks}
+    offset = 0
+    for size, draw in uniform_draws(entropy, ks):
+        calls = np.repeat(np.arange(size), n)
+        np.random.default_rng(order_seed).shuffle(calls)
+        for j in calls.tolist():
+            draws[ks[offset + j]].append(draw(j))
+        offset += size
+    assert offset == len(ks)
+    for k in ks:
+        assert np.array(draws[k]).tobytes() == derive_stream(*entropy, k).random(n).tobytes()
 
 
 @settings(max_examples=40)
@@ -31,9 +43,11 @@ def _assert_matches(entropy, ks):
     index=st.integers(0, 2**40),
     start=st.integers(0, 2**33),
     count=st.integers(0, 150),
+    n=st.integers(1, 50),
+    order_seed=st.integers(0, 2**32 - 1),
 )
-def test_batch_matches_derive_stream(seed, index, start, count):
-    _assert_matches((seed, index), range(start, start + count))
+def test_batch_matches_derive_stream(seed, index, start, count, n, order_seed):
+    _assert_matches((seed, index), range(start, start + count), n, order_seed)
 
 
 @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 1, 2**128 + 1])
