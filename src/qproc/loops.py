@@ -5,7 +5,8 @@ branch operator. Each correction rule re-encodes "target composed with the
 inverse of everything applied so far" in its family's program encoding, so
 that the next successful branch restores proportionality to the target. The
 residual (the accumulated applied operator) is tracked as a matrix and the
-comparison is always up to global phase.
+comparison is always up to global phase. The u1, bz and diagonal rules read
+only diagonals; their tree checks once that target and processor are diagonal.
 
 The program of round k+1 is fixed by the outcomes of rounds 1..k: it
 depends neither on the data state nor on the RNG. An `OutcomeTree`, built
@@ -136,11 +137,16 @@ class CorrectionRule:
     `next_program(proc, target, residual)` encodes target @ residual^{-1}
     in the family's program encoding; with residual = I it encodes the
     target itself, so it also provides the first-round program.
+
+    The rules of the diagonal families (u1, bz, diagonal) read only the
+    diagonals of target and residual: an `OutcomeTree` built with one checks
+    once that the target and every block of the processor are diagonal.
     """
 
     basis_for: Callable[[ProcessorDefinition], ProgramBasis] = field(repr=False)
     success_labels: Callable[[ProcessorDefinition], frozenset[str]] = field(repr=False)
     _next_program: Callable = field(repr=False)
+    _diagonal: bool = field(default=False, repr=False)  # set by _diagonal_rule
 
     def next_program(self, proc: ProcessorDefinition, target: np.ndarray, residual: np.ndarray) -> ProgramState:
         return self._next_program(proc, np.asarray(target, dtype=complex), np.asarray(residual, dtype=complex))
@@ -150,13 +156,19 @@ def _computational_basis(proc: ProcessorDefinition) -> ProgramBasis:
     return ProgramBasis.computational(proc.program_dim)
 
 
-def _diag_entries(m: np.ndarray, what: str) -> np.ndarray:
-    d = np.diagonal(m)
-    off = m - np.diag(d)
-    with np.errstate(over="ignore"):  # a norm past float range is inf, which lets m pass
-        if np.linalg.norm(off) > 1e-9 * max(1.0, float(np.linalg.norm(m))):
-            raise ValueError(f"{what} must be diagonal for this correction family")
-    return d
+def _check_diagonal(proc: ProcessorDefinition, target: np.ndarray) -> None:
+    """ValueError unless the target is diagonal (relative 1e-9) and every block of the processor exactly so.
+
+    Then every branch operator, in any basis, and every residual is diagonal. The blocks are read through
+    views of their off-diagonal entries, so the grid is not copied.
+    """
+    off = target - np.diag(np.diagonal(target))
+    with np.errstate(over="ignore"):  # a norm past float range is inf, which lets the target pass
+        if np.linalg.norm(off) > 1e-9 * max(1.0, float(np.linalg.norm(target))):
+            raise ValueError("target must be diagonal for this correction family")
+    n, d = proc.program_dim, proc.data_dim
+    if proc.blocks.reshape(n, n, d * d)[..., 1:].reshape(n, n, d - 1, d + 1)[..., :d].any():
+        raise ValueError("processor blocks must be diagonal for this correction family")
 
 
 def _safe_ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
@@ -164,6 +176,15 @@ def _safe_ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     if scale == 0 or np.any(np.abs(den) <= 1e-12 * scale):
         raise SingularProgram("applied operator has a vanishing diagonal entry")
     return num / den
+
+
+def _diagonal_rule(encode: Callable, success_labels: Callable) -> CorrectionRule:
+    """The rule whose program is encode(proc, t, r) on the diagonals t of the target and r of the residual."""
+
+    def next_program(proc, target, residual):
+        return encode(proc, np.diagonal(target), np.diagonal(residual))
+
+    return CorrectionRule(_computational_basis, success_labels, next_program, _diagonal=True)
 
 
 def u1_rule() -> CorrectionRule:
@@ -174,17 +195,10 @@ def u1_rule() -> CorrectionRule:
     (alpha, 2 alpha, 4 alpha, ...), so one success restores U(alpha).
     """
 
-    def next_program(proc, target, residual):
-        t = _diag_entries(target, "target")
-        r = _diag_entries(residual, "residual")
-        beta = ((np.angle(t[0]) - np.angle(t[1])) - (np.angle(r[0]) - np.angle(r[1]))) / 2.0
-        return zoo.u1_program(float(beta))
+    def encode(proc, t, r):
+        return zoo.u1_program(float(((np.angle(t[0]) - np.angle(t[1])) - (np.angle(r[0]) - np.angle(r[1]))) / 2.0))
 
-    return CorrectionRule(
-        basis_for=_computational_basis,
-        success_labels=lambda proc: frozenset({"0"}),
-        _next_program=next_program,
-    )
+    return _diagonal_rule(encode, lambda proc: frozenset({"0"}))
 
 
 def bz_rule() -> CorrectionRule:
@@ -197,23 +211,21 @@ def bz_rule() -> CorrectionRule:
     the residual to stay invertible).
     """
 
-    def next_program(proc, target, residual):
-        t = _diag_entries(target, "target")
-        r = _diag_entries(residual, "residual")
+    def encode(proc, t, r):
         m = _safe_ratio(t, r)
-        # The cutoff guards corrected ratios, powers of z that leave the
-        # range; the first program is the target's own (residual I), and
-        # geometric_program rejects a z that a float cannot hold.
-        cutoff = 0.0 if np.array_equal(residual, _eye(2)) else 1e-12
-        if abs(m[0]) <= cutoff * abs(m).max():
+        # A corrected ratio, a power of z, can leave the range: then no program exists. The first
+        # program is the target's own (residual I): a z out of range there is the caller's.
+        corrected = not np.all(r == 1)
+        if abs(m[0]) <= (1e-12 if corrected else 0.0) * abs(m).max():
             raise SingularProgram("corrected ratio is unbounded (m00 ~ 0)")
-        return zoo.geometric_program(complex(m[1] / m[0]), proc.program_dim)
+        try:
+            return zoo.geometric_program(complex(m[1] / m[0]), proc.program_dim)
+        except zoo.InvalidParameter as exc:
+            if corrected:
+                raise SingularProgram(f"corrected ratio is out of range: {exc}") from None
+            raise
 
-    return CorrectionRule(
-        basis_for=_computational_basis,
-        success_labels=lambda proc: frozenset(str(j) for j in range(proc.program_dim - 1)),
-        _next_program=next_program,
-    )
+    return _diagonal_rule(encode, lambda proc: frozenset(str(j) for j in range(proc.program_dim - 1)))
 
 
 def diagonal_rule() -> CorrectionRule:
@@ -224,17 +236,7 @@ def diagonal_rule() -> CorrectionRule:
     diagonal entry vanished: the failed operation is non-invertible and the
     loop cannot proceed.
     """
-
-    def next_program(proc, target, residual):
-        t = _diag_entries(target, "target")
-        r = _diag_entries(residual, "residual")
-        return zoo.diagonal_program(_safe_ratio(t, r))
-
-    return CorrectionRule(
-        basis_for=_computational_basis,
-        success_labels=lambda proc: frozenset({"0"}),
-        _next_program=next_program,
-    )
+    return _diagonal_rule(lambda proc, t, r: zoo.diagonal_program(_safe_ratio(t, r)), lambda proc: frozenset({"0"}))
 
 
 @lru_cache(maxsize=None)
@@ -260,14 +262,6 @@ def unitary_scale(m: np.ndarray) -> float | None:
     return None
 
 
-def _unitary_part(m: np.ndarray) -> np.ndarray:
-    """Rescale a proportional-to-unitary matrix to an exact unitary."""
-    c = unitary_scale(m)
-    if c is None:
-        raise ValueError("operator is not proportional to a unitary")
-    return m / np.sqrt(c)
-
-
 def qid2_rule() -> CorrectionRule:
     """Conjugation correction for the qubit distributor.
 
@@ -277,9 +271,11 @@ def qid2_rule() -> CorrectionRule:
     """
 
     def next_program(proc, target, residual):
-        needed = _unitary_part(_needed(target, residual))
-        mu_vec, _ = su2_log(needed)
-        return zoo.su2_program(mu_vec)
+        m = _needed(target, residual)
+        # su2_log is the one unitarity check; it also rejects what a zero or overflowing m leaves
+        with np.errstate(all="ignore"):
+            u = m / np.sqrt(float(np.trace(np.conjugate(m).T @ m).real) / m.shape[0])
+        return zoo.su2_program(su2_log(u)[0])
 
     return CorrectionRule(
         basis_for=lambda proc: zoo.qid2_basis(),
@@ -396,6 +392,8 @@ class OutcomeTree:
         self.proc = proc
         self.target = np.asarray(target, dtype=complex)
         self.rule = rule
+        if rule._diagonal:
+            _check_diagonal(proc, self.target)
         self.basis = rule.basis_for(proc)
         self.success = rule.success_labels(proc)
         self.psi = None

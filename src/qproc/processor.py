@@ -61,10 +61,11 @@ class ProgramState:
     params: Mapping[str, Any] = field(default_factory=dict)
 
     def __post_init__(self):
-        v = qlinalg.ket(self.ket)
-        if not qlinalg.is_normalized(v, tol=_INPUT_NORM_TOL):
+        v = np.array(self.ket, dtype=complex).reshape(-1)
+        if not qlinalg.is_normalized(v, tol=_INPUT_NORM_TOL):  # a nan or inf amplitude fails too
             raise ValueError("program ket must be normalized")
-        object.__setattr__(self, "ket", _readonly(v))
+        v.setflags(write=False)
+        object.__setattr__(self, "ket", v)
 
     @property
     def dim(self) -> int:

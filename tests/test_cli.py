@@ -518,6 +518,18 @@ def test_config_rejects_bad_values():
         ExperimentConfig.from_dict({"trials": 5})
 
 
+def test_sample_bz_whose_corrected_program_overflows_is_uncorrectable(tmp_path):
+    """At z = 1.5, N = 64 the first corrected ratio z^64 is past geometric_program's range: no program exists."""
+    cfg_path, out = tmp_path / "cfg.json", tmp_path / "x.json"
+    config = {"experiment": "bz", "params": {"z": 1.5, "n_program": 64}, "max_rounds": 4, "trials": 200, "seed": 3}
+    cfg_path.write_text(json.dumps(config))
+    assert main(["sample", "--config", str(cfg_path), "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert {(t["status"], len(t["rounds"])) for t in payload["traces"]} == {("succeeded", 1), ("uncorrectable", 1)}
+    one_shot = zoo.geometric_success(1.5, 64, zoo.bz_norm2(1.5, 0.5))
+    assert abs(payload["summary"]["exact"] - one_shot) <= 1e-12
+
+
 @pytest.mark.parametrize(
     "config, flags",
     [
@@ -540,6 +552,7 @@ def test_config_rejects_bad_values():
         ({"experiment": "bz_haar", "params": {"z": 1e20, "n_program": 8}, "max_rounds": 1}, []),
         ({"experiment": "bz_haar", "params": {"z": 1e160}, "max_rounds": 1}, []),
         ({"experiment": "bz", "params": {"z": 1e160}, "max_rounds": 1}, []),
+        ({"experiment": "bz", "params": {"z": 1e150, "n_program": 64}, "max_rounds": 4}, []),
         ({"experiment": "qidn", "params": {"n_dim": 2, "target": [[0, 0], [0, 0]]}}, []),
         ({"experiment": "qidn", "params": {"n_dim": 2, "target": [[1e-13, 0], [0, 0]]}}, []),
         ({"experiment": "qidn", "params": {"n_dim": 2, "target": [[1e300, 0], [0, 1e300]]}}, []),
@@ -550,7 +563,7 @@ def test_config_rejects_bad_values():
         "trials-str", "trials-float", "psi-dim", "qidn-psi-dim", "psi-zero", "seed-negative", "params-not-object",
         "trials-flag-0", "qidn-target-not-list", "qidn-target-ragged", "diagonal-entry-not-number",
         "tol-nan", "tol-flag-nan", "psi-strings", "psi-norm-overflow", "grid-unread",
-        "bz-haar-z-power-overflows", "bz-haar-z-square-overflows", "bz-z-square-overflows",
+        "bz-haar-z-power-overflows", "bz-haar-z-square-overflows", "bz-z-square-overflows", "bz-z-power-overflows",
         "qidn-target-zero", "qidn-target-norm-tiny", "qidn-target-norm-overflows",
         "diagonal-entries-norm-overflows", "diagonal-entries-huge",
     ],

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qproc import loops, zoo
-from qproc.loops import OutcomeTree, SingularProgram, exact_success, run_loop
+from qproc.loops import OutcomeTree, SingularProgram, exact_success, exact_walk, run_loop
 from qproc.processor import DimensionMismatch, branch_operators, decompose
 from qproc.qlinalg import (
     SIGMA_X,
@@ -181,6 +181,22 @@ def test_bz_exact_tree_three_rounds_vs_monte_carlo():
         alive &= ~wins
     sigma = np.sqrt(exact * (1 - exact) / big)
     assert abs(succeeded.mean() - exact) <= 3 * sigma
+
+
+def test_bz_loop_whose_corrected_ratio_leaves_the_float_range_keeps_its_one_shot_value():
+    # z^64 at z = 1.5 is past geometric_program's range: the first failure is uncorrectable
+    proc, rule, target = zoo.cyclic_shift_processor(64), loops.bz_rule(), zoo.bz_operator(1.5)
+    tree = OutcomeTree(proc, target, rule, np.ones(2) / np.sqrt(2))
+    assert tree.child(tree.root, 63).program is None
+    one_shot = exact_walk(tree, 1)
+    assert abs(one_shot - zoo.geometric_success(1.5, 64, zoo.bz_norm2(1.5, 0.5))) <= 1e-12
+    assert all(exact_walk(tree, n) == one_shot for n in range(2, 9))
+
+
+def test_bz_rule_keeps_a_callers_out_of_range_z_an_invalid_parameter():
+    proc, rule = zoo.cyclic_shift_processor(64), loops.bz_rule()
+    with pytest.raises(zoo.InvalidParameter):
+        rule.next_program(proc, zoo.bz_operator(1e150), np.eye(2))
 
 
 # ---------------------------------------------------------------------------

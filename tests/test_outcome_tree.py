@@ -22,8 +22,8 @@ from hypothesis import strategies as st
 
 from qproc import loops, zoo
 from qproc.cli import trace_to_dict
-from qproc.loops import OutcomeTree, exact_success, exact_walk, run_loop
-from qproc.processor import decompose, select_branch
+from qproc.loops import OutcomeTree, exact_success, exact_walk, run_loop, run_trials
+from qproc.processor import assemble, decompose, select_branch
 from qproc.qlinalg import random_state, random_unitary, su2_exp
 from qproc.streams import derive_stream
 
@@ -310,3 +310,51 @@ def test_exact_walk_needs_a_tree_with_a_state():
     proc, rule, target = _family("qid2", 4)
     with pytest.raises(ValueError):
         exact_walk(OutcomeTree(proc, target, rule), 2)
+
+
+# The checks of a loop's inputs run once, when its tree is built.
+
+
+@pytest.mark.parametrize("rule", [loops.u1_rule(), loops.bz_rule()], ids=["u1", "bz"])
+def test_a_diagonal_rule_rejects_a_non_diagonal_target_at_construction(rule):
+    target = zoo.u1_operator(0.3) @ su2_exp([0.0, 1e-3, 0.0])
+    with pytest.raises(ValueError, match="target must be diagonal"):
+        OutcomeTree(zoo.u1_cnot(), target, rule)
+
+
+def _haar_processor(seed: int):
+    g = random_unitary(4, derive_stream(seed))
+    return assemble(g.reshape(2, 2, 2, 2).transpose(1, 3, 0, 2), label="haar")
+
+
+@pytest.mark.parametrize("make", [zoo.qid2, lambda: _haar_processor(12)], ids=["qid2", "haar"])
+@pytest.mark.parametrize("rule", [loops.u1_rule(), loops.bz_rule(), loops.diagonal_rule()], ids=["u1", "bz", "diagonal"])
+def test_a_diagonal_rule_rejects_a_processor_with_non_diagonal_blocks_at_construction(make, rule):
+    with pytest.raises(ValueError, match="processor blocks must be diagonal"):
+        OutcomeTree(make(), np.eye(2), rule, np.array([0.6, 0.8]))
+
+
+@pytest.mark.parametrize(
+    "target", [np.diag([1.0, 2.0]), np.zeros((2, 2)), 1e200 * np.eye(2)], ids=["not-unitary", "zero", "overflows"]
+)
+def test_a_qid2_tree_rejects_a_non_unitary_target_at_its_root(target):
+    tree = OutcomeTree(zoo.qid2(), target, loops.qid2_rule())
+    with pytest.raises(ValueError):
+        tree.root
+
+
+@pytest.mark.parametrize("family", ["u1", "diagonal"])
+def test_a_diagonal_rule_is_checked_once_per_tree(monkeypatch, family):
+    if family == "u1":
+        proc, rule, target = _family("u1", 3)
+    else:  # on the unit circle, so the exact walk collapses and reaches depth 20
+        proc, rule, target = zoo.qudit_diagonal_processor(3), loops.diagonal_rule(), np.diag(np.exp([0.4j, -1.1j, 2.0j]))
+    calls = []
+    check = loops._check_diagonal
+    monkeypatch.setattr(loops, "_check_diagonal", lambda *args: calls.append(1) or check(*args))
+    tree = OutcomeTree(proc, target, rule, random_state(proc.data_dim, derive_stream(3, 1)))
+    exact_walk(tree, 20)
+    rngs = [derive_stream(3, 2, j) for j in range(500)]
+    traces = run_trials(tree, 20, 500, lambda j: rngs[j].random())
+    assert max(t.rounds_used for t in traces) > 1
+    assert len(calls) == 1

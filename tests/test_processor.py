@@ -344,6 +344,22 @@ def test_program_state_requires_normalized_ket():
         ProgramState(ket=np.array([1.0, 1.0]))
 
 
+@pytest.mark.parametrize(
+    "ket", [[np.nan, 0.0], [np.inf, 0.0], [1e200, 0.0], [np.nan, 1.0]],
+    ids=["nan", "inf", "norm-overflows", "nan-beside-one"],
+)
+def test_program_state_rejects_a_non_finite_ket(ket):
+    with pytest.raises(ValueError, match="normalized"):
+        ProgramState(ket=np.array(ket))
+
+
+def test_program_state_holds_a_read_only_copy():
+    amps = np.array([0.6, 0.8])
+    xi = ProgramState(ket=amps)
+    amps[0] = 5.0
+    assert xi.ket.tolist() == [0.6, 0.8] and not xi.ket.flags.writeable
+
+
 def test_program_basis_requires_orthonormal():
     with pytest.raises(ValueError):
         ProgramBasis(vectors=np.array([[1, 0], [1, 0]], dtype=complex), labels=("a", "b"))

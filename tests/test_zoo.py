@@ -61,6 +61,11 @@ def test_u1_alpha_zero_branches_proportional_to_identity():
         assert proportionality_scale(op, np.eye(2), tol=1e-12) is not None
 
 
+def test_u1_program_rejects_a_nan_angle():
+    with pytest.raises(ValueError):
+        zoo.u1_program(np.nan)
+
+
 def test_u1_failure_then_doubled_angle_recovers_target():
     # U(2 alpha) U(-alpha) = U(alpha)
     proc = zoo.u1_cnot()
