@@ -144,7 +144,7 @@ class ExperimentConfig:
         if self.seed < 0 or self.experiment_index < 0:
             raise UsageError("seed and experiment_index must be non-negative")
         if self.tol is not None:
-            _real(self.tol, "tol")
+            _tolerance(self.tol)
         for name in ("params", "grid"):
             if not isinstance(getattr(self, name), dict):
                 raise UsageError(f"{name} must be a JSON object")
@@ -204,6 +204,12 @@ def _is_real(v) -> bool:
 def _real(v, name: str) -> float:
     if not _is_real(v):
         raise UsageError(f"{name} must be a finite number, got {v!r}")
+    return float(v)
+
+
+def _tolerance(v) -> float:
+    if _real(v, "tol") < 0:
+        raise UsageError(f"tol must be non-negative, got {v!r}")
     return float(v)
 
 
@@ -578,6 +584,8 @@ def _loop_setup(cfg: ExperimentConfig) -> tuple[loops.OutcomeTree, float]:
     family = _family(cfg.experiment, "sample", SAMPLE_EXPERIMENTS)
     if family.haar and cfg.max_rounds != 1:
         raise UsageError(f"{cfg.experiment} averages single-shot success; set max_rounds to 1")
+    if family.haar and "psi" in cfg.params:
+        raise UsageError(f"{cfg.experiment} draws a Haar-random psi for each trial and does not read params.psi")
     p = {**family.sample, **cfg.params}
     proc, rule, target = family.build(p, (cfg.seed, cfg.experiment_index, 0))
     if family.haar:
@@ -1146,7 +1154,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
-    tol = _real(args.tol, "tol") if args.tol is not None else 1e-9
+    tol = _tolerance(args.tol) if args.tol is not None else 1e-9
     out = _resolve_out(args.out, f"reproduce_{args.table}.csv")
     rows = reproduce_table(args.table)
     _write_text(out, [rows_to_csv(rows)])

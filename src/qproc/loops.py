@@ -12,17 +12,25 @@ The program of round k+1 is fixed by the outcomes of rounds 1..k: it
 depends neither on the data state nor on the RNG. An `OutcomeTree`, built
 from one (processor, target, rule), is therefore the whole loop: it holds one
 node per outcome history (residual, program or an "uncorrectable" marker,
-and read-only branch operators), built lazily on first visit.
-`run_loop(tree, psi, max_rounds, rng)` samples one Monte Carlo trajectory
-from a caller-supplied RNG stream by walking the tree; callers build one tree
-per loop and pass it to every trajectory. Retained node arrays are capped at
-`_RETAINED_BYTES` per tree; nodes past the cap are built and used but not
-kept, and the nodes built first are the ones kept. Nothing is cached
-between trees, and a trajectory's output does not depend on what the tree
-already holds. `exact_walk(tree, n)` evaluates the loop
-exactly on a tree built with its data state, so the exact values at many
-round budgets and the sampled trajectories of one loop share one tree's
-nodes; `exact_success` is that walk on a fresh tree.
+and read-only branch operators), built lazily on first visit; callers build
+one tree per loop. Retained node arrays are capped at `_RETAINED_BYTES` per
+tree; nodes past the cap are built and used but not kept, and the nodes
+built first are the ones kept. Nothing is cached between trees, and a
+trajectory's output does not depend on what the tree already holds.
+
+A tree is of one of two kinds, and each kind has its own walks; a walk
+given a tree of the other kind raises ValueError.
+
+- Without a data state, `OutcomeTree(proc, target, rule)`, when each
+  trajectory brings a fresh one (a Haar-random psi per trial):
+  `run_loop(tree, psi, max_rounds, rng)` samples one trajectory from psi,
+  computing each round afresh.
+- With the state every trajectory starts from, `OutcomeTree(proc, target,
+  rule, psi)`: `run_trials(tree, max_rounds, n, draw)` samples n
+  trajectories together and `exact_walk(tree, n)` evaluates the first n
+  rounds exactly, so the exact values at many round budgets and the sampled
+  trajectories of one loop share one tree's nodes; `exact_success` is that
+  walk on a fresh tree.
 
 A sampled round does not split every branch. It applies the node's stacked
 branch operators to the state in one product, computes all branch
@@ -32,26 +40,22 @@ uses), and normalizes only the chosen post-state. `decompose` forms the same
 two products, so a round draws the same label, probability and post-state as
 `select_branch(decompose(...))` on the same stream.
 
-When every trajectory starts from one data state, pass it to the tree:
-`OutcomeTree(proc, target, rule, psi)`. The outcomes then fix the state at
-each node too, so a node's round is computed once. The first trajectory to
-reach a node stores the product, the branch probabilities and the
-LoopRound of the branch it drew; later ones draw a uniform over the stored
-probabilities and reuse the stored rounds, post-states included, and the
-stored LoopTrace of a trajectory that ends there. Each stored value comes from the same
-expression on the same inputs, so traces are byte-identical to those of a
-tree without a state. A tree without a state (a Haar-random psi per
-trajectory) computes each round afresh, in the same loop body.
+On a tree with a state the outcomes fix the state at each node too, so a
+node's round is computed once. The first trajectory to reach a node stores
+the product, the branch probabilities and the LoopRound of the branch it
+drew; later ones draw a uniform over the stored probabilities and reuse the
+stored rounds, post-states included, and the stored LoopTrace of a
+trajectory that ends there. Each stored value comes from the same expression
+on the same inputs, so a trajectory's trace is byte-identical to `run_loop`'s
+from the same state on the same stream, on a tree without a state.
 
-Such trajectories need not run one by one. `run_trials(tree, max_rounds,
-n, draw)` walks n of them depth first as groups that share an outcome
-history: at a node it draws each member's next uniform (`draw(j)`, for
-trajectory j), splits the group by the drawn branch, and builds a child
-only when its subgroup is popped. A node past the cap is then built once
-per call, not once per trajectory that reaches it, and only the nodes of
-the current path and their rounds are alive. `run_loop` is this walk with
-one trajectory whose draws come from its rng, so the round step exists
-once.
+`run_trials` walks its n trajectories depth first as groups that share an
+outcome history: at a node it draws each member's next uniform (`draw(j)`,
+for trajectory j), splits the group by the drawn branch, and builds a child
+only when its subgroup is popped. A node past the cap is then built once per
+call, not once per trajectory that reaches it, and only the nodes of the
+current path and their rounds are alive. `run_loop` is the same walk with one
+trajectory, so the round step exists once.
 
 The exact walk stores its own entry on each node it reaches (`_Exact`:
 amplitudes and probabilities by `np.einsum`, the success mass, the failure
@@ -367,22 +371,22 @@ class _Node:
 
 
 class OutcomeTree:
-    """Lazily memoized outcome tree of one loop: all `run_loop` and `exact_walk` know of it.
+    """Lazily memoized outcome tree of one loop: all that its walks know of it.
 
     A node is reached by its outcome history, the branch indices drawn from
     the root (residual I). Children are built on first visit and kept while
     the tree's retained node arrays stay within `_RETAINED_BYTES`.
 
     `psi`, when given, is the data state every trajectory of the loop
-    starts from. Outcomes then fix the state at every node as well, so a
-    node's round is computed once: the first trajectory to reach it stores
-    the amplitudes `ops @ state`, the branch probabilities and the
-    LoopRound of each branch it draws, and later trajectories only draw a
-    uniform over the stored probabilities. Those arrays count against the
-    cap too, and so do the entries `exact_walk` keeps on the retained nodes
-    it reaches.
-    Without `psi` (a fresh state per trajectory) nothing of a round is kept
-    and there is no exact walk.
+    starts from, and the tree is walked by `run_trials` and `exact_walk`.
+    Outcomes then fix the state at every node as well, so a node's round is
+    computed once: the first trajectory to reach it stores the amplitudes
+    `ops @ state`, the branch probabilities and the LoopRound of each branch
+    it draws, and later trajectories only draw a uniform over the stored
+    probabilities. Those arrays count against the cap too, and so do the
+    entries `exact_walk` keeps on the retained nodes it reaches.
+    Without `psi` (a fresh state per trajectory) the tree is walked by
+    `run_loop`, and nothing of a round is kept.
 
     The tree takes no lock: threads sharing one may build a node twice and
     overshoot the cap, so give each thread its own tree.
@@ -446,20 +450,6 @@ class OutcomeTree:
         self._retained += nbytes
         return True
 
-    def start(self, psi) -> np.ndarray:
-        """The validated data state a trajectory starts from; on a tree with a state, psi must be it.
-
-        The tree's own `psi` object, read-only, is returned unchecked.
-        """
-        if psi is self.psi and psi is not None:
-            return psi
-        state = data_state(self.proc, psi)
-        if self.psi is None:
-            return state
-        if state.tobytes() != self.psi.tobytes():
-            raise ValueError("psi differs from the data state the outcome tree was built for")
-        return self.psi
-
     def round_at(self, node: _Node, state: np.ndarray) -> _Round:
         """The round of `node` on `state`: cached on a tree with a state, else a throwaway."""
         held = node.round
@@ -471,31 +461,30 @@ class OutcomeTree:
 
 
 def run_loop(tree: OutcomeTree, psi, max_rounds: int, rng: np.random.Generator) -> LoopTrace:
-    """Sample one trajectory of the loop that `tree` describes.
+    """Sample one trajectory from psi on a tree built without a data state.
 
     Rounds are sampled until a success label fires or `max_rounds` rounds
     have run; the trace records the program, outcome, branch probability and
     post-state of every round. On success the final post-state is
     proportional to target @ psi (up to global phase). Trajectories of one
     loop share its tree; the trace does not depend on what the tree holds.
-
-    On a tree built with a data state, psi must equal it (ValueError
-    otherwise) and the trace and its LoopRound objects, read-only
-    post-states included, are the ones the tree stores: trajectories with
-    the same outcome history and status share them. This is `run_trials`
-    with one trajectory whose draws come from rng.
+    A tree built with a data state raises ValueError: `run_trials` walks
+    it. This is that walk with one trajectory, drawing from rng.
     """
-    return _walk(tree, tree.start(psi), max_rounds, 1, lambda j: rng.random())[0]
+    if tree.psi is not None:
+        raise ValueError("a tree built with a data state is sampled by run_trials")
+    return _walk(tree, data_state(tree.proc, psi), max_rounds, 1, lambda j: rng.random())[0]
 
 
 def run_trials(tree: OutcomeTree, max_rounds: int, n: int, draw: Callable[[int], float]) -> list[LoopTrace]:
     """Traces of n trajectories from the data state of `tree`, sampled together.
 
+    The tree must have been built with a data state (ValueError otherwise).
     Trajectory j draws the uniform of each of its rounds by draw(j), in round
-    order, so its trace is `run_loop`'s on a stream whose random() calls
-    return those draws; `streams.uniform_draws` gives the draws of the trial
-    streams. Trajectories with one outcome history share one node, round and
-    trace, each made once per call whatever the tree retains.
+    order, so its trace is `run_loop`'s from that state on a stream whose
+    random() calls return those draws; `streams.uniform_draws` gives the
+    draws of the trial streams. Trajectories with one outcome history share
+    one node, round and trace, each made once per call whatever the tree retains.
     """
     if tree.psi is None:
         raise ValueError("trajectories sampled together need a tree built with a data state")

@@ -9,7 +9,7 @@ import numpy as np
 
 from qproc import cli, loops, zoo
 from qproc.cli import ExperimentConfig, run_sample
-from qproc.loops import OutcomeTree, exact_success, run_loop
+from qproc.loops import OutcomeTree, exact_success, run_trials
 from qproc.processor import ProgramBasis, decompose, select_branch
 from qproc.qlinalg import (
     dagger,
@@ -18,7 +18,7 @@ from qproc.qlinalg import (
     random_unitary,
     su2_exp,
 )
-from qproc.streams import derive_stream, reseeded
+from qproc.streams import derive_stream, uniform_draws
 
 
 def _report(num: int, text: str) -> None:
@@ -160,8 +160,8 @@ def test_criterion_08_qid2_probabilities_and_loop():
     trials = 100_000
     psi = np.array([0.6, 0.8])
     tree = OutcomeTree(proc, target, rule, psi)
-    # reseeded yields the streams derive_stream(1007, t), t < trials, without per-trial seeding
-    hits = sum(run_loop(tree, psi, 2, rng).succeeded for rng in reseeded((1007,), range(trials)))
+    # uniform_draws draws from the streams derive_stream(1007, t), t < trials, without per-trial seeding
+    hits = sum(t.succeeded for n, draw in uniform_draws((1007,), range(trials)) for t in run_trials(tree, 2, n, draw))
     sigma = np.sqrt((7 / 16) * (9 / 16) / trials)
     assert abs(hits / trials - 7 / 16) <= 3 * sigma
     _report(8, f"outcomes 1/4; 7/16 and 1-(3/4)^n exact; failure(30) = {failure30:.3e}; {trials} traces freq {hits / trials:.5f}")
@@ -216,7 +216,7 @@ def test_criterion_09_qudit_distributor():
     v2 = random_unitary(2, derive_stream(1010))
     psi2 = np.ones(2) / np.sqrt(2)
     tree = OutcomeTree(proc2, v2, rule2, psi2)
-    hits = sum(run_loop(tree, psi2, 1, rng).succeeded for rng in reseeded((1011,), range(trials)))
+    hits = sum(t.succeeded for n, draw in uniform_draws((1011,), range(trials)) for t in run_trials(tree, 1, n, draw))
     sigma = np.sqrt(0.25 * 0.75 / trials)
     assert abs(hits / trials - 0.25) <= 3 * sigma
     _report(9, f"all identities for N in {{2,3,4}}; p(K) exact; {trials} traces freq {hits / trials:.5f}")

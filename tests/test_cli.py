@@ -4,7 +4,10 @@ import io
 import itertools
 import json
 import random
+import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -14,7 +17,7 @@ from hypothesis import strategies as st
 from qproc import cli, loops, qlinalg, zoo
 from qproc.cli import ExperimentConfig, UsageError, main, reproduce_table, run_sample, run_sweep, trace_to_dict
 from qproc.processor import ProcessorDefinition, decompose, select_branch
-from qproc.streams import derive_stream, trial_indices
+from qproc.streams import derive_stream, reseeded, trial_indices, uniform_draws
 
 
 def _read_rows(path):
@@ -119,6 +122,15 @@ def test_reproduce_nan_tol_is_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_reproduce_negative_tol_is_usage_error(tmp_path, capsys):
+    """A negative tol would flag every row, even an exact one, as a verification failure (exit 1)."""
+    out = tmp_path / "u1.csv"
+    assert main(["reproduce", "--table", "u1", "--tol=-0.001", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: tol must be non-negative, got -0.001\n"
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # sweep
 # ---------------------------------------------------------------------------
@@ -219,6 +231,7 @@ def test_sweep_unknown_experiment(tmp_path):
         {"experiment": "u1", "params": {"alpha": "a"}, "grid": {"n": [1]}},
         {"experiment": "u1", "params": {"psi": [1, 0, 0]}, "grid": {"n": [1]}},
         {"experiment": "qid2", "grid": {"n": [1]}, "tol": float("nan")},
+        {"experiment": "qid2", "grid": {"n": [1]}, "tol": -0.5},
         {"experiment": "diagonal", "params": {"entries": [1, 1, 1]}, "grid": {"dim": [3, 5], "n": [2]}},
         {"experiment": "qid2", "grid": {"n": [1]}, "max_rounds": 3},
         {"experiment": "qid2", "grid": {"n": [1]}, "experiment_index": 1},
@@ -231,7 +244,7 @@ def test_sweep_unknown_experiment(tmp_path):
     ],
     ids=[
         "bz-psi-dim", "n-not-number", "grid-not-list", "n-zero", "alpha-not-number", "u1-psi-dim", "tol-nan",
-        "diagonal-dim-not-entries", "max-rounds-unread", "experiment-index-unread",
+        "tol-negative", "diagonal-dim-not-entries", "max-rounds-unread", "experiment-index-unread",
         "bz-z-power-overflows", "bz-z-square-overflows", "b0-z-square-overflows", "qidn-target-zero",
         "diagonal-entries-norm-overflows", "diagonal-entries-huge",
     ],
@@ -387,6 +400,35 @@ def test_sample_trials_are_independent_of_order_and_tree(experiment):
         psi = fixed_psi if fixed_psi is not None else qlinalg.random_state(proc.data_dim, rng)
         trace = loops.run_loop(loops.OutcomeTree(proc, target, rule), psi, cfg.max_rounds, rng)
         assert trace_to_dict(trace) == trace_to_dict(traces[t])
+
+
+@pytest.mark.parametrize("experiment", cli.SAMPLE_EXPERIMENTS)
+def test_sample_trials_run_concurrently_give_the_same_traces(experiment):
+    """README's Determinism claim: four threads, each on its own tree and a contiguous range of streams, give run_sample's traces."""
+    cfg = ExperimentConfig(experiment=experiment, max_rounds=1 if experiment == "bz_haar" else 4, trials=2001, seed=37, experiment_index=1)
+    want = [trace_to_dict(t) for t in run_sample(cfg)["traces"]]
+    setup, _ = cli._loop_setup(cfg)
+    entropy, ks = (cfg.seed, cfg.experiment_index), trial_indices(cfg.trials)
+    bounds = [ks.start + len(ks) * q // 4 for q in range(5)]
+    start = threading.Barrier(4, timeout=60)  # every range runs while the others do
+
+    def walk(part: range) -> list:
+        tree = loops.OutcomeTree(setup.proc, setup.target, setup.rule, setup.psi)
+        start.wait()
+        if tree.psi is None:  # bz_haar: a Haar-random state per trial, from the trial's stream
+            dim = tree.proc.data_dim
+            return [loops.run_loop(tree, qlinalg.random_state(dim, rng), cfg.max_rounds, rng) for rng in reseeded(entropy, part)]
+        return [t for n, draw in uniform_draws(entropy, part) for t in loops.run_trials(tree, cfg.max_rounds, n, draw)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, so the ranges' rounds interleave
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            parts = list(pool.map(walk, [range(a, b) for a, b in zip(bounds, bounds[1:])]))
+    finally:
+        sys.setswitchinterval(interval)
+    assert [len(part) for part in parts] == [500, 500, 500, 501]
+    assert [trace_to_dict(t) for part in parts for t in part] == want
 
 
 def test_sample_summary_within_three_sigma(tmp_path):
@@ -546,11 +588,14 @@ def test_sample_bz_whose_corrected_program_overflows_is_uncorrectable(tmp_path):
         ({"experiment": "diagonal", "params": {"entries": [1, "a"]}}, []),
         ({"experiment": "qid2", "trials": 50, "tol": float("nan")}, []),
         ({"experiment": "qid2", "trials": 50}, ["--tol", "nan"]),
+        ({"experiment": "qid2", "trials": 50, "tol": -0.5}, []),
+        ({"experiment": "qid2", "trials": 50}, ["--tol=-0.001"]),
         ({"experiment": "u1", "params": {"psi": ["1", "0"]}}, []),
         ({"experiment": "u1", "params": {"psi": [1e308, 1e308]}}, []),
         ({"experiment": "u1", "grid": {"n": [1, 2]}}, []),
         ({"experiment": "bz_haar", "params": {"z": 1e20, "n_program": 8}, "max_rounds": 1}, []),
         ({"experiment": "bz_haar", "params": {"z": 1e160}, "max_rounds": 1}, []),
+        ({"experiment": "bz_haar", "params": {"psi": [1, 0]}, "max_rounds": 1, "trials": 3}, []),
         ({"experiment": "bz", "params": {"z": 1e160}, "max_rounds": 1}, []),
         ({"experiment": "bz", "params": {"z": 1e150, "n_program": 64}, "max_rounds": 4}, []),
         ({"experiment": "qidn", "params": {"n_dim": 2, "target": [[0, 0], [0, 0]]}}, []),
@@ -562,8 +607,8 @@ def test_sample_bz_whose_corrected_program_overflows_is_uncorrectable(tmp_path):
     ids=[
         "trials-str", "trials-float", "psi-dim", "qidn-psi-dim", "psi-zero", "seed-negative", "params-not-object",
         "trials-flag-0", "qidn-target-not-list", "qidn-target-ragged", "diagonal-entry-not-number",
-        "tol-nan", "tol-flag-nan", "psi-strings", "psi-norm-overflow", "grid-unread",
-        "bz-haar-z-power-overflows", "bz-haar-z-square-overflows", "bz-z-square-overflows", "bz-z-power-overflows",
+        "tol-nan", "tol-flag-nan", "tol-negative", "tol-flag-negative", "psi-strings", "psi-norm-overflow", "grid-unread",
+        "bz-haar-z-power-overflows", "bz-haar-z-square-overflows", "bz-haar-psi-unread", "bz-z-square-overflows", "bz-z-power-overflows",
         "qidn-target-zero", "qidn-target-norm-tiny", "qidn-target-norm-overflows",
         "diagonal-entries-norm-overflows", "diagonal-entries-huge",
     ],

@@ -4,11 +4,15 @@ A trajectory's program in round k+1 depends only on the outcomes of rounds
 1..k, so sharing an OutcomeTree between trajectories, running them in any
 order or keeping no nodes at all must leave every trace byte unchanged. That
 is what lets trials run concurrently (or in chunks) without changing output.
-With a fixed data state the outcomes fix each node's state too, and a tree
-built with that state caches each node's round; its traces must equal those
-of a tree without one. The exact walk keeps its own entry on the nodes of
-such a tree: its value at any round budget, and the traces sampled after it,
-must equal those of a fresh tree.
+
+A tree built without a data state is walked by `run_loop`, one trajectory
+from its own state at a time. A tree built with the state every trajectory
+starts from is walked by `run_trials` and `exact_walk`; the outcomes fix
+each node's state too, and the tree caches each node's round. Its traces,
+sampled over any split of the trial streams into calls, must equal
+`run_loop`'s on a tree without a state. The exact walk keeps its own entry
+on the nodes of such a tree: its value at any round budget, and the traces
+sampled after it, must equal those of a fresh tree.
 """
 import json
 import sys
@@ -25,7 +29,7 @@ from qproc.cli import trace_to_dict
 from qproc.loops import OutcomeTree, exact_success, exact_walk, run_loop, run_trials
 from qproc.processor import assemble, decompose, select_branch
 from qproc.qlinalg import random_state, random_unitary, su2_exp
-from qproc.streams import derive_stream
+from qproc.streams import derive_stream, uniform_draws
 
 TRIALS = 12
 MAX_ROUNDS = 6
@@ -140,9 +144,31 @@ def test_retained_node_arrays_stay_within_cap():
     assert tree._retained == cap
 
 
-def _run_fixed(psi, seed, order, tree):
-    """Traces of trials in `order` from the fixed state psi, by trial index."""
-    return {t: _trace_bytes(run_loop(tree, psi, MAX_ROUNDS, derive_stream(seed, 1, t + 1))) for t in order}
+def _alone(proc, rule, target, psi, seed, trials):
+    """Traces of trials 0 .. trials - 1 from the fixed state psi, each by run_loop on a tree without a state."""
+    tree = OutcomeTree(proc, target, rule)
+    return {t: _trace_bytes(run_loop(tree, psi, MAX_ROUNDS, derive_stream(seed, 1, t + 1))) for t in range(trials)}
+
+
+def _run_fixed(tree, seed, ranges, max_rounds=MAX_ROUNDS):
+    """Traces, by trial index, from the tree's state: one run_trials call per range of trials, in the given order."""
+    out = {}
+    for trials in ranges:
+        ((n, draw),) = uniform_draws((seed, 1), range(trials.start + 1, trials.stop + 1))
+        out.update(zip(trials, run_trials(tree, max_rounds, n, draw)))
+    return out
+
+
+def _fixed_bytes(tree, seed, ranges) -> dict:
+    return {t: _trace_bytes(trace) for t, trace in _run_fixed(tree, seed, ranges).items()}
+
+
+def _pieces(trials: int, seed: int) -> list:
+    """range(trials) cut at five random points, the sub-ranges in shuffled order: one run_trials call each."""
+    rng = derive_stream(seed, 4)
+    bounds = [0, *sorted(rng.choice(np.arange(1, trials), size=5, replace=False).tolist()), trials]
+    pieces = [range(a, b) for a, b in zip(bounds, bounds[1:])]
+    return [pieces[i] for i in rng.permutation(len(pieces))]
 
 
 def _probs_bytes(probs: list) -> int:
@@ -162,13 +188,13 @@ def _node_bytes(proc, with_state: bool) -> int:
 def test_tree_with_a_state_gives_the_traces_of_a_tree_without(family, seed):
     proc, rule, target = _family(family, seed)
     psi = random_state(proc.data_dim, derive_stream(seed, 3))
-    forward = range(3 * TRIALS)
-    shuffled = derive_stream(seed, 4).permutation(len(forward)).tolist()
-    reference = _run_fixed(psi, seed, forward, OutcomeTree(proc, target, rule))
+    trials = 3 * TRIALS
+    reference = _alone(proc, rule, target, psi, seed, trials)
     for cap in (loops._RETAINED_BYTES, 0, 3 * _node_bytes(proc, True)):
         with mock.patch.object(loops, "_RETAINED_BYTES", cap):
-            for order in (forward, shuffled):
-                assert _run_fixed(psi, seed, order, OutcomeTree(proc, target, rule, psi)) == reference
+            # one call, one call per trial, shuffled sub-ranges
+            for ranges in ([range(trials)], [range(t, t + 1) for t in range(trials)], _pieces(trials, seed)):
+                assert _fixed_bytes(OutcomeTree(proc, target, rule, psi), seed, ranges) == reference
 
 
 def _retained_nodes(tree) -> list:
@@ -186,7 +212,7 @@ def test_retained_bytes_with_a_state_stay_within_cap():
     cap = 4 * _node_bytes(proc, True)
     with mock.patch.object(loops, "_RETAINED_BYTES", cap):
         tree = OutcomeTree(proc, target, rule, psi)
-        _run_fixed(psi, 9, range(200), tree)
+        _run_fixed(tree, 9, _pieces(200, 9))
     kept = _retained_nodes(tree)
     held = sum(
         node.residual.nbytes
@@ -208,7 +234,7 @@ def test_tree_with_a_state_shares_each_round():
     proc, rule, target = zoo.u1_cnot(), loops.u1_rule(), zoo.u1_operator(0.3)
     psi = np.array([0.6, 0.8])
     tree = OutcomeTree(proc, target, rule, psi)
-    firsts = [run_loop(tree, psi, MAX_ROUNDS, derive_stream(6, t)).rounds[0] for t in range(100)]
+    firsts = [trace.rounds[0] for trace in _run_fixed(tree, 6, _pieces(100, 6)).values()]
     assert len({id(r) for r in firsts}) == 2 == len({r.outcome for r in firsts})
     assert len(tree.root.round.probs) == 2
     assert not firsts[0].post_state.flags.writeable
@@ -225,33 +251,22 @@ def test_tree_with_a_state_shares_each_trace():
         (zoo.cyclic_shift_processor(2), loops.bz_rule(), zoo.bz_operator(2.0), 60),
     ):
         tree = OutcomeTree(proc, target, rule, psi)
-        traces = [run_loop(tree, psi, max_rounds, derive_stream(7, t)) for t in range(200)]
         ids = {}
-        for trace in traces:
+        for trace in _run_fixed(tree, 7, _pieces(200, 7), max_rounds).values():
             ids.setdefault((trace.status, tuple(r.outcome for r in trace.rounds)), set()).add(id(trace))
         assert all(len(shared) == 1 for shared in ids.values())
         statuses |= {status for status, _ in ids}
     assert statuses == {"succeeded", "exhausted", "uncorrectable"}
 
 
-def test_run_loop_rejects_a_psi_other_than_the_trees():
-    proc, rule, target = _family("qid2", 4)
-    psi = np.array([0.6, 0.8])
-    tree = OutcomeTree(proc, target, rule, psi)
-    run_loop(tree, psi.astype(complex), MAX_ROUNDS, derive_stream(1))  # the same state in another array
-    for other in ([0.8, 0.6], [0.6, -0.8], [0.6j, 0.8j]):
-        with pytest.raises(ValueError):
-            run_loop(tree, np.array(other), MAX_ROUNDS, derive_stream(1))
-
-
-def test_start_returns_the_trees_own_psi_without_checking_it_again():
+def test_run_loop_rejects_a_tree_with_a_state():
+    """run_trials walks a tree built with a data state, whatever psi run_loop is given."""
     proc, rule, target = _family("qid2", 4)
     tree = OutcomeTree(proc, target, rule, np.array([0.6, 0.8]))
-    with mock.patch.object(loops, "data_state", side_effect=AssertionError("checked again")):
-        assert tree.start(tree.psi) is tree.psi
-    assert tree.start(np.array([0.6, 0.8])) is tree.psi  # an equal copy is checked, then the tree's psi is used
-    with pytest.raises(ValueError):
-        tree.start(np.array([0.8, 0.6]))
+    for psi in (tree.psi, np.array([0.6, 0.8]), np.array([0.8, 0.6])):
+        with pytest.raises(ValueError, match="run_trials"):
+            run_loop(tree, psi, MAX_ROUNDS, derive_stream(1))
+    assert tree._root is None  # nothing was walked
 
 
 # Collapsing (unitary) and non-collapsing (bz, diagonal off the unit circle) loops.
@@ -296,14 +311,13 @@ def test_exact_walk_retains_only_the_collapsed_chain(family):
 def test_traces_after_the_exact_walk_equal_those_of_a_fresh_tree(family, seed):
     proc, rule, target = _family(family, seed)
     psi = random_state(proc.data_dim, derive_stream(seed, 3))
-    forward = range(3 * TRIALS)
-    reference = _run_fixed(psi, seed, forward, OutcomeTree(proc, target, rule, psi))
+    reference = _alone(proc, rule, target, psi, seed, 3 * TRIALS)
     for cap in (loops._RETAINED_BYTES, 0, 3 * _node_bytes(proc, True)):
         with mock.patch.object(loops, "_RETAINED_BYTES", cap):
             tree = OutcomeTree(proc, target, rule, psi)
             for n in (4, 1, 2):
                 exact_walk(tree, n)
-            assert _run_fixed(psi, seed, forward, tree) == reference
+            assert _fixed_bytes(tree, seed, _pieces(3 * TRIALS, seed)) == reference
 
 
 def test_exact_walk_needs_a_tree_with_a_state():
