@@ -29,7 +29,7 @@ import math
 import numbers
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterable, Iterator
 
@@ -133,28 +133,22 @@ class ExperimentConfig:
     tol: float | None = None
 
     def __post_init__(self):
-        for name in ("max_rounds", "trials", "seed", "experiment_index"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise UsageError(f"{name} must be an integer, got {value!r}")
-        if self.trials < 1:
-            raise UsageError("trials must be at least 1")
-        if self.max_rounds < 1:
-            raise UsageError("max_rounds must be at least 1")
-        if self.seed < 0 or self.experiment_index < 0:
-            raise UsageError("seed and experiment_index must be non-negative")
+        for name, minimum in (("max_rounds", 1), ("trials", 1), ("seed", 0), ("experiment_index", 0)):
+            setattr(self, name, _integer(getattr(self, name), name, minimum))
         if self.tol is not None:
             _tolerance(self.tol)
         for name in ("params", "grid"):
             if not isinstance(getattr(self, name), dict):
                 raise UsageError(f"{name} must be a JSON object")
+        for k, v in self.grid.items():
+            if not isinstance(v, list):
+                raise UsageError(f"grid.{k} must be a list of values, got {v!r}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         if not isinstance(d, dict):
             raise UsageError("config must be a JSON object")
-        known = {"experiment", "params", "max_rounds", "trials", "seed", "experiment_index", "grid", "tol"}
-        unknown = set(d) - known
+        unknown = set(d) - {f.name for f in fields(cls)}
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
         if "experiment" not in d:
@@ -214,7 +208,8 @@ def _tolerance(v) -> float:
 
 
 def _integer(v, name: str, minimum: int) -> int:
-    if not (_is_real(v) and isinstance(v, numbers.Integral) and v >= minimum):
+    """v as an int; any size is exact, so it is not taken through float like `_is_real`."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < minimum:
         raise UsageError(f"{name} must be an integer >= {minimum}, got {v!r}")
     return int(v)
 
@@ -248,11 +243,12 @@ def _direction(v: np.ndarray, name: str) -> np.ndarray:
     """v, of which only the direction is read, checked for a non-zero, finite 2-norm.
 
     If every |v_i| is below _TINY (about 1.5e-154), where the 2-norm
-    underflows, v is first divided by its largest modulus; other vectors keep their bits.
+    underflows, v is first divided by its largest modulus m, both scaled by
+    2**600 (numpy multiplies by 1/m, which overflows for a subnormal m). Other vectors keep their bits.
     """
     with np.errstate(over="ignore"):  # an overflowing modulus or norm is inf, reported below
-        m = np.abs(v).max()
-        v = v / m if 0 < m < _TINY else v
+        m = np.abs(v).max(initial=0.0)  # an empty v has no direction, reported below
+        v = v * 2.0**600 / (m * 2.0**600) if 0 < m < _TINY else v
         norm = float(np.linalg.norm(v))
     if not 0 < norm < np.inf:
         raise UsageError(f"{name} must have a non-zero 2-norm within float range (each |entry| below about 1.3e154)")
@@ -467,15 +463,14 @@ def _b0(p: dict, aux: tuple) -> _Setup:
 
 
 def _diagonal(p: dict, aux: tuple) -> _Setup:
-    dim = _integer(p["dim"], "dim", 2) if "dim" in p else None  # given entries or phases must match it
-    if dim is not None:
-        _check_size(dim, dim, f"dim={dim}")
+    dim = _integer(p.get("dim", 3), "dim", 2)
+    _check_size(dim, dim, f"dim={dim}")
+    length = dim if "dim" in p else None  # given entries or phases must match a given dim
     if "entries" in p:
-        entries = _complex_vector(p["entries"], "entries", dim)
+        entries = _complex_vector(p["entries"], "entries", length)
     elif "phases" in p:
-        entries = np.exp(1j * _real_vector(p["phases"], "phases", dim))
+        entries = np.exp(1j * _real_vector(p["phases"], "phases", length))
     else:
-        dim = 3 if dim is None else dim
         entries = np.exp(2j * np.pi * np.arange(dim) / dim)
     _check_size(len(entries), len(entries), f"{len(entries)} entries")
     entries = _direction(entries, "entries")  # zoo.diagonal_program divides by their 2-norm
@@ -532,7 +527,9 @@ class _Family:
 
     `build(params, aux)` turns config params, after the command's defaults,
     into (processor, correction rule, target); `aux` keys the stream of a
-    Haar target drawn without a `target_seed`. `law(proc, target, psi,
+    Haar target drawn without a `target_seed`. `params` are all the keys
+    that `build` and the data state read (see `_load_config`); without `psi`,
+    `sample` runs one round per Haar-random psi, against the state-averaged law. `law(proc, target, psi,
     rounds)` is the closed-form reference of a sweep, by default the loop law
     of the processor's program dimension, or None (no reference) for a
     target that is not proportional to a unitary, to which that law does not
@@ -542,36 +539,38 @@ class _Family:
     """
 
     build: Callable[[dict, tuple], _Setup]
+    params: tuple[str, ...]
     law: Callable[..., float] = _loop_law
     rounds: str = "n"  # sweep key of the round budget
     # sweep: one shot of this program (the last outcome fails) instead of the loop
     shot: Callable[[ProcessorDefinition, np.ndarray], ProgramState] | None = None
     sample: dict = field(default_factory=dict)  # defaults of `sample`
     sweep: dict = field(default_factory=dict)  # defaults of `sweep`
-    haar: bool = False  # sample: one round on a Haar-random psi per trial, state-averaged law
+    excludes: tuple[tuple[str, str], ...] = ()  # (key, other): build ignores other if key is given, unless as a str
 
 
 _FAMILIES = {
-    "u1": _Family(_u1),
+    "u1": _Family(_u1, ("alpha", "psi")),
     "bz": _Family(
         _bz,
+        ("z", "n_program", "psi"),
         _bz_law,
         shot=lambda proc, target: zoo.geometric_program(target[1, 1], proc.program_dim),
         sample={"z": 0.8},
         sweep={"psi": _PSI2.tolist()},
     ),
-    "bz_haar": _Family(_bz, _bz_law, sample={"z": np.sqrt(0.5), "n_program": 4}, haar=True),
-    "diagonal": _Family(_diagonal, sample={"phases": _DEFAULT_PHASES}),
-    "qid2": _Family(_qid2),
-    "qidn": _Family(_qidn, rounds="k", sweep={"target_seed": 7}),
-    "b0": _Family(_b0, _b0_law, shot=lambda proc, target: zoo.geometric_program(target[0, 0], proc.program_dim)),
+    "bz_haar": _Family(_bz, ("z", "n_program"), _bz_law, sample={"z": np.sqrt(0.5), "n_program": 4}),
+    "diagonal": _Family(
+        _diagonal, ("entries", "phases", "dim", "psi"), sample={"phases": _DEFAULT_PHASES}, excludes=(("entries", "phases"),)
+    ),
+    "qid2": _Family(_qid2, ("mu", "psi")),
+    "qidn": _Family(
+        _qidn, ("n_dim", "target", "target_seed", "psi"), rounds="k", sweep={"target_seed": 7}, excludes=(("target", "target_seed"),)
+    ),
+    "b0": _Family(
+        _b0, ("z", "dim", "n_program", "psi"), _b0_law, shot=lambda proc, target: zoo.geometric_program(target[0, 0], proc.program_dim)
+    ),
 }
-
-
-def _family(experiment: str, command: str, known: tuple[str, ...]) -> _Family:
-    if experiment not in known:
-        raise UsageError(f"unknown {command} experiment: {experiment!r} (known: {known})")
-    return _FAMILIES[experiment]
 
 
 def _loop_setup(cfg: ExperimentConfig) -> tuple[loops.OutcomeTree, float]:
@@ -581,14 +580,13 @@ def _loop_setup(cfg: ExperimentConfig) -> tuple[loops.OutcomeTree, float]:
     Haar-random state per trial; the exact value is walked on the tree the
     trials then share.
     """
-    family = _family(cfg.experiment, "sample", SAMPLE_EXPERIMENTS)
-    if family.haar and cfg.max_rounds != 1:
+    family = _FAMILIES[cfg.experiment]
+    haar = "psi" not in family.params
+    if haar and cfg.max_rounds != 1:
         raise UsageError(f"{cfg.experiment} averages single-shot success; set max_rounds to 1")
-    if family.haar and "psi" in cfg.params:
-        raise UsageError(f"{cfg.experiment} draws a Haar-random psi for each trial and does not read params.psi")
     p = {**family.sample, **cfg.params}
     proc, rule, target = family.build(p, (cfg.seed, cfg.experiment_index, 0))
-    if family.haar:
+    if haar:
         return loops.OutcomeTree(proc, target, rule), family.law(proc, target, None, 1)
     tree = loops.OutcomeTree(proc, target, rule, _config_state(p, proc.data_dim))
     return tree, loops.exact_walk(tree, cfg.max_rounds)
@@ -615,7 +613,8 @@ def run_sample(cfg: ExperimentConfig) -> dict:
         "successes": successes,
         "empirical": empirical,
         "exact": exact,
-        "three_sigma": 3.0 * float(np.sqrt(exact * (1 - exact) / cfg.trials)),
+        # an exact value rounded past 1 (bz can read 1 + 4e-16) has no variance, not a nan one
+        "three_sigma": 3.0 * float(np.sqrt(max(exact * (1 - exact), 0.0) / cfg.trials)),
     }
     return {"config": cfg.to_dict(), "traces": traces, "summary": summary}
 
@@ -846,7 +845,7 @@ def _sweep_point(experiment: str, merged: dict, aux: tuple, trees: dict | None =
     set-up reads but the round key (experiment, other params, target and
     psi bytes).
     """
-    family = _family(experiment, "sweep", SWEEP_EXPERIMENTS)
+    family = _FAMILIES[experiment]
     p = {**family.sweep, **merged}
     rounds = 1 if family.shot else _integer(p[family.rounds], family.rounds, 1)
     proc, rule, target = family.build(p, aux)
@@ -877,13 +876,9 @@ def run_sweep(cfg: ExperimentConfig) -> list[ResultRow]:
     trees: dict = {}
     if not cfg.grid:
         raise UsageError("sweep config must declare a grid")
-    keys = list(cfg.grid)
-    for k in keys:
-        if not isinstance(cfg.grid[k], list):
-            raise UsageError(f"grid.{k} must be a list of values, got {cfg.grid[k]!r}")
     rows = []
-    for index, values in enumerate(itertools.product(*(cfg.grid[k] for k in keys))):
-        point = dict(zip(keys, values))
+    for index, values in enumerate(itertools.product(*cfg.grid.values())):
+        point = dict(zip(cfg.grid, values))
         quantity, computed, closed, hits = _sweep_point(cfg.experiment, {**cfg.params, **point}, (cfg.seed, index, 0), trees)
         empirical = None
         if cfg.trials > 1:
@@ -970,12 +965,9 @@ def _check_qid2_probabilities():
 
 
 def _check_sigma_conjugation():
-    for j in (1, 2, 3):
-        for k in (1, 2, 3):
-            if j == k:
-                continue
-            lhs = qlinalg.PAULIS[j] @ qlinalg.PAULIS[k] @ qlinalg.PAULIS[j]
-            assert np.abs(lhs + qlinalg.PAULIS[k]).max() <= 1e-15, "sigma_j sigma_k sigma_j != -sigma_k"
+    for j, k in itertools.permutations((1, 2, 3), 2):
+        lhs = qlinalg.PAULIS[j] @ qlinalg.PAULIS[k] @ qlinalg.PAULIS[j]
+        assert np.abs(lhs + qlinalg.PAULIS[k]).max() <= 1e-15, "sigma_j sigma_k sigma_j != -sigma_k"
 
 
 def _shift_on(n: int, control: int, target: int, sign: int) -> np.ndarray:
@@ -994,18 +986,14 @@ def _check_qid_network_action():
 
 def _check_weyl_identities():
     for n in (2, 3):
-        for m1 in range(n):
-            for n1 in range(n):
-                u1 = zoo.weyl(m1, n1, n)
-                for m2 in range(n):
-                    for n2 in range(n):
-                        u2 = zoo.weyl(m2, n2, n)
-                        tr = np.trace(dagger(u2) @ u1)
-                        want = n if (m1, n1) == (m2, n2) else 0.0
-                        assert abs(tr - want) <= 1e-10, "weyl orthogonality failed"
-                        conj = dagger(u2) @ u1 @ u2
-                        phase = np.exp(2j * np.pi * (m1 * n2 - n1 * m2) / n)
-                        assert np.abs(conj - phase * u1).max() <= 1e-10, "weyl conjugation relation failed"
+        for m1, n1, m2, n2 in itertools.product(range(n), repeat=4):
+            u1, u2 = zoo.weyl(m1, n1, n), zoo.weyl(m2, n2, n)
+            tr = np.trace(dagger(u2) @ u1)
+            want = n if (m1, n1) == (m2, n2) else 0.0
+            assert abs(tr - want) <= 1e-10, "weyl orthogonality failed"
+            conj = dagger(u2) @ u1 @ u2
+            phase = np.exp(2j * np.pi * (m1 * n2 - n1 * m2) / n)
+            assert np.abs(conj - phase * u1).max() <= 1e-10, "weyl conjugation relation failed"
 
 
 def _check_qidn_covariance():
@@ -1013,25 +1001,23 @@ def _check_qidn_covariance():
         net = zoo.qid_network(n)
         rng = derive_stream(16, n)
         psi = random_state(n, rng)
-        for m in range(n):
-            for k in range(n):
-                xi = zoo.bell_state(m, k, n)
-                out = net @ np.kron(psi, xi)
-                want = np.kron(zoo.weyl(m, k, n) @ psi, xi)
-                assert np.linalg.norm(out - want) <= 1e-10, f"covariance failed for (m,n)=({m},{k}), N={n}"
+        for m, k in itertools.product(range(n), repeat=2):
+            xi = zoo.bell_state(m, k, n)
+            out = net @ np.kron(psi, xi)
+            want = np.kron(zoo.weyl(m, k, n) @ psi, xi)
+            assert np.linalg.norm(out - want) <= 1e-10, f"covariance failed for (m,n)=({m},{k}), N={n}"
 
 
 def _check_phi_basis():
     for n in (2, 3):
         basis = zoo.phi_basis(n)
-        for r in range(n):
-            for s in range(n):
-                head = np.zeros(n, dtype=complex)
-                head[(-r) % n] = 1.0
-                tail = np.array([np.exp(2j * np.pi * ((j + r) % n) * s / n) for j in range(n)])
-                tail = np.exp(-2j * np.pi * r * s / n) * tail / np.sqrt(n)
-                factored = np.kron(head, np.exp(2j * np.pi * r * s / n) * tail)
-                assert phase_distance(basis.vectors[r * n + s], factored) <= 1e-10, "phi basis not factorizable"
+        for r, s in itertools.product(range(n), repeat=2):
+            head = np.zeros(n, dtype=complex)
+            head[(-r) % n] = 1.0
+            tail = np.array([np.exp(2j * np.pi * ((j + r) % n) * s / n) for j in range(n)])
+            tail = np.exp(-2j * np.pi * r * s / n) * tail / np.sqrt(n)
+            factored = np.kron(head, np.exp(2j * np.pi * r * s / n) * tail)
+            assert phase_distance(basis.vectors[r * n + s], factored) <= 1e-10, "phi basis not factorizable"
 
 
 def _check_correction_soundness():
@@ -1049,9 +1035,7 @@ def _check_correction_soundness():
         first = rule.next_program(proc, target, np.eye(proc.data_dim))
         ops = branch_operators(proc, first, basis)
         for idx, lab in enumerate(basis.labels):
-            if lab in success:
-                continue
-            if np.linalg.norm(ops[idx]) < 1e-12:
+            if lab in success or np.linalg.norm(ops[idx]) < 1e-12:
                 continue
             corrected = rule.next_program(proc, target, ops[idx])
             next_ops = branch_operators(proc, corrected, basis)
@@ -1184,10 +1168,17 @@ def _load_config(args) -> ExperimentConfig:
         raise UsageError(f"cannot read config {args.config!r}: {exc}") from None
     cfg = ExperimentConfig.from_dict(raw)
     experiments, unread = _COMMAND_CONFIGS[args.command]
-    _family(cfg.experiment, args.command, experiments)
-    stray = sorted(unread.intersection(raw))
+    if cfg.experiment not in experiments:
+        raise UsageError(f"unknown {args.command} experiment: {cfg.experiment!r} (known: {experiments})")
+    family = _FAMILIES[cfg.experiment]
+    reads = [*family.params, *([family.rounds] if args.command == "sweep" and not family.shot else [])]
+    given = {**{k: [v] for k, v in cfg.params.items()}, **cfg.grid}  # not the defaults, which never trip a check
+    stray = sorted(unread.intersection(raw)) or sorted(given.keys() - set(reads))
     if stray:
-        raise UsageError(f"{args.command} does not read config keys {stray}")
+        raise UsageError(f"{args.command} {cfg.experiment} does not read {stray} (params it reads: {reads})")
+    for key, other in family.excludes:
+        if other in given and not all(isinstance(v, str) for v in given.get(key, ())):
+            raise UsageError(f"{cfg.experiment} reads {key} and ignores {other}; give one of them")
     overrides = {"seed": args.seed, "trials": args.trials, "tol": args.tol}
     # replace() re-runs the config checks on the overridden values
     return replace(cfg, **{k: v for k, v in overrides.items() if v is not None})

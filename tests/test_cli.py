@@ -241,12 +241,22 @@ def test_sweep_unknown_experiment(tmp_path):
         {"experiment": "qidn", "params": {"target": [[0, 0], [0, 0]]}, "grid": {"n_dim": [2], "k": [1]}},
         {"experiment": "diagonal", "params": {"entries": [1e155, 1, 1]}, "grid": {"n": [3]}},
         {"experiment": "diagonal", "params": {"entries": [1e300, 1, 1]}, "grid": {"n": [3]}},
+        {"experiment": "u1", "params": {"alpah": 1.2}, "grid": {"n": [1]}},
+        {"experiment": "u1", "params": {"alpah": 1.2}, "grid": {"n": []}},
+        {"experiment": "bz", "grid": {"z": [0.5], "n": [1, 2]}},
+        {"experiment": "b0", "grid": {"z": [0.5], "n": [1, 2]}},
+        {"experiment": "qid2", "grid": {"n": [1], "k": [1]}},
+        {"experiment": "diagonal", "params": {"entries": [1, 1, 1]}, "grid": {"phases": [[0, 1, 2]], "n": [1]}},
+        {"experiment": "qidn", "params": {"target": [[1, 0], [0, 1]], "target_seed": 3}, "grid": {"k": [1]}},
+        {"experiment": "qidn", "params": {"target_seed": 3}, "grid": {"target": ["haar", [[1, 0], [0, 1]]], "k": [1]}},
     ],
     ids=[
         "bz-psi-dim", "n-not-number", "grid-not-list", "n-zero", "alpha-not-number", "u1-psi-dim", "tol-nan",
         "tol-negative", "diagonal-dim-not-entries", "max-rounds-unread", "experiment-index-unread",
         "bz-z-power-overflows", "bz-z-square-overflows", "b0-z-square-overflows", "qidn-target-zero",
-        "diagonal-entries-norm-overflows", "diagonal-entries-huge",
+        "diagonal-entries-norm-overflows", "diagonal-entries-huge", "u1-misspelled-key", "misspelled-key-empty-grid",
+        "bz-n-unread", "b0-n-unread", "qid2-k-unread", "diagonal-entries-and-phases", "qidn-target-rows-and-seed",
+        "qidn-grid-target-rows-and-seed",
     ],
 )
 def test_sweep_bad_config_is_usage_error(tmp_path, capsys, config):
@@ -603,6 +613,16 @@ def test_sample_bz_whose_corrected_program_overflows_is_uncorrectable(tmp_path):
         ({"experiment": "qidn", "params": {"n_dim": 2, "target": [[1e300, 0], [0, 1e300]]}}, []),
         ({"experiment": "diagonal", "params": {"entries": [1e155, 1, 1]}, "max_rounds": 3}, []),
         ({"experiment": "diagonal", "params": {"entries": [1e300, 1, 1]}, "max_rounds": 3}, []),
+        ({"experiment": "u1", "params": {"alpah": 1.2}}, []),
+        ({"experiment": "u1", "params": {"n": 4}}, []),
+        ({"experiment": "diagonal", "params": {"entries": [1, 1, 1], "phases": [0, 1, 2]}}, []),
+        ({"experiment": "qidn", "params": {"target": [[1, 0], [0, 1]], "target_seed": 3}}, []),
+        ({"experiment": "u1", "seed": True}, []),
+        ({"experiment": "u1", "seed": 1e3}, []),
+        ({"experiment": "u1", "max_rounds": True}, []),
+        ({"experiment": "u1", "experiment_index": -1}, []),
+        ({"experiment": "diagonal", "params": {"entries": []}}, []),
+        ({"experiment": "diagonal", "params": {"phases": []}}, []),
     ],
     ids=[
         "trials-str", "trials-float", "psi-dim", "qidn-psi-dim", "psi-zero", "seed-negative", "params-not-object",
@@ -610,7 +630,9 @@ def test_sample_bz_whose_corrected_program_overflows_is_uncorrectable(tmp_path):
         "tol-nan", "tol-flag-nan", "tol-negative", "tol-flag-negative", "psi-strings", "psi-norm-overflow", "grid-unread",
         "bz-haar-z-power-overflows", "bz-haar-z-square-overflows", "bz-haar-psi-unread", "bz-z-square-overflows", "bz-z-power-overflows",
         "qidn-target-zero", "qidn-target-norm-tiny", "qidn-target-norm-overflows",
-        "diagonal-entries-norm-overflows", "diagonal-entries-huge",
+        "diagonal-entries-norm-overflows", "diagonal-entries-huge", "u1-misspelled-key", "n-unread",
+        "diagonal-entries-and-phases", "qidn-target-rows-and-seed", "seed-bool", "seed-float", "max-rounds-bool",
+        "experiment-index-negative", "diagonal-entries-empty", "diagonal-phases-empty",
     ],
 )
 def test_sample_bad_config_is_usage_error(tmp_path, capsys, config, flags):
@@ -620,6 +642,36 @@ def test_sample_bad_config_is_usage_error(tmp_path, capsys, config, flags):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not (tmp_path / "x.json").exists()
+
+
+@pytest.mark.parametrize(
+    "command, config",
+    [
+        ("sample", {"experiment": "diagonal", "params": {"entries": [1, 0.5, 0.25]}, "max_rounds": 2, "trials": 3}),
+        ("sample", {"experiment": "qidn", "params": {"target": "haar", "target_seed": 3}, "trials": 3}),
+        ("sweep", {"experiment": "qidn", "params": {"target": [[0, 1], [1, 0]]}, "grid": {"k": [1, 2]}}),
+    ],
+    ids=["entries-beside-default-phases", "haar-target-with-seed", "target-rows-beside-default-seed"],
+)
+def test_only_given_keys_can_exclude_each_other(tmp_path, command, config):
+    """A command's defaults (sample's diagonal phases, sweep's target_seed 7) never exclude a given key."""
+    assert _exit_code(tmp_path, command, config) == 0
+
+
+def test_integer_config_fields_are_exact_at_any_size(tmp_path):
+    """A seed past float range runs: `_integer` does not take its value through float."""
+    assert _exit_code(tmp_path, "sample", {"experiment": "u1", "seed": 2**1100, "trials": 3}) == 0
+    assert json.loads((tmp_path / "out").read_text())["config"]["seed"] == 2**1100
+    cfg = ExperimentConfig("u1", seed=np.int64(5), experiment_index=np.int64(3))
+    assert (cfg.seed, cfg.experiment_index) == (5, 3) and type(cfg.experiment_index) is int
+
+
+def test_sample_exact_rounded_past_one_has_zero_three_sigma(tmp_path):
+    """bz from psi (0, 1) at z 1.51171875, N 4 and 3 rounds sums its exact success to 1 + 4.4e-16."""
+    config = {"experiment": "bz", "params": {"psi": [0, 1], "z": 1.51171875, "n_program": 4}, "max_rounds": 3, "trials": 5}
+    assert _exit_code(tmp_path, "sample", config) == 0
+    summary = json.loads((tmp_path / "out").read_text())["summary"]
+    assert summary["exact"] > 1 and summary["three_sigma"] == 0.0
 
 
 def test_sample_psi_accepts_re_im_pairs(tmp_path):
@@ -758,6 +810,8 @@ UNDERFLOWING = [
     ("u1", {"psi": [1e-200, 0]}, {"psi": [1.0, 0.0]}),
     ("diagonal", {"entries": [1e-160, 1e-160, 1e-160]}, {"entries": [1, 1, 1]}),
     ("diagonal", {"entries": [1e-200, 1e-200, 1e-200]}, {"entries": [1, 1, 1]}),
+    ("u1", {"psi": [0, 2.225073858507e-311]}, {"psi": [0.0, 1.0]}),  # numpy's 1/m overflows for a subnormal m
+    ("diagonal", {"entries": [5e-324, [0, 5e-324], 5e-324]}, {"entries": [1, [0, 1], 1]}),
 ]
 
 
@@ -765,7 +819,7 @@ UNDERFLOWING = [
 @pytest.mark.parametrize(
     "experiment, tiny, in_range",
     UNDERFLOWING,
-    ids=["psi-norm-subnormal", "psi-norm-zero", "entries-1e-160", "entries-1e-200"],
+    ids=["psi-norm-subnormal", "psi-norm-zero", "entries-1e-160", "entries-1e-200", "psi-subnormal", "entries-subnormal"],
 )
 def test_a_vector_whose_norm_underflows_runs_as_its_rescaled_direction(tmp_path, command, experiment, tiny, in_range):
     def output(params):

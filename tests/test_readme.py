@@ -1,9 +1,9 @@
-"""README's example configs run, and its lists of tables and experiments are the CLI's."""
+"""README's example configs run, and its lists of tables, experiments and params keys are the CLI's."""
 import json
 import re
 from pathlib import Path
 
-from qproc.cli import REPRODUCE_TABLES, SAMPLE_EXPERIMENTS, SWEEP_EXPERIMENTS, main
+from qproc.cli import _FAMILIES, REPRODUCE_TABLES, SAMPLE_EXPERIMENTS, SWEEP_EXPERIMENTS, main
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 
@@ -34,3 +34,13 @@ def test_readme_example_configs_run(tmp_path):
     assert main(["sample", "--config", str(sample_cfg), "--trials", "300", "--out", str(tmp_path / "traces.json")]) == 0
     summary = json.loads((tmp_path / "traces.json").read_text())["summary"]
     assert summary["trials"] == 300 and abs(summary["empirical"] - summary["exact"]) <= summary["three_sigma"]
+
+
+def test_readme_key_table_is_each_familys_declaration():
+    """Each row's keys column, plus `psi` for every experiment but the one README names, is what the family declares."""
+    (no_psi,) = re.findall(r"Every experiment but `(\w+)` also reads `psi`", README)
+    rows = re.findall(r"^\| `(\w+)`[^|]* \| ([^|]*) \|", README, re.M)
+    assert [experiment for experiment, _ in rows] == list(_FAMILIES)
+    for experiment, keys in rows:
+        listed = set(re.findall(r"`([a-z_0-9]+)`", keys)) | ({"psi"} if experiment != no_psi else set())
+        assert listed == set(_FAMILIES[experiment].params), experiment
