@@ -257,9 +257,10 @@ def _direction(v: np.ndarray, name: str) -> np.ndarray:
 
 # The largest processor a config may ask for: program dimension N times data
 # dimension D, checked before anything is built. The block grid has (N D)^2
-# entries: cyclic_shift_processor(512) assembles in about 0.22 s, and a
-# process that builds it peaks at 67 MB RSS (2 vCPUs, numpy 2.4.6; 118 MB
-# when `assemble` checked G with dense products).
+# entries: cyclic_shift_processor(512), a 0/1 grid checked as a permutation,
+# assembles in about 0.02 s, and a process that builds it peaks at 60 MB RSS
+# (2 vCPUs, numpy 2.4.6; 0.22 s and 67 MB when `assemble` formed the
+# completeness products of every grid, 118 MB when it formed G densely).
 _MAX_SIZE = 1024
 
 
@@ -304,6 +305,10 @@ _SCALAR_JSON = {
 }
 
 
+# Classes json.dumps renders as they are (dicts only with plain values).
+_PLAIN = frozenset({dict, list, str, int, float, bool, type(None)})
+
+
 def _float_grid(value: list) -> tuple[tuple[int, ...], list[float]] | None:
     """Shape and flat elements of a rectangular nested list of finite floats, else None."""
     shape = []
@@ -331,13 +336,14 @@ def _grid_template(shape: tuple[int, ...], pad: str) -> str:
 
 
 def _json_at(value, pad: str, templates: dict) -> str:
-    """json.dumps(value, indent=2) for a value nested `len(pad)` spaces in.
+    """json.dumps(_jsonify(value), indent=2) for a value nested `len(pad)` spaces in.
 
     Dicts with string keys are walked key by key, and a rectangular nested
-    list of finite floats is one %-format of a template kept in `templates`
-    by (shape, pad); %r of a float is float.__repr__, json's own float
-    form. Anything else goes through json.dumps: raw newlines cannot occur
-    inside JSON strings, so shifting every line break by `pad` is exact.
+    list of finite floats, or a complex array as its [re, im] pairs, is one
+    %-format of a template kept in `templates` by (shape, pad); %r of a
+    float is float.__repr__, json's own float form. Other values go through
+    `_jsonify` and json.dumps: raw newlines cannot occur inside JSON
+    strings, so shifting every line break by `pad` is exact.
     """
     scalar = _SCALAR_JSON.get(value.__class__)
     if scalar is not None:
@@ -346,14 +352,22 @@ def _json_at(value, pad: str, templates: dict) -> str:
         inner = pad + "  "
         fields = (encode_basestring_ascii(k) + ": " + _json_at(v, inner, templates) for k, v in value.items())
         return "{\n" + inner + (",\n" + inner).join(fields) + "\n" + pad + "}"
-    grid = _float_grid(value) if value.__class__ is list else None
+    if value.__class__ is np.ndarray and value.dtype.kind == "c":  # _float_grid(_jsonify(value)), from the array
+        items = np.stack((value.real, value.imag), -1).reshape(-1).tolist()
+        grid = (value.shape + (2,), items) if items and math.isfinite(sum(items)) else None
+    elif value.__class__ is list:
+        grid = _float_grid(value)
+    elif value.__class__ in _PLAIN:
+        grid = None
+    else:
+        return _json_at(_jsonify(value), pad, templates)
     if grid is not None:
         shape, items = grid
         template = templates.get((shape, pad))
         if template is None:
             template = templates[shape, pad] = _grid_template(shape, pad)
         return template % tuple(items)
-    return json.dumps(value, indent=2).replace("\n", "\n" + pad)
+    return json.dumps(_jsonify(value), indent=2).replace("\n", "\n" + pad)
 
 
 _PAD_ROUND = " " * 10
@@ -378,7 +392,9 @@ def sample_json(payload: dict) -> Iterator[str]:
     until its last occurrence, counted up front. Fixed templates give the
     per-round and per-trace fields, and `_json_at` every value, its float
     grid templates (a weyl program's complex block, a config's target)
-    built once per shape and depth in this call. Whole round texts are not
+    built once per shape and depth in this call; a program's complex array
+    params (a weyl block) fill theirs from one flat list of the floats that
+    `_jsonify` would nest, in the same order. Whole round texts are not
     kept: that would hold every program's params text a second time. It
     relies on the payload's key order: config, traces, summary.
     """
@@ -392,7 +408,7 @@ def sample_json(payload: dict) -> Iterator[str]:
     def round_json(r: loops.LoopRound) -> str:
         params = params_text.get(id(r.program))
         if params is None:
-            params = params_text[id(r.program)] = json_at(program_params_to_json(r.program), _PAD_ROUND)
+            params = params_text[id(r.program)] = json_at({"encoding": r.program.encoding, **r.program.params}, _PAD_ROUND)
         tail = tail_text.get(id(r))
         if tail is None:
             tail = tail_text[id(r)] = _ROUND_TAIL % (json_at(r.outcome, _PAD_ROUND), json_at(r.probability, _PAD_ROUND))

@@ -72,7 +72,6 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -88,7 +87,7 @@ from .processor import (
     decompose,  # noqa: F401 - re-exported: callers look it up in loops
     inverse_cdf,
 )
-from .qlinalg import SingularOperator, inverse, su2_log
+from .qlinalg import SingularOperator, frobenius, identity, inverse, su2_log
 
 # Failure branches with less probability mass than this cannot move a
 # 1e-12 comparison and are pruned from the exact tree.
@@ -243,16 +242,9 @@ def diagonal_rule() -> CorrectionRule:
     return _diagonal_rule(lambda proc, t, r: zoo.diagonal_program(_safe_ratio(t, r)), lambda proc: frozenset({"0"}))
 
 
-@lru_cache(maxsize=None)
-def _eye(dim: int) -> np.ndarray:
-    e = np.eye(dim, dtype=complex)
-    e.setflags(write=False)
-    return e
-
-
 def _needed(target: np.ndarray, residual: np.ndarray) -> np.ndarray:
     """target @ residual^{-1}, skipping the inversion on the first round."""
-    if np.array_equal(residual, _eye(residual.shape[0])):
+    if np.array_equal(residual, identity(residual.shape[0])):
         return target
     return target @ inverse(residual)
 
@@ -309,7 +301,7 @@ def qidN_rule() -> CorrectionRule:
 
 def _rescaled(residual: np.ndarray) -> np.ndarray:
     """Keep the residual at O(1) scale; only its direction matters."""
-    norm = np.linalg.norm(residual)
+    norm = frobenius(residual)
     if norm == 0:
         raise SingularProgram("residual collapsed to zero")
     return residual * (np.sqrt(residual.shape[0]) / norm)
@@ -546,18 +538,26 @@ def _end(out: list, group, held: _Round | None, i: int, rounds: tuple, status: s
         out[j] = trace
 
 
+def _isometry_deviations(ops: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """||m^dag m - p I||_F of each branch operator m with its probability p, with the bits of np.linalg.norm.
+
+    The products are stacked, and each branch's re.re + im.im is a stacked
+    1 x K times K x 1 product: numpy hands it to the BLAS dot that the
+    norm's `x.dot(x)` calls, on the same strided real and imaginary views.
+    """
+    n, d = ops.shape[0], ops.shape[2]
+    dev = (np.conjugate(ops).transpose(0, 2, 1) @ ops - probs[:, None, None] * identity(d).real).reshape(n, 1, d * d)
+    re, im = dev.real, dev.imag
+    return np.sqrt(re @ re.transpose(0, 2, 1) + im @ im.transpose(0, 2, 1)).reshape(n)
+
+
 def _state_independent(ops: np.ndarray, probs: np.ndarray) -> bool:
-    """True when every branch operator is proportional to an isometry.
+    """True when every branch operator is proportional to an isometry (a nan deviation does not count against it).
 
     Then outcome probabilities cannot depend on the data state, which is
     what lets the exact tree collapse.
     """
-    d = ops.shape[2]
-    eye = np.eye(d)
-    for m, p in zip(ops, probs):
-        if np.linalg.norm(np.conjugate(m).T @ m - p * eye) > 1e-11:
-            return False
-    return True
+    return not np.any(_isometry_deviations(ops, probs) > 1e-11)
 
 
 def exact_walk(tree: OutcomeTree, n: int) -> float:

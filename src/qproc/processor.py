@@ -200,10 +200,11 @@ def assemble(blocks, label: str = "", tol: float = _COMPLETENESS_TOL) -> Process
     viewed as an (N*D) x (D*N) matrix M, is G with its rows permuted (grid
     row (j, a) is row (a, j) of G), so M^dag M = G^dag G and M M^dag is
     G G^dag with rows and columns permuted alike: both sums are checked on M,
-    a few rows of each product at a time (`_completeness_deviation`). Raises
-    InvalidProcessor when either deviates from identity by more than tol
-    (largest absolute entry) or holds a nan. A valid 0/1 grid also gets its
-    `gather` map.
+    a few rows of each product at a time (`_completeness_deviation`), unless
+    M is a 0/1 permutation, whose deviation is exactly 0 (`_is_permutation`).
+    Raises InvalidProcessor when either sum deviates from identity by more
+    than tol (largest absolute entry) or holds a nan. A valid 0/1 grid also
+    gets its `gather` map.
     """
     b = np.asarray(blocks, dtype=complex)
     if b.ndim != 4 or b.shape[0] != b.shape[1] or b.shape[2] != b.shape[3]:
@@ -213,11 +214,19 @@ def assemble(blocks, label: str = "", tol: float = _COMPLETENESS_TOL) -> Process
     proc = ProcessorDefinition(
         data_dim=b.shape[2], program_dim=b.shape[0], blocks=grid.transpose(0, 3, 1, 2), label=label
     )
-    dev = _completeness_deviation(grid.reshape(grid.shape[0] * grid.shape[1], -1))
+    m = grid.reshape(grid.shape[0] * grid.shape[1], -1)
+    gather = _gather_index(grid.reshape(-1, grid.shape[-1]))
+    dev = 0.0 if gather is not None and _is_permutation(m) else _completeness_deviation(m)
     if not dev <= tol:  # a nan entry fails
         raise InvalidProcessor(f"completeness sums deviate by {dev:.3e} (> {tol:.1e})")
-    object.__setattr__(proc, "gather", _gather_index(grid.reshape(-1, grid.shape[-1])))
+    object.__setattr__(proc, "gather", gather)
     return proc
+
+
+def _is_permutation(m: np.ndarray) -> bool:
+    """Whether every row and column of the 0/1 matrix m holds one 1: then, and only then, m m^dag = m^dag m = I exactly."""
+    ones = m != 0
+    return bool((ones.sum(axis=0) == 1).all() and (ones.sum(axis=1) == 1).all())
 
 
 def _gather_index(rows: np.ndarray) -> np.ndarray | None:

@@ -8,6 +8,8 @@ tensor products.
 """
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 # |sum |amp|^2 - 1| bound for a ket considered normalized.
@@ -60,26 +62,50 @@ def dagger(m: np.ndarray) -> np.ndarray:
     return np.conjugate(m).T
 
 
+@lru_cache(maxsize=None)
+def identity(dim: int) -> np.ndarray:
+    """Read-only complex identity of the given dimension, one shared instance per dim."""
+    e = np.eye(dim, dtype=complex)
+    e.setflags(write=False)
+    return e
+
+
+def frobenius(m: np.ndarray) -> np.floating:
+    """np.linalg.norm(m) bit for bit: numpy's own sqrt(re.re + im.im) (x.x + 0.0 for a real m), without its dispatch."""
+    x = m.ravel(order="K")
+    re, im = x.real, x.imag
+    return np.sqrt(re.dot(re) + im.dot(im))
+
+
 def is_unitary(m: np.ndarray, tol: float = 1e-10) -> bool:
     """True iff ||m^dag m - I||_F <= tol (square matrices only)."""
     if m.shape[0] != m.shape[1]:
         return False
-    delta = dagger(m) @ m - np.eye(m.shape[0])
-    return np.linalg.norm(delta) <= tol
+    return frobenius(dagger(m) @ m - identity(m.shape[0]).real) <= tol
 
 
 def inverse(m: np.ndarray) -> np.ndarray:
     """Inverse of a square matrix; raises SingularOperator below threshold.
 
     The threshold is relative: smallest singular value <= TOL_SINGULAR times
-    the largest counts as singular.
+    the largest counts as singular. The SVD runs only when a bound cannot
+    decide: s[0]/s[-1] <= ||m||_F ||m^-1||_F, so a product below
+    0.5/TOL_SINGULAR passes with a factor-2 margin over rounding. Either way
+    the result is np.linalg.inv(m), and a refusal is the SVD rule's.
     """
     if m.shape[0] != m.shape[1]:
         raise ValueError("inverse requires a square matrix")
+    try:
+        inv = np.linalg.inv(m)
+        with np.errstate(all="ignore"):
+            if frobenius(m) * frobenius(inv) < 0.5 / TOL_SINGULAR:
+                return inv
+    except np.linalg.LinAlgError:
+        inv = None
     s = np.linalg.svd(m, compute_uv=False)
     if s[0] == 0 or s[-1] <= TOL_SINGULAR * s[0]:
         raise SingularOperator(f"singular value ratio {s[-1]:.3e}/{s[0]:.3e} below threshold")
-    return np.linalg.inv(m)
+    return np.linalg.inv(m) if inv is None else inv
 
 
 def su2_exp(mu) -> np.ndarray:

@@ -292,7 +292,9 @@ def su2_program(mu) -> ProgramState:
     mu = np.asarray(mu, dtype=float).reshape(3)
     m = np.linalg.norm(mu)
     xis = bell_basis()
-    k = np.cos(m) * xis[0] + 1j * np.sinc(m / np.pi) * (mu[0] * xis[1] + mu[1] * xis[2] + mu[2] * xis[3])
+    y = np.pi * (m / np.pi)  # np.sinc(m / pi) is sin(y) / y, and sin(eps) / eps == 1 where y == 0
+    sinc = np.sin(y) / y if y else np.float64(1.0)
+    k = np.cos(m) * xis[0] + 1j * sinc * (mu[0] * xis[1] + mu[1] * xis[2] + mu[2] * xis[3])
     return ProgramState(ket=k, encoding="su2", params={"mu": tuple(float(x) for x in mu)})
 
 
@@ -375,6 +377,11 @@ def _weyl_stack(n: int) -> np.ndarray:
     return _frozen(stack)
 
 
+@lru_cache(maxsize=None)
+def _weyl_bras(n: int) -> np.ndarray:  # conj(_weyl_stack(n)), as `weyl_expansion` reads it
+    return _frozen(np.conjugate(_weyl_stack(n)))
+
+
 def bell_state(m: int, n_shift: int, n: int) -> np.ndarray:
     """Maximally entangled program ket (1/sqrt(N)) sum_k w^{mk} |k>|(k - n_shift) mod N>."""
     return _bell_stack(n)[m, n_shift]
@@ -414,16 +421,24 @@ def weyl_expansion(v: np.ndarray) -> np.ndarray:
     n = v.shape[0]
     if v.shape != (n, n):
         raise ValueError("operator must be square")
-    if np.linalg.norm(v) < 1e-12:
+    if qlinalg.frobenius(v) < 1e-12:
         raise ZeroOperator("cannot expand the zero operator")
-    return np.einsum("mkij,ij->mk", np.conjugate(_weyl_stack(n)), v) / n
+    return _weyl_coefficients(v)
+
+
+def _weyl_coefficients(v: np.ndarray) -> np.ndarray:
+    return np.einsum("mkij,ij->mk", _weyl_bras(v.shape[0]), v) / v.shape[0]
 
 
 def weyl_program(d, scale: float) -> ProgramState:
-    """Program ket sum_mn d[m, n] |Xi_mn>; `scale` (see `program_for`) is recorded, not applied."""
+    """Program ket sum_mn d[m, n] |Xi_mn>; `scale` (see `program_for`) is recorded, not applied.
+
+    The ket is np.tensordot(d, bells, 2)'s one product: d as a 1 x N^2 row times the N^2 x N^2 bells.
+    """
     d = np.asarray(d, dtype=complex)
-    k = np.tensordot(d, _bell_stack(d.shape[0]), axes=([0, 1], [0, 1]))
-    return ProgramState(ket=k, encoding="weyl", params={"d": d, "scale": float(scale), "n_dim": d.shape[0]})
+    n = d.shape[0]
+    k = np.dot(d.reshape(1, n * n), _bell_stack(n).reshape(n * n, n * n)).reshape(n * n)
+    return ProgramState(ket=k, encoding="weyl", params={"d": d, "scale": float(scale), "n_dim": n})
 
 
 def program_for(v: np.ndarray) -> ProgramState:
@@ -431,14 +446,15 @@ def program_for(v: np.ndarray) -> ProgramState:
 
     v is first rescaled to Frobenius norm sqrt(N) so that the expansion
     coefficients have unit total weight; the discarded scale is recorded in
-    the params (unitary operators have scale 1).
+    the params (unitary operators have scale 1). The rescaled operator has
+    norm sqrt(N), so it is expanded without `weyl_expansion`'s zero check.
     """
     v = np.asarray(v, dtype=complex)
-    norm = np.linalg.norm(v)
+    norm = qlinalg.frobenius(v)
     if norm < 1e-12:
         raise ZeroOperator("cannot encode the zero operator")
     scale = norm / np.sqrt(v.shape[0])
-    return weyl_program(weyl_expansion(v / scale), scale)
+    return weyl_program(_weyl_coefficients(v / scale), scale)
 
 
 # ---------------------------------------------------------------------------

@@ -517,3 +517,83 @@ def test_branch_probabilities_are_the_bits_of_vdot(n, d, seed):
     got = processor.branch_probabilities(a)
     assert np.array(got).tobytes() == np.array([float(np.vdot(r, r).real) for r in a]).tobytes()
     assert all(type(p) is float for p in got)
+
+
+# ---------------------------------------------------------------------------
+# 0/1 grids: checked as permutations, every other grid by the dense products
+# ---------------------------------------------------------------------------
+
+_ZERO_ONE_BUILDERS = [
+    (zoo.u1_cnot, ()),
+    (zoo.vmc3, ()),
+    (zoo.cyclic_shift_processor, (2,)),
+    (zoo.cyclic_shift_processor, (512,)),
+    (zoo.amp_modifier_processor, (3, 4)),
+    (zoo.qudit_diagonal_processor, (5,)),
+    (zoo.qidN, (2,)),
+    (zoo.qidN, (8,)),
+]
+
+
+@pytest.mark.parametrize("build, args", _ZERO_ONE_BUILDERS, ids=lambda x: getattr(x, "__name__", str(x)))
+def test_zero_one_zoo_processors_assemble_without_the_dense_check(build, args, monkeypatch):
+    def dense(m):
+        raise AssertionError("dense completeness check ran")
+
+    monkeypatch.setattr(processor, "_completeness_deviation", dense)
+    proc = build.__wrapped__(*args)  # past the zoo's cache, so the grid is assembled here
+    assert proc.gather is not None
+    assert np.array_equal(proc.gather, build(*args).gather)
+
+
+def _grid_matrix(blocks) -> np.ndarray:
+    """The (N*D) x (D*N) matrix M that `assemble` checks."""
+    n, d = blocks.shape[0], blocks.shape[2]
+    return np.array(np.asarray(blocks).transpose(0, 2, 3, 1)).reshape(n * d, d * n)
+
+
+def _defective(kind: str) -> np.ndarray:
+    """cyclic_shift(3)'s blocks with one 1 of M dropped, duplicated or moved, still a 0/1 grid with a gather map."""
+    n, d = 3, 2
+    m = _grid_matrix(zoo.cyclic_shift_processor(3).blocks)
+    r, c = np.argwhere(m != 0)[0]
+    other = (c + n) % (d * n)  # another data column b, so the (N*D*D, N) grid row it lands in was empty
+    if kind in ("dropped", "moved"):
+        m[r, c] = 0
+    if kind in ("duplicated", "moved"):
+        m[r, other] = 1
+    return m.reshape(n, d, d, n).transpose(0, 3, 1, 2)
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (zoo.qid2.__wrapped__, None),
+        (lambda: assemble(_haar_grid(3, 2, 1)[1]), None),
+        (lambda: assemble(_defective("dropped")), "completeness sums deviate by 1.000e+00 (> 1.0e-09)"),
+        (lambda: assemble(_defective("duplicated")), "completeness sums deviate by 1.000e+00 (> 1.0e-09)"),
+        (lambda: assemble(_defective("moved")), "completeness sums deviate by 1.000e+00 (> 1.0e-09)"),
+    ],
+    ids=["qid2", "haar", "dropped", "duplicated", "moved"],
+)
+def test_other_grids_keep_the_dense_check_and_its_message(make, message, monkeypatch):
+    dense, calls = processor._completeness_deviation, []
+    monkeypatch.setattr(processor, "_completeness_deviation", lambda m: calls.append(m) or dense(m))
+    if message is None:
+        make()
+    else:
+        with pytest.raises(InvalidProcessor) as exc:
+            make()
+        assert str(exc.value) == message
+    assert calls
+
+
+@pytest.mark.parametrize("kind", ["dropped", "duplicated", "moved"])
+def test_defective_grids_are_still_0_1(kind):
+    blocks = _defective(kind)
+    assert processor._gather_index(np.array(blocks.transpose(0, 2, 3, 1)).reshape(-1, 3)) is not None
+
+
+def test_a_permutation_grid_deviates_by_exactly_zero():
+    with pytest.raises(InvalidProcessor, match=r"deviate by 0\.000e\+00 \(> -1\.0e\+00\)"):
+        assemble(_cnot_blocks(), tol=-1.0)

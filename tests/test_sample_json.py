@@ -79,6 +79,17 @@ SHARED = _program({"alpha": 0.3}, "u1")
 SHARED_ROUND = _round(SHARED, outcome="1", prob=0.25)
 SHARED_TRACE = _trace([SHARED_ROUND, _round(SHARED)])
 
+COMPLEX_ARRAYS = {
+    "d": np.array([[1 + 2j, -0.0 - 0.0j], [0.5j, 2e-300 - 1j]]),
+    "e": np.array([1 + 1j, complex("nan+1j")]),
+    "f": np.zeros((0, 2), dtype=complex),
+    "g": np.array(0.25 - 0.5j),
+    "h": np.arange(8).reshape(2, 2, 2) * (1 - 1j),
+    "i": {"j": np.array([1e308 + 1e308j, 1e308 + 0j])},
+    "k": np.array([[0.5, -0.0]]),
+    "m": np.array([[1 + 1j], [2 + 2j]]).T,
+}
+
 HAND_BUILT = {
     "zero-rounds": {"config": CONFIG, "traces": [_trace([], "uncorrectable")], "summary": SUMMARY},
     "no-traces": {"config": CONFIG, "traces": [], "summary": SUMMARY},
@@ -128,6 +139,8 @@ HAND_BUILT = {
         "traces": [_trace([_round({"v": [0.1, 0.2], "w": {"v": [0.3, 0.4]}})])],
         "summary": SUMMARY,
     },
+    # Only a program's params may hold arrays: a config reaches the writer as plain JSON.
+    "complex-arrays": {"config": CONFIG, "traces": [_trace([_round(COMPLEX_ARRAYS)])], "summary": SUMMARY},
     "numpy-scalars": {
         "config": {**CONFIG, "params": {"alpha": np.float64(0.3)}},
         "traces": [_trace([_round(SHARED, prob=np.float64(0.25))])],
