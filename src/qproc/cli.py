@@ -134,7 +134,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         for name, minimum in (("max_rounds", 1), ("trials", 1), ("seed", 0), ("experiment_index", 0)):
-            setattr(self, name, _integer(getattr(self, name), name, minimum))
+            setattr(self, name, _integer(getattr(self, name), name, minimum, _MAX_ROUNDS if name == "max_rounds" else None))
         if self.tol is not None:
             _tolerance(self.tol)
         for name in ("params", "grid"):
@@ -207,10 +207,12 @@ def _tolerance(v) -> float:
     return float(v)
 
 
-def _integer(v, name: str, minimum: int) -> int:
+def _integer(v, name: str, minimum: int, maximum: int | None = None) -> int:
     """v as an int; any size is exact, so it is not taken through float like `_is_real`."""
     if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < minimum:
         raise UsageError(f"{name} must be an integer >= {minimum}, got {v!r}")
+    if maximum is not None and v > maximum:
+        raise UsageError(f"{name} must be at most {maximum}, got {v!r}")
     return int(v)
 
 
@@ -262,6 +264,13 @@ def _direction(v: np.ndarray, name: str) -> np.ndarray:
 # (2 vCPUs, numpy 2.4.6; 0.22 s and 67 MB when `assemble` formed the
 # completeness products of every grid, 118 MB when it formed G densely).
 _MAX_SIZE = 1024
+
+# The largest round budget a config may ask for: `sample`'s `max_rounds` and
+# a loop sweep's `n` (`k` for qidn). The exact walk takes about 0.15 ms per
+# round even where its tree collapses to a chain, so a qid2 walk of 10^4
+# rounds takes 1.4-2 s (2 vCPUs, numpy 2.4.6) and one of 10^20 would never
+# end. The tests, the benchmark and README ask for at most 2000.
+_MAX_ROUNDS = 10_000
 
 
 def _check_size(program_dim: int, data_dim: int, what: str) -> None:
@@ -863,7 +872,7 @@ def _sweep_point(experiment: str, merged: dict, aux: tuple, trees: dict | None =
     """
     family = _FAMILIES[experiment]
     p = {**family.sweep, **merged}
-    rounds = 1 if family.shot else _integer(p[family.rounds], family.rounds, 1)
+    rounds = 1 if family.shot else _integer(p[family.rounds], family.rounds, 1, _MAX_ROUNDS)
     proc, rule, target = family.build(p, aux)
     psi = _config_state(p, proc.data_dim) if "psi" in p else _uniform_state(proc.data_dim)
     if family.shot:

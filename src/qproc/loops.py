@@ -64,9 +64,9 @@ same tree re-folds the stored entries and builds only the nodes past the
 previous depth. The sampled round keeps its `ops @ state` and
 `branch_probabilities` arithmetic, which `decompose` shares; the two
 disagree in the last bits, so neither walk reads the other's numbers. The
-exact walk keeps its own stack instead of recursing, so a round budget of
-any depth runs within Python's recursion limit, and it adds each node's
-failure terms in label order.
+exact walk loops down chains of nodes that walk one branch, so a unitary loop
+of any depth needs no recursion; only a node with two or more failure
+branches recurses, and each node's failure terms add in label order.
 """
 from __future__ import annotations
 
@@ -349,9 +349,10 @@ class _Node:
 
     On a tree with a data state, `round` caches the node's round on the
     state every trajectory brings to it, and `exact` its exact-walk entry.
+    `kept`: the tree holds the node, so what is stored on it stays reachable.
     """
 
-    __slots__ = ("residual", "program", "ops", "children", "round", "exact")
+    __slots__ = ("residual", "program", "ops", "children", "round", "exact", "kept")
 
     def __init__(self, residual: np.ndarray, program: ProgramState | None, ops: np.ndarray | None):
         self.residual = residual
@@ -360,14 +361,15 @@ class _Node:
         self.children: dict[int, _Node] = {}
         self.round: _Round | None = None
         self.exact: _Exact | None = None
+        self.kept = False
 
 
 class OutcomeTree:
     """Lazily memoized outcome tree of one loop: all that its walks know of it.
 
     A node is reached by its outcome history, the branch indices drawn from
-    the root (residual I). Children are built on first visit and kept while
-    the tree's retained node arrays stay within `_RETAINED_BYTES`.
+    the root (residual I). Children are built on first visit and kept under a
+    kept parent while the tree's retained node arrays stay within `_RETAINED_BYTES`.
 
     `psi`, when given, is the data state every trajectory of the loop
     starts from, and the tree is walked by `run_trials` and `exact_walk`.
@@ -392,6 +394,8 @@ class OutcomeTree:
             _check_diagonal(proc, self.target)
         self.basis = rule.basis_for(proc)
         self.success = rule.success_labels(proc)
+        self._success_idx = [i for i, lab in enumerate(self.basis.labels) if lab in self.success]
+        self._fail_idx = [i for i, lab in enumerate(self.basis.labels) if lab not in self.success]
         self.psi = None
         self._round_bytes = 0  # what a node's round adds to the node's arrays
         if psi is not None:
@@ -408,6 +412,7 @@ class OutcomeTree:
     def root(self) -> _Node:
         if self._root is None:
             self._root = self.node(np.eye(self.proc.data_dim, dtype=complex))
+            self._root.kept = True
         return self._root
 
     def node(self, residual: np.ndarray) -> _Node:
@@ -421,7 +426,7 @@ class OutcomeTree:
         return _Node(residual, program, ops)
 
     def child(self, parent: _Node, i: int, retain: bool = True) -> _Node:
-        """The node after `parent` when its branch i fired; `retain=False` builds a missing one without keeping it."""
+        """The node after `parent`'s branch i; a missing one is kept if `retain` and the parent is kept and it fits."""
         found = parent.children.get(i)
         if found is not None:
             return found
@@ -431,8 +436,9 @@ class OutcomeTree:
         size = node.residual.nbytes
         if node.ops is not None:
             size += node.ops.nbytes + self._round_bytes
-        if self._keep(size):
+        if parent.kept and self._keep(size):
             parent.children[i] = node
+            node.kept = True
         return node
 
     def _keep(self, nbytes: int) -> bool:
@@ -580,55 +586,42 @@ def exact_walk(tree: OutcomeTree, n: int) -> float:
         raise ValueError("n must be at least 1")
     if tree.psi is None:
         raise ValueError("the exact walk needs a tree built with a data state")
-    labels, success = tree.basis.labels, tree.success
-    success_idx = [i for i, lab in enumerate(labels) if lab in success]
-    fail_idx = [i for i, lab in enumerate(labels) if lab not in success]
-    # Frames of the nodes being folded: [node, entry, remaining, position in entry.fails, running total].
-    # `kept`: the node is held by the tree, so a child retained under it stays reachable.
-    stack: list[list] = []
-    node, state, remaining, kept = tree.root, tree.psi, n, True
-    while True:
-        if node.program is None:
-            value = 0.0
+    return float(_fold(tree, tree.root, tree.psi, n))
+
+
+def _fold(tree: OutcomeTree, node: _Node, state, remaining: int):
+    """Exact success mass of `remaining` rounds from `node`; `state` is its data state or (parent entry, branch).
+
+    The loop steps to a collapsing node's representative child, or to another's last failure branch after recursing
+    into the rest, and folds the chain as s + (1 - s) v or s + sum p_i v_i; a tuple is normalized only if needed.
+    """
+    links, value = [], 0.0  # an uncorrectable node adds nothing
+    while node.program is not None:
+        entry = node.exact
+        if entry is None:
+            if isinstance(state, tuple):
+                up, i = state
+                state = up.amps[i] / np.sqrt(up.probs[i])
+            entry = _Exact(node.ops, state, tree._success_idx, tree._fail_idx)
+            if node.kept and tree._keep(entry.amps.nbytes + entry.probs.nbytes):
+                node.exact = entry
+        if remaining == 1 or not entry.fails:
+            value = entry.s
+            break
+        if entry.collapses is None:
+            entry.collapses = _state_independent(node.ops, entry.probs)
+        a, i = entry.s, entry.fails[-1]
+        if entry.collapses:  # the failure subtrees are congruent: walk the first
+            i, b = entry.fails[0], 1.0 - entry.s
         else:
-            entry = node.exact
-            if entry is None:
-                if state is None:  # the parent's amplitudes of the branch that led here, normalized
-                    _, up, _, pos, _ = stack[-1]
-                    i = up.fails[pos]
-                    state = up.amps[i] / np.sqrt(up.probs[i])
-                entry = _Exact(node.ops, state, success_idx, fail_idx)
-                if kept and tree._keep(entry.amps.nbytes + entry.probs.nbytes):
-                    node.exact = entry
-            if remaining == 1 or not entry.fails:
-                value = entry.s
-            else:
-                if entry.collapses is None:
-                    entry.collapses = _state_independent(node.ops, entry.probs)
-                stack.append([node, entry, remaining, 0, entry.s])
-                i = entry.fails[0]
-                child = tree.child(node, i, retain=kept and entry.collapses)
-                node, state, remaining, kept = child, None, remaining - 1, child is node.children.get(i)
-                continue
-        # Fold the value into the frames above it until one has a branch left to walk.
-        while stack:
-            frame = stack[-1]
-            parent, entry, rem, pos, total = frame
-            if entry.collapses:
-                value = entry.s + (1.0 - entry.s) * value
-                stack.pop()
-                continue
-            total += entry.probs[entry.fails[pos]] * value
-            if pos + 1 < len(entry.fails):
-                frame[3], frame[4] = pos + 1, total
-                i = entry.fails[pos + 1]
-                child = tree.child(parent, i, retain=False)
-                node, state, remaining, kept = child, None, rem - 1, child is parent.children.get(i)
-                break
-            value = total
-            stack.pop()
-        else:
-            return float(value)
+            for j in entry.fails[:-1]:
+                a += entry.probs[j] * _fold(tree, tree.child(node, j, retain=False), (entry, j), remaining - 1)
+            b = entry.probs[i]
+        links.append((a, b))
+        node, state, remaining = tree.child(node, i, retain=entry.collapses), (entry, i), remaining - 1
+    for a, b in reversed(links):
+        value = a + b * value
+    return value
 
 
 def exact_success(

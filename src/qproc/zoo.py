@@ -448,9 +448,15 @@ def program_for(v: np.ndarray) -> ProgramState:
     coefficients have unit total weight; the discarded scale is recorded in
     the params (unitary operators have scale 1). The rescaled operator has
     norm sqrt(N), so it is expanded without `weyl_expansion`'s zero check.
+    A finite v whose squared entries overflow (|v_ij| past about 1.3e154)
+    takes the norm of v / max|v| times max|v|; every other v keeps its bits.
     """
     v = np.asarray(v, dtype=complex)
-    norm = qlinalg.frobenius(v)
+    with np.errstate(over="ignore"):
+        norm = qlinalg.frobenius(v)
+        if norm == np.inf:
+            top = np.abs(v).max()
+            norm = qlinalg.frobenius(v / top) * top
     if norm < 1e-12:
         raise ZeroOperator("cannot encode the zero operator")
     scale = norm / np.sqrt(v.shape[0])

@@ -7,6 +7,7 @@ import random
 import sys
 import threading
 import tracemalloc
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -249,6 +250,8 @@ def test_sweep_unknown_experiment(tmp_path):
         {"experiment": "diagonal", "params": {"entries": [1, 1, 1]}, "grid": {"phases": [[0, 1, 2]], "n": [1]}},
         {"experiment": "qidn", "params": {"target": [[1, 0], [0, 1]], "target_seed": 3}, "grid": {"k": [1]}},
         {"experiment": "qidn", "params": {"target_seed": 3}, "grid": {"target": ["haar", [[1, 0], [0, 1]]], "k": [1]}},
+        {"experiment": "qid2", "grid": {"n": [10**20]}},
+        {"experiment": "qidn", "grid": {"k": [cli._MAX_ROUNDS + 1]}},
     ],
     ids=[
         "bz-psi-dim", "n-not-number", "grid-not-list", "n-zero", "alpha-not-number", "u1-psi-dim", "tol-nan",
@@ -256,7 +259,7 @@ def test_sweep_unknown_experiment(tmp_path):
         "bz-z-power-overflows", "bz-z-square-overflows", "b0-z-square-overflows", "qidn-target-zero",
         "diagonal-entries-norm-overflows", "diagonal-entries-huge", "u1-misspelled-key", "misspelled-key-empty-grid",
         "bz-n-unread", "b0-n-unread", "qid2-k-unread", "diagonal-entries-and-phases", "qidn-target-rows-and-seed",
-        "qidn-grid-target-rows-and-seed",
+        "qidn-grid-target-rows-and-seed", "n-1e20", "k-past-round-cap",
     ],
 )
 def test_sweep_bad_config_is_usage_error(tmp_path, capsys, config):
@@ -283,7 +286,7 @@ def test_qid2_mu_past_sinc_precision_is_usage_error(tmp_path, capsys, command):
 
 @pytest.mark.parametrize("experiment", ["qid2", "u1"])
 def test_sweep_round_budget_past_the_recursion_limit(tmp_path, experiment):
-    """The exact walk folds with an explicit stack, so n = 2000 runs and meets the loop law."""
+    """The exact walk runs a chain of collapsed nodes in a loop, so n = 2000 runs and meets the loop law."""
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"experiment": experiment, "grid": {"n": [2000]}}))
     out = tmp_path / "x.csv"
@@ -292,6 +295,33 @@ def test_sweep_round_budget_past_the_recursion_limit(tmp_path, experiment):
     computed = float(line.split(",")[header.index("computed")])
     program_dim = {"qid2": 4, "u1": 2}[experiment]
     assert abs(computed - zoo.loop_success(program_dim, 2000)) <= 1e-12
+
+
+def test_sweep_round_budget_at_its_cap_runs(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"experiment": "u1", "grid": {"n": [cli._MAX_ROUNDS]}}))
+    out = tmp_path / "x.csv"
+    assert main(["sweep", "--config", str(cfg_path), "--out", str(out)]) == 0
+    header, (line,) = _read_rows(out)
+    assert abs(float(line.split(",")[header.index("computed")]) - zoo.loop_success(2, cli._MAX_ROUNDS)) <= 1e-12
+
+
+@pytest.mark.parametrize("command", ["sample", "sweep"])
+def test_qidn_loop_whose_corrected_operator_squares_overflow(tmp_path, capsys, command):
+    """Past |v_ij| ~ 1.3e154 the squares in a corrected operator's Frobenius norm overflow, though the operator
+    is finite; zoo.program_for then takes the norm of v / max|v|, so the loop runs, with no warning."""
+    params = {"n_dim": 2, "target": [[1e153, 9e152], [0, 1e151]]}
+    config = {"experiment": "qidn", "params": params}
+    config.update({"grid": {"k": [1, 8]}, "trials": 5} if command == "sweep" else {"max_rounds": 8, "trials": 20})
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "x")]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    if command == "sample":
+        assert "exact=0.499308" in captured.out
 
 
 def test_sample_round_budget_past_the_recursion_limit(tmp_path):
@@ -623,6 +653,8 @@ def test_sample_bz_whose_corrected_program_overflows_is_uncorrectable(tmp_path):
         ({"experiment": "u1", "experiment_index": -1}, []),
         ({"experiment": "diagonal", "params": {"entries": []}}, []),
         ({"experiment": "diagonal", "params": {"phases": []}}, []),
+        ({"experiment": "qid2", "max_rounds": 10**20}, []),
+        ({"experiment": "u1", "max_rounds": cli._MAX_ROUNDS + 1}, []),
     ],
     ids=[
         "trials-str", "trials-float", "psi-dim", "qidn-psi-dim", "psi-zero", "seed-negative", "params-not-object",
@@ -632,7 +664,8 @@ def test_sample_bz_whose_corrected_program_overflows_is_uncorrectable(tmp_path):
         "qidn-target-zero", "qidn-target-norm-tiny", "qidn-target-norm-overflows",
         "diagonal-entries-norm-overflows", "diagonal-entries-huge", "u1-misspelled-key", "n-unread",
         "diagonal-entries-and-phases", "qidn-target-rows-and-seed", "seed-bool", "seed-float", "max-rounds-bool",
-        "experiment-index-negative", "diagonal-entries-empty", "diagonal-phases-empty",
+        "experiment-index-negative", "diagonal-entries-empty", "diagonal-phases-empty", "max-rounds-1e20",
+        "max-rounds-past-cap",
     ],
 )
 def test_sample_bad_config_is_usage_error(tmp_path, capsys, config, flags):

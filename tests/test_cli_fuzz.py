@@ -8,8 +8,8 @@ declaration always exits 2.
 
 The draws stay small: round budgets of at most 3, at most 3 trials, and
 processors far below the size cap except just past it, where nothing is
-built. A non-unitary loop walks (N-1)^n nodes, so N stays at most 9
-(qidN(3)) and n at most 3.
+built; likewise a round budget of 10^20, far past its cap. A non-unitary
+loop walks (N-1)^n nodes, so N stays at most 9 (qidN(3)) and n at most 3.
 """
 import contextlib
 import io
@@ -62,8 +62,8 @@ VALUES = {
     "n_dim": _integer(2, 3, past=[11, 2**70]),
     "target": _mostly(st.just("haar") | _rows(2) | _rows(3), st.one_of(_rows(1), st.just([[0, 0], [0, 0]]), WRONG)),
     "target_seed": _integer(0, 2**64, past=[2**1100]),
-    "n": _integer(1, 3),
-    "k": _integer(1, 3),
+    "n": _integer(1, 3, past=[10**20]),
+    "k": _integer(1, 3, past=[10**20]),
 }
 
 # Keys no family reads, and misspellings of keys that some family reads.
@@ -97,7 +97,7 @@ def configs(draw):
     if command == "sweep":
         config["grid"] = draw(_some(keys, lambda k: st.lists(value(k), max_size=2), min_size=1))
     else:
-        config["max_rounds"] = draw(_integer(1, 1 if experiment == "bz_haar" else 3))
+        config["max_rounds"] = draw(_integer(1, 1 if experiment == "bz_haar" else 3, past=[10**20]))
     config["trials"] = draw(_integer(1, 3))
     config["seed"] = draw(_integer(0, 2**64, past=[2**1100]))
     if draw(st.integers(0, 3)) == 0:

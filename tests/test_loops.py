@@ -1,4 +1,5 @@
 """Tests for correction rules, exact loop trees and Monte Carlo trajectories."""
+import sys
 from unittest import mock
 
 import numpy as np
@@ -462,6 +463,50 @@ def test_exact_success_equals_the_recursive_walk_bit_for_bit(case, n, psi_seed):
     if len(case) == 4:  # non-unitary: branch by branch
         n = min(n, 4)
     assert exact_success(proc, target, rule, n, psi=psi) == _recursive_exact_success(proc, target, rule, n, psi)
+
+
+def _stack_depth() -> int:
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+# (proc, rule, target, psi, n, (root collapses, its failure branches)): loops that collapse at every
+# node, a bz loop with one failure branch and a non-unitary diagonal loop with two. The qidN(2) target is
+# a diagonal unitary, whose residuals stay unitary at any depth; Haar targets drift out of the collapse
+# near depth 25 (ROADMAP item 3).
+RECURSION_CASES = [
+    (zoo.u1_cnot(), loops.u1_rule(), zoo.u1_operator(0.7), None, 3000, (True, 1)),
+    (zoo.qid2(), loops.qid2_rule(), su2_exp([0.2, -0.5, 0.9]), None, 3000, (True, 3)),
+    (zoo.qidN(2), loops.qidN_rule(), np.diag(np.exp(1j * np.array([0.3, -1.1]))), None, 3000, (True, 3)),
+    (zoo.cyclic_shift_processor(3), loops.bz_rule(), zoo.bz_operator(0.7), np.array([0.6, 0.8]), 10, (False, 1)),
+    (
+        zoo.qudit_diagonal_processor(3),
+        loops.diagonal_rule(),
+        np.diag([0.5, 1.3 * np.exp(0.4j), 0.9 * np.exp(-1.1j)]),
+        np.array([0.6, 0.48, 0.64]),
+        10,
+        (False, 2),
+    ),
+]
+
+
+@pytest.mark.parametrize("proc, rule, target, psi, n, root", RECURSION_CASES)
+def test_exact_walk_runs_within_a_few_frames_of_recursion(proc, rule, target, psi, n, root):
+    """A chain of single-branch nodes runs in a loop and only a branching node recurses, so the walk
+    gives the same bits with the recursion limit 60 frames above the caller's."""
+    psi = np.ones(proc.data_dim) / np.sqrt(proc.data_dim) if psi is None else psi
+    expected = exact_success(proc, target, rule, n, psi=psi)
+    tree = OutcomeTree(proc, target, rule, psi)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 60)
+    try:
+        got = exact_walk(tree, n)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert got == expected
+    assert (tree.root.exact.collapses, len(tree.root.exact.fails)) == root
 
 
 def test_exact_success_validates_rounds():

@@ -228,6 +228,24 @@ def test_retained_bytes_with_a_state_stay_within_cap():
     assert held + undrawn == tree._retained == cap
 
 
+def test_only_a_kept_parent_keeps_a_child():
+    """An uncorrectable node holds only its residual, so it can fit under the cap after its parent did not;
+    kept there, it would be counted and never reached again. Every counted byte is a reachable node's."""
+    proc, rule = zoo.qidN(2), loops.qidN_rule()
+    tree = OutcomeTree(proc, np.diag([1.0, 1e-4]), rule)  # branch 2 twice leaves a residual past inversion
+    cap = 16 * proc.data_dim**2  # one residual
+    with mock.patch.object(loops, "_RETAINED_BYTES", cap):
+        parent = tree.child(tree.root, 2)
+        child = tree.child(parent, 2)
+        assert parent.program is not None and child.program is None and child.residual.nbytes == cap
+        assert not parent.kept and not child.kept and parent.children == {} and tree._retained == 0
+        for t in range(40):
+            run_loop(tree, np.array([0.6, 0.8]), 4, derive_stream(11, t))
+    kept = _retained_nodes(tree)
+    assert all(node.kept for node in kept) and tree.root.kept
+    assert tree._retained == sum(node.residual.nbytes + (0 if node.ops is None else node.ops.nbytes) for node in kept)
+
+
 def test_tree_with_a_state_shares_each_round():
     # u1 from a fixed state: every trajectory's first round is one of the
     # root's two stored LoopRounds, and the root stores one probability per branch.
