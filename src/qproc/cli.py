@@ -266,9 +266,9 @@ def _direction(v: np.ndarray, name: str) -> np.ndarray:
 _MAX_SIZE = 1024
 
 # The largest round budget a config may ask for: `sample`'s `max_rounds` and
-# a loop sweep's `n` (`k` for qidn). The exact walk takes about 0.15 ms per
+# a loop sweep's `n` (`k` for qidn). The exact walk takes about 0.13 ms per
 # round even where its tree collapses to a chain, so a qid2 walk of 10^4
-# rounds takes 1.4-2 s (2 vCPUs, numpy 2.4.6) and one of 10^20 would never
+# rounds takes 1.1-2.0 s (2 vCPUs, numpy 2.4.6) and one of 10^20 would never
 # end. The tests, the benchmark and README ask for at most 2000.
 _MAX_ROUNDS = 10_000
 
@@ -362,7 +362,10 @@ def _json_at(value, pad: str, templates: dict) -> str:
         fields = (encode_basestring_ascii(k) + ": " + _json_at(v, inner, templates) for k, v in value.items())
         return "{\n" + inner + (",\n" + inner).join(fields) + "\n" + pad + "}"
     if value.__class__ is np.ndarray and value.dtype.kind == "c":  # _float_grid(_jsonify(value)), from the array
-        items = np.stack((value.real, value.imag), -1).reshape(-1).tolist()
+        if value.dtype == np.complex128 and value.flags.c_contiguous:  # the same pairs, read in place
+            items = value.reshape(-1).view(np.float64).tolist()
+        else:
+            items = np.stack((value.real, value.imag), -1).reshape(-1).tolist()
         grid = (value.shape + (2,), items) if items and math.isfinite(sum(items)) else None
     elif value.__class__ is list:
         grid = _float_grid(value)
@@ -1247,41 +1250,40 @@ def cmd_list(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and shared by every later one in the process.
+
+    It binds no handler: `main` looks up cmd_<command> when it runs, so a
+    handler replaced after the first call (a tracer's wrapper) is the one
+    that runs.
+    """
     parser = argparse.ArgumentParser(prog="qproc", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_verify = sub.add_parser("verify", help="run all invariant suites")
-    p_verify.set_defaults(func=cmd_verify)
+    sub.add_parser("verify", help="run all invariant suites")
 
     p_rep = sub.add_parser("reproduce", help="write a reference-value comparison CSV")
     p_rep.add_argument("--table", required=True)
     p_rep.add_argument("--out", default=None)
     p_rep.add_argument("--tol", type=float, default=None)
-    p_rep.set_defaults(func=cmd_reproduce)
 
-    for name, func, help_text in (
-        ("sweep", cmd_sweep, "grid sweep to CSV"),
-        ("sample", cmd_sample, "Monte Carlo trajectories to JSON"),
-    ):
+    for name, help_text in (("sweep", "grid sweep to CSV"), ("sample", "Monte Carlo trajectories to JSON")):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="JSON experiment config")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--trials", type=int, default=None)
         p.add_argument("--out", default=None)
         p.add_argument("--tol", type=float, default=None)
-        p.set_defaults(func=func)
 
-    p_list = sub.add_parser("list", help="show known tables and experiments")
-    p_list.set_defaults(func=cmd_list)
+    sub.add_parser("list", help="show known tables and experiments")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except (UsageError, zoo.InvalidParameter, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -175,8 +175,9 @@ def _check_diagonal(proc: ProcessorDefinition, target: np.ndarray) -> None:
 
 
 def _safe_ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
-    scale = np.abs(den).max()
-    if scale == 0 or np.any(np.abs(den) <= 1e-12 * scale):
+    size = np.abs(den)
+    scale = size.max()
+    if scale == 0 or (size <= 1e-12 * scale).any():
         raise SingularProgram("applied operator has a vanishing diagonal entry")
     return num / den
 
@@ -185,7 +186,7 @@ def _diagonal_rule(encode: Callable, success_labels: Callable) -> CorrectionRule
     """The rule whose program is encode(proc, t, r) on the diagonals t of the target and r of the residual."""
 
     def next_program(proc, target, residual):
-        return encode(proc, np.diagonal(target), np.diagonal(residual))
+        return encode(proc, target.diagonal(), residual.diagonal())
 
     return CorrectionRule(_computational_basis, success_labels, next_program, _diagonal=True)
 
@@ -199,7 +200,8 @@ def u1_rule() -> CorrectionRule:
     """
 
     def encode(proc, t, r):
-        return zoo.u1_program(float(((np.angle(t[0]) - np.angle(t[1])) - (np.angle(r[0]) - np.angle(r[1]))) / 2.0))
+        (t0, t1), (r0, r1) = np.arctan2(t.imag, t.real).tolist(), np.arctan2(r.imag, r.real).tolist()  # np.angle bit for bit
+        return zoo.u1_program(((t0 - t1) - (r0 - r1)) / 2.0)
 
     return _diagonal_rule(encode, lambda proc: frozenset({"0"}))
 
@@ -244,7 +246,7 @@ def diagonal_rule() -> CorrectionRule:
 
 def _needed(target: np.ndarray, residual: np.ndarray) -> np.ndarray:
     """target @ residual^{-1}, skipping the inversion on the first round."""
-    if np.array_equal(residual, identity(residual.shape[0])):
+    if (residual == identity(residual.shape[0])).all():
         return target
     return target @ inverse(residual)
 
@@ -270,7 +272,7 @@ def qid2_rule() -> CorrectionRule:
         m = _needed(target, residual)
         # su2_log is the one unitarity check; it also rejects what a zero or overflowing m leaves
         with np.errstate(all="ignore"):
-            u = m / np.sqrt(float(np.trace(np.conjugate(m).T @ m).real) / m.shape[0])
+            u = m / np.sqrt(float((np.conjugate(m).T @ m).trace().real) / m.shape[0])
         return zoo.su2_program(su2_log(u)[0])
 
     return CorrectionRule(
@@ -339,8 +341,10 @@ class _Exact:
         self.amps = np.einsum("bij,j->bi", ops, state)
         # a copy, so the entry holds only the arrays counted against the cap
         self.probs = np.einsum("bi,bi->b", np.conjugate(self.amps), self.amps).real.copy()
-        self.s = float(self.probs[success_idx].sum())
-        self.fails = [i for i in fail_idx if self.probs[i] > _PRUNE]
+        p = self.probs.tolist()
+        # numpy's sum of one entry is that entry
+        self.s = p[success_idx[0]] if len(success_idx) == 1 else float(self.probs[success_idx].sum())
+        self.fails = [i for i in fail_idx if p[i] > _PRUNE]
         self.collapses: bool | None = None
 
 
@@ -563,7 +567,7 @@ def _state_independent(ops: np.ndarray, probs: np.ndarray) -> bool:
     Then outcome probabilities cannot depend on the data state, which is
     what lets the exact tree collapse.
     """
-    return not np.any(_isometry_deviations(ops, probs) > 1e-11)
+    return not (_isometry_deviations(ops, probs) > 1e-11).any()
 
 
 def exact_walk(tree: OutcomeTree, n: int) -> float:

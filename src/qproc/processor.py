@@ -239,10 +239,6 @@ def _gather_index(rows: np.ndarray) -> np.ndarray | None:
     return index
 
 
-def _program_ket(xi) -> np.ndarray:
-    return xi.ket if isinstance(xi, ProgramState) else qlinalg.ket(xi)
-
-
 def branch_operators(proc: ProcessorDefinition, xi, basis: ProgramBasis) -> np.ndarray:
     """All branch operators A_b = sum_j <b|j> A_j, shape (N, D, D), with A_j = sum_k <k|program> A_jk.
 
@@ -254,7 +250,7 @@ def branch_operators(proc: ProcessorDefinition, xi, basis: ProgramBasis) -> np.n
     exact) or none (a sum of exact zeros), and adding +0.0 gives a zero the
     sign the product's sum gives it. Other grids form the product.
     """
-    amps = _program_ket(xi)
+    amps = xi.ket if isinstance(xi, ProgramState) else qlinalg.ket(xi)
     if amps.shape[0] != proc.program_dim:
         raise DimensionMismatch("program dimension does not match processor")
     if basis.dim != proc.program_dim:

@@ -48,7 +48,7 @@ def basis_ket(dim: int, index: int) -> np.ndarray:
 
 
 def normalize(v: np.ndarray) -> np.ndarray:
-    n = np.linalg.norm(v)
+    n = frobenius(v)
     if n == 0:
         raise ValueError("cannot normalize the zero vector")
     return v / n
@@ -131,7 +131,7 @@ def su2_log(u: np.ndarray, tol: float = 1e-8) -> tuple[np.ndarray, float]:
     if u.shape != (2, 2) or not is_unitary(u, tol):
         raise NotUnitary("su2_log requires a 2x2 unitary")
     det = u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0]
-    ang = float(np.angle(det))
+    ang = float(np.arctan2(det.imag, det.real))  # np.angle(det) bit for bit
     if ang >= np.pi - 1e-12:
         ang -= 2 * np.pi
     phase = ang / 2.0
@@ -145,7 +145,7 @@ def su2_log(u: np.ndarray, tol: float = 1e-8) -> tuple[np.ndarray, float]:
             ((v[0, 0] - v[1, 1]) / 2j).real,
         ]
     )
-    s = np.linalg.norm(a)
+    s = np.sqrt(a.dot(a))  # what np.linalg.norm(a) computes for a real vector
     mu = float(np.arctan2(s, a0))
     if s > 1e-12:
         vec = mu * a / s
@@ -160,7 +160,7 @@ def phase_distance(a: np.ndarray, b: np.ndarray) -> float:
     """min over phi of ||a - e^{i phi} b||_F (global-phase-blind distance)."""
     overlap = np.vdot(b, a)
     phi = np.angle(overlap) if overlap != 0 else 0.0
-    return float(np.linalg.norm(a - np.exp(1j * phi) * b))
+    return float(frobenius(a - np.exp(1j * phi) * b))
 
 
 def proportionality_scale(a: np.ndarray, b: np.ndarray, tol: float = 1e-9):

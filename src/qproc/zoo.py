@@ -112,7 +112,7 @@ def vmc3_program(alpha: float) -> ProgramState:
     U(alpha)/2 and U(-3 alpha)/2, so outcomes 0..2 all realize U(alpha) and
     the overall success probability is 3/4 for every input state.
     """
-    k = np.kron(u1_program(alpha).ket, u1_program(2 * alpha).ket)
+    k = np.multiply.outer(u1_program(alpha).ket, u1_program(2 * alpha).ket).reshape(-1)  # the product np.kron forms
     return ProgramState(ket=k, encoding="u1", params={"alpha": float(alpha), "program_qubits": 2})
 
 
@@ -204,10 +204,11 @@ def qudit_diagonal_processor(dim: int) -> ProcessorDefinition:
 def diagonal_program(entries) -> ProgramState:
     """Normalized program encoding the diagonal operator diag(entries)."""
     e = np.asarray(entries, dtype=complex).reshape(-1)
-    if np.linalg.norm(e) == 0:
+    norm = qlinalg.frobenius(e)
+    if norm == 0:
         raise InvalidParameter("diagonal entries must not all vanish")
-    k = qlinalg.normalize(e)
-    return ProgramState(ket=k, encoding="diagonal", params={"entries": tuple(complex(x) for x in k)})
+    k = e / norm  # qlinalg.normalize(e), without a second norm
+    return ProgramState(ket=k, encoding="diagonal", params={"entries": tuple(k.tolist())})
 
 
 # ---------------------------------------------------------------------------
@@ -290,12 +291,12 @@ def su2_program(mu) -> ProgramState:
     Encodes U = exp(i mu . sigma); the |mu| -> 0 limit is |Xi_0> (identity).
     """
     mu = np.asarray(mu, dtype=float).reshape(3)
-    m = np.linalg.norm(mu)
+    m = np.sqrt(mu.dot(mu))  # what np.linalg.norm(mu) computes for a real vector
     xis = bell_basis()
     y = np.pi * (m / np.pi)  # np.sinc(m / pi) is sin(y) / y, and sin(eps) / eps == 1 where y == 0
     sinc = np.sin(y) / y if y else np.float64(1.0)
     k = np.cos(m) * xis[0] + 1j * sinc * (mu[0] * xis[1] + mu[1] * xis[2] + mu[2] * xis[3])
-    return ProgramState(ket=k, encoding="su2", params={"mu": tuple(float(x) for x in mu)})
+    return ProgramState(ket=k, encoding="su2", params={"mu": tuple(mu.tolist())})
 
 
 @lru_cache(maxsize=None)

@@ -729,6 +729,27 @@ def test_list_shows_everything(capsys):
         assert exp in out
 
 
+def test_main_builds_one_parser_per_process(capsys):
+    cli.build_parser.cache_clear()
+    assert main(["list"]) == 0
+    assert main(["list"]) == 0
+    assert cli.build_parser.cache_info().misses == 1
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_main_runs_the_command_bound_when_it_is_called(monkeypatch, tmp_path, capsys):
+    # A tracer replaces cli.cmd_sample after the parser exists; main must call the replacement.
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"experiment": "u1", "trials": 2}))
+    argv = ["sample", "--config", str(cfg_path), "--out", str(tmp_path / "out.json")]
+    assert main(argv) == 0
+    seen = []
+    original = cli.cmd_sample
+    monkeypatch.setattr(cli, "cmd_sample", lambda args: seen.append(args.command) or original(args))
+    assert main(argv) == 0
+    assert seen == ["sample"]
+
+
 # ---------------------------------------------------------------------------
 # experiment registry: every listed experiment runs, and each family reads
 # the same keys in sample and sweep

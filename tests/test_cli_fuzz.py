@@ -10,6 +10,11 @@ The draws stay small: round budgets of at most 3, at most 3 trials, and
 processors far below the size cap except just past it, where nothing is
 built; likewise a round budget of 10^20, far past its cap. A non-unitary
 loop walks (N-1)^n nodes, so N stays at most 9 (qidN(3)) and n at most 3.
+
+A given value past a bound is drawn in about one config in 80, so the 200
+draws may hold none of them: each one also runs as an explicit case that
+must exit 2. The huge seed is past no bound (a seed may have any size), and
+its explicit cases must exit 0.
 """
 import contextlib
 import io
@@ -18,6 +23,7 @@ import math
 import os
 import tempfile
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -28,6 +34,16 @@ WRONG = st.one_of(st.text(max_size=3), st.booleans(), st.none(), st.just({"re": 
 REAL = st.floats(-2.5, 2.5, allow_nan=False)
 COMPLEX = st.one_of(REAL, st.lists(REAL, min_size=2, max_size=2))
 HUGE_OR_TINY = st.sampled_from([0, 1e-160, 1e160, 1e300])
+# Per integer key, the values past its bound that are drawn (the size cap, cli._MAX_ROUNDS).
+PAST = {
+    "n_program": [513, 2**70],
+    "dim": [33, 2**70],
+    "n_dim": [11, 2**70],
+    "n": [10**20],
+    "k": [10**20],
+    "max_rounds": [10**20],
+}
+HUGE_SEED = 2**1100  # a seed of any size from 0 is valid
 
 
 def _mostly(valid, edge):
@@ -53,17 +69,17 @@ def _rows(n):
 VALUES = {
     "alpha": _mostly(REAL, st.one_of(HUGE_OR_TINY, WRONG)),
     "z": _mostly(COMPLEX, st.one_of(HUGE_OR_TINY, st.lists(HUGE_OR_TINY, min_size=2, max_size=2), WRONG)),
-    "n_program": _integer(2, 4, past=[513, 2**70]),
-    "dim": _integer(2, 4, past=[33, 2**70]),
+    "n_program": _integer(2, 4, past=PAST["n_program"]),
+    "dim": _integer(2, 4, past=PAST["dim"]),
     "psi": _vector(COMPLEX, [2, 3]),
     "entries": _vector(COMPLEX, [2, 3, 4]),
     "phases": _vector(REAL, [2, 3, 4]),
     "mu": _vector(REAL, [3]) | st.just([1e200, 0, 0]),
-    "n_dim": _integer(2, 3, past=[11, 2**70]),
+    "n_dim": _integer(2, 3, past=PAST["n_dim"]),
     "target": _mostly(st.just("haar") | _rows(2) | _rows(3), st.one_of(_rows(1), st.just([[0, 0], [0, 0]]), WRONG)),
-    "target_seed": _integer(0, 2**64, past=[2**1100]),
-    "n": _integer(1, 3, past=[10**20]),
-    "k": _integer(1, 3, past=[10**20]),
+    "target_seed": _integer(0, 2**64, past=[HUGE_SEED]),
+    "n": _integer(1, 3, past=PAST["n"]),
+    "k": _integer(1, 3, past=PAST["k"]),
 }
 
 # Keys no family reads, and misspellings of keys that some family reads.
@@ -97,9 +113,9 @@ def configs(draw):
     if command == "sweep":
         config["grid"] = draw(_some(keys, lambda k: st.lists(value(k), max_size=2), min_size=1))
     else:
-        config["max_rounds"] = draw(_integer(1, 1 if experiment == "bz_haar" else 3, past=[10**20]))
+        config["max_rounds"] = draw(_integer(1, 1 if experiment == "bz_haar" else 3, past=PAST["max_rounds"]))
     config["trials"] = draw(_integer(1, 3))
-    config["seed"] = draw(_integer(0, 2**64, past=[2**1100]))
+    config["seed"] = draw(_integer(0, 2**64, past=[HUGE_SEED]))
     if draw(st.integers(0, 3)) == 0:
         config["tol"] = draw(_mostly(st.floats(0, 1), WRONG))
     return command, config
@@ -111,12 +127,8 @@ def test_every_declared_key_has_a_value_strategy():
             assert set(_reads(command, family)) <= set(VALUES)
 
 
-@settings(max_examples=200)
-@given(case=configs())
-def test_cli_exit_codes_on_drawn_configs(case):
-    command, config = case
-    family = cli._FAMILIES[config["experiment"]]
-    stray = (set(config["params"]) | set(config.get("grid", ()))) - set(_reads(command, family))
+def _run(command, config) -> tuple[int, str]:
+    """main's exit code and stderr on this config; checks what holds for every code."""
     with tempfile.TemporaryDirectory() as tmp:
         cfg_path, out = os.path.join(tmp, "cfg.json"), os.path.join(tmp, "out")
         with open(cfg_path, "w") as fh:
@@ -128,5 +140,56 @@ def test_cli_exit_codes_on_drawn_configs(case):
         assert os.path.exists(out) == (code != 2)
         if code == 2:
             assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
-        if stray:
-            assert code == 2
+        return code, err.getvalue()
+
+
+@settings(max_examples=200)
+@given(case=configs())
+def test_cli_exit_codes_on_drawn_configs(case):
+    command, config = case
+    family = cli._FAMILIES[config["experiment"]]
+    stray = (set(config["params"]) | set(config.get("grid", ()))) - set(_reads(command, family))
+    code, _ = _run(command, config)
+    if stray:
+        assert code == 2
+
+
+# For each key in PAST, the smallest configs that read it: (command, experiment, where the key goes, other grid keys).
+_READERS = {
+    "n_program": [("sample", "bz", "params", {}), ("sweep", "bz", "grid", {"z": [0.5]})],
+    "dim": [("sample", "diagonal", "params", {}), ("sweep", "diagonal", "grid", {"n": [1]})],
+    "n_dim": [("sample", "qidn", "params", {}), ("sweep", "qidn", "grid", {"k": [1]})],
+    "n": [("sweep", "qid2", "grid", {})],
+    "k": [("sweep", "qidn", "grid", {})],
+    "max_rounds": [("sample", "qid2", "top", {})],
+}
+
+
+@pytest.mark.parametrize(
+    "key, value, command, experiment, where, grid",
+    [(key, v, *reader) for key, values in PAST.items() for v in values for reader in _READERS[key]],
+)
+def test_values_past_a_bound_exit_2(key, value, command, experiment, where, grid):
+    config = {"experiment": experiment, "grid": dict(grid)} if command == "sweep" else {"experiment": experiment}
+    if where == "top":
+        config[key] = value
+    elif where == "grid":
+        config["grid"][key] = [value]
+    else:
+        config["params"] = {key: value}
+    code, err = _run(command, config)
+    assert code == 2 and key in err and str(value) in err
+
+
+@pytest.mark.parametrize(
+    "command, config",
+    [
+        ("sample", {"experiment": "u1", "seed": HUGE_SEED}),
+        ("sweep", {"experiment": "u1", "grid": {"n": [1]}, "seed": HUGE_SEED}),
+        ("sample", {"experiment": "qidn", "params": {"target_seed": HUGE_SEED}}),
+        ("sweep", {"experiment": "qidn", "grid": {"k": [1], "target_seed": [HUGE_SEED]}}),
+    ],
+    ids=["sample-seed", "sweep-seed", "sample-target_seed", "sweep-target_seed"],
+)
+def test_huge_seeds_run(command, config):
+    assert _run(command, config)[0] == 0

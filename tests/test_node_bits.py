@@ -3,9 +3,13 @@
 The functions a node is built from (`loops._state_independent`,
 `qlinalg.inverse`, `zoo.weyl_program`, `zoo.program_for`, `loops._rescaled`,
 `qlinalg.is_unitary`, `zoo.su2_program`) were rewritten with fewer numpy
-calls. The implementations they replaced are kept here as oracles, and every
-float they produce must match the oracle's bit for bit, on real trees of all
-six loop families and on random inputs.
+calls, and then again to call the kernel that fixes each value's bits with
+no wrapper around it (`loops._needed`, `loops._safe_ratio`, `loops._Exact`,
+the u1, qid2 and diagonal rules, `qlinalg.su2_log`, `qlinalg.normalize`,
+`qlinalg.phase_distance`, `zoo.diagonal_program`, `zoo.vmc3_program`). The
+implementations they replaced are kept here as oracles, and every float
+they produce must match the oracle's bit for bit, on real trees of all six
+loop families and on random inputs.
 """
 from __future__ import annotations
 
@@ -89,14 +93,128 @@ def _old_su2_program(mu):
     return zoo.ProgramState(ket=k, encoding="su2", params={"mu": tuple(float(x) for x in mu)})
 
 
+def _old_normalize(v):
+    n = np.linalg.norm(v)
+    if n == 0:
+        raise ValueError("cannot normalize the zero vector")
+    return v / n
+
+
+def _old_phase_distance(a, b):
+    overlap = np.vdot(b, a)
+    phi = np.angle(overlap) if overlap != 0 else 0.0
+    return float(np.linalg.norm(a - np.exp(1j * phi) * b))
+
+
+def _old_su2_log(u, tol=1e-8):
+    u = np.asarray(u, dtype=complex)
+    if u.shape != (2, 2) or not qlinalg.is_unitary(u, tol):
+        raise qlinalg.NotUnitary("su2_log requires a 2x2 unitary")
+    det = u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0]
+    ang = float(np.angle(det))
+    if ang >= np.pi - 1e-12:
+        ang -= 2 * np.pi
+    phase = ang / 2.0
+    v = np.exp(-1j * phase) * u
+    a0 = (v[0, 0] + v[1, 1]).real / 2.0
+    a = np.array([((v[0, 1] + v[1, 0]) / 2j).real, ((v[0, 1] - v[1, 0]) / 2.0).real, ((v[0, 0] - v[1, 1]) / 2j).real])
+    s = np.linalg.norm(a)
+    mu = float(np.arctan2(s, a0))
+    if s > 1e-12:
+        vec = mu * a / s
+    elif a0 > 0:
+        vec = np.zeros(3)
+    else:
+        vec = np.array([np.pi, 0.0, 0.0])
+    return vec, phase
+
+
+def _old_diagonal_program(entries):
+    e = np.asarray(entries, dtype=complex).reshape(-1)
+    if np.linalg.norm(e) == 0:
+        raise zoo.InvalidParameter("diagonal entries must not all vanish")
+    k = _old_normalize(e)
+    return zoo.ProgramState(ket=k, encoding="diagonal", params={"entries": tuple(complex(x) for x in k)})
+
+
+def _old_vmc3_program(alpha):
+    k = np.kron(zoo.u1_program(alpha).ket, zoo.u1_program(2 * alpha).ket)
+    return zoo.ProgramState(ket=k, encoding="u1", params={"alpha": float(alpha), "program_qubits": 2})
+
+
+def _old_safe_ratio(num, den):
+    scale = np.abs(den).max()
+    if scale == 0 or np.any(np.abs(den) <= 1e-12 * scale):
+        raise loops.SingularProgram("applied operator has a vanishing diagonal entry")
+    return num / den
+
+
+def _old_needed(target, residual):
+    if np.array_equal(residual, np.eye(residual.shape[0])):
+        return target
+    return target @ loops.inverse(residual)
+
+
+class _OldExact(loops._Exact):
+    def __init__(self, ops, state, success_idx, fail_idx):
+        self.amps = np.einsum("bij,j->bi", ops, state)
+        self.probs = np.einsum("bi,bi->b", np.conjugate(self.amps), self.amps).real.copy()
+        self.s = float(self.probs[success_idx].sum())
+        self.fails = [i for i in fail_idx if self.probs[i] > loops._PRUNE]
+        self.collapses = None
+
+
+def _old_diagonal_rule(encode, success_labels):
+    def next_program(proc, target, residual):
+        return encode(proc, np.diagonal(target), np.diagonal(residual))
+
+    return loops.CorrectionRule(loops._computational_basis, success_labels, next_program, _diagonal=True)
+
+
+def _old_u1_encode(proc, t, r):
+    return zoo.u1_program(float(((np.angle(t[0]) - np.angle(t[1])) - (np.angle(r[0]) - np.angle(r[1]))) / 2.0))
+
+
+def _old_u1_rule():
+    return loops._diagonal_rule(_old_u1_encode, lambda proc: frozenset({"0"}))
+
+
+def _old_qid2_next_program(proc, target, residual):
+    m = loops._needed(target, residual)
+    with np.errstate(all="ignore"):
+        u = m / np.sqrt(float(np.trace(np.conjugate(m).T @ m).real) / m.shape[0])
+    return zoo.su2_program(loops.su2_log(u)[0])
+
+
+def _old_qid2_rule():
+    return loops.CorrectionRule(lambda proc: zoo.qid2_basis(), lambda proc: frozenset({"0+"}), _old_qid2_next_program)
+
+
 @contextlib.contextmanager
 def _oracles():
-    """Every rewritten function, where the outcome tree looks it up, replaced by its oracle."""
+    """Every rewritten function, where the outcome tree and the family builders look it up, replaced by its oracle."""
     with contextlib.ExitStack() as stack:
         for target, new in (
-            (loops, {"inverse": _old_inverse, "_rescaled": _old_rescaled, "_state_independent": _old_state_independent}),
-            (zoo, {"program_for": _old_program_for, "su2_program": _old_su2_program}),
-            (qlinalg, {"is_unitary": _old_is_unitary}),
+            (
+                loops,
+                {
+                    "inverse": _old_inverse,
+                    "_rescaled": _old_rescaled,
+                    "_state_independent": _old_state_independent,
+                    "_needed": _old_needed,
+                    "_safe_ratio": _old_safe_ratio,
+                    "_Exact": _OldExact,
+                    "_diagonal_rule": _old_diagonal_rule,
+                    "u1_rule": _old_u1_rule,
+                    "qid2_rule": _old_qid2_rule,
+                    "su2_log": _old_su2_log,
+                },
+            ),
+            (
+                zoo,
+                {"program_for": _old_program_for, "su2_program": _old_su2_program, "diagonal_program": _old_diagonal_program},
+            ),
+            (qlinalg, {"is_unitary": _old_is_unitary, "normalize": _old_normalize}),
         ):
             stack.enter_context(mock.patch.multiple(target, **new))
         yield
@@ -115,15 +233,23 @@ def _same_bits(a, b) -> bool:
 # Real trees of all six loop families
 # ---------------------------------------------------------------------------
 
-def _node_record(node, psi) -> list:
-    """The arrays of one node: residual, and unless uncorrectable its program, operators and collapse test."""
+def _params_record(params) -> list:
+    """A program's params as arrays, with the key and the Python type of each value and element."""
+    out = []
+    for key, value in params.items():
+        items = value if isinstance(value, tuple) else (value,)
+        out += [np.asarray(key), np.asarray([type(x).__name__ for x in items]), np.asarray(value)]
+    return out
+
+
+def _node_record(tree, node, psi) -> list:
+    """The arrays of one node: residual, and unless uncorrectable its program, operators, exact entry and collapse test."""
     out = [node.residual]
     if node.program is not None:
-        probs = loops._Exact(node.ops, psi, [], []).probs
-        out += [node.program.ket, node.ops, np.asarray(loops._state_independent(node.ops, probs))]
-        d = node.program.params.get("d")
-        if d is not None:
-            out.append(d)
+        entry = loops._Exact(node.ops, psi, tree._success_idx, tree._fail_idx)
+        out += [node.program.ket, node.ops, entry.amps, entry.probs, np.asarray(entry.s), np.asarray(entry.fails, dtype=int)]
+        out += [np.asarray(type(entry.s).__name__), np.asarray(loops._state_independent(node.ops, entry.probs))]
+        out += _params_record(node.program.params)
     return out
 
 
@@ -133,7 +259,7 @@ def _tree_records(tree, psi, depth: int, width: int) -> list:
     for _ in range(depth):
         below = []
         for node in level:
-            records.append(_node_record(node, psi))
+            records.append(_node_record(tree, node, psi))
             if node.ops is not None:
                 below += [tree.child(node, i, retain=False) for i in range(min(width, node.ops.shape[0]))]
         level = below
@@ -169,13 +295,14 @@ FAMILIES = ("u1", "bz", "bz_haar", "diagonal", "qid2", "qidn")
 @settings(max_examples=4)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_tree_nodes_keep_their_bits(name, n_dim, seed):
-    rng = derive_stream(seed, 0)
-    proc, rule, target = cli._FAMILIES[name].build(_family(name, rng, n_dim), (seed, 0, 0))
-    psi = qlinalg.random_state(proc.data_dim, derive_stream(seed, 1))
-    # a tree that does not collapse enumerates N^(n-1) nodes in an n-round exact walk
-    rounds = 4 if proc.program_dim <= 9 else 2
+    params = _family(name, derive_stream(seed, 0), n_dim)
 
     def records():
+        # built here, so that under the oracles the family's rule is the old one
+        proc, rule, target = cli._FAMILIES[name].build(params, (seed, 0, 0))
+        psi = qlinalg.random_state(proc.data_dim, derive_stream(seed, 1))
+        # a tree that does not collapse enumerates N^(n-1) nodes in an n-round exact walk
+        rounds = 4 if proc.program_dim <= 9 else 2
         tree = loops.OutcomeTree(proc, target, rule, psi)
         return _tree_records(tree, psi, 3, 3), loops.exact_walk(loops.OutcomeTree(proc, target, rule, psi), rounds)
 
@@ -324,4 +451,156 @@ _MU = st.one_of(
 @settings(max_examples=200)
 @given(mu=_MU)
 def test_su2_program_keeps_its_bits(mu):
-    assert _same_bits(zoo.su2_program(mu).ket, _old_su2_program(mu).ket)
+    new, old = zoo.su2_program(mu), _old_su2_program(mu)
+    assert _same_bits(new.ket, old.ket)
+    assert all(_same_bits(x, y) for x, y in zip(_params_record(new.params), _params_record(old.params)))
+
+
+def _complex_array(rng, shape, scale):
+    return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+
+_U_SCALES = st.sampled_from([1e-300, 1e-150, 1e-8, 1.0, 1e8, 1e150, 1e300])
+
+
+@settings(max_examples=300)
+@given(
+    mu=_MU,
+    phase=st.floats(-4.0, 4.0),
+    noise=st.sampled_from([0.0, 1e-12, 1e-9, 3e-9, 1e-6]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_su2_log_keeps_its_bits(mu, phase, noise, seed):
+    """Unitaries near and at |mu| = 0 and pi, with a global phase, and perturbed ones on both sides of the check."""
+    with np.errstate(all="ignore"):
+        u = np.exp(1j * phase) * qlinalg.su2_exp(mu)
+    u = u + _complex_array(derive_stream(seed, 8), (2, 2), noise)
+    new, old = _outcome(qlinalg.su2_log, u), _outcome(_old_su2_log, u)
+    assert new[0] == old[0]
+    if new[0]:
+        assert _same_bits(new[1][0], old[1][0]) and _same_bits(new[1][1], old[1][1])
+        assert type(new[1][1]) is type(old[1][1])
+    else:
+        assert new[1:] == old[1:]
+
+
+@pytest.mark.parametrize(
+    "u",
+    [np.eye(2), -np.eye(2), 1j * np.eye(2), qlinalg.SIGMA_X, qlinalg.SIGMA_Y, 1j * qlinalg.SIGMA_Z, np.diag([1j, 1j])],
+    ids=["I", "-I", "iI", "X", "Y", "iZ", "diag-i"],
+)
+def test_su2_log_keeps_its_bits_on_branch_points(u):
+    new, old = qlinalg.su2_log(u.astype(complex)), _old_su2_log(u.astype(complex))
+    assert _same_bits(new[0], old[0]) and _same_bits(new[1], old[1])
+
+
+@settings(max_examples=200)
+@given(d=st.integers(1, 16), scale=_U_SCALES, real=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_normalize_and_phase_distance_keep_their_bits(d, scale, real, seed):
+    rng = derive_stream(seed, 9)
+    v, w = _complex_array(rng, d, scale), _complex_array(rng, d, scale)
+    if real:
+        v, w = v.real, w.real
+    with np.errstate(all="ignore"):
+        new, old = _outcome(qlinalg.normalize, v), _outcome(_old_normalize, v)
+        assert new[0] == old[0] and (_same_bits(new[1], old[1]) if new[0] else new[1:] == old[1:])
+        for a, b in ((v, w), (v, v), (v, np.zeros(d)), (_complex_array(rng, (d, 2), 1.0), _complex_array(rng, (d, 2), 1.0))):
+            assert _same_bits(qlinalg.phase_distance(a, b), _old_phase_distance(a, b))
+
+
+@settings(max_examples=200)
+@given(
+    d=st.integers(1, 12),
+    scale=_U_SCALES,
+    zeros=st.integers(0, 12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_diagonal_program_keeps_its_bits(d, scale, zeros, seed):
+    """Entries whose norm underflows to 0 or overflows to inf fail alike."""
+    rng = derive_stream(seed, 10)
+    e = _complex_array(rng, d, scale)
+    e[: min(zeros, d)] = 0.0
+    with np.errstate(all="ignore"):
+        new, old = _outcome(zoo.diagonal_program, e), _outcome(_old_diagonal_program, e)
+    assert new[0] == old[0]
+    if new[0]:
+        assert _same_bits(new[1].ket, old[1].ket)
+        assert all(_same_bits(x, y) for x, y in zip(_params_record(new[1].params), _params_record(old[1].params)))
+    else:
+        assert new[1:] == old[1:]
+
+
+@settings(max_examples=200)
+@given(alpha=st.floats(-1e6, 1e6))
+def test_vmc3_program_keeps_its_bits(alpha):
+    new, old = zoo.vmc3_program(alpha), _old_vmc3_program(alpha)
+    assert _same_bits(new.ket, old.ket) and new.params == old.params
+
+
+@settings(max_examples=200)
+@given(d=st.integers(1, 8), scale=_U_SCALES, zeros=st.integers(0, 8), identity=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_safe_ratio_and_needed_keep_their_bits(d, scale, zeros, identity, seed):
+    rng = derive_stream(seed, 11)
+    num, den = _complex_array(rng, d, 1.0), _complex_array(rng, d, scale)
+    den[: min(zeros, d)] = 1e-13 * scale if zeros % 2 else 0.0
+    with np.errstate(all="ignore"):
+        new, old = _outcome(lambda x: loops._safe_ratio(num, x), den), _outcome(lambda x: _old_safe_ratio(num, x), den)
+    assert new[0] == old[0] and (_same_bits(new[1], old[1]) if new[0] else new[1:] == old[1:])
+    target = _complex_array(rng, (d, d), 1.0)
+    residual = np.eye(d, dtype=complex) if identity else _with_ratio(d, rng.uniform(1e-10, 1.0), seed)
+    new, old = _outcome(lambda r: loops._needed(target, r), residual), _outcome(lambda r: _old_needed(target, r), residual)
+    assert new[0] == old[0] and (_same_bits(new[1], old[1]) if new[0] else new[1:] == old[1:])
+
+
+@settings(max_examples=200)
+@given(
+    n=st.integers(2, 16),
+    d=st.integers(1, 8),
+    scale=_SCALES,
+    n_success=st.integers(0, 16),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_exact_entries_keep_their_bits(n, d, scale, n_success, seed):
+    """One success label or several (bz), with failure branches on both sides of the prune bound."""
+    rng = derive_stream(seed, 12)
+    ops = _complex_array(rng, (n, d, d), scale)
+    ops[rng.random(n) < 0.3] *= 1e-14
+    state = qlinalg.random_state(d, rng)
+    labels = rng.permutation(n).tolist()
+    success, fail = sorted(labels[: min(n_success, n)]), sorted(labels[min(n_success, n) :])
+    new, old = loops._Exact(ops, state, success, fail), _OldExact(ops, state, success, fail)
+    assert _same_bits(new.amps, old.amps) and _same_bits(new.probs, old.probs)
+    assert _same_bits(new.s, old.s) and type(new.s) is type(old.s) and new.fails == old.fails
+
+
+@settings(max_examples=200)
+@given(
+    t=st.lists(st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_infinity=False), min_size=2, max_size=2),
+    r=st.lists(st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_infinity=False), min_size=2, max_size=2),
+)
+def test_u1_rule_keeps_its_bits(t, r):
+    rule = loops.u1_rule()
+    proc, target, residual = zoo.u1_cnot(), np.diag(t).astype(complex), np.diag(r).astype(complex)
+    new, old = rule.next_program(proc, target, residual), _old_u1_encode(proc, np.diagonal(target), np.diagonal(residual))
+    assert _same_bits(new.ket, old.ket) and _same_bits(new.params["alpha"], old.params["alpha"])
+
+
+@settings(max_examples=200)
+@given(mu=_MU, scale=_U_SCALES, noise=st.sampled_from([0.0, 1e-9, 1e-3]), seed=st.integers(0, 2**32 - 1))
+def test_qid2_rule_keeps_its_bits(mu, scale, noise, seed):
+    """Targets and residuals that are scaled unitaries, near them, or far, so that su2_log passes and fails."""
+    rng = derive_stream(seed, 13)
+    with np.errstate(all="ignore"):
+        target = scale * qlinalg.su2_exp(mu) + _complex_array(rng, (2, 2), noise * scale)
+    residual = random_unitary(2, rng) * rng.uniform(0.1, 10.0)
+    proc, rule = zoo.qid2(), loops.qid2_rule()
+    for r in (np.eye(2, dtype=complex), residual):
+        with np.errstate(all="ignore"):  # su2_log's unitarity check warns on what a tiny target leaves, before and after
+            new = _outcome(lambda x: rule.next_program(proc, target, x), r)
+            old = _outcome(lambda x: _old_qid2_next_program(proc, target, x), r)
+        assert new[0] == old[0]
+        if new[0]:
+            assert _same_bits(new[1].ket, old[1].ket)
+            assert all(_same_bits(x, y) for x, y in zip(_params_record(new[1].params), _params_record(old[1].params)))
+        else:
+            assert new[1:] == old[1:]

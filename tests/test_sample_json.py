@@ -88,6 +88,11 @@ COMPLEX_ARRAYS = {
     "i": {"j": np.array([1e308 + 1e308j, 1e308 + 0j])},
     "k": np.array([[0.5, -0.0]]),
     "m": np.array([[1 + 1j], [2 + 2j]]).T,
+    # read in place only when C-contiguous complex128; these take the copying path
+    "n": (np.arange(12).reshape(3, 4) * (0.5 - 1j))[:, ::2],
+    "o": np.array([[0.1 + 0.2j, -0.0j]], dtype=np.complex64),
+    "p": np.array([1.5 - 2j, 3e-300 + 0j], dtype=">c16"),
+    "q": np.array([[1 + 2j, 3 + 4j], [5 + 6j, 7 + 8j]], order="F"),
 }
 
 HAND_BUILT = {
