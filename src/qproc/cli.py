@@ -362,10 +362,8 @@ def _json_at(value, pad: str, templates: dict) -> str:
         fields = (encode_basestring_ascii(k) + ": " + _json_at(v, inner, templates) for k, v in value.items())
         return "{\n" + inner + (",\n" + inner).join(fields) + "\n" + pad + "}"
     if value.__class__ is np.ndarray and value.dtype.kind == "c":  # _float_grid(_jsonify(value)), from the array
-        if value.dtype == np.complex128 and value.flags.c_contiguous:  # the same pairs, read in place
-            items = value.reshape(-1).view(np.float64).tolist()
-        else:
-            items = np.stack((value.real, value.imag), -1).reshape(-1).tolist()
+        # [re, im] pairs in C order; no copy of a C-contiguous complex128 array, and widening or byte-swapping is exact
+        items = np.asarray(value, dtype=np.complex128, order="C").reshape(-1).view(np.float64).tolist()
         grid = (value.shape + (2,), items) if items and math.isfinite(sum(items)) else None
     elif value.__class__ is list:
         grid = _float_grid(value)

@@ -71,8 +71,10 @@ def identity(dim: int) -> np.ndarray:
 
 
 def frobenius(m: np.ndarray) -> np.floating:
-    """np.linalg.norm(m) bit for bit: numpy's own sqrt(re.re + im.im) (x.x + 0.0 for a real m), without its dispatch."""
+    """np.linalg.norm(m) of a float or complex m bit for bit: numpy's own sqrt(x.x) or sqrt(re.re + im.im), without its dispatch."""
     x = m.ravel(order="K")
+    if x.dtype.kind != "c":
+        return np.sqrt(x.dot(x))
     re, im = x.real, x.imag
     return np.sqrt(re.dot(re) + im.dot(im))
 
@@ -114,7 +116,7 @@ def su2_exp(mu) -> np.ndarray:
     The |mu| -> 0 limit is taken analytically (sin x / x -> 1).
     """
     mu = np.asarray(mu, dtype=float)
-    m = np.linalg.norm(mu)
+    m = frobenius(mu)
     mdotsig = mu[0] * SIGMA_X + mu[1] * SIGMA_Y + mu[2] * SIGMA_Z
     return np.cos(m) * SIGMA_0 + 1j * np.sinc(m / np.pi) * mdotsig
 
@@ -145,7 +147,7 @@ def su2_log(u: np.ndarray, tol: float = 1e-8) -> tuple[np.ndarray, float]:
             ((v[0, 0] - v[1, 1]) / 2j).real,
         ]
     )
-    s = np.sqrt(a.dot(a))  # what np.linalg.norm(a) computes for a real vector
+    s = frobenius(a)
     mu = float(np.arctan2(s, a0))
     if s > 1e-12:
         vec = mu * a / s

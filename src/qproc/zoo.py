@@ -291,7 +291,7 @@ def su2_program(mu) -> ProgramState:
     Encodes U = exp(i mu . sigma); the |mu| -> 0 limit is |Xi_0> (identity).
     """
     mu = np.asarray(mu, dtype=float).reshape(3)
-    m = np.sqrt(mu.dot(mu))  # what np.linalg.norm(mu) computes for a real vector
+    m = qlinalg.frobenius(mu)
     xis = bell_basis()
     y = np.pi * (m / np.pi)  # np.sinc(m / pi) is sin(y) / y, and sin(eps) / eps == 1 where y == 0
     sinc = np.sin(y) / y if y else np.float64(1.0)

@@ -5,11 +5,11 @@ The functions a node is built from (`loops._state_independent`,
 `qlinalg.is_unitary`, `zoo.su2_program`) were rewritten with fewer numpy
 calls, and then again to call the kernel that fixes each value's bits with
 no wrapper around it (`loops._needed`, `loops._safe_ratio`, `loops._Exact`,
-the u1, qid2 and diagonal rules, `qlinalg.su2_log`, `qlinalg.normalize`,
-`qlinalg.phase_distance`, `zoo.diagonal_program`, `zoo.vmc3_program`). The
-implementations they replaced are kept here as oracles, and every float
-they produce must match the oracle's bit for bit, on real trees of all six
-loop families and on random inputs.
+the u1, qid2 and diagonal rules, `qlinalg.su2_log`, `qlinalg.su2_exp`,
+`qlinalg.normalize`, `qlinalg.phase_distance`, `zoo.diagonal_program`,
+`zoo.vmc3_program`). The implementations they replaced are kept here as
+oracles, and every float they produce must match the oracle's bit for bit,
+on real trees of all six loop families and on random inputs.
 """
 from __future__ import annotations
 
@@ -91,6 +91,13 @@ def _old_su2_program(mu):
     xis = zoo.bell_basis()
     k = np.cos(m) * xis[0] + 1j * np.sinc(m / np.pi) * (mu[0] * xis[1] + mu[1] * xis[2] + mu[2] * xis[3])
     return zoo.ProgramState(ket=k, encoding="su2", params={"mu": tuple(float(x) for x in mu)})
+
+
+def _old_su2_exp(mu):
+    mu = np.asarray(mu, dtype=float)
+    m = np.linalg.norm(mu)
+    mdotsig = mu[0] * qlinalg.SIGMA_X + mu[1] * qlinalg.SIGMA_Y + mu[2] * qlinalg.SIGMA_Z
+    return np.cos(m) * qlinalg.SIGMA_0 + 1j * np.sinc(m / np.pi) * mdotsig
 
 
 def _old_normalize(v):
@@ -440,6 +447,8 @@ def test_rescaled_and_is_unitary_keep_their_bits(d, scale, seed):
     for x in (u.real, m.real, np.eye(d)):
         assert _same_bits(qlinalg.frobenius(x), np.linalg.norm(x))
         assert qlinalg.is_unitary(x, 1e-10) == _old_is_unitary(x, 1e-10)
+    for x in (m[0].real, m.real.T, m[:, 0]):
+        assert _same_bits(qlinalg.frobenius(x), np.linalg.norm(x))
 
 
 _MU = st.one_of(
@@ -454,6 +463,7 @@ def test_su2_program_keeps_its_bits(mu):
     new, old = zoo.su2_program(mu), _old_su2_program(mu)
     assert _same_bits(new.ket, old.ket)
     assert all(_same_bits(x, y) for x, y in zip(_params_record(new.params), _params_record(old.params)))
+    assert _same_bits(qlinalg.su2_exp(mu), _old_su2_exp(mu))
 
 
 def _complex_array(rng, shape, scale):

@@ -88,7 +88,7 @@ COMPLEX_ARRAYS = {
     "i": {"j": np.array([1e308 + 1e308j, 1e308 + 0j])},
     "k": np.array([[0.5, -0.0]]),
     "m": np.array([[1 + 1j], [2 + 2j]]).T,
-    # read in place only when C-contiguous complex128; these take the copying path
+    # not C-contiguous complex128: each is cast before its pairs are read
     "n": (np.arange(12).reshape(3, 4) * (0.5 - 1j))[:, ::2],
     "o": np.array([[0.1 + 0.2j, -0.0j]], dtype=np.complex64),
     "p": np.array([1.5 - 2j, 3e-300 + 0j], dtype=">c16"),
