@@ -673,8 +673,9 @@ def _vmc3_branch_deviation(program_builder: Callable[[float], ProgramState], n_g
     worst = 0.0
     for alpha in np.linspace(0.0, 2 * np.pi, n_grid, endpoint=False):
         ops = branch_operators(proc, program_builder(alpha), basis)
+        target = zoo.u1_operator(alpha)
         for j in range(3):
-            worst = max(worst, phase_distance(2 * ops[j], zoo.u1_operator(alpha)))
+            worst = max(worst, phase_distance(2 * ops[j], target))
     return worst
 
 

@@ -14,9 +14,17 @@ from one (processor, target, rule), is therefore the whole loop: it holds one
 node per outcome history (residual, program or an "uncorrectable" marker,
 and read-only branch operators), built lazily on first visit; callers build
 one tree per loop. Retained node arrays are capped at `_RETAINED_BYTES` per
-tree; nodes past the cap are built and used but not kept, and the nodes
-built first are the ones kept. Nothing is cached between trees, and a
-trajectory's output does not depend on what the tree already holds.
+tree; nodes past the cap are built and used but not kept, and nodes are
+offered to the cap in the order the walks build them. Nothing is cached
+between trees, and a trajectory's output does not depend on what the tree
+already holds.
+
+The walks build nodes in batches (`OutcomeTree.children`): the residual
+products and their norms, the inverses, the qidN encoding, the branch
+operators and, in `run_trials`, the rounds are each one stacked numpy call
+for the whole batch (the other rules' scalar steps, such as `su2_log`, run
+per residual), and each node keeps the bits it has when built alone. A lone
+node is a batch of one.
 
 A tree is of one of two kinds, and each kind has its own walks; a walk
 given a tree of the other kind raises ValueError.
@@ -52,10 +60,12 @@ from the same state on the same stream, on a tree without a state.
 `run_trials` walks its n trajectories depth first as groups that share an
 outcome history: at a node it draws each member's next uniform (`draw(j)`,
 for trajectory j), splits the group by the drawn branch, and builds a child
-only when its subgroup is popped. A node past the cap is then built once per
-call, not once per trajectory that reaches it, and only the nodes of the
-current path and their rounds are alive. `run_loop` is the same walk with one
-trajectory, so the round step exists once.
+only when its subgroup is popped. Groups are popped from the top of the
+stack in batches, as many as have missing nodes within `_BATCH_BYTES`, and
+their nodes are built together. A node past the cap is then built once per
+call, not once per trajectory that reaches it, and only the nodes on the
+paths of pending groups and their rounds are alive. `run_loop` is the same
+walk with one trajectory, so the round step exists once.
 
 The exact walk stores its own entry on each node it reaches (`_Exact`:
 amplitudes and probabilities by `np.einsum`, the success mass, the failure
@@ -66,10 +76,13 @@ previous depth. The sampled round keeps its `ops @ state` and
 disagree in the last bits, so neither walk reads the other's numbers. The
 exact walk loops down chains of nodes that walk one branch, so a unitary loop
 of any depth needs no recursion; only a node with two or more failure
-branches recurses, and each node's failure terms add in label order.
+branches recurses, and each node's failure terms add in label order. Such a
+node builds its failure children as one batch, together with, one level
+ahead, the failure children of those that do not collapse either.
 """
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass, field
 from typing import Callable
@@ -83,11 +96,12 @@ from .processor import (
     ProgramState,
     branch_operators,
     branch_probabilities,
+    stacked,
     data_state,
     decompose,  # noqa: F401 - re-exported: callers look it up in loops
     inverse_cdf,
 )
-from .qlinalg import SingularOperator, frobenius, identity, inverse, su2_log
+from .qlinalg import SingularOperator, frobenius_rows, identity, inverses, su2_log
 
 # Failure branches with less probability mass than this cannot move a
 # 1e-12 comparison and are pruned from the exact tree.
@@ -97,10 +111,19 @@ _PRUNE = 1e-25
 # state, the round: amplitudes, post-states and the probability list) one
 # OutcomeTree keeps. The residual and operators of a qubit-family node with
 # N outcomes take 64 (N + 1) bytes and those of a qidN(3) node 1.4 KiB, so
-# thousands fit; on qidN(8) (83 KiB per node with its round) about 25 fit,
-# the first ones built. Nodes past the cap are built again per `run_trials`
-# call (a stream chunk of a command), which bounds resident memory growth.
+# thousands fit; on qidN(8) (83 KiB per node with its round) about 25 fit.
+# Nodes are offered to the cap in the order the walks build them, a batch at
+# a time. Nodes past the cap are built again per `run_trials` call (a stream
+# chunk of a command), which bounds resident memory growth.
 _RETAINED_BYTES = 2 * 1024 * 1024
+
+# Bytes of node arrays (as `_RETAINED_BYTES` counts them) that one batch
+# builds together: a walk pops pending groups, and `_fold` takes failure
+# branches, until their missing nodes would pass it; a batch holds at least
+# one node. qid2 (0.8 KiB per node with its round) and qidN(3) (2.3 KiB)
+# nodes batch by the hundred, qidN(8) (83 KiB) three at a time: larger
+# budgets were faster there but raised the peak memory of a qidN(8) sample.
+_BATCH_BYTES = 256 * 1024
 
 
 class SingularProgram(ValueError):
@@ -139,7 +162,11 @@ class CorrectionRule:
 
     `next_program(proc, target, residual)` encodes target @ residual^{-1}
     in the family's program encoding; with residual = I it encodes the
-    target itself, so it also provides the first-round program.
+    target itself, so it also provides the first-round program. The
+    family's `_next_program` encodes a (K, D, D) stack of residuals at once
+    and returns, for each, its program or the SingularOperator or
+    SingularProgram that says why none exists; each program has the bits
+    of its residual encoded alone.
 
     The rules of the diagonal families (u1, bz, diagonal) read only the
     diagonals of target and residual: an `OutcomeTree` built with one checks
@@ -151,8 +178,15 @@ class CorrectionRule:
     _next_program: Callable = field(repr=False)
     _diagonal: bool = field(default=False, repr=False)  # set by _diagonal_rule
 
-    def next_program(self, proc: ProcessorDefinition, target: np.ndarray, residual: np.ndarray) -> ProgramState:
-        return self._next_program(proc, np.asarray(target, dtype=complex), np.asarray(residual, dtype=complex))
+    def next_program(self, proc: ProcessorDefinition, target: np.ndarray, residual: np.ndarray):
+        """The program of one (D, D) residual, raising when none exists, or the list `_next_program` gives a (K, D, D) stack."""
+        r = np.asarray(residual, dtype=complex)
+        out = self._next_program(proc, np.asarray(target, dtype=complex), r if r.ndim == 3 else r[None])
+        if r.ndim == 3:
+            return out
+        if isinstance(out[0], Exception):
+            raise out[0]
+        return out[0]
 
 
 def _computational_basis(proc: ProcessorDefinition) -> ProgramBasis:
@@ -183,12 +217,27 @@ def _safe_ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
 
 
 def _diagonal_rule(encode: Callable, success_labels: Callable) -> CorrectionRule:
-    """The rule whose program is encode(proc, t, r) on the diagonals t of the target and r of the residual."""
+    """The rule whose programs are encode(proc, t, rs) on the diagonal t of the target and the (K, D) diagonals rs of the residuals."""
 
-    def next_program(proc, target, residual):
-        return encode(proc, target.diagonal(), residual.diagonal())
+    def next_program(proc, target, residuals):
+        return encode(proc, target.diagonal(), residuals.diagonal(axis1=1, axis2=2))
 
     return CorrectionRule(_computational_basis, success_labels, next_program, _diagonal=True)
+
+
+def _each(encode: Callable) -> Callable:
+    """The stacked encode that applies encode(proc, t, r) to each diagonal r, keeping the SingularProgram it raises."""
+
+    def encode_each(proc, t, rs):
+        out = []
+        for r in rs:
+            try:
+                out.append(encode(proc, t, r))
+            except SingularProgram as exc:
+                out.append(exc)
+        return out
+
+    return encode_each
 
 
 def u1_rule() -> CorrectionRule:
@@ -199,9 +248,9 @@ def u1_rule() -> CorrectionRule:
     (alpha, 2 alpha, 4 alpha, ...), so one success restores U(alpha).
     """
 
-    def encode(proc, t, r):
-        (t0, t1), (r0, r1) = np.arctan2(t.imag, t.real).tolist(), np.arctan2(r.imag, r.real).tolist()  # np.angle bit for bit
-        return zoo.u1_program(((t0 - t1) - (r0 - r1)) / 2.0)
+    def encode(proc, t, rs):
+        (t0, t1), angles = np.arctan2(t.imag, t.real).tolist(), np.arctan2(rs.imag, rs.real).tolist()  # np.angle bit for bit
+        return [zoo.u1_program(((t0 - t1) - (r0 - r1)) / 2.0) for r0, r1 in angles]
 
     return _diagonal_rule(encode, lambda proc: frozenset({"0"}))
 
@@ -230,7 +279,7 @@ def bz_rule() -> CorrectionRule:
                 raise SingularProgram(f"corrected ratio is out of range: {exc}") from None
             raise
 
-    return _diagonal_rule(encode, lambda proc: frozenset(str(j) for j in range(proc.program_dim - 1)))
+    return _diagonal_rule(_each(encode), lambda proc: frozenset(str(j) for j in range(proc.program_dim - 1)))
 
 
 def diagonal_rule() -> CorrectionRule:
@@ -241,14 +290,31 @@ def diagonal_rule() -> CorrectionRule:
     diagonal entry vanished: the failed operation is non-invertible and the
     loop cannot proceed.
     """
-    return _diagonal_rule(lambda proc, t, r: zoo.diagonal_program(_safe_ratio(t, r)), lambda proc: frozenset({"0"}))
+    return _diagonal_rule(_each(lambda proc, t, r: zoo.diagonal_program(_safe_ratio(t, r))), lambda proc: frozenset({"0"}))
 
 
-def _needed(target: np.ndarray, residual: np.ndarray) -> np.ndarray:
-    """target @ residual^{-1}, skipping the inversion on the first round."""
-    if (residual == identity(residual.shape[0])).all():
-        return target
-    return target @ inverse(residual)
+def _needed(target: np.ndarray, residuals: np.ndarray) -> tuple[np.ndarray, dict[int, SingularOperator]]:
+    """target @ residual^{-1} for each residual of the (K, D, D) stack, and by index the refusal of each that cannot be inverted.
+
+    A residual equal to I (the first round) gives the target itself, without inversion.
+    """
+    first = (residuals == identity(residuals.shape[1])).all(axis=(1, 2)).tolist()
+    if all(first):
+        return target[None].repeat(len(first), axis=0), {}
+    invs, refused = inverses(residuals)
+    needed = target @ invs
+    if any(first):
+        needed[first] = target
+    return needed, refused
+
+
+def _encode_rows(needed: np.ndarray, refused: dict, encode: Callable) -> list:
+    """encode(stack) on the rows of `needed` that `refused` does not name, each refused row's exception in its place."""
+    if not refused:
+        return encode(needed)
+    rows = [k for k in range(needed.shape[0]) if k not in refused]
+    made = iter(encode(needed[rows]) if rows else ())
+    return [refused[k] if k in refused else next(made) for k in range(needed.shape[0])]
 
 
 def unitary_scale(m: np.ndarray) -> float | None:
@@ -268,12 +334,15 @@ def qid2_rule() -> CorrectionRule:
     re-extracted through the SU(2) logarithm (global phases are dropped).
     """
 
-    def next_program(proc, target, residual):
-        m = _needed(target, residual)
+    def encode(m):
         # su2_log is the one unitarity check; it also rejects what a zero or overflowing m leaves
         with np.errstate(all="ignore"):
-            u = m / np.sqrt(float((np.conjugate(m).T @ m).trace().real) / m.shape[0])
-        return zoo.su2_program(su2_log(u)[0])
+            u = m / np.sqrt((np.conjugate(m).transpose(0, 2, 1) @ m).trace(axis1=1, axis2=2).real / m.shape[1])[:, None, None]
+        # per residual: su2_log's and su2_program's numpy-scalar arithmetic costs less than stacked calls at small batches
+        return [zoo.su2_program(su2_log(x)[0]) for x in u]
+
+    def next_program(proc, target, residuals):
+        return _encode_rows(*_needed(target, residuals), encode)
 
     return CorrectionRule(
         basis_for=lambda proc: zoo.qid2_basis(),
@@ -291,8 +360,8 @@ def qidN_rule() -> CorrectionRule:
     Raises SingularOperator when the accumulated branch is not invertible.
     """
 
-    def next_program(proc, target, residual):
-        return zoo.program_for(_needed(target, residual))
+    def next_program(proc, target, residuals):
+        return _encode_rows(*_needed(target, residuals), zoo.programs_for)
 
     return CorrectionRule(
         basis_for=lambda proc: zoo.phi_basis(proc.data_dim),
@@ -301,12 +370,13 @@ def qidN_rule() -> CorrectionRule:
     )
 
 
-def _rescaled(residual: np.ndarray) -> np.ndarray:
-    """Keep the residual at O(1) scale; only its direction matters."""
-    norm = frobenius(residual)
-    if norm == 0:
+def _rescaled(residuals: np.ndarray) -> np.ndarray:
+    """Keep each residual of the (K, D, D) stack at O(1) scale; only its direction matters."""
+    norms = frobenius_rows(residuals)
+    if 0.0 in norms:
         raise SingularProgram("residual collapsed to zero")
-    return residual * (np.sqrt(residual.shape[0]) / norm)
+    root = math.sqrt(residuals.shape[1])
+    return residuals * np.array([root / x for x in norms]).reshape(-1, 1, 1)
 
 
 class _Round:
@@ -321,9 +391,9 @@ class _Round:
 
     __slots__ = ("amps", "probs", "drawn", "ends")
 
-    def __init__(self, amps: np.ndarray):
+    def __init__(self, amps: np.ndarray, probs: list[float]):
         self.amps = amps  # (N, D): branch operator b applied to the state
-        self.probs = branch_probabilities(amps)
+        self.probs = probs  # branch_probabilities(amps)
         self.drawn: dict[int, LoopRound] = {}
         self.ends: dict[tuple[int, str], LoopTrace] = {}
 
@@ -358,14 +428,22 @@ class _Node:
 
     __slots__ = ("residual", "program", "ops", "children", "round", "exact", "kept")
 
-    def __init__(self, residual: np.ndarray, program: ProgramState | None, ops: np.ndarray | None):
+    def __init__(self, residual: np.ndarray, program):
         self.residual = residual
-        self.program = program  # None: no correcting program exists (uncorrectable)
-        self.ops = ops
+        # None: no correcting program exists (uncorrectable); the rule gave the exception that says why
+        self.program: ProgramState | None = program if isinstance(program, ProgramState) else None
+        self.ops: np.ndarray | None = None  # set by the tree's build
         self.children: dict[int, _Node] = {}
         self.round: _Round | None = None
         self.exact: _Exact | None = None
         self.kept = False
+
+    def own(self) -> None:
+        """Replace the node's arrays, views of its batch's stacks, by copies, so that keeping it keeps only them."""
+        self.residual = self.residual.copy()
+        if self.ops is not None:
+            self.ops = self.ops.copy()
+            self.ops.setflags(write=False)
 
 
 class OutcomeTree:
@@ -409,6 +487,8 @@ class OutcomeTree:
             # and the list of N probabilities with its floats
             n = len(self.basis.labels)
             self._round_bytes = 2 * 16 * n * proc.data_dim + sys.getsizeof([0.0] * n) + n * sys.getsizeof(0.0)
+        # what a correctable node counts against the cap: residual, branch operators and round
+        self._node_bytes = 16 * proc.data_dim**2 * (1 + len(self.basis.labels)) + self._round_bytes
         self._root: _Node | None = None
         self._retained = 0
 
@@ -420,30 +500,50 @@ class OutcomeTree:
         return self._root
 
     def node(self, residual: np.ndarray) -> _Node:
-        """Build, without retaining, the node whose outcome history left `residual`."""
-        try:
-            program = self.rule.next_program(self.proc, self.target, residual)
-        except (SingularOperator, SingularProgram):
-            return _Node(residual, None, None)
-        ops = branch_operators(self.proc, program, self.basis)
-        ops.setflags(write=False)
-        return _Node(residual, program, ops)
+        """Build, without retaining, the node whose outcome history left `residual`: a batch of one."""
+        return self._build(np.asarray(residual, dtype=complex)[None])[0]
+
+    def _build(self, residuals: np.ndarray) -> list[_Node]:
+        """Build, without retaining, the node of each residual of the (K, D, D) stack, each stage in one stacked call.
+
+        The rule encodes the stack, and the programs' kets give one stack of branch operators; a node's
+        arrays are views of the batch's stacks, with the bits of the node built alone.
+        """
+        nodes = [_Node(r, p) for r, p in zip(residuals, self.rule.next_program(self.proc, self.target, residuals))]
+        live = [node for node in nodes if node.program is not None]
+        if live:
+            ops = branch_operators(self.proc, [node.program for node in live], self.basis)
+            ops.setflags(write=False)
+            for node, o in zip(live, ops):
+                node.ops = o
+        return nodes
 
     def child(self, parent: _Node, i: int, retain: bool = True) -> _Node:
-        """The node after `parent`'s branch i; a missing one is kept if `retain` and the parent is kept and it fits."""
-        found = parent.children.get(i)
-        if found is not None:
-            return found
-        node = self.node(_rescaled(parent.ops[i] @ parent.residual))
-        if not retain:
-            return node
-        size = node.residual.nbytes
-        if node.ops is not None:
-            size += node.ops.nbytes + self._round_bytes
-        if parent.kept and self._keep(size):
-            parent.children[i] = node
-            node.kept = True
-        return node
+        """The node after `parent`'s branch i: `children` of the one pair."""
+        return self.children([(parent, i)], retain)[0]
+
+    def children(self, pairs: list[tuple[_Node | None, int]], retain: bool = True) -> list[_Node]:
+        """The node after each (parent, branch i) pair, the root for a parent None; the missing ones are built as one batch.
+
+        In the order of `pairs`, a built node is kept if `retain`, its parent is kept and it fits under the
+        cap; kept out of a batch of more than one, it takes copies of its arrays (`_Node.own`).
+        """
+        out = [self.root if parent is None else parent.children.get(i) for parent, i in pairs]
+        todo = [k for k, node in enumerate(out) if node is None]
+        if not todo:
+            return out
+        steps = stacked([pairs[k][0].ops[pairs[k][1]] for k in todo])
+        built = self._build(_rescaled(steps @ stacked([pairs[k][0].residual for k in todo])))
+        for k, node in zip(todo, built):
+            out[k] = node
+            parent, i = pairs[k]
+            size = node.residual.nbytes + (0 if node.ops is None else node.ops.nbytes + self._round_bytes)
+            if retain and parent.kept and self._keep(size):
+                if len(todo) > 1:
+                    node.own()
+                parent.children[i] = node
+                node.kept = True
+        return out
 
     def _keep(self, nbytes: int) -> bool:
         """Count nbytes against `_RETAINED_BYTES` if they fit; False: the caller must not keep them."""
@@ -452,14 +552,24 @@ class OutcomeTree:
         self._retained += nbytes
         return True
 
-    def round_at(self, node: _Node, state: np.ndarray) -> _Round:
-        """The round of `node` on `state`: cached on a tree with a state, else a throwaway."""
-        held = node.round
-        if held is None:
-            held = _Round(node.ops @ state)
+    def rounds_at(self, nodes: list[_Node], states: list[np.ndarray]) -> list[_Round]:
+        """The round of each correctable node on its state: cached on a tree with a state, else a throwaway.
+
+        The missing rounds are computed together: one stacked `ops @ state` and one `branch_probabilities`,
+        each with the bits of the node's round alone. A kept node of a batch of more than one takes a copy
+        of its amplitudes.
+        """
+        out = [node.round for node in nodes]
+        todo = [k for k, held in enumerate(out) if held is None]
+        if not todo:
+            return out
+        ops = stacked([nodes[k].ops for k in todo])
+        amps = np.matmul(ops, stacked([states[k] for k in todo])[:, None, :, None])[..., 0]
+        for k, a, probs in zip(todo, amps, branch_probabilities(amps)):
+            held = out[k] = _Round(a.copy() if nodes[k].kept and len(todo) > 1 else a, probs)
             if self.psi is not None:
-                node.round = held
-        return held
+                nodes[k].round = held
+        return out
 
 
 def run_loop(tree: OutcomeTree, psi, max_rounds: int, rng: np.random.Generator) -> LoopTrace:
@@ -510,30 +620,43 @@ def _walk(tree: OutcomeTree, state: np.ndarray, max_rounds: int, n: int, draw: C
     out: list = [None] * n
     stack: list[tuple] = [(None, 0, None, (), range(n))]
     while stack:
-        parent, i, up, rounds, group = stack.pop()
-        node = tree.root if parent is None else tree.child(parent, i)
-        if node.program is None:
-            _end(out, group, up, i, rounds, "uncorrectable")
-            continue
-        held = tree.round_at(node, rounds[-1].post_state if rounds else state)
-        probs = held.probs
-        split: dict[int, list[int]] = {}
-        for j in group:
-            split.setdefault(inverse_cdf(probs, draw(j))[0], []).append(j)
-        for b in sorted(split, reverse=True):  # popped in label order
-            r = held.drawn.get(b)
-            if r is None:
-                post = held.amps[b] / np.sqrt(probs[b])
-                post.setflags(write=False)
-                r = held.drawn[b] = LoopRound(program=node.program, outcome=labels[b], probability=probs[b], post_state=post)
-            path = rounds + (r,)
-            if r.outcome in success:
-                _end(out, split[b], held, b, path, "succeeded")
-            elif len(path) == max_rounds:
-                _end(out, split[b], held, b, path, "exhausted")
+        frames = [stack.pop()]
+        room = _BATCH_BYTES - _need(tree, frames[0])
+        while stack and _need(tree, stack[-1]) <= room:
+            room -= _need(tree, stack[-1])
+            frames.append(stack.pop())
+        live = []
+        for frame, node in zip(frames, tree.children([frame[:2] for frame in frames])):
+            if node.program is None:
+                _end(out, frame[4], frame[2], frame[1], frame[3], "uncorrectable")
             else:
-                stack.append((node, b, held, path, split[b]))
+                live.append((node, frame[3], frame[4]))
+        helds = tree.rounds_at([node for node, _, _ in live], [rounds[-1].post_state if rounds else state for _, rounds, _ in live])
+        for (node, rounds, group), held in zip(live, helds):
+            probs = held.probs
+            split: dict[int, list[int]] = {}
+            for j in group:
+                split.setdefault(inverse_cdf(probs, draw(j))[0], []).append(j)
+            for b in sorted(split, reverse=True):  # popped in label order
+                r = held.drawn.get(b)
+                if r is None:
+                    post = held.amps[b] / np.sqrt(probs[b])
+                    post.setflags(write=False)
+                    r = held.drawn[b] = LoopRound(program=node.program, outcome=labels[b], probability=probs[b], post_state=post)
+                path = rounds + (r,)
+                if r.outcome in success:
+                    _end(out, split[b], held, b, path, "succeeded")
+                elif len(path) == max_rounds:
+                    _end(out, split[b], held, b, path, "exhausted")
+                else:
+                    stack.append((node, b, held, path, split[b]))
     return out
+
+
+def _need(tree: OutcomeTree, frame: tuple) -> int:
+    """Bytes a pending group's node adds to a batch: 0 if it is built (the root, or a child its parent holds)."""
+    parent, i = frame[0], frame[1]
+    return 0 if parent is None or i in parent.children else tree._node_bytes
 
 
 def _end(out: list, group, held: _Round | None, i: int, rounds: tuple, status: str) -> None:
@@ -548,17 +671,9 @@ def _end(out: list, group, held: _Round | None, i: int, rounds: tuple, status: s
         out[j] = trace
 
 
-def _isometry_deviations(ops: np.ndarray, probs: np.ndarray) -> np.ndarray:
-    """||m^dag m - p I||_F of each branch operator m with its probability p, with the bits of np.linalg.norm.
-
-    The products are stacked, and each branch's re.re + im.im is a stacked
-    1 x K times K x 1 product: numpy hands it to the BLAS dot that the
-    norm's `x.dot(x)` calls, on the same strided real and imaginary views.
-    """
-    n, d = ops.shape[0], ops.shape[2]
-    dev = (np.conjugate(ops).transpose(0, 2, 1) @ ops - probs[:, None, None] * identity(d).real).reshape(n, 1, d * d)
-    re, im = dev.real, dev.imag
-    return np.sqrt(re @ re.transpose(0, 2, 1) + im @ im.transpose(0, 2, 1)).reshape(n)
+def _isometry_deviations(ops: np.ndarray, probs: np.ndarray) -> list[float]:
+    """||m^dag m - p I||_F of each branch operator m with its probability p, with the bits of np.linalg.norm: stacked products and `frobenius_rows`."""
+    return frobenius_rows(np.conjugate(ops).transpose(0, 2, 1) @ ops - probs[:, None, None] * identity(ops.shape[2]).real)
 
 
 def _state_independent(ops: np.ndarray, probs: np.ndarray) -> bool:
@@ -567,7 +682,7 @@ def _state_independent(ops: np.ndarray, probs: np.ndarray) -> bool:
     Then outcome probabilities cannot depend on the data state, which is
     what lets the exact tree collapse.
     """
-    return not (_isometry_deviations(ops, probs) > 1e-11).any()
+    return not any(x > 1e-11 for x in _isometry_deviations(ops, probs))
 
 
 def exact_walk(tree: OutcomeTree, n: int) -> float:
@@ -581,8 +696,8 @@ def exact_walk(tree: OutcomeTree, n: int) -> float:
     failure subtrees are congruent (the residuals are conjugation-related),
     so a single representative child is evaluated and retained: it is the
     chain that deeper round budgets walk again. Other nodes (non-unitary
-    targets) go branch by branch, through children built without retaining
-    them. The collapsed and fully enumerated evaluations are checked against
+    targets) go branch by branch, through children built in batches
+    without retaining them. The collapsed and fully enumerated evaluations are checked against
     each other for small n in the test suite. The value at n does not depend
     on what the tree already holds.
     """
@@ -593,39 +708,85 @@ def exact_walk(tree: OutcomeTree, n: int) -> float:
     return float(_fold(tree, tree.root, tree.psi, n))
 
 
-def _fold(tree: OutcomeTree, node: _Node, state, remaining: int):
+def _fold(tree: OutcomeTree, node: _Node, state, remaining: int, ready: dict | None = None):
     """Exact success mass of `remaining` rounds from `node`; `state` is its data state or (parent entry, branch).
 
     The loop steps to a collapsing node's representative child, or to another's last failure branch after recursing
     into the rest, and folds the chain as s + (1 - s) v or s + sum p_i v_i; a tuple is normalized only if needed.
+    The failure children of a node that does not collapse are built in batches, and with them, one level ahead,
+    the failure children of those that do not collapse either (`_ahead`); `ready` holds such prebuilt children of
+    `node`, by branch.
     """
     links, value = [], 0.0  # an uncorrectable node adds nothing
     while node.program is not None:
-        entry = node.exact
-        if entry is None:
-            if isinstance(state, tuple):
-                up, i = state
-                state = up.amps[i] / np.sqrt(up.probs[i])
-            entry = _Exact(node.ops, state, tree._success_idx, tree._fail_idx)
-            if node.kept and tree._keep(entry.amps.nbytes + entry.probs.nbytes):
-                node.exact = entry
+        entry = _entry(tree, node, state)
         if remaining == 1 or not entry.fails:
             value = entry.s
             break
-        if entry.collapses is None:
-            entry.collapses = _state_independent(node.ops, entry.probs)
         a, i = entry.s, entry.fails[-1]
-        if entry.collapses:  # the failure subtrees are congruent: walk the first
+        if _collapses(node, entry):  # the failure subtrees are congruent: walk the first
             i, b = entry.fails[0], 1.0 - entry.s
-        else:
-            for j in entry.fails[:-1]:
-                a += entry.probs[j] * _fold(tree, tree.child(node, j, retain=False), (entry, j), remaining - 1)
+            last, ready = tree.child(node, i), None
+        else:  # built as batches of failure branches, folded in label order
+            width = max(1, _BATCH_BYTES // tree._node_bytes)
+            for lo in range(0, len(entry.fails), width):
+                js = entry.fails[lo : lo + width]
+                kids = [ready[j] for j in js] if ready else tree.children([(node, j) for j in js], retain=False)
+                ahead = _ahead(tree, entry, js, kids, remaining - 1, width)
+                for j, kid in zip(js, kids):
+                    if j == i:
+                        last, ready = kid, ahead.get(j)
+                    else:
+                        a += entry.probs[j] * _fold(tree, kid, (entry, j), remaining - 1, ahead.get(j))
             b = entry.probs[i]
         links.append((a, b))
-        node, state, remaining = tree.child(node, i, retain=entry.collapses), (entry, i), remaining - 1
+        node, state, remaining = last, (entry, i), remaining - 1
     for a, b in reversed(links):
         value = a + b * value
     return value
+
+
+def _entry(tree: OutcomeTree, node: _Node, state) -> _Exact:
+    """The exact entry of a correctable node, made from its state (or (parent entry, branch)) unless it holds one.
+
+    A kept node holds it while it fits in `_RETAINED_BYTES`; any other node is transient and holds it anyway.
+    """
+    entry = node.exact
+    if entry is None:
+        if isinstance(state, tuple):
+            up, i = state
+            state = up.amps[i] / np.sqrt(up.probs[i])
+        entry = _Exact(node.ops, state, tree._success_idx, tree._fail_idx)
+        if not node.kept or tree._keep(entry.amps.nbytes + entry.probs.nbytes):
+            node.exact = entry
+    return entry
+
+
+def _collapses(node: _Node, entry: _Exact) -> bool:
+    if entry.collapses is None:
+        entry.collapses = _state_independent(node.ops, entry.probs)
+    return entry.collapses
+
+
+def _ahead(tree: OutcomeTree, up: _Exact, js: list[int], kids: list[_Node], remaining: int, width: int) -> dict:
+    """The failure children of each of `kids` (branches js below `up`) that will not collapse, built as one batch.
+
+    Returns {j: {branch: child}}, or nothing when the kids have `remaining` 1 or their children would not fit in
+    `width` nodes.
+    """
+    wanted = []
+    if remaining > 1:
+        for j, kid in zip(js, kids):
+            if kid.program is not None:
+                entry = _entry(tree, kid, (up, j))
+                if entry.fails and not _collapses(kid, entry):
+                    wanted += [(j, kid, k) for k in entry.fails]
+    if not wanted or len(wanted) > width:
+        return {}
+    out: dict = {}
+    for (j, _, k), child in zip(wanted, tree.children([(kid, k) for _, kid, k in wanted], retain=False)):
+        out.setdefault(j, {})[k] = child
+    return out
 
 
 def exact_success(

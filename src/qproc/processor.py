@@ -242,28 +242,51 @@ def _gather_index(rows: np.ndarray) -> np.ndarray | None:
 def branch_operators(proc: ProcessorDefinition, xi, basis: ProgramBasis) -> np.ndarray:
     """All branch operators A_b = sum_j <b|j> A_j, shape (N, D, D), with A_j = sum_k <k|program> A_jk.
 
-    The bits are those of np.tensordot's two products: the stored
-    (N, D, D, N) grid as an (N*D*D, N) matrix times the program as an
-    (N, 1) column, then the basis bras times the (N, D*D) matrix of A_j.
-    On a 0/1 grid (`ProcessorDefinition.gather`) the first product is a
-    gather instead: each entry of A_j is one program amplitude (1*x is
-    exact) or none (a sum of exact zeros), and adding +0.0 gives a zero the
-    sign the product's sum gives it. Other grids form the product.
+    `xi` is a ProgramState or a ket, or a list of K ProgramStates, which
+    gives the (K, N, D, D) stack of their branch operators, each with the
+    bits of its program alone. The bits are those of np.tensordot's two
+    products: the stored (N, D, D, N) grid as an (N*D*D, N) matrix times
+    the program as an (N, 1) column, then the basis bras times the
+    (N, D*D) matrix of A_j; numpy forms each product of a stack with the
+    BLAS call it makes for one. On a 0/1 grid (`ProcessorDefinition.gather`)
+    the first product is a gather instead: each entry of A_j is one program
+    amplitude (1*x is exact) or none (a sum of exact zeros), and adding +0.0
+    gives a zero the sign the product's sum gives it. Other grids form the
+    product.
     """
-    amps = xi.ket if isinstance(xi, ProgramState) else qlinalg.ket(xi)
-    if amps.shape[0] != proc.program_dim:
+    many = isinstance(xi, list)
+    if many:
+        kets = stacked([p.ket for p in xi])
+    else:
+        kets = (xi.ket if isinstance(xi, ProgramState) else qlinalg.ket(xi))[None]
+    if kets.shape[1] != proc.program_dim:
         raise DimensionMismatch("program dimension does not match processor")
     if basis.dim != proc.program_dim:
         raise DimensionMismatch("basis dimension does not match processor")
-    n, d = proc.program_dim, proc.data_dim
+    k, n, d = kets.shape[0], proc.program_dim, proc.data_dim
     if proc.gather is not None:
-        ext = np.zeros(n + 1, dtype=complex)  # ext[n] stays 0: the slot of the empty rows
-        np.add(amps, 0.0, out=ext[:n])
-        a_j = ext.take(proc.gather)
+        ext = np.zeros((k, n + 1), dtype=complex)  # ext[:, n] stays 0: the slot of the empty rows
+        np.add(kets, 0.0, out=ext[:, :n])
+        a_j = ext.take(proc.gather, axis=1)
     else:
-        grid = proc.blocks.transpose(0, 2, 3, 1).reshape(n * d * d, n)
-        a_j = np.dot(grid, amps.reshape(n, 1))
-    return np.dot(basis.bras, a_j.reshape(n, d * d)).reshape(n, d, d)
+        a_j = _products(proc.blocks.transpose(0, 2, 3, 1).reshape(n * d * d, n), kets[:, :, None])
+    ops = _products(basis.bras, a_j.reshape(k, n, d * d)).reshape(k, n, d, d)
+    return ops if many else ops[0]
+
+
+def _products(a: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """np.dot(a, x) for each x of the stack, bit for bit.
+
+    numpy's matmul makes, for each x, the BLAS call np.dot makes, except
+    when a has one column: np.dot then multiplies by a 1 x 1 factor as a
+    scalar (BLAS axpy), and so it is called for each x.
+    """
+    return np.matmul(a, stack) if a.shape[1] > 1 else np.array([np.dot(a, x) for x in stack])
+
+
+def stacked(arrays: list[np.ndarray]) -> np.ndarray:
+    """Equal-shaped arrays as one stack along a new first axis: a view of a lone array, else a copy."""
+    return arrays[0][None] if len(arrays) == 1 else np.array(arrays)
 
 
 def data_state(proc: ProcessorDefinition, psi) -> np.ndarray:
@@ -303,13 +326,13 @@ def decompose(
     return BranchDecomposition(branches=tuple(branches))
 
 
-def branch_probabilities(amps: np.ndarray) -> list[float]:
-    """||a||^2 for each row a of the (N, D) stack, with the bits of float(np.vdot(a, a).real), from one product.
+def branch_probabilities(amps: np.ndarray) -> list:
+    """||a||^2 for each row a of the (N, D) stack, with the bits of float(np.vdot(a, a).real), from one call.
 
-    numpy hands each stacked 1 x D times D x 1 product to BLAS `zdotu` on
-    the conjugated row, which gives the bits of `np.vdot`'s `zdotc`.
+    `np.vecdot` hands each row to the BLAS `zdotc` that `np.vdot` calls. A
+    (K, N, D) stack of such stacks gives one list per (N, D) stack.
     """
-    return (np.conjugate(amps)[:, None, :] @ amps[:, :, None]).real.reshape(-1).tolist()
+    return np.vecdot(amps, amps).real.tolist()
 
 
 def inverse_cdf(probabilities: Iterable[float], r: float) -> tuple[int, float]:

@@ -8,6 +8,7 @@ tensor products.
 """
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -79,6 +80,22 @@ def frobenius(m: np.ndarray) -> np.floating:
     return np.sqrt(re.dot(re) + im.dot(im))
 
 
+def frobenius_rows(x: np.ndarray) -> list[float]:
+    """`frobenius` of each x[k] of a stack, bit for bit, as Python floats.
+
+    `np.vecdot` hands each row's x.x, or re.re and im.im (one call over
+    the strided real and imaginary views), to the BLAS dot that `frobenius`
+    calls; the sum and the square root are IEEE operations on the same
+    doubles, in Python or in numpy.
+    """
+    k = x.shape[0]
+    flat = np.ascontiguousarray(x).reshape(k, -1)  # as `frobenius`'s ravel copies a strided m
+    if flat.dtype.kind != "c":
+        return [math.sqrt(s) for s in np.vecdot(flat, flat).tolist()]
+    parts = flat.view(np.float64).reshape(k, -1, 2).transpose(0, 2, 1)  # [k, 0] = re, [k, 1] = im
+    return [math.sqrt(re + im) for re, im in np.vecdot(parts, parts).tolist()]
+
+
 def is_unitary(m: np.ndarray, tol: float = 1e-10) -> bool:
     """True iff ||m^dag m - I||_F <= tol (square matrices only)."""
     if m.shape[0] != m.shape[1]:
@@ -91,23 +108,65 @@ def inverse(m: np.ndarray) -> np.ndarray:
 
     The threshold is relative: smallest singular value <= TOL_SINGULAR times
     the largest counts as singular. The SVD runs only when a bound cannot
-    decide: s[0]/s[-1] <= ||m||_F ||m^-1||_F, so a product below
-    0.5/TOL_SINGULAR passes with a factor-2 margin over rounding. Either way
-    the result is np.linalg.inv(m), and a refusal is the SVD rule's.
+    decide (`_conditioned`). Either way the result is np.linalg.inv(m), and
+    a refusal is the SVD rule's.
     """
     if m.shape[0] != m.shape[1]:
         raise ValueError("inverse requires a square matrix")
     try:
         inv = np.linalg.inv(m)
-        with np.errstate(all="ignore"):
-            if frobenius(m) * frobenius(inv) < 0.5 / TOL_SINGULAR:
-                return inv
     except np.linalg.LinAlgError:
         inv = None
+    if inv is None or not _conditioned(m, inv):
+        _svd_rule(m)
+    return np.linalg.inv(m) if inv is None else inv
+
+
+def inverses(ms: np.ndarray) -> tuple[np.ndarray, dict[int, SingularOperator]]:
+    """`inverse` of each matrix of the (K, D, D) stack, from one stacked inversion.
+
+    Returns the stack of inverses, each row with the bits `inverse` gives
+    its matrix alone, and the SingularOperator of each matrix that
+    `inverse` refuses, by index; the row of a refused matrix is 0. An
+    exactly singular matrix fails the stacked inversion, and then each
+    matrix is inverted alone.
+    """
+    try:
+        invs, alone = np.linalg.inv(ms), False
+    except np.linalg.LinAlgError:
+        invs, alone = np.zeros(ms.shape, dtype=complex), True
+    refused = {}
+    for k, m in enumerate(ms):
+        try:
+            if alone:
+                invs[k] = inverse(m)
+            elif not _conditioned(m, invs[k]):
+                _svd_rule(m)
+        except SingularOperator as exc:
+            invs[k] = 0.0
+            refused[k] = exc
+    return invs, refused
+
+
+# Square of the bound on ||m||_F ||m^-1||_F below which `_conditioned` passes.
+_CONDITION_BOUND2 = (0.5 / TOL_SINGULAR) ** 2
+
+
+def _conditioned(m: np.ndarray, inv: np.ndarray) -> bool:
+    """Whether ||m||_F ||m^-1||_F < 0.5/TOL_SINGULAR, which bounds s[0]/s[-1] with a factor-2 margin over rounding.
+
+    The square comes from two vdot self-products as Python floats: an overflow is inf and a nan
+    compares false, and both leave the decision to the SVD rule. The bound only decides whether the
+    SVD runs, so it changes no outcome and no bit.
+    """
+    return float(np.vdot(m, m).real) * float(np.vdot(inv, inv).real) < _CONDITION_BOUND2
+
+
+def _svd_rule(m: np.ndarray) -> None:
+    """Raise SingularOperator when m's singular value ratio is at or below TOL_SINGULAR."""
     s = np.linalg.svd(m, compute_uv=False)
     if s[0] == 0 or s[-1] <= TOL_SINGULAR * s[0]:
         raise SingularOperator(f"singular value ratio {s[-1]:.3e}/{s[0]:.3e} below threshold")
-    return np.linalg.inv(m) if inv is None else inv
 
 
 def su2_exp(mu) -> np.ndarray:

@@ -26,6 +26,7 @@ or B0(z) on a geometric program, with `bz_norm2` for ||B(z) psi||^2) and
 """
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -76,7 +77,7 @@ def u1_cnot() -> ProcessorDefinition:
 
 def u1_program(alpha: float) -> ProgramState:
     """Program ket (e^{i alpha}|0> + e^{-i alpha}|1>)/sqrt(2) encoding U(alpha)."""
-    k = np.array([np.exp(1j * alpha), np.exp(-1j * alpha)]) / np.sqrt(2)
+    k = np.exp(np.array([1j * alpha, -1j * alpha])) / math.sqrt(2)  # one exp call, the bits of two
     return ProgramState(ket=k, encoding="u1", params={"alpha": float(alpha)})
 
 
@@ -432,14 +433,15 @@ def _weyl_coefficients(v: np.ndarray) -> np.ndarray:
 
 
 def weyl_program(d, scale: float) -> ProgramState:
-    """Program ket sum_mn d[m, n] |Xi_mn>; `scale` (see `program_for`) is recorded, not applied.
-
-    The ket is np.tensordot(d, bells, 2)'s one product: d as a 1 x N^2 row times the N^2 x N^2 bells.
-    """
+    """Program ket sum_mn d[m, n] |Xi_mn>; `scale` (see `program_for`) is recorded, not applied."""
     d = np.asarray(d, dtype=complex)
-    n = d.shape[0]
-    k = np.dot(d.reshape(1, n * n), _bell_stack(n).reshape(n * n, n * n)).reshape(n * n)
-    return ProgramState(ket=k, encoding="weyl", params={"d": d, "scale": float(scale), "n_dim": n})
+    return ProgramState(ket=_weyl_kets(d[None])[0], encoding="weyl", params={"d": d, "scale": float(scale), "n_dim": d.shape[0]})
+
+
+def _weyl_kets(ds: np.ndarray) -> np.ndarray:
+    """The ket of each d of the (K, N, N) stack: np.tensordot(d, bells, 2)'s one product, d as a 1 x N^2 row times the N^2 x N^2 bells, stacked."""
+    k, n = ds.shape[0], ds.shape[1]
+    return np.matmul(ds.reshape(k, 1, n * n), _bell_stack(n).reshape(n * n, n * n)).reshape(k, n * n)
 
 
 def program_for(v: np.ndarray) -> ProgramState:
@@ -452,16 +454,25 @@ def program_for(v: np.ndarray) -> ProgramState:
     A finite v whose squared entries overflow (|v_ij| past about 1.3e154)
     takes the norm of v / max|v| times max|v|; every other v keeps its bits.
     """
-    v = np.asarray(v, dtype=complex)
+    return programs_for(np.asarray(v, dtype=complex)[None])[0]
+
+
+def programs_for(vs: np.ndarray) -> list[ProgramState]:
+    """`program_for` of each operator of the (K, N, N) complex stack, from stacked products, each with the bits of its operator alone."""
+    n = vs.shape[1]
     with np.errstate(over="ignore"):
-        norm = qlinalg.frobenius(v)
-        if norm == np.inf:
-            top = np.abs(v).max()
-            norm = qlinalg.frobenius(v / top) * top
-    if norm < 1e-12:
+        norms = qlinalg.frobenius_rows(vs)
+        for k in [k for k, x in enumerate(norms) if x == math.inf]:
+            top = np.abs(vs[k]).max()
+            norms[k] = float(qlinalg.frobenius(vs[k] / top) * top)
+    if any(x < 1e-12 for x in norms):
         raise ZeroOperator("cannot encode the zero operator")
-    scale = norm / np.sqrt(v.shape[0])
-    return weyl_program(_weyl_coefficients(v / scale), scale)
+    scales = [x / math.sqrt(n) for x in norms]
+    ds = np.einsum("mkij,bij->bmk", _weyl_bras(n), vs / np.array(scales).reshape(-1, 1, 1)) / n
+    return [
+        ProgramState(ket=ket, encoding="weyl", params={"d": d, "scale": scale, "n_dim": n})
+        for ket, d, scale in zip(_weyl_kets(ds), ds, scales)
+    ]
 
 
 # ---------------------------------------------------------------------------

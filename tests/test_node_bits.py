@@ -7,13 +7,19 @@ calls, and then again to call the kernel that fixes each value's bits with
 no wrapper around it (`loops._needed`, `loops._safe_ratio`, `loops._Exact`,
 the u1, qid2 and diagonal rules, `qlinalg.su2_log`, `qlinalg.su2_exp`,
 `qlinalg.normalize`, `qlinalg.phase_distance`, `zoo.diagonal_program`,
-`zoo.vmc3_program`). The implementations they replaced are kept here as
-oracles, and every float they produce must match the oracle's bit for bit,
-on real trees of all six loop families and on random inputs.
+`zoo.vmc3_program`). Then every stage of a node build came to work on a
+stack of nodes at once: the residual products and their norms, the
+inverses, each family's rule, the branch operators and the rounds. The
+implementations they replaced are kept here as oracles, each building one
+node at a time, and every float the stacked stages produce must match the
+oracles' bit for bit: on real trees of all six loop families, each tree
+level built as one batch, on stacks of 1 to 63 residuals with an
+uncorrectable one in the middle, and on random inputs. The oracles are
+called directly, never patched in, so a test cannot pass by patching a
+function the build no longer calls.
 """
 from __future__ import annotations
 
-import contextlib
 from unittest import mock
 
 import numpy as np
@@ -21,7 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qproc import cli, loops, qlinalg, zoo
+from qproc import cli, loops, processor, qlinalg, zoo
 from qproc.qlinalg import SingularOperator, random_unitary
 from qproc.streams import derive_stream
 
@@ -144,8 +150,13 @@ def _old_diagonal_program(entries):
     return zoo.ProgramState(ket=k, encoding="diagonal", params={"entries": tuple(complex(x) for x in k)})
 
 
+def _old_u1_program(alpha):
+    k = np.array([np.exp(1j * alpha), np.exp(-1j * alpha)]) / np.sqrt(2)
+    return zoo.ProgramState(ket=k, encoding="u1", params={"alpha": float(alpha)})
+
+
 def _old_vmc3_program(alpha):
-    k = np.kron(zoo.u1_program(alpha).ket, zoo.u1_program(2 * alpha).ket)
+    k = np.kron(_old_u1_program(alpha).ket, _old_u1_program(2 * alpha).ket)
     return zoo.ProgramState(ket=k, encoding="u1", params={"alpha": float(alpha), "program_qubits": 2})
 
 
@@ -159,7 +170,7 @@ def _old_safe_ratio(num, den):
 def _old_needed(target, residual):
     if np.array_equal(residual, np.eye(residual.shape[0])):
         return target
-    return target @ loops.inverse(residual)
+    return target @ _old_inverse(residual)
 
 
 class _OldExact(loops._Exact):
@@ -171,60 +182,92 @@ class _OldExact(loops._Exact):
         self.collapses = None
 
 
-def _old_diagonal_rule(encode, success_labels):
-    def next_program(proc, target, residual):
-        return encode(proc, np.diagonal(target), np.diagonal(residual))
-
-    return loops.CorrectionRule(loops._computational_basis, success_labels, next_program, _diagonal=True)
-
-
 def _old_u1_encode(proc, t, r):
-    return zoo.u1_program(float(((np.angle(t[0]) - np.angle(t[1])) - (np.angle(r[0]) - np.angle(r[1]))) / 2.0))
+    return _old_u1_program(float(((np.angle(t[0]) - np.angle(t[1])) - (np.angle(r[0]) - np.angle(r[1]))) / 2.0))
 
 
-def _old_u1_rule():
-    return loops._diagonal_rule(_old_u1_encode, lambda proc: frozenset({"0"}))
+def _old_bz_encode(proc, t, r):
+    m = _old_safe_ratio(t, r)
+    corrected = not np.all(r == 1)
+    if abs(m[0]) <= (1e-12 if corrected else 0.0) * abs(m).max():
+        raise loops.SingularProgram("corrected ratio is unbounded (m00 ~ 0)")
+    try:
+        return zoo.geometric_program(complex(m[1] / m[0]), proc.program_dim)
+    except zoo.InvalidParameter as exc:
+        if corrected:
+            raise loops.SingularProgram(f"corrected ratio is out of range: {exc}") from None
+        raise
 
 
 def _old_qid2_next_program(proc, target, residual):
-    m = loops._needed(target, residual)
+    m = _old_needed(target, residual)
     with np.errstate(all="ignore"):
         u = m / np.sqrt(float(np.trace(np.conjugate(m).T @ m).real) / m.shape[0])
-    return zoo.su2_program(loops.su2_log(u)[0])
+    return _old_su2_program(_old_su2_log(u)[0])
 
 
-def _old_qid2_rule():
-    return loops.CorrectionRule(lambda proc: zoo.qid2_basis(), lambda proc: frozenset({"0+"}), _old_qid2_next_program)
+def _old_next_program(name: str):
+    """The one-residual rule of a family as it was before rules encoded stacks: next(proc, target, residual)."""
+    if name == "u1":
+        return lambda proc, t, r: _old_u1_encode(proc, np.diagonal(t), np.diagonal(r))
+    if name in ("bz", "bz_haar"):
+        return lambda proc, t, r: _old_bz_encode(proc, np.diagonal(t), np.diagonal(r))
+    if name == "diagonal":
+        return lambda proc, t, r: _old_diagonal_program(_old_safe_ratio(np.diagonal(t), np.diagonal(r)))
+    if name == "qid2":
+        return _old_qid2_next_program
+    return lambda proc, t, r: _old_program_for(_old_needed(t, r))
 
 
-@contextlib.contextmanager
-def _oracles():
-    """Every rewritten function, where the outcome tree and the family builders look it up, replaced by its oracle."""
-    with contextlib.ExitStack() as stack:
-        for target, new in (
-            (
-                loops,
-                {
-                    "inverse": _old_inverse,
-                    "_rescaled": _old_rescaled,
-                    "_state_independent": _old_state_independent,
-                    "_needed": _old_needed,
-                    "_safe_ratio": _old_safe_ratio,
-                    "_Exact": _OldExact,
-                    "_diagonal_rule": _old_diagonal_rule,
-                    "u1_rule": _old_u1_rule,
-                    "qid2_rule": _old_qid2_rule,
-                    "su2_log": _old_su2_log,
-                },
-            ),
-            (
-                zoo,
-                {"program_for": _old_program_for, "su2_program": _old_su2_program, "diagonal_program": _old_diagonal_program},
-            ),
-            (qlinalg, {"is_unitary": _old_is_unitary, "normalize": _old_normalize}),
-        ):
-            stack.enter_context(mock.patch.multiple(target, **new))
-        yield
+def _old_branch_operators(proc, program, basis):
+    """One program's branch operators by np.tensordot's two products, or the gather on a 0/1 grid."""
+    n, d = proc.program_dim, proc.data_dim
+    if proc.gather is not None:
+        ext = np.zeros(n + 1, dtype=complex)
+        np.add(program.ket, 0.0, out=ext[:n])
+        a_j = ext.take(proc.gather)
+    else:
+        a_j = np.dot(proc.blocks.transpose(0, 2, 3, 1).reshape(n * d * d, n), program.ket.reshape(n, 1))
+    return np.dot(basis.bras, a_j.reshape(n, d * d)).reshape(n, d, d)
+
+
+def _old_branch_probabilities(amps):
+    return (np.conjugate(amps)[:, None, :] @ amps[:, :, None]).real.reshape(-1).tolist()
+
+
+class _OldNode:
+    """A node built alone by the oracles: residual, and unless uncorrectable its program and branch operators."""
+
+    def __init__(self, name, proc, target, basis, residual):
+        self.residual, self.program, self.ops = residual, None, None
+        try:
+            self.program = _old_next_program(name)(proc, target, residual)
+        except (SingularOperator, loops.SingularProgram):
+            return
+        self.ops = _old_branch_operators(proc, self.program, basis)
+
+    def child(self, name, proc, target, basis, i):
+        return _OldNode(name, proc, target, basis, _old_rescaled(self.ops[i] @ self.residual))
+
+
+def _old_exact(name, tree, node, state, n) -> float:
+    """The exact success mass of n rounds from an oracle node, by the recursion the exact walk folds."""
+    if node.program is None:
+        return 0.0
+    entry = _OldExact(node.ops, state, tree._success_idx, tree._fail_idx)
+    if n == 1 or not entry.fails:
+        return entry.s
+
+    def below(i):
+        kid = node.child(name, tree.proc, tree.target, tree.basis, i)
+        return _old_exact(name, tree, kid, entry.amps[i] / np.sqrt(entry.probs[i]), n - 1)
+
+    if _old_state_independent(node.ops, entry.probs):
+        return entry.s + (1.0 - entry.s) * below(entry.fails[0])
+    total = entry.s
+    for i in entry.fails:
+        total += entry.probs[i] * below(i)
+    return total
 
 
 def _same_bits(a, b) -> bool:
@@ -249,27 +292,46 @@ def _params_record(params) -> list:
     return out
 
 
-def _node_record(tree, node, psi) -> list:
-    """The arrays of one node: residual, and unless uncorrectable its program, operators, exact entry and collapse test."""
+def _node_record(tree, node, psi, amps=None, probs=None) -> list:
+    """The arrays of one node: residual, and unless uncorrectable its program, operators, round, exact entry and collapse test."""
     out = [node.residual]
     if node.program is not None:
-        entry = loops._Exact(node.ops, psi, tree._success_idx, tree._fail_idx)
-        out += [node.program.ket, node.ops, entry.amps, entry.probs, np.asarray(entry.s), np.asarray(entry.fails, dtype=int)]
-        out += [np.asarray(type(entry.s).__name__), np.asarray(loops._state_independent(node.ops, entry.probs))]
+        old = amps is None
+        entry = (_OldExact if old else loops._Exact)(node.ops, psi, tree._success_idx, tree._fail_idx)
+        collapses = (_old_state_independent if old else loops._state_independent)(node.ops, entry.probs)
+        if old:
+            amps = node.ops @ psi
+            probs = _old_branch_probabilities(amps)
+        out += [node.program.ket, node.ops, amps, np.asarray(probs), entry.amps, entry.probs, np.asarray(entry.s)]
+        out += [np.asarray(entry.fails, dtype=int), np.asarray(type(entry.s).__name__), np.asarray(collapses)]
         out += _params_record(node.program.params)
     return out
 
 
 def _tree_records(tree, psi, depth: int, width: int) -> list:
-    """Records of the nodes `depth` levels deep along the first `width` branches of each node."""
+    """Records of the nodes `depth` levels deep along the first `width` branches of each node, each level one batch."""
     records, level = [], [tree.root]
     for _ in range(depth):
-        below = []
+        live = [node for node in level if node.program is not None]
+        rounds = iter(tree.rounds_at(live, [psi] * len(live)))
         for node in level:
-            records.append(_node_record(tree, node, psi))
-            if node.ops is not None:
-                below += [tree.child(node, i, retain=False) for i in range(min(width, node.ops.shape[0]))]
-        level = below
+            held = next(rounds) if node.program is not None else None
+            records.append(_node_record(tree, node, psi, *((held.amps, held.probs) if held else (None, []))))
+        level = tree.children([(node, i) for node in live for i in range(min(width, node.ops.shape[0]))], retain=False)
+    return records
+
+
+def _old_tree_records(name, tree, psi, depth: int, width: int) -> list:
+    """`_tree_records` of the oracles, each node built alone."""
+    records, level = [], [_OldNode(name, tree.proc, tree.target, tree.basis, np.eye(tree.proc.data_dim, dtype=complex))]
+    for _ in range(depth):
+        records += [_node_record(tree, node, psi) for node in level]
+        level = [
+            node.child(name, tree.proc, tree.target, tree.basis, i)
+            for node in level
+            if node.ops is not None
+            for i in range(min(width, node.ops.shape[0]))
+        ]
     return records
 
 
@@ -302,25 +364,92 @@ FAMILIES = ("u1", "bz", "bz_haar", "diagonal", "qid2", "qidn")
 @settings(max_examples=4)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_tree_nodes_keep_their_bits(name, n_dim, seed):
+    """Each level of a real tree built as one batch equals the oracles' nodes built one at a time, and the exact walk their fold."""
     params = _family(name, derive_stream(seed, 0), n_dim)
-
-    def records():
-        # built here, so that under the oracles the family's rule is the old one
-        proc, rule, target = cli._FAMILIES[name].build(params, (seed, 0, 0))
-        psi = qlinalg.random_state(proc.data_dim, derive_stream(seed, 1))
-        # a tree that does not collapse enumerates N^(n-1) nodes in an n-round exact walk
-        rounds = 4 if proc.program_dim <= 9 else 2
-        tree = loops.OutcomeTree(proc, target, rule, psi)
-        return _tree_records(tree, psi, 3, 3), loops.exact_walk(loops.OutcomeTree(proc, target, rule, psi), rounds)
-
-    new, new_exact = records()
-    with _oracles():
-        old, old_exact = records()
+    proc, rule, target = cli._FAMILIES[name].build(params, (seed, 0, 0))
+    psi = qlinalg.random_state(proc.data_dim, derive_stream(seed, 1))
+    tree = loops.OutcomeTree(proc, target, rule, psi)
+    new, old = _tree_records(tree, psi, 3, 3), _old_tree_records(name, tree, psi, 3, 3)
     assert len(new) == len(old)
     for a, b in zip(new, old):
         assert len(a) == len(b)
         assert all(_same_bits(x, y) for x, y in zip(a, b))
-    assert _same_bits(new_exact, old_exact)
+    # a tree that does not collapse enumerates N^(n-1) nodes in an n-round exact walk
+    rounds = 4 if proc.program_dim <= 9 else 2
+    fresh = loops.OutcomeTree(proc, target, rule, psi)
+    assert _same_bits(loops.exact_walk(fresh, rounds), _old_exact(name, fresh, _OldNode(name, proc, target, fresh.basis, np.eye(proc.data_dim, dtype=complex)), psi, rounds))
+
+
+def _residuals(name: str, proc, k: int, rng) -> np.ndarray:
+    """k residuals of the family's shape: scaled unitaries, non-unitary or diagonal matrices, and I first.
+
+    The middle one cannot be corrected where the family has such residuals: a singular matrix for
+    qid2 and qidN, a vanishing diagonal entry for bz and diagonal.
+    """
+    d = proc.data_dim
+    if name in ("u1", "bz", "bz_haar", "diagonal"):
+        out = np.array([np.diag(rng.uniform(0.2, 2.0, d) * np.exp(1j * rng.uniform(-np.pi, np.pi, d))) for _ in range(k)])
+    else:
+        out = np.array([random_unitary(d, rng) * rng.uniform(0.5, 2.0) for _ in range(k)])
+        if name == "qidn":
+            out[1::2] = out[1::2] @ np.diag(rng.uniform(0.3, 1.0, d))  # not proportional to a unitary
+    out[0] = np.eye(d)
+    if k > 2 and name != "u1":
+        out[k // 2, 0] = 0.0
+    return out
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 8, 63])
+@pytest.mark.parametrize("name, n_dim", [(name, 2) for name in FAMILIES[:-1]] + [("qidn", n) for n in range(2, 9)])
+def test_batched_stages_keep_their_bits(name, n_dim, k):
+    """Every stacked stage of a node build, on a stack of k, equals k single calls of the oracles bit for bit."""
+    rng = derive_stream(k, n_dim, len(name))
+    params = _family(name, rng, n_dim)
+    if name == "qidn":  # a Haar target for odd k, one not proportional to a unitary for even k
+        params = {"n_dim": n_dim, "target_seed": k} if k % 2 else {"n_dim": n_dim, "target": _pairs(random_unitary(n_dim, rng) @ np.diag(rng.uniform(0.3, 1.0, n_dim)))}
+    proc, rule, target = cli._FAMILIES[name].build(params, (k, 0, 0))
+    basis = rule.basis_for(proc)
+    residuals = _residuals(name, proc, k, rng)
+    steps = np.array([random_unitary(proc.data_dim, rng) * rng.uniform(0.1, 3.0) for _ in range(k)])
+
+    assert _same_bits(qlinalg.frobenius_rows(steps), [np.linalg.norm(m) for m in steps])
+    assert _same_bits(loops._rescaled(steps @ residuals), [_old_rescaled(m @ r) for m, r in zip(steps, residuals)])
+    invs, refused = qlinalg.inverses(residuals)
+    for j, r in enumerate(residuals):
+        old = _outcome(_old_inverse, r)
+        assert (j not in refused) == old[0]
+        assert _same_bits(invs[j], old[1]) if old[0] else (type(refused[j]), str(refused[j])) == old[1:]
+    if name == "qidn":
+        live = [j for j in range(k) if j not in refused]
+        vs = target @ invs[live]
+        for new, v in zip(zoo.programs_for(vs), vs):
+            old = _old_program_for(v)
+            assert _same_bits(new.ket, old.ket) and _same_bits(new.params["d"], old.params["d"])
+            assert new.params["scale"] == old.params["scale"] and type(new.params["scale"]) is float
+
+    programs = rule.next_program(proc, target, residuals)
+    assert len(programs) == k
+    for program, r in zip(programs, residuals):
+        old = _outcome(lambda x: _old_next_program(name)(proc, target, x), r)
+        if not old[0]:
+            assert (type(program), str(program)) == old[1:]
+            continue
+        assert _same_bits(program.ket, old[1].ket)
+        assert all(_same_bits(x, y) for x, y in zip(_params_record(program.params), _params_record(old[1].params)))
+    if k > 2 and name != "u1":
+        assert isinstance(programs[k // 2], (SingularOperator, loops.SingularProgram))
+
+    live = [p for p in programs if isinstance(p, zoo.ProgramState)]
+    ops = processor.branch_operators(proc, live, basis)
+    assert all(_same_bits(o, _old_branch_operators(proc, p, basis)) for o, p in zip(ops, live))
+    states = [qlinalg.random_state(proc.data_dim, rng) for _ in live]
+    nodes = [loops._Node(None, p) for p in live]
+    for node, o in zip(nodes, ops):
+        node.ops = o
+    tree = loops.OutcomeTree(proc, target, rule, states[0])
+    for held, o, state in zip(tree.rounds_at(nodes, states), ops, states):
+        amps = o @ state
+        assert _same_bits(held.amps, amps) and _same_bits(held.probs, _old_branch_probabilities(amps))
 
 
 # ---------------------------------------------------------------------------
@@ -371,13 +500,30 @@ def _outcome(f, m):
         return False, type(exc), str(exc)
 
 
+def _inverses_alone(m):
+    """`qlinalg.inverses` on the stack of m alone: the inverse, or the refusal raised."""
+    invs, refused = qlinalg.inverses(m[None])
+    if refused:
+        raise refused[0]
+    return invs[0]
+
+
+def _needed_alone(target, r):
+    """`loops._needed` on the stack of r alone: target @ r^-1, or the refusal raised."""
+    needed, refused = loops._needed(target, r[None])
+    if refused:
+        raise refused[0]
+    return needed[0]
+
+
 def _check_inverse(m):
-    new, old = _outcome(qlinalg.inverse, m), _outcome(_old_inverse, m)
-    assert new[0] == old[0]
-    if new[0]:
-        assert _same_bits(new[1], old[1])
-    else:
-        assert new[1:] == old[1:]
+    old = _outcome(_old_inverse, m)
+    for new in (_outcome(qlinalg.inverse, m), _outcome(_inverses_alone, m)):
+        assert new[0] == old[0]
+        if new[0]:
+            assert _same_bits(new[1], old[1])
+        else:
+            assert new[1:] == old[1:]
 
 
 @settings(max_examples=300)
@@ -439,7 +585,7 @@ def test_program_for_keeps_its_bits(n, scale, seed):
 def test_rescaled_and_is_unitary_keep_their_bits(d, scale, seed):
     rng = derive_stream(seed, 7)
     m = scale * (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
-    assert _same_bits(loops._rescaled(m), _old_rescaled(m))
+    assert _same_bits(loops._rescaled(m[None])[0], _old_rescaled(m))
     u = random_unitary(d, rng)
     for tol in (1e-10, 1e-8):
         for x in (u, u + scale * 1e-10 * m, u + scale * 1e-8 * m, m):
@@ -540,6 +686,13 @@ def test_diagonal_program_keeps_its_bits(d, scale, zeros, seed):
         assert new[1:] == old[1:]
 
 
+@settings(max_examples=300)
+@given(alpha=st.one_of(st.floats(-1e6, 1e6), st.sampled_from([0.0, -0.0, 5e-324, 1e-300, np.pi, -np.pi, 1e300, -1e300])))
+def test_u1_program_keeps_its_bits(alpha):
+    new, old = zoo.u1_program(alpha), _old_u1_program(alpha)
+    assert _same_bits(new.ket, old.ket) and new.params == old.params
+
+
 @settings(max_examples=200)
 @given(alpha=st.floats(-1e6, 1e6))
 def test_vmc3_program_keeps_its_bits(alpha):
@@ -558,7 +711,7 @@ def test_safe_ratio_and_needed_keep_their_bits(d, scale, zeros, identity, seed):
     assert new[0] == old[0] and (_same_bits(new[1], old[1]) if new[0] else new[1:] == old[1:])
     target = _complex_array(rng, (d, d), 1.0)
     residual = np.eye(d, dtype=complex) if identity else _with_ratio(d, rng.uniform(1e-10, 1.0), seed)
-    new, old = _outcome(lambda r: loops._needed(target, r), residual), _outcome(lambda r: _old_needed(target, r), residual)
+    new, old = _outcome(lambda r: _needed_alone(target, r), residual), _outcome(lambda r: _old_needed(target, r), residual)
     assert new[0] == old[0] and (_same_bits(new[1], old[1]) if new[0] else new[1:] == old[1:])
 
 

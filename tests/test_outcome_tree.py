@@ -107,11 +107,12 @@ def test_loop_rounds_draw_as_decompose_and_select_branch(family, seed):
 
 
 def _counting(rule):
+    """The rule, and a list that gets one entry per residual it encodes."""
     calls = []
 
-    def next_program(proc, target, residual):
-        calls.append(1)
-        return rule._next_program(proc, target, residual)
+    def next_program(proc, target, residuals):
+        calls.extend([1] * len(residuals))
+        return rule._next_program(proc, target, residuals)
 
     return replace(rule, _next_program=next_program), calls
 

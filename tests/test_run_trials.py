@@ -9,6 +9,7 @@ and however the trials fall into chunks.
 """
 import itertools
 import json
+import tracemalloc
 from dataclasses import replace
 from unittest import mock
 
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 from qproc import cli, loops, streams, zoo
 from qproc.cli import ExperimentConfig, run_sample, run_sweep, trace_to_dict
 from qproc.loops import LoopTrace, OutcomeTree, SingularProgram, run_loop, run_trials
+from qproc.qlinalg import random_unitary
 from qproc.streams import derive_stream, trial_indices, uniform_draws
 
 
@@ -82,8 +84,10 @@ def test_sample_equals_run_loop_per_trial(family, data, max_rounds, trials, seed
 
 
 def _raising(rule):
-    def next_program(proc, target, residual):
-        raise SingularProgram("no program")
+    """The rule that finds no program for any residual."""
+
+    def next_program(proc, target, residuals):
+        return [SingularProgram("no program")] * len(residuals)
 
     return replace(rule, _next_program=next_program)
 
@@ -100,11 +104,12 @@ def test_an_uncorrectable_root_ends_every_trial_at_once():
 
 
 def _counting(rule):
+    """The rule, and a list that gets one entry per residual it encodes."""
     calls = []
 
-    def next_program(proc, target, residual):
-        calls.append(1)
-        return rule._next_program(proc, target, residual)
+    def next_program(proc, target, residuals):
+        calls.extend([1] * len(residuals))
+        return rule._next_program(proc, target, residuals)
 
     return replace(rule, _next_program=next_program), calls
 
@@ -162,3 +167,60 @@ def test_trials_sampled_together_need_a_tree_with_a_state():
         run_trials(tree, 2, n, draw)
     with pytest.raises(ValueError):
         run_trials(OutcomeTree(zoo.u1_cnot(), zoo.u1_operator(0.3), loops.u1_rule(), np.array([0.6, 0.8])), 0, n, draw)
+
+
+# Batch budgets: every batch of one, the default, and one that takes every pending group at once.
+_BATCHES = (0, loops._BATCH_BYTES, 10**18)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    family=st.sampled_from(["u1", "bz", "bz_haar", "diagonal", "qid2", "qidn"]),
+    data=st.data(),
+    max_rounds=st.integers(1, 8),
+    trials=st.integers(1, 300),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_batch_size_moves_no_byte(family, data, max_rounds, trials, seed):
+    """Traces and exact values are byte-identical whether the walks build nodes one at a time or in batches of any size,
+    with every node kept or none."""
+    if family == "bz_haar":  # a Haar state per trial: one round, run_loop on a tree without a state
+        params, max_rounds = {"z": _complex(data.draw), "n_program": data.draw(st.integers(2, 4))}, 1
+    else:
+        params = data.draw(_sample_params(family))
+    cfg = ExperimentConfig(family, params=params, max_rounds=max_rounds, trials=trials, seed=seed)
+    seen = set()
+    for retained in (0, loops._RETAINED_BYTES):
+        for batch in _BATCHES:
+            with mock.patch.object(loops, "_RETAINED_BYTES", retained), mock.patch.object(loops, "_BATCH_BYTES", batch):
+                payload = run_sample(cfg)
+                tree, _ = cli._loop_setup(cfg)
+                exact = loops.exact_walk(tree, max_rounds) if tree.psi is not None else None
+            seen.add((tuple(_trace_bytes(t) for t in payload["traces"]), json.dumps(payload["summary"]), exact))
+    assert len(seen) == 1
+
+
+def _peak_bytes(tree, trials: int) -> int:
+    """tracemalloc's peak over one run_trials call of `trials` trials on the tree."""
+    ((n, draw),) = uniform_draws((5, 0), trial_indices(trials))
+    tracemalloc.start()
+    try:
+        run_trials(tree, 3, n, draw)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_batches_keep_peak_memory_near_that_of_one_node_at_a_time():
+    """A 200-trial qidN(8) run peaks within 1 MiB of the same run built one node at a time (0 batch bytes).
+
+    A qidN(8) node holds 83 KiB with its round, so the default batch takes three of them; what its
+    stacks add to the peak is a few hundred KiB."""
+    proc, rule = zoo.qidN(8), loops.qidN_rule()
+    target = random_unitary(8, derive_stream(21))
+    psi = np.ones(8) / np.sqrt(8)
+    peaks = {}
+    for batch in (0, loops._BATCH_BYTES):
+        with mock.patch.object(loops, "_BATCH_BYTES", batch):
+            peaks[batch] = _peak_bytes(OutcomeTree(proc, target, rule, psi), 200)
+    assert peaks[loops._BATCH_BYTES] <= peaks[0] + 1024 * 1024, peaks
