@@ -24,7 +24,8 @@ products and their norms, the inverses, the qidN encoding, the branch
 operators and, in `run_trials`, the rounds are each one stacked numpy call
 for the whole batch (the other rules' scalar steps, such as `su2_log`, run
 per residual), and each node keeps the bits it has when built alone. A lone
-node is a batch of one.
+node is a batch of one, and the stages take its rows by index and its
+scales as Python floats, so it pays for no stack it does not need.
 
 A tree is of one of two kinds, and each kind has its own walks; a walk
 given a tree of the other kind raises ValueError.
@@ -67,18 +68,20 @@ call, not once per trajectory that reaches it, and only the nodes on the
 paths of pending groups and their rounds are alive. `run_loop` is the same
 walk with one trajectory, so the round step exists once.
 
-The exact walk stores its own entry on each node it reaches (`_Exact`:
+The exact walk stores its own entry on each node of its chain (`_Exact`:
 amplitudes and probabilities by `np.einsum`, the success mass, the failure
 branches and whether the node collapses), so a deeper round budget on the
 same tree re-folds the stored entries and builds only the nodes past the
 previous depth. The sampled round keeps its `ops @ state` and
 `branch_probabilities` arithmetic, which `decompose` shares; the two
 disagree in the last bits, so neither walk reads the other's numbers. The
-exact walk loops down chains of nodes that walk one branch, so a unitary loop
-of any depth needs no recursion; only a node with two or more failure
-branches recurses, and each node's failure terms add in label order. Such a
-node builds its failure children as one batch, together with, one level
-ahead, the failure children of those that do not collapse either.
+exact walk loops down the chain of collapsing nodes, so a unitary loop of
+any depth needs no recursion. Below the first node that does not collapse it
+expands the subtree one level at a time (`_region`): each level's nodes are
+built in batches, with their entries, collapse tests and children's
+residuals and states one stacked call per batch, and dropped; the levels
+keep each node's success mass and coefficients, and fold them bottom up in
+the depth-first walk's order, each node's failure terms in label order.
 """
 from __future__ import annotations
 
@@ -101,7 +104,7 @@ from .processor import (
     decompose,  # noqa: F401 - re-exported: callers look it up in loops
     inverse_cdf,
 )
-from .qlinalg import SingularOperator, frobenius_rows, identity, inverses, su2_log
+from .qlinalg import SingularOperator, frobenius_rows, identity, inverses, per_row, su2_log
 
 # Failure branches with less probability mass than this cannot move a
 # 1e-12 comparison and are pruned from the exact tree.
@@ -118,11 +121,14 @@ _PRUNE = 1e-25
 _RETAINED_BYTES = 2 * 1024 * 1024
 
 # Bytes of node arrays (as `_RETAINED_BYTES` counts them) that one batch
-# builds together: a walk pops pending groups, and `_fold` takes failure
-# branches, until their missing nodes would pass it; a batch holds at least
-# one node. qid2 (0.8 KiB per node with its round) and qidN(3) (2.3 KiB)
-# nodes batch by the hundred, qidN(8) (83 KiB) three at a time: larger
-# budgets were faster there but raised the peak memory of a qidN(8) sample.
+# builds together: a sampled walk pops pending groups until their missing
+# nodes would pass it; a batch holds at least one node. qid2 (0.8 KiB per
+# node with its round) and qidN(3) (2.3 KiB) nodes batch by the hundred,
+# qidN(8) (83 KiB) three at a time: larger budgets were faster there but
+# raised the peak memory of a qidN(8) sample. The exact walk's regions count
+# against the same bytes all they hold, each node at its real size with its
+# objects (about 2 KiB for qidN(2)), so a region's batches of qidN(2) nodes
+# take about a hundred.
 _BATCH_BYTES = 256 * 1024
 
 
@@ -230,9 +236,9 @@ def _each(encode: Callable) -> Callable:
 
     def encode_each(proc, t, rs):
         out = []
-        for r in rs:
+        for k in range(len(rs)):
             try:
-                out.append(encode(proc, t, r))
+                out.append(encode(proc, t, rs[k]))
             except SingularProgram as exc:
                 out.append(exc)
         return out
@@ -339,7 +345,7 @@ def qid2_rule() -> CorrectionRule:
         with np.errstate(all="ignore"):
             u = m / np.sqrt((np.conjugate(m).transpose(0, 2, 1) @ m).trace(axis1=1, axis2=2).real / m.shape[1])[:, None, None]
         # per residual: su2_log's and su2_program's numpy-scalar arithmetic costs less than stacked calls at small batches
-        return [zoo.su2_program(su2_log(x)[0]) for x in u]
+        return [zoo.su2_program(su2_log(u[k])[0]) for k in range(len(u))]
 
     def next_program(proc, target, residuals):
         return _encode_rows(*_needed(target, residuals), encode)
@@ -376,7 +382,7 @@ def _rescaled(residuals: np.ndarray) -> np.ndarray:
     if 0.0 in norms:
         raise SingularProgram("residual collapsed to zero")
     root = math.sqrt(residuals.shape[1])
-    return residuals * np.array([root / x for x in norms]).reshape(-1, 1, 1)
+    return residuals * per_row([root / x for x in norms])
 
 
 class _Round:
@@ -407,15 +413,30 @@ class _Exact:
 
     __slots__ = ("amps", "probs", "s", "fails", "collapses")
 
-    def __init__(self, ops: np.ndarray, state: np.ndarray, success_idx: list[int], fail_idx: list[int]):
-        self.amps = np.einsum("bij,j->bi", ops, state)
-        # a copy, so the entry holds only the arrays counted against the cap
-        self.probs = np.einsum("bi,bi->b", np.conjugate(self.amps), self.amps).real.copy()
-        p = self.probs.tolist()
-        # numpy's sum of one entry is that entry
-        self.s = p[success_idx[0]] if len(success_idx) == 1 else float(self.probs[success_idx].sum())
-        self.fails = [i for i in fail_idx if p[i] > _PRUNE]
+    def __init__(self, amps: np.ndarray, probs: np.ndarray, s: float, fails: list[int]):
+        self.amps = amps
+        self.probs = probs
+        self.s = s
+        self.fails = fails
         self.collapses: bool | None = None
+
+
+def _entries(ops: np.ndarray, states: np.ndarray, success_idx: list[int], fail_idx: list[int]):
+    """The exact entries of the nodes of the (K, N, D, D) stack of branch operators, each on its row of the (K, D) states.
+
+    Returns the (K, N, D) amplitudes, the (K, N) probabilities and, per node, its success mass, its failure branches
+    above `_PRUNE` and its probabilities as a list. One stacked `np.einsum` gives the amplitudes and one the
+    probabilities, each row with the bits of the node's own `np.einsum`; the probabilities are a copy, so a row holds
+    only the floats it counts.
+    """
+    amps = np.einsum("kbij,kj->kbi", ops, states)
+    probs = np.einsum("kbi,kbi->kb", np.conjugate(amps), amps).real.copy()
+    heads = []
+    for k, p in enumerate(probs.tolist()):
+        # numpy's sum of one entry is that entry
+        s = p[success_idx[0]] if len(success_idx) == 1 else float(probs[k][success_idx].sum())
+        heads.append((s, [i for i in fail_idx if p[i] > _PRUNE], p))
+    return amps, probs, heads
 
 
 class _Node:
@@ -424,9 +445,11 @@ class _Node:
     On a tree with a data state, `round` caches the node's round on the
     state every trajectory brings to it, and `exact` its exact-walk entry.
     `kept`: the tree holds the node, so what is stored on it stays reachable.
+    While `ops` is a view of the stack of branch operators of the batch that
+    built the node, `batch` is that stack and `row` the node's index in it.
     """
 
-    __slots__ = ("residual", "program", "ops", "children", "round", "exact", "kept")
+    __slots__ = ("residual", "program", "ops", "children", "round", "exact", "kept", "batch", "row")
 
     def __init__(self, residual: np.ndarray, program):
         self.residual = residual
@@ -437,6 +460,8 @@ class _Node:
         self.round: _Round | None = None
         self.exact: _Exact | None = None
         self.kept = False
+        self.batch: np.ndarray | None = None
+        self.row = 0
 
     def own(self) -> None:
         """Replace the node's arrays, views of its batch's stacks, by copies, so that keeping it keeps only them."""
@@ -444,6 +469,7 @@ class _Node:
         if self.ops is not None:
             self.ops = self.ops.copy()
             self.ops.setflags(write=False)
+            self.batch = None
 
 
 class OutcomeTree:
@@ -501,22 +527,30 @@ class OutcomeTree:
 
     def node(self, residual: np.ndarray) -> _Node:
         """Build, without retaining, the node whose outcome history left `residual`: a batch of one."""
-        return self._build(np.asarray(residual, dtype=complex)[None])[0]
+        return self._build(np.asarray(residual, dtype=complex)[None])[0][0]
 
-    def _build(self, residuals: np.ndarray) -> list[_Node]:
+    def _build(self, residuals: np.ndarray) -> tuple[list[_Node], np.ndarray | None]:
         """Build, without retaining, the node of each residual of the (K, D, D) stack, each stage in one stacked call.
 
-        The rule encodes the stack, and the programs' kets give one stack of branch operators; a node's
-        arrays are views of the batch's stacks, with the bits of the node built alone.
+        The rule encodes the stack, and the programs' kets give one stack of branch operators, returned with
+        the nodes (None if every node is uncorrectable); a node's arrays are views of the batch's stacks, with
+        the bits of the node built alone.
         """
-        nodes = [_Node(r, p) for r, p in zip(residuals, self.rule.next_program(self.proc, self.target, residuals))]
-        live = [node for node in nodes if node.program is not None]
-        if live:
-            ops = branch_operators(self.proc, [node.program for node in live], self.basis)
-            ops.setflags(write=False)
-            for node, o in zip(live, ops):
-                node.ops = o
-        return nodes
+        # one pass, and rows by index: a lone node pays for each comprehension and array iterator
+        nodes, live, programs = [], [], []
+        for k, program in enumerate(self.rule.next_program(self.proc, self.target, residuals)):
+            node = _Node(residuals[k], program)
+            nodes.append(node)
+            if node.program is not None:
+                live.append(node)
+                programs.append(program)
+        if not live:
+            return nodes, None
+        ops = branch_operators(self.proc, programs, self.basis)
+        ops.setflags(write=False)
+        for k, node in enumerate(live):
+            node.ops, node.batch, node.row = ops[k], ops, k
+        return nodes, ops
 
     def child(self, parent: _Node, i: int, retain: bool = True) -> _Node:
         """The node after `parent`'s branch i: `children` of the one pair."""
@@ -528,17 +562,21 @@ class OutcomeTree:
         In the order of `pairs`, a built node is kept if `retain`, its parent is kept and it fits under the
         cap; kept out of a batch of more than one, it takes copies of its arrays (`_Node.own`).
         """
-        out = [self.root if parent is None else parent.children.get(i) for parent, i in pairs]
-        todo = [k for k, node in enumerate(out) if node is None]
+        out, todo, steps, residuals = [], [], [], []
+        for k, (parent, i) in enumerate(pairs):
+            node = self.root if parent is None else parent.children.get(i)
+            out.append(node)
+            if node is None:
+                todo.append(k)
+                steps.append(parent.ops[i])
+                residuals.append(parent.residual)
         if not todo:
             return out
-        steps = stacked([pairs[k][0].ops[pairs[k][1]] for k in todo])
-        built = self._build(_rescaled(steps @ stacked([pairs[k][0].residual for k in todo])))
+        built = self._build(_rescaled(stacked(steps) @ stacked(residuals)))[0]
         for k, node in zip(todo, built):
             out[k] = node
             parent, i = pairs[k]
-            size = node.residual.nbytes + (0 if node.ops is None else node.ops.nbytes + self._round_bytes)
-            if retain and parent.kept and self._keep(size):
+            if retain and parent.kept and self._keep(node.residual.nbytes + (0 if node.ops is None else node.ops.nbytes + self._round_bytes)):
                 if len(todo) > 1:
                     node.own()
                 parent.children[i] = node
@@ -556,20 +594,29 @@ class OutcomeTree:
         """The round of each correctable node on its state: cached on a tree with a state, else a throwaway.
 
         The missing rounds are computed together: one stacked `ops @ state` and one `branch_probabilities`,
-        each with the bits of the node's round alone. A kept node of a batch of more than one takes a copy
-        of its amplitudes.
+        each with the bits of the node's round alone. When those nodes are, in order, every node of one batch,
+        the product reads the batch's stack of branch operators; otherwise their operators are stacked. A kept
+        node of a batch of more than one takes a copy of its amplitudes.
         """
         out = [node.round for node in nodes]
         todo = [k for k, held in enumerate(out) if held is None]
         if not todo:
             return out
-        ops = stacked([nodes[k].ops for k in todo])
+        ops = _batch_stack([nodes[k] for k in todo])
         amps = np.matmul(ops, stacked([states[k] for k in todo])[:, None, :, None])[..., 0]
-        for k, a, probs in zip(todo, amps, branch_probabilities(amps)):
-            held = out[k] = _Round(a.copy() if nodes[k].kept and len(todo) > 1 else a, probs)
+        for j, (k, probs) in enumerate(zip(todo, branch_probabilities(amps))):
+            held = out[k] = _Round(amps[j].copy() if nodes[k].kept and len(todo) > 1 else amps[j], probs)
             if self.psi is not None:
                 nodes[k].round = held
         return out
+
+
+def _batch_stack(nodes: list[_Node]) -> np.ndarray:
+    """The (K, N, D, D) stack of the nodes' branch operators: their batch's own stack when they are its rows in order, else a copy."""
+    batch = nodes[0].batch
+    if batch is not None and len(batch) == len(nodes) and all(node.batch is batch and node.row == k for k, node in enumerate(nodes)):
+        return batch
+    return stacked([node.ops for node in nodes])
 
 
 def run_loop(tree: OutcomeTree, psi, max_rounds: int, rng: np.random.Generator) -> LoopTrace:
@@ -676,13 +723,16 @@ def _isometry_deviations(ops: np.ndarray, probs: np.ndarray) -> list[float]:
     return frobenius_rows(np.conjugate(ops).transpose(0, 2, 1) @ ops - probs[:, None, None] * identity(ops.shape[2]).real)
 
 
-def _state_independent(ops: np.ndarray, probs: np.ndarray) -> bool:
-    """True when every branch operator is proportional to an isometry (a nan deviation does not count against it).
+def _state_independent(ops: np.ndarray, probs: np.ndarray) -> list[bool]:
+    """For each node of the (K, N, D, D) stack of branch operators, with its row of the (K, N) probabilities: whether
+    every branch operator is proportional to an isometry (a nan deviation does not count against it).
 
-    Then outcome probabilities cannot depend on the data state, which is
-    what lets the exact tree collapse.
+    Then the node's outcome probabilities cannot depend on the data state, which is what lets the exact tree
+    collapse. One `_isometry_deviations` tests every (node, branch) of the stack.
     """
-    return not any(x > 1e-11 for x in _isometry_deviations(ops, probs))
+    k, n, d = ops.shape[:3]
+    devs = _isometry_deviations(ops.reshape(k * n, d, d), probs.reshape(k * n))
+    return [not any(x > 1e-11 for x in devs[j : j + n]) for j in range(0, k * n, n)]
 
 
 def exact_walk(tree: OutcomeTree, n: int) -> float:
@@ -690,16 +740,17 @@ def exact_walk(tree: OutcomeTree, n: int) -> float:
 
     The tree must have been built with the data state the loop starts from.
     Each node's entry is computed from the node's branch operators and data
-    state, and kept with the node while the node is kept and its arrays fit
-    within `_RETAINED_BYTES`. Nodes whose branch operators are all
-    proportional to isometries have state-independent probabilities; their
-    failure subtrees are congruent (the residuals are conjugation-related),
-    so a single representative child is evaluated and retained: it is the
-    chain that deeper round budgets walk again. Other nodes (non-unitary
-    targets) go branch by branch, through children built in batches
-    without retaining them. The collapsed and fully enumerated evaluations are checked against
-    each other for small n in the test suite. The value at n does not depend
-    on what the tree already holds.
+    state. Nodes whose branch operators are all proportional to isometries
+    have state-independent probabilities; their failure subtrees are
+    congruent (the residuals are conjugation-related), so a single
+    representative child is evaluated and retained, with its entry while it
+    fits within `_RETAINED_BYTES`: it is the chain that deeper round budgets
+    walk again. Below the first node that does not collapse (a non-unitary
+    target, or rounding drift at depth), the subtree is expanded one level at
+    a time and not retained (`_region`). The collapsed and fully enumerated
+    evaluations are checked against each other for small n in the test
+    suite. The value at n depends neither on what the tree already holds nor
+    on `_BATCH_BYTES`.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -708,14 +759,12 @@ def exact_walk(tree: OutcomeTree, n: int) -> float:
     return float(_fold(tree, tree.root, tree.psi, n))
 
 
-def _fold(tree: OutcomeTree, node: _Node, state, remaining: int, ready: dict | None = None):
+def _fold(tree: OutcomeTree, node: _Node, state, remaining: int):
     """Exact success mass of `remaining` rounds from `node`; `state` is its data state or (parent entry, branch).
 
-    The loop steps to a collapsing node's representative child, or to another's last failure branch after recursing
-    into the rest, and folds the chain as s + (1 - s) v or s + sum p_i v_i; a tuple is normalized only if needed.
-    The failure children of a node that does not collapse are built in batches, and with them, one level ahead,
-    the failure children of those that do not collapse either (`_ahead`); `ready` holds such prebuilt children of
-    `node`, by branch.
+    The loop steps from each collapsing node to its representative child, and folds the chain as s + (1 - s) v.
+    The first node that does not collapse gives s + sum p_j v_j over its failure branches j, in label order, with the
+    values v_j of its children from one region expanded level by level (`_region`) within `_BATCH_BYTES`.
     """
     links, value = [], 0.0  # an uncorrectable node adds nothing
     while node.program is not None:
@@ -723,26 +772,17 @@ def _fold(tree: OutcomeTree, node: _Node, state, remaining: int, ready: dict | N
         if remaining == 1 or not entry.fails:
             value = entry.s
             break
-        a, i = entry.s, entry.fails[-1]
-        if _collapses(node, entry):  # the failure subtrees are congruent: walk the first
-            i, b = entry.fails[0], 1.0 - entry.s
-            last, ready = tree.child(node, i), None
-        else:  # built as batches of failure branches, folded in label order
-            width = max(1, _BATCH_BYTES // tree._node_bytes)
-            for lo in range(0, len(entry.fails), width):
-                js = entry.fails[lo : lo + width]
-                kids = [ready[j] for j in js] if ready else tree.children([(node, j) for j in js], retain=False)
-                ahead = _ahead(tree, entry, js, kids, remaining - 1, width)
-                for j, kid in zip(js, kids):
-                    if j == i:
-                        last, ready = kid, ahead.get(j)
-                    else:
-                        a += entry.probs[j] * _fold(tree, kid, (entry, j), remaining - 1, ahead.get(j))
-            b = entry.probs[i]
-        links.append((a, b))
-        node, state, remaining = last, (entry, i), remaining - 1
-    for a, b in reversed(links):
-        value = a + b * value
+        if not _collapses(node, entry):
+            p, js = entry.probs.tolist(), entry.fails
+            seeds = _seeds(node.residual[None], node.ops[None], entry.amps[None], entry.probs[None], [0] * len(js), js)
+            below = _region(tree, *seeds, remaining - 1, _BATCH_BYTES, 0, _footprint(node, entry))
+            value = _folded(entry.s, [p[j] for j in js], iter(below))
+            break
+        i = entry.fails[0]
+        links.append(entry.s)
+        node, state, remaining = tree.child(node, i), (entry, i), remaining - 1
+    for s in reversed(links):
+        value = s + (1.0 - s) * value
     return value
 
 
@@ -756,7 +796,8 @@ def _entry(tree: OutcomeTree, node: _Node, state) -> _Exact:
         if isinstance(state, tuple):
             up, i = state
             state = up.amps[i] / np.sqrt(up.probs[i])
-        entry = _Exact(node.ops, state, tree._success_idx, tree._fail_idx)
+        amps, probs, ((s, fails, _),) = _entries(node.ops[None], state[None], tree._success_idx, tree._fail_idx)
+        entry = _Exact(amps[0], probs[0], s, fails)
         if not node.kept or tree._keep(entry.amps.nbytes + entry.probs.nbytes):
             node.exact = entry
     return entry
@@ -764,29 +805,120 @@ def _entry(tree: OutcomeTree, node: _Node, state) -> _Exact:
 
 def _collapses(node: _Node, entry: _Exact) -> bool:
     if entry.collapses is None:
-        entry.collapses = _state_independent(node.ops, entry.probs)
+        entry.collapses = _state_independent(node.ops[None], entry.probs[None])[0]
     return entry.collapses
 
 
-def _ahead(tree: OutcomeTree, up: _Exact, js: list[int], kids: list[_Node], remaining: int, width: int) -> dict:
-    """The failure children of each of `kids` (branches js below `up`) that will not collapse, built as one batch.
+def _seeds(residuals: np.ndarray, ops: np.ndarray, amps: np.ndarray, probs: np.ndarray, ks: list[int], js: list[int]):
+    """The residual and the data state after branch js[m] of node ks[m], for nodes given as stacks (residuals, branch
+    operators, and their entry's amplitudes and probabilities): `OutcomeTree.children`'s stacked product and
+    rescaling, and the post-state amplitude over the root of its probability."""
+    return _rescaled(ops[ks, js] @ residuals[ks]), amps[ks, js] / np.sqrt(probs[ks, js])[:, None]
 
-    Returns {j: {branch: child}}, or nothing when the kids have `remaining` 1 or their children would not fit in
-    `width` nodes.
+
+def _folded(s: float, coefs: list[float], below) -> float:
+    """s + c v over the coefficients, in order, with the next value v of `below` for each."""
+    for c in coefs:
+        s = s + c * next(below)
+    return s
+
+
+def _region(tree: OutcomeTree, residuals: np.ndarray, states: np.ndarray, remaining: int, room: int, outside: int, size: int) -> list:
+    """Exact success masses of `remaining` rounds from the node of each residual of the (K, D, D) stack, on its row of
+    the (K, D) data states, with the arithmetic of the depth-first fold, the subtrees expanded one level at a time.
+
+    Each level is built in batches (`_batch`), and then it keeps one record per node: its value, or the (s,
+    coefficients) that `_folded` turns into its value once the level below is known. Of `room` bytes, half is for
+    what the regions hold: the enclosing ones' `outside`, this one's records (past the first of each level: one per
+    level is what a depth-first walk's chain holds too) and its level's residuals and states; and the rest, at least,
+    for a batch of nodes at `size` bytes each. A level whose children's residuals and states would not fit that half
+    folds each of its batches but the last at once, by recursion into a region of their own, those batches sized so
+    that their children take at most half of the bytes left, and the last batch's children make the next level, so
+    a chain never recurses. A batch takes at least the failure branches of one node, as the depth-first walk does,
+    or, when folded at once, one node.
     """
-    wanted = []
-    if remaining > 1:
-        for j, kid in zip(js, kids):
-            if kid.program is not None:
-                entry = _entry(tree, kid, (up, j))
-                if entry.fails and not _collapses(kid, entry):
-                    wanted += [(j, kid, k) for k in entry.fails]
-    if not wanted or len(wanted) > width:
-        return {}
-    out: dict = {}
-    for (j, _, k), child in zip(wanted, tree.children([(kid, k) for _, kid, k in wanted], retain=False)):
-        out.setdefault(j, {})[k] = child
-    return out
+    levels, records = [], 0
+    fanout = len(tree._fail_idx)
+    unit = states.itemsize * (states.shape[1] + residuals.shape[1] * residuals.shape[2])  # one child's seeds
+    while True:
+        held = outside + records + residuals.nbytes + states.nbytes
+        ahead = len(residuals) * fanout * unit if remaining > 1 else 0  # at most the next level's seeds
+        wide = held + ahead <= room // 2
+        if wide:
+            width = max(fanout, (room - held - ahead) // size)
+        else:
+            # batches whose subtrees, expanded wide to their last round, fit the seed bytes left (past room.bit_length()
+            # rounds a subtree of two or more branches a node no longer fits, whatever its depth)
+            grown = fanout ** min(remaining - 1, room.bit_length())
+            width = max(1, min((room // 2 - held) // (2 * unit * grown), (room - held) // size))
+        items, parts = [], []
+        for lo in range(0, len(residuals), width):
+            out, seeds = _batch(tree, residuals[lo : lo + width], states[lo : lo + width], remaining)
+            if seeds is not None and not wide and lo + width < len(residuals):
+                below = iter(_region(tree, *seeds, remaining - 1, room, held, size))
+                out = [_folded(*x, below) if type(x) is tuple else x for x in out]
+            elif seeds is not None:
+                parts.append(seeds)
+            items += out
+        levels.append(items)
+        records += sum(_item_bytes(x) for x in items[1:])
+        if not parts:
+            break
+        residuals, states = parts[0] if len(parts) == 1 else (np.concatenate([x for x, _ in parts]), np.concatenate([y for _, y in parts]))
+        remaining -= 1
+    values: list = []
+    for items in reversed(levels):
+        below = iter(values)
+        values = [_folded(*x, below) if type(x) is tuple else x for x in items]
+    return values
+
+
+def _batch(tree: OutcomeTree, residuals: np.ndarray, states: np.ndarray, remaining: int) -> tuple[list, tuple | None]:
+    """Build the nodes of the residual stack, and give each its record in a region: its value, or (s, coefficients)
+    for a node that goes on; and the residuals and states of the children those records fold, as stacks (None if
+    none). A collapsing node goes on to its representative child with coefficient 1 - s, another to each failure
+    branch j with coefficient p_j.
+
+    The nodes' entries, their collapse tests and the children's seeds are each one stacked call; the nodes are dropped
+    on return.
+    """
+    nodes, ops = tree._build(residuals)
+    out: list = [0.0] * len(nodes)  # an uncorrectable node adds nothing
+    live = [k for k, node in enumerate(nodes) if node.program is not None]
+    if not live:
+        return out, None
+    if len(live) < len(nodes):
+        residuals, states = residuals[live], states[live]
+    amps, probs, heads = _entries(ops, states, tree._success_idx, tree._fail_idx)
+    test = [m for m, (_, fails, _) in enumerate(heads) if remaining > 1 and fails]
+    flags = dict(zip(test, _state_independent(ops[test], probs[test]))) if test else {}
+    ks, js = [], []
+    for m, (k, (s, fails, p)) in enumerate(zip(live, heads)):
+        if m not in flags:
+            out[k] = s
+            continue
+        branches = fails[:1] if flags[m] else fails
+        out[k] = (s, [1.0 - s] if flags[m] else [p[j] for j in fails])
+        ks += [m] * len(branches)
+        js += branches
+    return out, (_seeds(residuals, ops, amps, probs, ks, js) if ks else None)
+
+
+def _item_bytes(x) -> int:
+    """What a region's record of one node holds: a list slot and its value, or its (s, coefficients) with their floats."""
+    if type(x) is tuple:
+        return 8 + sys.getsizeof(x) + sys.getsizeof(x[1]) + sys.getsizeof(x[0]) * (1 + len(x[1]))
+    return 8 + sys.getsizeof(x)
+
+
+def _footprint(node: _Node, entry: _Exact) -> int:
+    """Bytes a built node holds with its exact entry: its objects, its program's, and its rows of the batch's arrays."""
+    program = node.program
+    objects = [node, node.children, program, program.__dict__, program.ket, program.params, entry, entry.fails]
+    for value in program.params.values():
+        objects += [value, *value] if isinstance(value, tuple) else [value]
+    arrays = [node.residual, node.ops, entry.amps, entry.probs]
+    return sum(map(sys.getsizeof, objects + arrays)) + sum(a.nbytes for a in arrays if a.base is not None)
 
 
 def exact_success(

@@ -89,11 +89,17 @@ def frobenius_rows(x: np.ndarray) -> list[float]:
     doubles, in Python or in numpy.
     """
     k = x.shape[0]
-    flat = np.ascontiguousarray(x).reshape(k, -1)  # as `frobenius`'s ravel copies a strided m
-    if flat.dtype.kind != "c":
+    if x.dtype.kind != "c":
+        flat = x.reshape(k, -1)  # a C-order copy of a strided stack, as `frobenius`'s ravel copies a strided m
         return [math.sqrt(s) for s in np.vecdot(flat, flat).tolist()]
-    parts = flat.view(np.float64).reshape(k, -1, 2).transpose(0, 2, 1)  # [k, 0] = re, [k, 1] = im
+    parts = x.reshape(k, -1, 1).view(np.float64).transpose(0, 2, 1)  # [k, 0] = re, [k, 1] = im
     return [math.sqrt(re + im) for re, im in np.vecdot(parts, parts).tolist()]
+
+
+def per_row(values: list[float]):
+    """Factors, one per row, to broadcast over a (K, ...) stack: a lone row's as a Python float, which numpy applies
+    as it applies the (1, 1, 1) array of it, without building that array."""
+    return values[0] if len(values) == 1 else np.array(values)[:, None, None]
 
 
 def is_unitary(m: np.ndarray, tol: float = 1e-10) -> bool:
@@ -136,12 +142,12 @@ def inverses(ms: np.ndarray) -> tuple[np.ndarray, dict[int, SingularOperator]]:
     except np.linalg.LinAlgError:
         invs, alone = np.zeros(ms.shape, dtype=complex), True
     refused = {}
-    for k, m in enumerate(ms):
+    for k in range(len(ms)):
         try:
             if alone:
-                invs[k] = inverse(m)
-            elif not _conditioned(m, invs[k]):
-                _svd_rule(m)
+                invs[k] = inverse(ms[k])
+            elif not _conditioned(ms[k], invs[k]):
+                _svd_rule(ms[k])
         except SingularOperator as exc:
             invs[k] = 0.0
             refused[k] = exc

@@ -468,11 +468,9 @@ def programs_for(vs: np.ndarray) -> list[ProgramState]:
     if any(x < 1e-12 for x in norms):
         raise ZeroOperator("cannot encode the zero operator")
     scales = [x / math.sqrt(n) for x in norms]
-    ds = np.einsum("mkij,bij->bmk", _weyl_bras(n), vs / np.array(scales).reshape(-1, 1, 1)) / n
-    return [
-        ProgramState(ket=ket, encoding="weyl", params={"d": d, "scale": scale, "n_dim": n})
-        for ket, d, scale in zip(_weyl_kets(ds), ds, scales)
-    ]
+    ds = np.einsum("mkij,bij->bmk", _weyl_bras(n), vs / qlinalg.per_row(scales)) / n
+    kets = _weyl_kets(ds)
+    return [ProgramState(ket=kets[k], encoding="weyl", params={"d": ds[k], "scale": scale, "n_dim": n}) for k, scale in enumerate(scales)]
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Tests for correction rules, exact loop trees and Monte Carlo trajectories."""
 import sys
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qproc import loops, zoo
+from qproc import cli, loops, zoo
 from qproc.loops import OutcomeTree, SingularProgram, exact_success, exact_walk, run_loop
 from qproc.processor import DimensionMismatch, branch_operators, decompose
 from qproc.qlinalg import (
@@ -357,7 +358,7 @@ def test_exact_success_collapse_matches_full_enumeration(monkeypatch):
     ]
     for proc, rule, target, n, psi in cases:
         collapsed = exact_success(proc, target, rule, n, psi=psi)
-        monkeypatch.setattr(loops, "_state_independent", lambda ops, probs: False)
+        monkeypatch.setattr(loops, "_state_independent", lambda ops, probs: [False] * len(ops))
         full = exact_success(proc, target, rule, n, psi=psi)
         monkeypatch.undo()
         assert abs(collapsed - full) <= 1e-12
@@ -390,7 +391,7 @@ def test_exact_success_is_the_loop_law(case, n):
     collapsed = exact_success(proc, target, rule, n)
     assert abs(collapsed - zoo.loop_success(proc.program_dim, n)) <= 1e-12
     if n <= 4:
-        with mock.patch.object(loops, "_state_independent", lambda ops, probs: False):
+        with mock.patch.object(loops, "_state_independent", lambda ops, probs: [False] * len(ops)):
             assert abs(exact_success(proc, target, rule, n) - collapsed) <= 1e-12
 
 
@@ -419,7 +420,7 @@ def test_exact_success_collapse_matches_full_enumeration_off_the_unit_circle(cas
     # so the collapse must not fire on them and change the sum.
     proc, rule, target, psi = case
     collapsed = exact_success(proc, target, rule, n, psi=psi)
-    with mock.patch.object(loops, "_state_independent", lambda ops, probs: False):
+    with mock.patch.object(loops, "_state_independent", lambda ops, probs: [False] * len(ops)):
         full = exact_success(proc, target, rule, n, psi=psi)
     assert abs(collapsed - full) <= 1e-12
 
@@ -445,7 +446,7 @@ def _recursive_exact_success(proc, target, rule, n, psi) -> float:
         def child(i):
             return visit(tree.node(loops._rescaled((node.ops[i] @ node.residual)[None])[0]), amps[i] / np.sqrt(probs[i]), remaining - 1)
 
-        if loops._state_independent(node.ops, probs):
+        if loops._state_independent(node.ops[None], probs[None])[0]:
             return s + (1.0 - s) * child(fails[0])
         total = s
         for i in fails:
@@ -507,6 +508,50 @@ def test_exact_walk_runs_within_a_few_frames_of_recursion(proc, rule, target, ps
         sys.setrecursionlimit(limit)
     assert got == expected
     assert (tree.root.exact.collapses, len(tree.root.exact.fails)) == root
+
+
+def _sweep_loop(experiment: str, params: dict):
+    """(proc, rule, target) of a `sweep` point of the experiment, with its defaults."""
+    return cli._FAMILIES[experiment].build({**cli._FAMILIES[experiment].sweep, **params}, (0, 0, 0))
+
+
+# Walks that enumerate their trees, with the residuals that the depth-first walk (one batch per node's failure
+# children) encoded and its tracemalloc peak (KiB, tree and walk, caches warm; Python 3.11, numpy 2.4.6). k=24 and
+# n=30 are the enumerations of the exact-grid benchmark: rounding drift breaks the collapse near the end of their
+# chains.
+ENUMERATIONS = [
+    ("qidn k=24", lambda: (*_sweep_loop("qidn", {"n_dim": 2, "target_seed": 7}), 24), 602, 120.6),
+    ("diagonal n=30", lambda: (*_sweep_loop("diagonal", {"dim": 3}), 30), 277, 108.6),
+    ("diagonal off the unit circle", lambda: (zoo.qudit_diagonal_processor(5), loops.diagonal_rule(), np.diag([0.8, 1.2, 1.0, 0.9, 1.1]), 6), 1365, 311.8),
+    ("qidN(2) non-unitary", lambda: (zoo.qidN(2), loops.qidN_rule(), np.diag([0.1, 1.0]), 12), 4114, 168.3),
+]
+
+
+@pytest.mark.parametrize("name, case, residuals, parent_kib", ENUMERATIONS, ids=[c[0] for c in ENUMERATIONS])
+def test_exact_walk_builds_the_nodes_of_the_depth_first_walk_within_its_batch_bytes(name, case, residuals, parent_kib):
+    """The expansion encodes no residual that the depth-first walk would prune or never reach, and the walk's
+    tracemalloc peak stays within `_BATCH_BYTES` of the depth-first walk's: a region counts what it holds against
+    that budget (a batch of nodes at their real footprint, the next level's residuals and states, the records),
+    and the depth-first walk held about one node's children at a time."""
+    proc, rule, target, n = case()
+    psi = np.ones(proc.data_dim) / np.sqrt(proc.data_dim)
+    encoded, build = [], OutcomeTree._build
+
+    def counting(tree, stack):
+        encoded.append(len(stack))
+        return build(tree, stack)
+
+    with mock.patch.object(OutcomeTree, "_build", counting):
+        expected = exact_walk(OutcomeTree(proc, target, rule, psi), n)  # caches warm
+        encoded.clear()
+        tracemalloc.start()
+        try:
+            assert exact_walk(OutcomeTree(proc, target, rule, psi), n) == expected
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert sum(encoded) == residuals
+    assert peak <= parent_kib * 1024 + loops._BATCH_BYTES, peak / 1024
 
 
 def test_exact_success_validates_rounds():

@@ -9,9 +9,11 @@ the u1, qid2 and diagonal rules, `qlinalg.su2_log`, `qlinalg.su2_exp`,
 `qlinalg.normalize`, `qlinalg.phase_distance`, `zoo.diagonal_program`,
 `zoo.vmc3_program`). Then every stage of a node build came to work on a
 stack of nodes at once: the residual products and their norms, the
-inverses, each family's rule, the branch operators and the rounds. The
-implementations they replaced are kept here as oracles, each building one
-node at a time, and every float the stacked stages produce must match the
+inverses, each family's rule, the branch operators and the rounds; and the
+exact walk came to take the entries, collapse tests and children's residuals
+and states of a whole level of nodes in stacked calls, and to fold the levels
+bottom up. The implementations they replaced are kept here as oracles, each
+building one node at a time, and every float the stacked stages produce must match the
 oracles' bit for bit: on real trees of all six loop families, each tree
 level built as one batch, on stacks of 1 to 63 residuals with an
 uncorrectable one in the middle, and on random inputs. The oracles are
@@ -270,6 +272,12 @@ def _old_exact(name, tree, node, state, n) -> float:
     return total
 
 
+def _new_entries(ops, states, success_idx, fail_idx) -> list:
+    """`loops._entries` of a stack as one `_Exact` per node."""
+    amps, probs, heads = loops._entries(ops, states, success_idx, fail_idx)
+    return [loops._Exact(a, p, s, fails) for a, p, (s, fails, _) in zip(amps, probs, heads)]
+
+
 def _same_bits(a, b) -> bool:
     a, b = np.asarray(a), np.asarray(b)
     if a.dtype != b.dtype or a.shape != b.shape:
@@ -297,11 +305,14 @@ def _node_record(tree, node, psi, amps=None, probs=None) -> list:
     out = [node.residual]
     if node.program is not None:
         old = amps is None
-        entry = (_OldExact if old else loops._Exact)(node.ops, psi, tree._success_idx, tree._fail_idx)
-        collapses = (_old_state_independent if old else loops._state_independent)(node.ops, entry.probs)
         if old:
+            entry = _OldExact(node.ops, psi, tree._success_idx, tree._fail_idx)
+            collapses = _old_state_independent(node.ops, entry.probs)
             amps = node.ops @ psi
             probs = _old_branch_probabilities(amps)
+        else:
+            entry = _new_entries(node.ops[None], psi[None], tree._success_idx, tree._fail_idx)[0]
+            collapses = loops._state_independent(node.ops[None], entry.probs[None])[0]
         out += [node.program.ket, node.ops, amps, np.asarray(probs), entry.amps, entry.probs, np.asarray(entry.s)]
         out += [np.asarray(entry.fails, dtype=int), np.asarray(type(entry.s).__name__), np.asarray(collapses)]
         out += _params_record(node.program.params)
@@ -378,6 +389,33 @@ def test_tree_nodes_keep_their_bits(name, n_dim, seed):
     rounds = 4 if proc.program_dim <= 9 else 2
     fresh = loops.OutcomeTree(proc, target, rule, psi)
     assert _same_bits(loops.exact_walk(fresh, rounds), _old_exact(name, fresh, _OldNode(name, proc, target, fresh.basis, np.eye(proc.data_dim, dtype=complex)), psi, rounds))
+
+
+def _enumerated_rounds(tree, n: int) -> int:
+    """n, cut so that a tree that does not collapse (N - 1 failure branches a node at most) enumerates at most 800 nodes."""
+    fanout = len(tree._fail_idx)
+    while n > 1 and fanout ** (n - 1) > 800:
+        n -= 1
+    return n
+
+
+@settings(max_examples=100, deadline=None)
+@given(name=st.sampled_from(FAMILIES), n_dim=st.integers(2, 3), n=st.integers(1, 10), seed=st.integers(0, 2**32 - 1))
+def test_exact_walk_moves_no_bit_with_the_batch_and_retained_bytes(name, n_dim, n, seed):
+    """The exact walk gives the same bits whether its regions build one node at a time (0 batch bytes), by the default
+    budget or all at once, with every node kept or none, and they are the oracles' depth-first fold."""
+    params = _family(name, derive_stream(seed, 0), n_dim)
+    proc, rule, target = cli._FAMILIES[name].build(params, (seed, 0, 0))
+    psi = qlinalg.random_state(proc.data_dim, derive_stream(seed, 1))
+    n = _enumerated_rounds(loops.OutcomeTree(proc, target, rule, psi), n)
+    values = set()
+    for retained in (0, loops._RETAINED_BYTES):
+        for batch in (0, loops._BATCH_BYTES, 10**18):
+            with mock.patch.object(loops, "_RETAINED_BYTES", retained), mock.patch.object(loops, "_BATCH_BYTES", batch):
+                values.add(loops.exact_walk(loops.OutcomeTree(proc, target, rule, psi), n).hex())
+    tree = loops.OutcomeTree(proc, target, rule, psi)
+    old = _old_exact(name, tree, _OldNode(name, proc, target, tree.basis, np.eye(proc.data_dim, dtype=complex)), psi, n)
+    assert values == {float(old).hex()}
 
 
 def _residuals(name: str, proc, k: int, rng) -> np.ndarray:
@@ -477,12 +515,29 @@ def test_isometry_deviations_keep_their_bits(n, d, scale, noise, seed):
     else:
         probs = scale**2 * rng.uniform(0, 1, n)
     assert _same_bits(loops._isometry_deviations(ops, probs), _old_isometry_deviations(ops, probs))
-    assert loops._state_independent(ops, probs) == _old_state_independent(ops, probs)
+    assert loops._state_independent(ops[None], probs[None]) == [_old_state_independent(ops, probs)]
+
+
+@settings(max_examples=100)
+@given(
+    k=st.integers(1, 40),
+    n=st.integers(1, 16),
+    d=st.integers(1, 8),
+    noise=st.sampled_from([0.0, 1e-13, 3e-12, 1e-11, 1e-6]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_state_independent_tests_a_stack_of_nodes_as_each_alone(k, n, d, noise, seed):
+    """One stacked test over every (node, branch) gives each node's answer alone, on nodes near and off isometries."""
+    rng = derive_stream(seed, 14)
+    ops = np.array([[random_unitary(d, rng) for _ in range(n)] for _ in range(k)]) * rng.uniform(0.1, 1.0, (k, n, 1, 1))
+    ops = ops + noise * rng.uniform(0, 1, (k, 1, 1, 1)) * (rng.standard_normal(ops.shape) + 1j * rng.standard_normal(ops.shape))
+    probs = np.einsum("kbij,j->kb", np.abs(ops) ** 2, np.full(d, 1.0 / d))
+    assert loops._state_independent(ops, probs) == [_old_state_independent(o, p) for o, p in zip(ops, probs)]
 
 
 def test_state_independent_lets_a_nan_deviation_pass_as_before():
     ops = np.full((2, 2, 2), np.nan, dtype=complex)
-    assert loops._state_independent(ops, np.ones(2)) is True is _old_state_independent(ops, np.ones(2))
+    assert loops._state_independent(ops[None], np.ones((1, 2))) == [True] == [_old_state_independent(ops, np.ones(2))]
 
 
 def _with_ratio(d: int, ratio: float, seed: int) -> np.ndarray:
@@ -731,9 +786,43 @@ def test_exact_entries_keep_their_bits(n, d, scale, n_success, seed):
     state = qlinalg.random_state(d, rng)
     labels = rng.permutation(n).tolist()
     success, fail = sorted(labels[: min(n_success, n)]), sorted(labels[min(n_success, n) :])
-    new, old = loops._Exact(ops, state, success, fail), _OldExact(ops, state, success, fail)
+    new, old = _new_entries(ops[None], state[None], success, fail)[0], _OldExact(ops, state, success, fail)
     assert _same_bits(new.amps, old.amps) and _same_bits(new.probs, old.probs)
     assert _same_bits(new.s, old.s) and type(new.s) is type(old.s) and new.fails == old.fails
+
+
+@settings(max_examples=100)
+@given(
+    k=st.integers(1, 100),
+    n=st.integers(1, 16),
+    d=st.integers(1, 8),
+    scale=_SCALES,
+    n_success=st.integers(0, 16),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stacked_exact_entries_keep_each_nodes_bits(k, n, d, scale, n_success, seed):
+    """The entries of a stack of nodes, and the data states of their children, equal each node's own."""
+    rng = derive_stream(seed, 15)
+    ops = _complex_array(rng, (k, n, d, d), scale)
+    ops[rng.random((k, n)) < 0.3] *= 1e-14
+    states = np.array([qlinalg.random_state(d, rng) for _ in range(k)])
+    labels = rng.permutation(n).tolist()
+    success, fail = sorted(labels[: min(n_success, n)]), sorted(labels[min(n_success, n) :])
+    news = _new_entries(ops, states, success, fail)
+    for new, o, state in zip(news, ops, states):
+        old = _OldExact(o, state, success, fail)
+        assert _same_bits(new.amps, old.amps) and _same_bits(new.probs, old.probs)
+        assert _same_bits(new.s, old.s) and type(new.s) is type(old.s) and new.fails == old.fails
+    # the children's states: one stacked division, each with the bits of the walk's own
+    amps, probs, _ = loops._entries(ops, states, success, fail)
+    ks, js = rng.integers(0, k, 20).tolist(), rng.integers(0, n, 20).tolist()
+    residuals = np.array([random_unitary(d, rng) for _ in range(k)])
+    with np.errstate(all="ignore"):  # a branch of probability 0 divides by 0 alike
+        seeds = loops._seeds(residuals, ops, amps, probs, ks, js)
+        for row, kk, j in zip(seeds[1], ks, js):
+            assert _same_bits(row, news[kk].amps[j] / np.sqrt(news[kk].probs[j]))
+    for row, kk, j in zip(seeds[0], ks, js):
+        assert _same_bits(row, _old_rescaled(ops[kk, j] @ residuals[kk]))
 
 
 @settings(max_examples=200)

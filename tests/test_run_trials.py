@@ -48,11 +48,24 @@ def _sample_params(draw, family):
         p = {"entries": [_complex(draw) for _ in range(dim)]}
     elif family == "qid2":
         p, dim = {"mu": draw(st.lists(st.floats(-1.2, 1.2), min_size=3, max_size=3))}, 2
-    else:  # a Haar target from the experiment's auxiliary stream
+    elif draw(st.booleans()):  # a Haar target from the experiment's auxiliary stream
         dim = draw(st.integers(2, 3))
         p = {"n_dim": dim}
+    else:  # a target that is not proportional to a unitary: the exact walk enumerates the tree
+        dim = draw(st.integers(2, 3))
+        rng = derive_stream(draw(st.integers(0, 2**32 - 1)))
+        target = random_unitary(dim, rng) @ np.diag(rng.uniform(0.3, 1.0, dim))
+        p = {"n_dim": dim, "target": np.stack((target.real, target.imag), -1).tolist()}
     p["psi"] = [[x, y] for x, y in draw(st.lists(st.tuples(st.floats(0.1, 1.0), st.floats(-1.0, 1.0)), min_size=dim, max_size=dim))]
     return p
+
+
+def _rounds(params: dict, max_rounds: int) -> int:
+    """max_rounds, cut where the exact walk of an enumerated qidN tree (N^2 - 1 failure branches a node) would pass
+    a few thousand nodes: 4 rounds of qidN(3), 7 of qidN(2)."""
+    if "target" not in params:
+        return max_rounds
+    return min(max_rounds, 4 if params["n_dim"] == 3 else 7)
 
 
 @settings(max_examples=60, deadline=None)
@@ -68,6 +81,7 @@ def _sample_params(draw, family):
 )
 def test_sample_equals_run_loop_per_trial(family, data, max_rounds, trials, seed, index, cap, chunk):
     params = data.draw(_sample_params(family))
+    max_rounds = _rounds(params, max_rounds)
     cfg = ExperimentConfig(family, params=params, max_rounds=max_rounds, trials=trials, seed=seed, experiment_index=index)
     tree, _ = cli._loop_setup(cfg)
     if cap == "default":
@@ -188,6 +202,7 @@ def test_batch_size_moves_no_byte(family, data, max_rounds, trials, seed):
         params, max_rounds = {"z": _complex(data.draw), "n_program": data.draw(st.integers(2, 4))}, 1
     else:
         params = data.draw(_sample_params(family))
+        max_rounds = _rounds(params, max_rounds)
     cfg = ExperimentConfig(family, params=params, max_rounds=max_rounds, trials=trials, seed=seed)
     seen = set()
     for retained in (0, loops._RETAINED_BYTES):
@@ -224,3 +239,27 @@ def test_batches_keep_peak_memory_near_that_of_one_node_at_a_time():
         with mock.patch.object(loops, "_BATCH_BYTES", batch):
             peaks[batch] = _peak_bytes(OutcomeTree(proc, target, rule, psi), 200)
     assert peaks[loops._BATCH_BYTES] <= peaks[0] + 1024 * 1024, peaks
+
+
+def test_rounds_of_one_batch_read_its_stack_of_branch_operators():
+    """The rounds of a batch's nodes, in order, read the batch's own stack of branch operators, where nodes that own
+    copies of their operators need a stacked copy (three qidN(8) nodes: 192 KiB); the bits are the same."""
+    proc, rule = zoo.qidN(8), loops.qidN_rule()
+    target = random_unitary(8, derive_stream(21))
+    psi = np.ones(8) / np.sqrt(8)
+    peaks, rounds = [], []
+    for own in (False, True):
+        tree = OutcomeTree(proc, target, rule, psi)
+        nodes = tree.children([(tree.root, j) for j in (1, 2, 3)], retain=False)
+        for node in nodes if own else ():
+            node.own()
+        tracemalloc.start()
+        try:
+            rounds.append(tree.rounds_at(nodes, [psi] * 3))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    stack = 3 * nodes[0].ops.nbytes
+    assert peaks[0] <= peaks[1] - stack * 3 // 4, (peaks, stack)
+    for a, b in zip(*rounds):
+        assert a.amps.tobytes() == b.amps.tobytes() and a.probs == b.probs
