@@ -133,8 +133,9 @@ class ExperimentConfig:
     tol: float | None = None
 
     def __post_init__(self):
+        maxima = {"max_rounds": _MAX_ROUNDS, "trials": _MAX_TRIALS}
         for name, minimum in (("max_rounds", 1), ("trials", 1), ("seed", 0), ("experiment_index", 0)):
-            setattr(self, name, _integer(getattr(self, name), name, minimum, _MAX_ROUNDS if name == "max_rounds" else None))
+            setattr(self, name, _integer(getattr(self, name), name, minimum, maxima.get(name)))
         if self.tol is not None:
             _tolerance(self.tol)
         for name in ("params", "grid"):
@@ -143,6 +144,9 @@ class ExperimentConfig:
         for k, v in self.grid.items():
             if not isinstance(v, list):
                 raise UsageError(f"grid.{k} must be a list of values, got {v!r}")
+        points = math.prod(len(v) for v in self.grid.values())
+        if points > _MAX_POINTS:
+            raise UsageError(f"grid has {points} points, above {_MAX_POINTS}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
@@ -271,6 +275,19 @@ _MAX_SIZE = 1024
 # rounds takes 1.1-2.0 s (2 vCPUs, numpy 2.4.6) and one of 10^20 would never
 # end. The tests, the benchmark and README ask for at most 2000.
 _MAX_ROUNDS = 10_000
+
+# The most trials a config may ask for: `sample`'s, and each sweep point's. A
+# qid2 sample at max_rounds 8 writes about 1.2 kB per trace (10^5 trials write
+# 117 MB in about 12 s on 2 vCPUs), so 10^6 trials write about 1.2 GB in a few
+# minutes, and 10^12 would run for years before writing a byte. The tests, CI,
+# the benchmark and README ask for at most 10^5, a tenth of the cap.
+_MAX_TRIALS = 10**6
+
+# The most points a sweep grid may hold, the product of its lists' lengths.
+# Exact sweeps run at about 600-700 points/s (2 vCPUs, numpy 2.4.6), so 10^4
+# points take about 15 s; ten keys of ten values each would take months. The
+# tests, CI, the benchmark and README ask for at most 30, a 333rd of the cap.
+_MAX_POINTS = 10_000
 
 
 def _check_size(program_dim: int, data_dim: int, what: str) -> None:
@@ -846,31 +863,26 @@ def reproduce_table(table: str) -> list[ResultRow]:
 # ---------------------------------------------------------------------------
 
 def _single_shot_hits(dec):
-    """Hit counter of one shot per stream: the first uniform draws a branch; the last one fails."""
+    """Hit counter of one shot per stream, on a piece of first uniforms: each draws a branch; the last one fails."""
     fail, probs = len(dec.branches) - 1, dec.probability_tuple
-
-    def hits(entropy, ks):
-        return sum(int(np.count_nonzero(inverse_cdf_many(probs, r) != fail)) for r in first_uniforms(entropy, ks))
-
-    return hits
+    return lambda r: int(np.count_nonzero(inverse_cdf_many(probs, r) != fail))
 
 
 def _loop_hits(tree, rounds):
-    def hits(entropy, ks):
-        return sum(t.succeeded for n, draw in uniform_draws(entropy, ks) for t in loops.run_trials(tree, rounds, n, draw))
-
-    return hits
+    """Hit counter of one loop per stream, on an (n, draw) piece of uniform draws."""
+    return lambda piece: sum(t.succeeded for t in loops.run_trials(tree, rounds, *piece))
 
 
 def _sweep_point(experiment: str, merged: dict, aux: tuple, trees: dict | None = None):
     """(quantity, exact value, closed-form reference, hit counter) for one grid point.
 
-    The hit counter takes (entropy, ks) and counts successful trials over
-    the streams derive_stream(*entropy, k), k in ks. A loop point walks the
-    OutcomeTree that `trees` holds for its loop, built on first use: points
-    that differ only in the round budget share it, keyed by everything the
-    set-up reads but the round key (experiment, other params, target and
-    psi bytes).
+    The hit counter counts the successful trials of one piece of the point's
+    streams: first uniforms (`streams.first_uniforms`) at a single-shot
+    point, (n, draw) at a loop point (`streams.uniform_draws`). A loop point
+    walks the OutcomeTree that `trees` holds for its loop, built on first
+    use: points that differ only in the round budget share it, keyed by
+    everything the set-up reads but the round key (experiment, other params,
+    target and psi bytes).
     """
     family = _FAMILIES[experiment]
     p = {**family.sweep, **merged}
@@ -897,21 +909,28 @@ def run_sweep(cfg: ExperimentConfig) -> list[ResultRow]:
 
     With trials > 1 each point also gets a sampled success frequency in the
     empirical column, drawn from streams (seed, point index, trial index).
-    Loop points that differ only in the round budget share one outcome tree
-    (see `_sweep_point`), for this call only.
+    Every point's streams come from one run of passes that span points
+    (`streams.first_uniforms` or `uniform_draws` with points), and each point
+    counts its hits over its pieces of them. Loop points that differ only in
+    the round budget share one outcome tree (see `_sweep_point`), for this
+    call only.
     """
     trees: dict = {}
     if not cfg.grid:
         raise UsageError("sweep config must declare a grid")
-    rows = []
+    rows, counters = [], []
     for index, values in enumerate(itertools.product(*cfg.grid.values())):
         point = dict(zip(cfg.grid, values))
         quantity, computed, closed, hits = _sweep_point(cfg.experiment, {**cfg.params, **point}, (cfg.seed, index, 0), trees)
-        empirical = None
-        if cfg.trials > 1:
-            empirical = hits((cfg.seed, index), trial_indices(cfg.trials)) / cfg.trials
         label = ",".join(f"{k}={v}" for k, v in point.items())
-        rows.append(ResultRow(quantity, label, computed, closed, empirical=empirical))
+        rows.append(ResultRow(quantity, label, computed, closed))
+        counters.append(hits)
+    if cfg.trials > 1:
+        counts = [0] * len(rows)
+        pieces = first_uniforms if _FAMILIES[cfg.experiment].shot else uniform_draws
+        for index, piece in pieces((cfg.seed,), trial_indices(cfg.trials), points=range(len(rows))):
+            counts[index] += counters[index](piece)
+        rows = [replace(row, empirical=count / cfg.trials) for row, count in zip(rows, counts)]
     return rows
 
 

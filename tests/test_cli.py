@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from qproc import cli, loops, qlinalg, zoo
 from qproc.cli import ExperimentConfig, UsageError, main, reproduce_table, run_sample, run_sweep, trace_to_dict
 from qproc.processor import ProcessorDefinition, decompose, select_branch
-from qproc.streams import derive_stream, reseeded, trial_indices, uniform_draws
+from qproc.streams import CHUNK, derive_stream, reseeded, trial_indices, uniform_draws
 
 
 def _read_rows(path):
@@ -196,6 +196,45 @@ def test_sweep_single_shot_hits_equal_per_shot_select_branch(experiment, modulus
     fail = dec.branches[-1].label
     hits = sum(select_branch(dec, derive_stream(seed, 1, t + 1)).label != fail for t in range(trials))
     assert rows[1].empirical == hits / trials
+
+
+@pytest.mark.parametrize(
+    "experiment, grid, trials",
+    [
+        ("bz", {"z": [0.5, [0.3, 1.2]], "n_program": [2, 3]}, CHUNK - 1),
+        ("bz", {"z": [2.0], "n_program": [2, 4, 3]}, CHUNK + 1),
+        ("b0", {"z": [0.7, [0.2, -0.9]], "dim": [2, 3], "n_program": [3]}, CHUNK // 2 + 1),
+        ("b0", {"z": [1.5], "dim": [3], "n_program": [2, 3]}, CHUNK),
+        ("qid2", {"n": [1, 3, 2]}, CHUNK // 3 + 1),
+    ],
+)
+def test_sweep_streams_do_not_depend_on_how_points_share_passes(experiment, grid, trials):
+    """README's Determinism claim for sweeps: with passes spanning points, each point's empirical value is its own trials'.
+
+    Every grid's points x trials straddles a pass boundary. A shot point's
+    reference is select_branch on derive_stream(seed, i, t + 1), a loop
+    point's is run_loop on that stream alone, on a fresh tree.
+    """
+    seed = 2**40 + 3
+    rows = run_sweep(ExperimentConfig(experiment=experiment, grid=grid, trials=trials, seed=seed))
+    for index, (row, values) in enumerate(zip(rows, itertools.product(*grid.values()), strict=True)):
+        point = dict(zip(grid, values))
+        rngs = [derive_stream(seed, index, t + 1) for t in range(trials)]
+        if experiment == "qid2":
+            tree = loops.OutcomeTree(zoo.qid2(), qlinalg.su2_exp(np.array([0.2, -0.5, 0.9])), loops.qid2_rule())
+            psi = np.ones(2, dtype=complex) / np.sqrt(2)
+            hits = sum(loops.run_loop(tree, psi, point["n"], rng).succeeded for rng in rngs)
+        else:
+            z = complex(*point["z"]) if isinstance(point["z"], list) else point["z"]
+            n = point["n_program"]
+            if experiment == "bz":
+                proc, psi = zoo.cyclic_shift_processor(n), qlinalg.normalize(np.array([0.6, 0.8], dtype=complex))
+            else:
+                dim = point["dim"]
+                proc, psi = zoo.amp_modifier_processor(dim, n), np.ones(dim, dtype=complex) / np.sqrt(dim)
+            dec = decompose(proc, psi, zoo.geometric_program(z, n))
+            hits = sum(select_branch(dec, rng).label != dec.branches[-1].label for rng in rngs)
+        assert row.empirical == hits / trials, row.params
 
 
 def test_sweep_bz_success_increases_with_program_dimension():
@@ -378,8 +417,8 @@ def test_sweep_rows_equal_per_point_evaluation(case, trials, seed, data):
         merged = {**params, **dict(zip(grid, values))}
         _, computed, closed, hits = cli._sweep_point(experiment, merged, (seed, index, 0))
         assert row.computed == computed and row.paper_value == closed
-        if trials > 1:
-            assert row.empirical == hits((seed, index), trial_indices(trials)) / trials
+        if trials > 1:  # the point's streams derived alone, not in passes that span points
+            assert row.empirical == sum(map(hits, uniform_draws((seed, index), trial_indices(trials)))) / trials
 
 
 # ---------------------------------------------------------------------------

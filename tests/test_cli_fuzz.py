@@ -8,7 +8,8 @@ declaration always exits 2.
 
 The draws stay small: round budgets of at most 3, at most 3 trials, and
 processors far below the size cap except just past it, where nothing is
-built; likewise a round budget of 10^20, far past its cap. A non-unitary
+built; likewise a round budget of 10^20 and 10^12 trials, far past their
+caps, and a grid one point past its cap runs as an explicit case. A non-unitary
 loop walks (N-1)^n nodes, so N stays at most 9 (qidN(3)) and n at most 3.
 
 A given value past a bound is drawn in about one config in 80, so the 200
@@ -34,7 +35,8 @@ WRONG = st.one_of(st.text(max_size=3), st.booleans(), st.none(), st.just({"re": 
 REAL = st.floats(-2.5, 2.5, allow_nan=False)
 COMPLEX = st.one_of(REAL, st.lists(REAL, min_size=2, max_size=2))
 HUGE_OR_TINY = st.sampled_from([0, 1e-160, 1e160, 1e300])
-# Per integer key, the values past its bound that are drawn (the size cap, cli._MAX_ROUNDS).
+# Per integer key, the values past its bound that are drawn (the size cap, cli._MAX_ROUNDS,
+# cli._MAX_TRIALS); "grid" holds grid sizes past cli._MAX_POINTS, run as explicit cases only.
 PAST = {
     "n_program": [513, 2**70],
     "dim": [33, 2**70],
@@ -42,6 +44,8 @@ PAST = {
     "n": [10**20],
     "k": [10**20],
     "max_rounds": [10**20],
+    "trials": [cli._MAX_TRIALS + 1, 10**12],
+    "grid": [cli._MAX_POINTS + 1],
 }
 HUGE_SEED = 2**1100  # a seed of any size from 0 is valid
 
@@ -114,7 +118,7 @@ def configs(draw):
         config["grid"] = draw(_some(keys, lambda k: st.lists(value(k), max_size=2), min_size=1))
     else:
         config["max_rounds"] = draw(_integer(1, 1 if experiment == "bz_haar" else 3, past=PAST["max_rounds"]))
-    config["trials"] = draw(_integer(1, 3))
+    config["trials"] = draw(_integer(1, 3, past=PAST["trials"]))
     config["seed"] = draw(_integer(0, 2**64, past=[HUGE_SEED]))
     if draw(st.integers(0, 3)) == 0:
         config["tol"] = draw(_mostly(st.floats(0, 1), WRONG))
@@ -162,6 +166,8 @@ _READERS = {
     "n": [("sweep", "qid2", "grid", {})],
     "k": [("sweep", "qidn", "grid", {})],
     "max_rounds": [("sample", "qid2", "top", {})],
+    "trials": [("sample", "u1", "top", {}), ("sweep", "bz", "top", {"z": [0.5]})],
+    "grid": [("sweep", "bz", "points", {"z": [0.5]})],
 }
 
 
@@ -173,6 +179,8 @@ def test_values_past_a_bound_exit_2(key, value, command, experiment, where, grid
     config = {"experiment": experiment, "grid": dict(grid)} if command == "sweep" else {"experiment": experiment}
     if where == "top":
         config[key] = value
+    elif where == "points":  # a grid of that many points
+        config["grid"]["n_program"] = [2] * value
     elif where == "grid":
         config["grid"][key] = [value]
     else:
