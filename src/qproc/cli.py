@@ -45,7 +45,7 @@ from .processor import (
     inverse_cdf_many,
 )
 from .qlinalg import dagger, phase_distance, random_state, random_unitary, su2_exp
-from .streams import derive_stream, first_uniforms, reseeded, trial_indices, uniform_draws
+from .streams import CHUNK, derive_stream, first_uniforms, reseeded, trial_indices, uniform_draws
 
 ENV_OUT_DIR = "QPROC_OUT_DIR"
 
@@ -147,6 +147,8 @@ class ExperimentConfig:
         points = math.prod(len(v) for v in self.grid.values())
         if points > _MAX_POINTS:
             raise UsageError(f"grid has {points} points, above {_MAX_POINTS}")
+        if points * self.trials > _MAX_TRIALS:
+            raise UsageError(f"grid of {points} points at {self.trials} trials each asks for {points * self.trials} sweep trials, above {_MAX_TRIALS}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
@@ -276,11 +278,14 @@ _MAX_SIZE = 1024
 # end. The tests, the benchmark and README ask for at most 2000.
 _MAX_ROUNDS = 10_000
 
-# The most trials a config may ask for: `sample`'s, and each sweep point's. A
-# qid2 sample at max_rounds 8 writes about 1.2 kB per trace (10^5 trials write
-# 117 MB in about 12 s on 2 vCPUs), so 10^6 trials write about 1.2 GB in a few
-# minutes, and 10^12 would run for years before writing a byte. The tests, CI,
-# the benchmark and README ask for at most 10^5, a tenth of the cap.
+# The most trials a config may ask for: `sample`'s, and a sweep's over all its
+# points (grid points x trials per point). A qid2 sample at max_rounds 8 writes
+# about 1.2 kB per trace (10^5 trials write 117 MB in about 12 s on 2 vCPUs), so
+# 10^6 trials write about 1.2 GB in a few minutes, and 10^12 would run for years
+# before writing a byte; a sweep's 10^6 loop trials take about a minute at the
+# benchmark's 14.5k trials/s. The tests, CI, the benchmark and README ask for at
+# most 10^5 trials (a sample), 10 times below the cap, and a sweep of at most
+# 12 points x 2000 trials = 24000 (the benchmark), 41 times below it.
 _MAX_TRIALS = 10**6
 
 # The most points a sweep grid may hold, the product of its lists' lengths.
@@ -638,15 +643,22 @@ def _loop_setup(cfg: ExperimentConfig) -> tuple[loops.OutcomeTree, float]:
 def run_sample(cfg: ExperimentConfig) -> dict:
     """Run the configured trajectories: the payload that `sample_json` writes, one LoopTrace per trial.
 
-    From a fixed data state the trials of each stream chunk are sampled
-    together (`loops.run_trials`); a Haar-random state per trial comes
-    from the trial's own stream, before its rounds' draws.
+    The trials of each stream pass (`CHUNK` streams) are sampled together:
+    from a fixed data state by `loops.run_trials`, and from a Haar-random
+    state per trial by `loops.run_loops`. A Haar trial draws its state and
+    then the uniform of its one round (`_loop_setup` requires max_rounds 1)
+    from its own stream.
     """
     tree, exact = _loop_setup(cfg)
     entropy, ks = (cfg.seed, cfg.experiment_index), trial_indices(cfg.trials)
     if tree.psi is None:
-        dim = tree.proc.data_dim
-        traces = [loops.run_loop(tree, random_state(dim, rng), cfg.max_rounds, rng) for rng in reseeded(entropy, ks)]
+        dim, rngs, traces = tree.proc.data_dim, reseeded(entropy, ks), []
+        for _ in range(0, cfg.trials, CHUNK):
+            states, uniforms = [], []
+            for rng in itertools.islice(rngs, CHUNK):
+                states.append(random_state(dim, rng))
+                uniforms.append(rng.random())
+            traces += loops.run_loops(tree, np.array(states), cfg.max_rounds, uniforms.__getitem__)
     else:
         traces = [t for n, draw in uniform_draws(entropy, ks) for t in loops.run_trials(tree, cfg.max_rounds, n, draw)]
     successes = sum(t.succeeded for t in traces)

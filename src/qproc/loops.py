@@ -21,9 +21,11 @@ already holds.
 
 The walks build nodes in batches (`OutcomeTree.children`): the residual
 products and their norms, the inverses, the qidN encoding, the branch
-operators and, in `run_trials`, the rounds are each one stacked numpy call
-for the whole batch (the other rules' scalar steps, such as `su2_log`, run
-per residual), and each node keeps the bits it has when built alone. A lone
+operators and, in the sampled walks, the rounds are each one stacked numpy
+call for the whole batch, and each node keeps the bits it has when built
+alone. The qid2 rule takes its SU(2) steps stacked (`su2_logs`,
+`zoo.su2_programs`) from `_STACKED_SU2` residuals up and per residual
+below; the u1, bz and diagonal rules' scalar steps run per residual. A lone
 node is a batch of one, and the stages take its rows by index and its
 scales as Python floats, so it pays for no stack it does not need.
 
@@ -32,8 +34,9 @@ given a tree of the other kind raises ValueError.
 
 - Without a data state, `OutcomeTree(proc, target, rule)`, when each
   trajectory brings a fresh one (a Haar-random psi per trial):
-  `run_loop(tree, psi, max_rounds, rng)` samples one trajectory from psi,
-  computing each round afresh.
+  `run_loops(tree, states, max_rounds, draw)` samples one trajectory from
+  each state together and `run_loop(tree, psi, max_rounds, rng)` one from
+  psi, computing each round afresh.
 - With the state every trajectory starts from, `OutcomeTree(proc, target,
   rule, psi)`: `run_trials(tree, max_rounds, n, draw)` samples n
   trajectories together and `exact_walk(tree, n)` evaluates the first n
@@ -65,8 +68,12 @@ only when its subgroup is popped. Groups are popped from the top of the
 stack in batches, as many as have missing nodes within `_BATCH_BYTES`, and
 their nodes are built together. A node past the cap is then built once per
 call, not once per trajectory that reaches it, and only the nodes on the
-paths of pending groups and their rounds are alive. `run_loop` is the same
-walk with one trajectory, so the round step exists once.
+paths of pending groups and their rounds are alive. `run_loops` is the
+same walk from one state per trajectory: each trajectory is a group of its
+own at the root, so a pass of Haar-random states takes its first round in
+one stacked product over the root's branch operators, broadcast across the
+states, not copied. `run_loop` is that walk with one trajectory, so the
+round step exists once.
 
 The exact walk stores its own entry on each node of its chain (`_Exact`:
 amplitudes and probabilities by `np.einsum`, the success mass, the failure
@@ -104,7 +111,7 @@ from .processor import (
     decompose,  # noqa: F401 - re-exported: callers look it up in loops
     inverse_cdf,
 )
-from .qlinalg import SingularOperator, frobenius_rows, identity, inverses, per_row, su2_log
+from .qlinalg import SingularOperator, frobenius_rows, identity, inverses, per_row, su2_log, su2_logs
 
 # Failure branches with less probability mass than this cannot move a
 # 1e-12 comparison and are pruned from the exact tree.
@@ -130,6 +137,11 @@ _RETAINED_BYTES = 2 * 1024 * 1024
 # objects (about 2 KiB for qidN(2)), so a region's batches of qidN(2) nodes
 # take about a hundred.
 _BATCH_BYTES = 256 * 1024
+
+# Residuals from which the qid2 rule takes its SU(2) steps stacked (`su2_logs`, `zoo.su2_programs`) rather than one
+# at a time: per residual the stacked encode took 67 us at one, 36 at two, 26 at three (against 27 one at a time),
+# 20 at four and 4.6 at a hundred.
+_STACKED_SU2 = 3
 
 
 class SingularProgram(ValueError):
@@ -344,7 +356,8 @@ def qid2_rule() -> CorrectionRule:
         # su2_log is the one unitarity check; it also rejects what a zero or overflowing m leaves
         with np.errstate(all="ignore"):
             u = m / np.sqrt((np.conjugate(m).transpose(0, 2, 1) @ m).trace(axis1=1, axis2=2).real / m.shape[1])[:, None, None]
-        # per residual: su2_log's and su2_program's numpy-scalar arithmetic costs less than stacked calls at small batches
+        if len(u) >= _STACKED_SU2:
+            return zoo.su2_programs(su2_logs(u)[0])
         return [zoo.su2_program(su2_log(u[k])[0]) for k in range(len(u))]
 
     def next_program(proc, target, residuals):
@@ -594,9 +607,9 @@ class OutcomeTree:
         """The round of each correctable node on its state: cached on a tree with a state, else a throwaway.
 
         The missing rounds are computed together: one stacked `ops @ state` and one `branch_probabilities`,
-        each with the bits of the node's round alone. When those nodes are, in order, every node of one batch,
-        the product reads the batch's stack of branch operators; otherwise their operators are stacked. A kept
-        node of a batch of more than one takes a copy of its amplitudes.
+        each with the bits of the node's round alone. The product reads the nodes' stack of branch operators
+        (`_batch_stack`), broadcast over the states. A cached round of a batch of more than one takes a copy
+        of its amplitudes.
         """
         out = [node.round for node in nodes]
         todo = [k for k, held in enumerate(out) if held is None]
@@ -605,15 +618,21 @@ class OutcomeTree:
         ops = _batch_stack([nodes[k] for k in todo])
         amps = np.matmul(ops, stacked([states[k] for k in todo])[:, None, :, None])[..., 0]
         for j, (k, probs) in enumerate(zip(todo, branch_probabilities(amps))):
-            held = out[k] = _Round(amps[j].copy() if nodes[k].kept and len(todo) > 1 else amps[j], probs)
-            if self.psi is not None:
-                nodes[k].round = held
+            if self.psi is None:
+                out[k] = _Round(amps[j], probs)
+            else:
+                out[k] = nodes[k].round = _Round(amps[j].copy() if nodes[k].kept and len(todo) > 1 else amps[j], probs)
         return out
 
 
 def _batch_stack(nodes: list[_Node]) -> np.ndarray:
-    """The (K, N, D, D) stack of the nodes' branch operators: their batch's own stack when they are its rows in order, else a copy."""
-    batch = nodes[0].batch
+    """The stack of the nodes' branch operators, to broadcast over their states: one node's, (1, N, D, D), when every
+    node is that node (the root of a pass of Haar-random states); their batch's own stack when they are its rows in
+    order; else a (K, N, D, D) copy."""
+    first = nodes[0]
+    if all(node is first for node in nodes):
+        return first.ops[None]
+    batch = first.batch
     if batch is not None and len(batch) == len(nodes) and all(node.batch is batch and node.row == k for k, node in enumerate(nodes)):
         return batch
     return stacked([node.ops for node in nodes])
@@ -628,11 +647,24 @@ def run_loop(tree: OutcomeTree, psi, max_rounds: int, rng: np.random.Generator) 
     proportional to target @ psi (up to global phase). Trajectories of one
     loop share its tree; the trace does not depend on what the tree holds.
     A tree built with a data state raises ValueError: `run_trials` walks
-    it. This is that walk with one trajectory, drawing from rng.
+    it. This is `run_loops` with one state, drawing from rng.
+    """
+    return run_loops(tree, data_state(tree.proc, psi)[None], max_rounds, lambda j: rng.random())[0]
+
+
+def run_loops(tree: OutcomeTree, states: np.ndarray, max_rounds: int, draw: Callable[[int], float]) -> list[LoopTrace]:
+    """`run_loop` from each row of the (n, D) stack of data states, sampled together on a tree built without one.
+
+    Trajectory j starts from states[j] and draws the uniform of each of its
+    rounds by draw(j), in round order; each row must be a normalized data
+    state. The trajectories' rounds at one node are computed together, so a
+    pass of Haar-random states takes its first round in one stacked product.
     """
     if tree.psi is not None:
         raise ValueError("a tree built with a data state is sampled by run_trials")
-    return _walk(tree, data_state(tree.proc, psi), max_rounds, 1, lambda j: rng.random())[0]
+    if states.ndim != 2 or states.shape[1] != tree.proc.data_dim:
+        raise ValueError("states must be an (n, D) stack of data states")
+    return _walk(tree, states, max_rounds, len(states), draw)
 
 
 def run_trials(tree: OutcomeTree, max_rounds: int, n: int, draw: Callable[[int], float]) -> list[LoopTrace]:
@@ -650,22 +682,27 @@ def run_trials(tree: OutcomeTree, max_rounds: int, n: int, draw: Callable[[int],
     return _walk(tree, tree.psi, max_rounds, n, draw)
 
 
-def _walk(tree: OutcomeTree, state: np.ndarray, max_rounds: int, n: int, draw: Callable[[int], float]) -> list[LoopTrace]:
-    """The sampled loop of n trajectories from `state`, depth first over their outcome histories.
+def _walk(tree: OutcomeTree, states: np.ndarray, max_rounds: int, n: int, draw: Callable[[int], float]) -> list[LoopTrace]:
+    """The sampled loop of n trajectories, depth first over their outcome histories.
 
-    A frame on the stack is one group: the trajectories that share an
-    outcome history, with the parent node, the branch drawn there, the
-    parent's round and the rounds so far. Popping a group builds its node,
-    draws each member's next uniform over the node's probabilities and
-    pushes one group per drawn branch that neither succeeded nor spent the
-    budget, to be popped in label order. Pending groups hold only parents
-    on the current path, so no other unretained node is alive.
+    `states` is the (D,) data state all n start from, or a (n, D) stack of
+    each one's. A frame on the stack is one group: the trajectories that
+    share an outcome history (and, at the root, a state), with the parent
+    node, the branch drawn there, the parent's round and the rounds so far.
+    Popping a group builds its node, draws each member's next uniform over
+    the node's probabilities and pushes one group per drawn branch that
+    neither succeeded nor spent the budget, to be popped in label order.
+    Pending groups hold only parents on the current path, so no other
+    unretained node is alive.
     """
     if max_rounds < 1:
         raise ValueError("max_rounds must be at least 1")
     labels, success = tree.basis.labels, tree.success
     out: list = [None] * n
-    stack: list[tuple] = [(None, 0, None, (), range(n))]
+    if states.ndim == 1:
+        roots, stack = states[None], [(None, 0, None, (), range(n))]
+    else:
+        roots, stack = states, [(None, 0, None, (), (j,)) for j in range(n - 1, -1, -1)]
     while stack:
         frames = [stack.pop()]
         room = _BATCH_BYTES - _need(tree, frames[0])
@@ -678,8 +715,9 @@ def _walk(tree: OutcomeTree, state: np.ndarray, max_rounds: int, n: int, draw: C
                 _end(out, frame[4], frame[2], frame[1], frame[3], "uncorrectable")
             else:
                 live.append((node, frame[3], frame[4]))
-        helds = tree.rounds_at([node for node, _, _ in live], [rounds[-1].post_state if rounds else state for _, rounds, _ in live])
-        for (node, rounds, group), held in zip(live, helds):
+        helds = tree.rounds_at([node for node, _, _ in live], [rounds[-1].post_state if rounds else roots[group[0]] for _, rounds, group in live])
+        for k, (node, rounds, group) in enumerate(live):
+            held, helds[k] = helds[k], None  # a round no pending group holds is freed at once
             probs = held.probs
             split: dict[int, list[int]] = {}
             for j in group:

@@ -300,6 +300,22 @@ def su2_program(mu) -> ProgramState:
     return ProgramState(ket=k, encoding="su2", params={"mu": tuple(mu.tolist())})
 
 
+def su2_programs(mus: np.ndarray) -> list[ProgramState]:
+    """`su2_program` of each row of the (K, 3) float stack, from stacked calls, each with the bits of its row alone.
+
+    Every step is the numpy ufunc `su2_program` calls on a scalar, which matches it row for row (see `su2_logs`).
+    """
+    m = np.array(qlinalg.frobenius_rows(mus))
+    xis = bell_basis()
+    y = np.pi * (m / np.pi)
+    with np.errstate(all="ignore"):  # a row with y == 0 takes sinc 1
+        sinc = np.where(y != 0, np.sin(y) / y, 1.0)
+    turn = np.zeros(len(mus), dtype=complex)
+    turn.imag = sinc  # 1j * sinc
+    k = np.cos(m)[:, None] * xis[0] + turn[:, None] * (mus[:, :1] * xis[1] + mus[:, 1:2] * xis[2] + mus[:, 2:] * xis[3])
+    return [ProgramState(ket=k[r], encoding="su2", params={"mu": tuple(mu)}) for r, mu in enumerate(mus.tolist())]
+
+
 @lru_cache(maxsize=None)
 def qid2_basis() -> ProgramBasis:
     """Measurement basis {|0>|+>, |0>|->, |1>|+>, |1>|->} with |+-> = (|0> +- |1>)/sqrt(2)."""

@@ -36,7 +36,8 @@ REAL = st.floats(-2.5, 2.5, allow_nan=False)
 COMPLEX = st.one_of(REAL, st.lists(REAL, min_size=2, max_size=2))
 HUGE_OR_TINY = st.sampled_from([0, 1e-160, 1e160, 1e300])
 # Per integer key, the values past its bound that are drawn (the size cap, cli._MAX_ROUNDS,
-# cli._MAX_TRIALS); "grid" holds grid sizes past cli._MAX_POINTS, run as explicit cases only.
+# cli._MAX_TRIALS); "grid" holds grid sizes past cli._MAX_POINTS and "sweep trials" sweeps whose grid points times
+# trials pass cli._MAX_TRIALS, each factor within its own cap, both run as explicit cases only.
 PAST = {
     "n_program": [513, 2**70],
     "dim": [33, 2**70],
@@ -46,6 +47,7 @@ PAST = {
     "max_rounds": [10**20],
     "trials": [cli._MAX_TRIALS + 1, 10**12],
     "grid": [cli._MAX_POINTS + 1],
+    "sweep trials": [2 * (cli._MAX_TRIALS // 2 + 1), cli._MAX_POINTS * cli._MAX_TRIALS],
 }
 HUGE_SEED = 2**1100  # a seed of any size from 0 is valid
 
@@ -168,6 +170,7 @@ _READERS = {
     "max_rounds": [("sample", "qid2", "top", {})],
     "trials": [("sample", "u1", "top", {}), ("sweep", "bz", "top", {"z": [0.5]})],
     "grid": [("sweep", "bz", "points", {"z": [0.5]})],
+    "sweep trials": [("sweep", "bz", "product", {"z": [0.5]})],
 }
 
 
@@ -181,6 +184,10 @@ def test_values_past_a_bound_exit_2(key, value, command, experiment, where, grid
         config[key] = value
     elif where == "points":  # a grid of that many points
         config["grid"]["n_program"] = [2] * value
+    elif where == "product":  # as few points as take that many trials, each within both caps
+        points = max(2, -(-value // cli._MAX_TRIALS))
+        config["grid"]["n_program"], config["trials"] = [2] * points, value // points
+        assert points * config["trials"] == value and points <= cli._MAX_POINTS
     elif where == "grid":
         config["grid"][key] = [value]
     else:

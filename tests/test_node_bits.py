@@ -12,7 +12,10 @@ stack of nodes at once: the residual products and their norms, the
 inverses, each family's rule, the branch operators and the rounds; and the
 exact walk came to take the entries, collapse tests and children's residuals
 and states of a whole level of nodes in stacked calls, and to fold the levels
-bottom up. The implementations they replaced are kept here as oracles, each
+bottom up; the qid2 rule came to take a batch's SU(2) steps stacked
+(`qlinalg.su2_logs`, `zoo.su2_programs`), checked row by row against
+`su2_log` and `su2_program` on Haar unitaries and on every branch of
+`su2_log`. The implementations they replaced are kept here as oracles, each
 building one node at a time, and every float the stacked stages produce must match the
 oracles' bit for bit: on real trees of all six loop families, each tree
 level built as one batch, on stacks of 1 to 63 residuals with an
@@ -856,3 +859,121 @@ def test_qid2_rule_keeps_its_bits(mu, scale, noise, seed):
             assert all(_same_bits(x, y) for x, y in zip(_params_record(new[1].params), _params_record(old[1].params)))
         else:
             assert new[1:] == old[1:]
+
+
+# ---------------------------------------------------------------------------
+# Stacked SU(2) steps: su2_logs and su2_programs row by row
+# ---------------------------------------------------------------------------
+#
+# Measured with numpy 2.4.6 on an AVX-512 Xeon: numpy's complex array multiply differs from its scalar multiply
+# (the u[0, 0] * u[1, 1] of `su2_log`) in 8818 of 20000 products of Haar-unitary entries, while det formed from
+# real parts matched all 20000; `math.atan2` differs from `np.arctan2` in 1508 of 20000 cases. So `su2_logs` forms
+# det from real parts and keeps every other step in numpy, and these tests hold it to the scalar steps' bits.
+
+def _su2_edge_rows() -> list:
+    """Unitaries at each branch of `su2_log`: s <= 1e-12 with a0 above and below 0, |mu| = pi, arg det at -pi and pi."""
+    with np.errstate(all="ignore"):
+        rows = [
+            np.eye(2), np.exp(0.3j) * np.eye(2), qlinalg.su2_exp([1e-13, 0.0, 0.0]), qlinalg.su2_exp([0.0, 0.0, -1e-300]),  # |mu| -> 0
+            -np.eye(2), qlinalg.su2_exp([np.pi, 0.0, 0.0]), qlinalg.su2_exp([0.0, -np.pi, 0.0]), np.exp(-2.0j) * qlinalg.su2_exp([0.0, 0.0, np.pi]),  # |mu| = pi
+            np.diag([1j, 1j]), np.diag([-1j, -1j]), np.diag([1.0, -1.0]), 1j * qlinalg.SIGMA_X, -1j * qlinalg.SIGMA_Y,  # det -1, as +pi and -pi
+            np.exp(0.5j * (np.pi - 1e-13)) * qlinalg.su2_exp([0.3, 0.1, -0.2]), np.exp(-0.5j * (np.pi - 1e-13)) * qlinalg.su2_exp([0.3, 0.1, -0.2]),
+            np.exp(0.5j * np.pi) * qlinalg.su2_exp([0.0, 1.0, 0.0]), np.exp(-0.5j * np.pi) * qlinalg.su2_exp([1.0, 0.0, 0.0]),
+            qlinalg.SIGMA_X, qlinalg.SIGMA_Y, 1j * qlinalg.SIGMA_Z, np.diag([1j, -1j]), np.diag([-1j, 1j]),
+        ]
+    return [np.asarray(u, dtype=complex) for u in rows]
+
+
+def _signed_zero_unitaries() -> np.ndarray:
+    """Every unitary whose entries have real and imaginary parts in {0, -0, 1, -1}: the signs of zeros that su2_log's
+    complex divisions and sums keep reach mu."""
+    parts = [0.0, -0.0, 1.0, -1.0]
+    entries = np.array([complex(x, y) for x in parts for y in parts])
+    grid = np.stack(np.meshgrid(entries, entries, entries, entries, indexing="ij"), -1).reshape(-1, 2, 2)
+    deviation = np.linalg.norm(np.conjugate(grid).transpose(0, 2, 1) @ grid - np.eye(2), axis=(1, 2))
+    return grid[deviation <= 1e-8]
+
+
+def _su2_stack(k: int, seed: int) -> np.ndarray:
+    """k Haar unitaries, each with a global phase and some with noise inside su2_log's check, then the edge rows."""
+    rng = derive_stream(seed, 14)
+    us = np.array([random_unitary(2, rng) * np.exp(1j * rng.uniform(-np.pi, np.pi)) for _ in range(k)])
+    us[::3] += _complex_array(rng, (len(us[::3]), 2, 2), 1e-10)
+    return np.concatenate([us, _signed_zero_unitaries(), np.array(_su2_edge_rows())])
+
+
+def _assert_program_rows(programs, mus) -> None:
+    assert len(programs) == len(mus)
+    for new, mu in zip(programs, mus):
+        old = zoo.su2_program(mu)
+        assert _same_bits(new.ket, old.ket) and new.encoding == old.encoding
+        assert all(_same_bits(x, y) for x, y in zip(_params_record(new.params), _params_record(old.params)))
+
+
+def test_su2_logs_and_programs_keep_each_rows_bits_on_haar_unitaries_and_edge_rows():
+    us = _su2_stack(2000, 0)
+    mus, phases = qlinalg.su2_logs(us)
+    assert mus.shape == (len(us), 3) and phases.shape == (len(us),)
+    for u, mu, phase in zip(us, mus, phases):
+        old_mu, old_phase = qlinalg.su2_log(u)
+        assert _same_bits(mu, old_mu) and _same_bits(phase, np.float64(old_phase))
+    _assert_program_rows(zoo.su2_programs(mus), mus)
+    # the edge rows reach every branch: |mu| 0 (y == 0 in su2_programs) and pi, and arg det past pi - 1e-12 and at -pi
+    norms = np.linalg.norm(mus[-len(_su2_edge_rows()) :], axis=1)
+    assert (norms == 0).any() and (norms == np.pi).any()
+    angles = [float(np.angle(u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0])) for u in _su2_edge_rows()]
+    assert any(np.pi - 1e-12 <= a < np.pi for a in angles) and np.pi in angles and -np.pi in angles
+
+
+@settings(max_examples=100)
+@given(mus=st.lists(_MU, min_size=1, max_size=8))
+def test_su2_programs_keep_each_rows_bits_at_zero_and_tiny_norms(mus):
+    """Rows whose y = pi (|mu| / pi) is 0 (|mu| 0, or so small that |mu| / pi underflows), signed zeros and tiny norms."""
+    _assert_program_rows(zoo.su2_programs(np.array(mus, dtype=float).reshape(-1, 3)), mus)
+
+
+def test_su2_programs_take_sinc_1_where_y_is_0():
+    mus = np.array([[0.0, 0.0, 0.0], [5e-324, 0.0, 0.0], [-0.0, 1e-320, -0.0], [0.2, -0.5, 0.9]])
+    y = np.pi * (np.linalg.norm(mus, axis=1) / np.pi)
+    assert (y[:3] == 0).all() and y[3] != 0
+    _assert_program_rows(zoo.su2_programs(mus), mus)
+
+
+@pytest.mark.parametrize("noise", [2e-8, 1e-3, np.nan])
+def test_su2_logs_raises_not_unitary_as_su2_log_does(noise):
+    """A row past su2_log's 1e-8 check fails the stack with su2_log's NotUnitary, wherever it sits."""
+    us = _su2_stack(5, 1)
+    for where in (0, 3, len(us) - 1):
+        bad = us.copy()
+        bad[where, 0, 1] += noise
+        with pytest.raises(qlinalg.NotUnitary) as alone:
+            for u in bad:
+                qlinalg.su2_log(u)
+        with pytest.raises(qlinalg.NotUnitary) as stacked:
+            qlinalg.su2_logs(bad)
+        assert str(stacked.value) == str(alone.value)
+    with pytest.raises(qlinalg.NotUnitary, match="2x2 unitary"):
+        qlinalg.su2_logs(np.eye(3, dtype=complex)[None])
+
+
+@pytest.mark.parametrize("k", [3, 4, 20, 100])
+def test_qid2_rule_encodes_a_stack_as_each_residual_alone(k):
+    """The qid2 rule's stacked encode, on Haar residuals with I first and a singular one in the middle, equals the
+    one-residual oracle row by row; a non-unitary residual raises the oracle's NotUnitary."""
+    rng = derive_stream(k, 15)
+    proc, rule, target = zoo.qid2(), loops.qid2_rule(), qlinalg.su2_exp([0.2, -0.5, 0.9])
+    residuals = _residuals("qid2", proc, k, rng)
+    programs = rule.next_program(proc, target, residuals)
+    for program, r in zip(programs, residuals):
+        old = _outcome(lambda x: _old_qid2_next_program(proc, target, x), r)
+        if not old[0]:
+            assert (type(program), str(program)) == old[1:]
+            continue
+        assert _same_bits(program.ket, old[1].ket)
+        assert all(_same_bits(x, y) for x, y in zip(_params_record(program.params), _params_record(old[1].params)))
+    residuals[k - 1] = np.diag([1.0, 0.5])
+    old = _outcome(lambda x: _old_qid2_next_program(proc, target, x), residuals[k - 1])
+    assert old[1] is qlinalg.NotUnitary
+    with pytest.raises(qlinalg.NotUnitary) as stacked:
+        rule.next_program(proc, target, residuals)
+    assert str(stacked.value) == old[2]

@@ -5,7 +5,10 @@ chunk's trials as groups that share an outcome history (`loops.run_trials`),
 each trial drawing its uniforms from `streams.uniform_draws`. Trial t's trace
 must be, byte for byte, post-states and status included, that of `run_loop`
 alone on derive_stream(seed, e, t + 1): whatever the outcome tree retains
-and however the trials fall into chunks.
+and however the trials fall into chunks. A Haar-random state per trial
+(`bz_haar`) is drawn from the trial's stream before its one uniform, and a
+stream pass of such trials is walked together (`loops.run_loops`); each
+trace must again be `run_loop`'s on that state and stream.
 """
 import itertools
 import json
@@ -21,7 +24,7 @@ from hypothesis import strategies as st
 from qproc import cli, loops, streams, zoo
 from qproc.cli import ExperimentConfig, run_sample, run_sweep, trace_to_dict
 from qproc.loops import LoopTrace, OutcomeTree, SingularProgram, run_loop, run_trials
-from qproc.qlinalg import random_unitary
+from qproc.qlinalg import random_state, random_unitary
 from qproc.streams import derive_stream, trial_indices, uniform_draws
 
 
@@ -183,6 +186,19 @@ def test_trials_sampled_together_need_a_tree_with_a_state():
         run_trials(OutcomeTree(zoo.u1_cnot(), zoo.u1_operator(0.3), loops.u1_rule(), np.array([0.6, 0.8])), 0, n, draw)
 
 
+def test_trials_from_a_state_each_need_a_tree_without_one_and_a_stack_of_states():
+    states = np.array([[0.6, 0.8], [1.0, 0.0]], dtype=complex)
+    with pytest.raises(ValueError, match="run_trials"):
+        loops.run_loops(OutcomeTree(zoo.u1_cnot(), zoo.u1_operator(0.3), loops.u1_rule(), states[0]), states, 2, lambda j: 0.5)
+    tree = OutcomeTree(zoo.u1_cnot(), zoo.u1_operator(0.3), loops.u1_rule())
+    for bad in (states[0], states[:, :1], np.ones((2, 3), dtype=complex)):
+        with pytest.raises(ValueError, match=r"\(n, D\)"):
+            loops.run_loops(tree, bad, 2, lambda j: 0.5)
+    with pytest.raises(ValueError, match="max_rounds"):
+        loops.run_loops(tree, states, 0, lambda j: 0.5)
+    assert [t.rounds_used for t in loops.run_loops(tree, states, 2, lambda j: 0.75)] == [2, 2]
+
+
 # Batch budgets: every batch of one, the default, and one that takes every pending group at once.
 _BATCHES = (0, loops._BATCH_BYTES, 10**18)
 
@@ -197,22 +213,44 @@ _BATCHES = (0, loops._BATCH_BYTES, 10**18)
 )
 def test_batch_size_moves_no_byte(family, data, max_rounds, trials, seed):
     """Traces and exact values are byte-identical whether the walks build nodes one at a time or in batches of any size,
-    with every node kept or none."""
-    if family == "bz_haar":  # a Haar state per trial: one round, run_loop on a tree without a state
+    with every node kept or none; for qid2 also whether each batch's SU(2) steps are stacked or taken one residual at a
+    time, and for bz_haar whatever the number of trials whose Haar states share a pass."""
+    if family == "bz_haar":  # a Haar state per trial: one round, run_loops on a tree without a state
         params, max_rounds = {"z": _complex(data.draw), "n_program": data.draw(st.integers(2, 4))}, 1
     else:
         params = data.draw(_sample_params(family))
         max_rounds = _rounds(params, max_rounds)
     cfg = ExperimentConfig(family, params=params, max_rounds=max_rounds, trials=trials, seed=seed)
+    cases = [(retained, batch, loops._STACKED_SU2, cli.CHUNK) for retained in (0, loops._RETAINED_BYTES) for batch in _BATCHES]
+    if family == "qid2":  # every batch stacked, and none
+        cases += [(loops._RETAINED_BYTES, batch, stacked, cli.CHUNK) for batch in _BATCHES for stacked in (1, 10**9)]
+    if family == "bz_haar":  # passes of one trial and of seven
+        cases += [(loops._RETAINED_BYTES, loops._BATCH_BYTES, loops._STACKED_SU2, chunk) for chunk in (1, 7)]
     seen = set()
-    for retained in (0, loops._RETAINED_BYTES):
-        for batch in _BATCHES:
-            with mock.patch.object(loops, "_RETAINED_BYTES", retained), mock.patch.object(loops, "_BATCH_BYTES", batch):
-                payload = run_sample(cfg)
-                tree, _ = cli._loop_setup(cfg)
-                exact = loops.exact_walk(tree, max_rounds) if tree.psi is not None else None
-            seen.add((tuple(_trace_bytes(t) for t in payload["traces"]), json.dumps(payload["summary"]), exact))
+    for retained, batch, stacked, chunk in cases:
+        with mock.patch.multiple(loops, _RETAINED_BYTES=retained, _BATCH_BYTES=batch, _STACKED_SU2=stacked), mock.patch.object(cli, "CHUNK", chunk):
+            payload = run_sample(cfg)
+            tree, _ = cli._loop_setup(cfg)
+            exact = loops.exact_walk(tree, max_rounds) if tree.psi is not None else None
+        seen.add((tuple(_trace_bytes(t) for t in payload["traces"]), json.dumps(payload["summary"]), exact))
     assert len(seen) == 1
+
+
+def test_haar_trials_sampled_a_pass_at_a_time_equal_run_loop_one_at_a_time():
+    """A bz_haar sample's traces (outcome, probability and post-state bits included) equal `run_loop`'s on each
+    trial's Haar state and stream, one trial at a time, over passes cut short, whole and split."""
+    cfg = ExperimentConfig("bz_haar", params={"z": [0.4, 0.9], "n_program": 3}, max_rounds=1, trials=300, seed=19, experiment_index=2)
+    tree, _ = cli._loop_setup(cfg)
+    alone = [
+        run_loop(OutcomeTree(tree.proc, tree.target, tree.rule), random_state(tree.proc.data_dim, rng), 1, rng)
+        for rng in streams.reseeded((cfg.seed, cfg.experiment_index), trial_indices(cfg.trials))
+    ]
+    assert {t.status for t in alone} == {"succeeded", "exhausted"}
+    for chunk in (cli.CHUNK, 128, 1):
+        with mock.patch.object(cli, "CHUNK", chunk):
+            traces = run_sample(cfg)["traces"]
+        assert [_trace_bytes(t) for t in traces] == [_trace_bytes(t) for t in alone]
+        assert all(a.rounds[0].probability == b.rounds[0].probability for a, b in zip(traces, alone))
 
 
 def _peak_bytes(tree, trials: int) -> int:
