@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import cmath
-import collections
 import csv
 import functools
 import io
@@ -323,151 +322,180 @@ def trace_to_dict(trace: loops.LoopTrace) -> dict:
     }
 
 
-def _json_float(x: float) -> str:
-    return float.__repr__(x) if math.isfinite(x) else json.dumps(x)
+class _NoTemplate(Exception):
+    """A value that no template reproduces exactly; `_render` writes it with json.dumps."""
 
 
-# Scalar renderers that match json's own: ASCII-escaped strings, float repr.
-_SCALAR_JSON = {
-    str: encode_basestring_ascii,
-    float: _json_float,
-    bool: lambda b: "true" if b else "false",
-    int: int.__repr__,
-}
+def _layout(value, args: list):
+    """A hashable layout of value, whose scalars are appended to args in text order.
 
-
-# Classes json.dumps renders as they are (dicts only with plain values).
-_PLAIN = frozenset({dict, list, str, int, float, bool, type(None)})
-
-
-def _float_grid(value: list) -> tuple[tuple[int, ...], list[float]] | None:
-    """Shape and flat elements of a rectangular nested list of finite floats, else None."""
-    shape = []
-    items, kinds = [value], {list}
-    while kinds == {list}:
-        lengths = set(map(len, items))
-        if len(lengths) != 1 or 0 in lengths:
-            return None
-        shape.append(lengths.pop())
-        items = list(itertools.chain.from_iterable(items))
-        kinds = set(map(type, items))
-    # A finite sum means no inf or nan; an overflowing one only costs the fallback.
-    if kinds != {float} or not math.isfinite(sum(items)):
-        return None
-    return tuple(shape), items
-
-
-def _grid_template(shape: tuple[int, ...], pad: str) -> str:
-    """json.dumps(indent=2) layout of a float grid of this shape at `pad`, one %r per float."""
-    if not shape:
-        return "%r"
-    inner = pad + "  "
-    item = _grid_template(shape[1:], inner)
-    return "[\n" + inner + (",\n" + inner).join([item] * shape[0]) + "\n" + pad + "]"
-
-
-def _json_at(value, pad: str, templates: dict) -> str:
-    """json.dumps(_jsonify(value), indent=2) for a value nested `len(pad)` spaces in.
-
-    Dicts with string keys are walked key by key, and a rectangular nested
-    list of finite floats, or a complex array as its [re, im] pairs, is one
-    %-format of a template kept in `templates` by (shape, pad); %r of a
-    float is float.__repr__, json's own float form. Other values go through
-    `_jsonify` and json.dumps: raw newlines cannot occur inside JSON
-    strings, so shifting every line break by `pad` is exact.
+    A layout is a %-format slot ("%r" for a finite float, "%d" for an int,
+    "%s" for a string, which goes to args already JSON-encoded), a literal
+    ("true", "false", "null"), ("list", item layouts), ("dict", keys, value
+    layouts) or ("grid", shape), the floats of a complex array as `_jsonify`
+    nests its [re, im] pairs; a complex is the list of its two parts.
+    Classes are matched exactly, so numpy scalars, float and str subclasses,
+    non-finite floats and empty containers raise _NoTemplate (and non-str
+    keys do in `_template`).
     """
-    scalar = _SCALAR_JSON.get(value.__class__)
-    if scalar is not None:
-        return scalar(value)
-    if value.__class__ is dict and value and all(k.__class__ is str for k in value):
-        inner = pad + "  "
-        fields = (encode_basestring_ascii(k) + ": " + _json_at(v, inner, templates) for k, v in value.items())
-        return "{\n" + inner + (",\n" + inner).join(fields) + "\n" + pad + "}"
-    if value.__class__ is np.ndarray and value.dtype.kind == "c":  # _float_grid(_jsonify(value)), from the array
+    cls = value.__class__
+    if cls is float:
+        if not math.isfinite(value):
+            raise _NoTemplate
+        args.append(value)
+        return "%r"
+    if cls is str:
+        args.append(encode_basestring_ascii(value))
+        return "%s"
+    if cls is int:
+        args.append(value)
+        return "%d"
+    if cls is bool:
+        return "true" if value else "false"
+    if value is None:
+        return "null"
+    if cls is list or cls is tuple:
+        if not value:
+            raise _NoTemplate
+        return ("list", tuple([_layout(v, args) for v in value]))
+    if cls is dict:
+        if not value:
+            raise _NoTemplate
+        return ("dict", tuple(value), tuple([_layout(v, args) for v in value.values()]))
+    if cls is complex:
+        return _layout([value.real, value.imag], args)
+    if cls is np.ndarray and value.dtype.kind == "c":
         # [re, im] pairs in C order; no copy of a C-contiguous complex128 array, and widening or byte-swapping is exact
         items = np.asarray(value, dtype=np.complex128, order="C").reshape(-1).view(np.float64).tolist()
-        grid = (value.shape + (2,), items) if items and math.isfinite(sum(items)) else None
-    elif value.__class__ is list:
-        grid = _float_grid(value)
-    elif value.__class__ in _PLAIN:
-        grid = None
+        # A finite sum means no inf or nan; an overflowing one only costs the fallback.
+        if not items or not math.isfinite(sum(items)):
+            raise _NoTemplate
+        args += items
+        return ("grid", value.shape + (2,))
+    raise _NoTemplate
+
+
+def _template(layout, pad: str) -> str:
+    """json.dumps(indent=2) text of a value of this layout nested `len(pad)` spaces in, one %-slot per scalar."""
+    if layout.__class__ is str:
+        return layout
+    inner = pad + "  "
+    kind = layout[0]
+    if kind == "grid":
+        shape = layout[1]
+        item = _template(("grid", shape[1:]), inner) if len(shape) > 1 else "%r"
+        items, brackets = [item] * shape[0], "[]"
+    elif kind == "list":
+        items, brackets = [_template(item, inner) for item in layout[1]], "[]"
     else:
-        return _json_at(_jsonify(value), pad, templates)
-    if grid is not None:
-        shape, items = grid
-        template = templates.get((shape, pad))
+        keys, brackets = layout[1], "{}"
+        # json.dumps turns a non-str key into a string (1 to "1", True to "true"); a key's own "%" is not a slot
+        if not all(k.__class__ is str for k in keys):
+            raise _NoTemplate
+        items = [encode_basestring_ascii(k).replace("%", "%%") + ": " + _template(v, inner) for k, v in zip(keys, layout[2])]
+    return brackets[0] + "\n" + inner + (",\n" + inner).join(items) + "\n" + pad + brackets[1]
+
+
+def _render(frame: str, values: tuple, pad: str, templates: dict) -> str:
+    """frame % (json.dumps(_jsonify(v), indent=2) of each value, nested `len(pad)` spaces in).
+
+    The frame is a fixed text with one %s per value and no other %. The
+    values' layouts select a template, kept in `templates` by (frame,
+    layouts, pad), and one %-format fills it with their scalars; %r of a
+    float is float.__repr__, json's own float form. Values that no template
+    reproduces go through `_jsonify` and json.dumps: raw newlines cannot
+    occur inside JSON strings, so shifting every line break by `pad` is
+    exact.
+    """
+    args: list = []
+    try:
+        layouts = tuple([_layout(v, args) for v in values])
+        template = templates.get((frame, layouts, pad))
         if template is None:
-            template = templates[shape, pad] = _grid_template(shape, pad)
-        return template % tuple(items)
-    return json.dumps(_jsonify(value), indent=2).replace("\n", "\n" + pad)
+            template = templates[frame, layouts, pad] = frame % tuple([_template(layout, pad) for layout in layouts])
+    except _NoTemplate:
+        return frame % tuple([json.dumps(_jsonify(v), indent=2).replace("\n", "\n" + pad) for v in values])
+    return template % tuple(args)
 
 
-_PAD_ROUND = " " * 10
-_PAD_TRACE = " " * 6
+# Text of about this many characters leaves `sample_json` as one piece; only tests change it.
+TEXT_CHUNK = 1 << 16
+
+# Frames of the trace file, each filled by `_render`; the head of every trace
+# but the first, and of every round but a trace's first, follows a comma.
+_HEAD = '{\n  "config": %s,\n  "traces": ['
+_TRACE_HEAD = '\n    {\n      "rounds": ['
+_NEXT_TRACE_HEAD = "," + _TRACE_HEAD
 _ROUND_HEAD = '\n        {\n          "program_params": '
+_NEXT_ROUND_HEAD = "," + _ROUND_HEAD
+_PAD_ROUND = " " * 10
 _ROUND_TAIL = ',\n          "outcome": %s,\n          "prob": %s\n        }'
-_TRACE_JSON = (
-    '\n    {\n      "rounds": [%s],\n      "succeeded": %s,\n      "status": %s,\n      "rounds_used": %s\n    }'
-)
+_PAD_TRACE = " " * 6
+_TRACE_TAIL = '],\n      "succeeded": %s,\n      "status": %s,\n      "rounds_used": %s\n    }'
+_TAIL = '],\n  "summary": %s\n}\n'
 
 
 def sample_json(payload: dict) -> Iterator[str]:
     """json.dumps({**payload, "traces": [trace_to_dict(t) for t in payload["traces"]]}, indent=2) + "\\n" in pieces.
 
-    The pieces are the config head, one per trace and the summary tail, so
-    `cmd_sample` writes the file as it is rendered and never holds it whole.
-    json's indenting encoder runs in pure Python. This writer renders each
-    distinct LoopTrace of a `run_sample` payload once, and in it each
-    distinct program's params and each distinct LoopRound's outcome/prob
-    tail once: with a fixed data state the outcome tree hands trajectories
-    of one outcome history the same objects. A trace's text is kept only
-    until its last occurrence, counted up front. Fixed templates give the
-    per-round and per-trace fields, and `_json_at` every value, its float
-    grid templates (a weyl program's complex block, a config's target)
-    built once per shape and depth in this call; a program's complex array
-    params (a weyl block) fill theirs from one flat list of the floats that
-    `_jsonify` would nest, in the same order. Whole round texts are not
-    kept: that would hold every program's params text a second time. It
-    relies on the payload's key order: config, traces, summary.
+    The pieces are the config head, then the traces in chunks of whole
+    traces, each yielded once it reaches `TEXT_CHUNK` characters (so a
+    chunk exceeds that by less than its last trace's text, and only the
+    last chunk is shorter), then the summary tail; `cmd_sample` writes each
+    piece before the next is made. A chunk is one join of texts rendered
+    once per command: the fixed trace and round heads, each distinct
+    program's params, each distinct LoopRound's outcome/prob tail and each
+    distinct (succeeded, status, rounds_used) trace tail. With a fixed data
+    state the outcome tree hands trajectories of one outcome history the
+    same round objects, so a repeated trace costs a few list appends and
+    copies no text until its chunk is joined. Every value is rendered by
+    `_render`; a program's params and its encoding are one value. It relies
+    on the payload's key order: config, traces, summary.
     """
-    templates: dict[tuple, str] = {}
-    # Keyed by id: the payload keeps every trace, round and program alive while this runs.
+    render = functools.partial(_render, templates={})
+    # Keyed by id: the payload keeps every round and program alive while this runs.
     params_text: dict[int, str] = {}
     tail_text: dict[int, str] = {}
-    trace_text: dict[int, str] = {}
-    json_at = functools.partial(_json_at, templates=templates)
+    trace_tail: dict[tuple, str] = {}
 
-    def round_json(r: loops.LoopRound) -> str:
-        params = params_text.get(id(r.program))
-        if params is None:
-            params = params_text[id(r.program)] = json_at({"encoding": r.program.encoding, **r.program.params}, _PAD_ROUND)
-        tail = tail_text.get(id(r))
-        if tail is None:
-            tail = tail_text[id(r)] = _ROUND_TAIL % (json_at(r.outcome, _PAD_ROUND), json_at(r.probability, _PAD_ROUND))
-        return _ROUND_HEAD + params + tail
+    def params_json(program: ProgramState) -> str:
+        text = params_text[id(program)] = render("%s", ({"encoding": program.encoding, **program.params},), _PAD_ROUND)
+        return text
 
-    def trace_json(t: loops.LoopTrace) -> str:
-        rounds = ",".join(map(round_json, t.rounds))
-        return _TRACE_JSON % (
-            rounds + "\n      " if rounds else "",
-            json_at(t.succeeded, _PAD_TRACE),
-            json_at(t.status, _PAD_TRACE),
-            json_at(t.rounds_used, _PAD_TRACE),
-        )
+    def tail_json(r: loops.LoopRound) -> str:
+        text = tail_text[id(r)] = render(_ROUND_TAIL, (r.outcome, r.probability), _PAD_ROUND)
+        return text
 
     traces = payload["traces"]
-    left = collections.Counter(map(id, traces))
-    yield '{\n  "config": ' + json_at(payload["config"], "  ") + ',\n  "traces": ['
-    sep = ""
+    yield render(_HEAD, (payload["config"],), "  ")
+    chunk: list[str] = []
+    append, extend = chunk.append, chunk.extend
+    size, head, head_chars = 0, _TRACE_HEAD, len(_NEXT_ROUND_HEAD)
     for t in traces:
-        key = id(t)
-        text = trace_text.pop(key, None) or trace_json(t)
-        left[key] -= 1
-        if left[key]:
-            trace_text[key] = text
-        yield sep + text
-        sep = ","
-    yield ("\n  " if traces else "") + '],\n  "summary": ' + json_at(payload["summary"], "  ") + "\n}\n"
+        append(head)
+        first = len(chunk)
+        for r in t.rounds:
+            params = params_text.get(id(r.program)) or params_json(r.program)
+            tail = tail_text.get(id(r)) or tail_json(r)
+            extend((_NEXT_ROUND_HEAD, params, tail))
+            size += head_chars + len(params) + len(tail)
+        if len(chunk) > first:
+            chunk[first] = _ROUND_HEAD
+            size -= 1
+        key = (t.succeeded, t.status, t.rounds_used)
+        tail = trace_tail.get(key)
+        if tail is None:
+            tail = trace_tail[key] = ("\n      " if t.rounds_used else "") + render(_TRACE_TAIL, key, _PAD_TRACE)
+        append(tail)
+        size += len(head) + len(tail)
+        head = _NEXT_TRACE_HEAD
+        if size >= TEXT_CHUNK:
+            yield "".join(chunk)
+            chunk.clear()
+            size = 0
+    if chunk:
+        yield "".join(chunk)
+    yield ("\n  " if traces else "") + render(_TAIL, (payload["summary"],), "  ")
 
 
 # ---------------------------------------------------------------------------

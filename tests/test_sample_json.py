@@ -1,14 +1,16 @@
 """The `sample` trace writer: its joined pieces are json.dumps of the payload with trace_to_dict traces, + "\\n"."""
+import collections
 import json
+import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qproc import loops
-from qproc.cli import SAMPLE_EXPERIMENTS, ExperimentConfig, _float_grid, run_sample, sample_json, trace_to_dict
+from qproc import cli, loops
+from qproc.cli import SAMPLE_EXPERIMENTS, ExperimentConfig, _layout, _NoTemplate, round_to_dict, run_sample, sample_json, trace_to_dict
 from qproc.loops import LoopRound, LoopTrace
 from qproc.processor import ProgramState
 
@@ -151,6 +153,34 @@ HAND_BUILT = {
         "traces": [_trace([_round(SHARED, prob=np.float64(0.25))])],
         "summary": {**SUMMARY, "exact": np.float64(0.75)},
     },
+    "percent-signs": {
+        # A key is part of a template, so its "%" is escaped; a string value is a %-argument and is not.
+        "config": {**CONFIG, "params": {"%": "%s", "%(x)s": [0.5, "%(y)s"], "a%%b": {"%d": 1.0}}},
+        "traces": [_trace([_round({"%(x)s": "%s", "%": (0.25, "%r"), "k%s": {"%%": 2}}, outcome="%s")], "%(status)s")],
+        "summary": SUMMARY,
+    },
+    "numpy-float64-beside-floats": {
+        "config": {**CONFIG, "params": {"alpha": 0.3, "beta": np.float64(0.7), "z": [0.5, np.float64(-0.0)]}},
+        "traces": [_trace([_round({"mu": (0.2, np.float64(-0.5), 0.9)}), _round({"mu": (0.2, -0.5, 0.9)})])],
+        "summary": SUMMARY,
+    },
+    "bools-and-ints-in-float-tuples": _params_payload(
+        {"mu": (0.5, True, 2, -0.0), "d": ([1.0, False], (3, 0.25)), "n": [0, 1.5, None]}
+    ),
+    "one-layout-at-two-pads": {
+        # The config, the summary and the program's params share one layout, written at 2 and at 10 spaces.
+        "config": {"encoding": "raw", "a": [1.0, 2.0]},
+        "traces": [_trace([_round(_program({"a": [3.0, 4.0]}), outcome="1")])],
+        "summary": {"encoding": "raw", "a": [5.0, 6.0]},
+    },
+    "long-u1-trace": {
+        # Past any chunk: about 300 KB in one trace of 2000 rounds, over 40 programs.
+        "config": CONFIG,
+        "traces": [
+            _trace([_round(_program({"alpha": 0.3 * (k % 40)}, "u1"), outcome=str(k % 2), prob=1 / (k + 2)) for k in range(2000)], "exhausted")
+        ],
+        "summary": SUMMARY,
+    },
     "shared-objects": {
         # One trace object twice, its rounds also in a trace of another status.
         "config": CONFIG,
@@ -166,29 +196,140 @@ def test_writer_matches_json_dumps_on_edge_payloads(case):
     assert _written(payload) == _oracle(payload)
 
 
-def test_writer_yields_the_head_one_piece_per_trace_and_the_tail():
-    payload = HAND_BUILT["shared-objects"]
-    pieces = list(sample_json(payload))
-    assert len(pieces) == len(payload["traces"]) + 2
-    # The first and last occurrence of the shared trace are the same text.
-    assert pieces[1] == pieces[3][1:]
+def _trace_chars(trace) -> int:
+    """Characters of one trace in the file: its ",\n    " lead and json.dumps text, four spaces in."""
+    return 6 + len(json.dumps(trace_to_dict(trace), indent=2).replace("\n", "\n    "))
+
+
+@pytest.mark.parametrize("chunk", [1, 700, cli.TEXT_CHUNK])
+def test_writer_yields_the_head_chunks_of_whole_traces_and_the_tail(chunk):
+    traces = run_sample(ExperimentConfig(experiment="qidn", seed=2, trials=300, max_rounds=5))["traces"]
+    payload = {"config": CONFIG, "traces": traces + [SHARED_TRACE] * 50 + list(HAND_BUILT["long-u1-trace"]["traces"]), "summary": SUMMARY}
+    with mock.patch.object(cli, "TEXT_CHUNK", chunk):
+        pieces = list(sample_json(payload))
+    assert pieces[0] == '{\n  "config": ' + json.dumps(CONFIG, indent=2).replace("\n", "\n  ") + ',\n  "traces": ['
+    assert pieces[-1] == '\n  ],\n  "summary": ' + json.dumps(SUMMARY, indent=2).replace("\n", "\n  ") + "\n}\n"
+    chunks, position = pieces[1:-1], 0
+    # Each chunk ends with a whole trace; it is shorter than the bound without that trace, and only the last is
+    # shorter than the bound with it.
+    for k, text in enumerate(chunks):
+        ends = []
+        while sum(ends) < len(text):
+            ends.append(_trace_chars(payload["traces"][position]) - (position == 0))
+            position += 1
+        assert sum(ends) == len(text)
+        assert len(text) - ends[-1] < chunk
+        assert len(text) >= chunk or k == len(chunks) - 1
+    assert position == len(payload["traces"])
+    if chunk == 1:
+        assert len(chunks) == len(payload["traces"])
+    assert "".join(pieces) == _oracle(payload)
 
 
 @pytest.mark.parametrize(
-    "value",
+    "value, layout, args",
     [
-        [], [[]], [[1.0], []], [[1.0, 2.0], [3.0]], [1.0, 2], [True, 1.0], [1.0, None], [1.0, float("nan")],
-        [[float("inf")]], [1e308, 1e308], [np.float64(1.0)], [(1.0, 2.0)], [[1.0], (2.0,)], ["a"], [{"x": 1.0}],
+        ([], None, None),
+        ([[]], None, None),
+        ([[1.0], []], None, None),
+        ([1.0, float("nan")], None, None),
+        ([[float("inf")]], None, None),
+        ([np.float64(1.0)], None, None),
+        ({}, None, None),
+        ([[1.0, 2.0], [3.0]], ("list", (("list", ("%r", "%r")), ("list", ("%r",)))), [1.0, 2.0, 3.0]),
+        ([1.0, 2], ("list", ("%r", "%d")), [1.0, 2]),
+        ([True, 1.0], ("list", ("true", "%r")), [1.0]),
+        ([1.0, None], ("list", ("%r", "null")), [1.0]),
+        # Floats are checked one by one; only a grid's finiteness is read from its sum.
+        ([1e308, 1e308], ("list", ("%r", "%r")), [1e308, 1e308]),
+        ([(1.0, 2.0)], ("list", (("list", ("%r", "%r")),)), [1.0, 2.0]),
+        ([[1.0], (2.0,)], ("list", (("list", ("%r",)), ("list", ("%r",)))), [1.0, 2.0]),
+        (["a"], ("list", ("%s",)), ['"a"']),
+        ([{"x": 1.0}], ("list", (("dict", ("x",), ("%r",)),)), [1.0]),
     ],
     ids=repr,
 )
-def test_only_rectangular_finite_float_lists_take_a_template(value):
-    assert _float_grid(value) is None
+def test_layout_takes_a_template_or_falls_back(value, layout, args):
+    """Each value either has a layout and these scalars, or raises _NoTemplate (layout None): json.dumps writes it."""
+    got: list = []
+    if layout is None:
+        with pytest.raises(_NoTemplate):
+            _layout(value, got)
+    else:
+        assert _layout(value, got) == layout
+        assert got == args
 
 
-def test_float_grid_shape_and_elements():
-    assert _float_grid([0.5, -0.0]) == ((2,), [0.5, -0.0])
-    assert _float_grid([[[1.0, 2.0]], [[3.0, 4.0]]]) == ((2, 1, 2), [1.0, 2.0, 3.0, 4.0])
+def test_layout_of_complex_values_and_keys():
+    args: list = []
+    assert _layout(0.5 - 0.0j, args) == ("list", ("%r", "%r"))
+    assert _layout(np.array([[1 + 2j, 3 - 4j, 5j]]), args) == ("grid", (1, 3, 2))
+    assert args == [0.5, -0.0, 1.0, 2.0, 3.0, -4.0, 0.0, 5.0]
+    with pytest.raises(_NoTemplate):  # finite pairs whose sum overflows only cost the fallback
+        _layout(np.array([1e308 + 1e308j, 1e308 + 0j]), [])
+    with pytest.raises(_NoTemplate):
+        _layout(np.zeros((0, 2), dtype=complex), [])
+    # A non-str key has a layout but no template: json.dumps writes 1 as "1" and True as "true".
+    layout = _layout({1: 2.0}, [])
+    with pytest.raises(_NoTemplate):
+        cli._template(layout, "")
+    assert cli._template(_layout({"%(x)s": [0.5]}, []), "  ") == '{\n    "%%(x)s": [\n      %r\n    ]\n  }'
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    family=st.sampled_from(SAMPLE_EXPERIMENTS + ("qidn8",)),
+    max_rounds=st.integers(1, 8),
+    trials=st.integers(1, 300),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(family="qidn8", max_rounds=3, trials=40, seed=5)
+@example(family="qid2", max_rounds=8, trials=300, seed=5)
+def test_chunk_size_moves_no_byte(family, max_rounds, trials, seed):
+    """The written text is the same with a chunk per trace, the default chunk and one chunk for every trace."""
+    params = {"n_dim": 8} if family == "qidn8" else {}
+    if family == "qidn8":
+        family, max_rounds, trials = "qidn", min(max_rounds, 3), min(trials, 40)
+    if family == "bz_haar":
+        max_rounds = 1
+    payload = run_sample(ExperimentConfig(family, params=params, max_rounds=max_rounds, trials=trials, seed=seed))
+    reference = _written(payload)
+    for chunk in (1, 10**9):
+        with mock.patch.object(cli, "TEXT_CHUNK", chunk):
+            assert _written(payload) == reference
+
+
+def _peak_while_written(payload: dict) -> int:
+    """Traced peak, in bytes, of iterating sample_json over the payload without holding its pieces."""
+    tracemalloc.start()
+    try:
+        collections.deque(sample_json(payload), maxlen=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+def test_writer_memory_is_bounded_by_the_chunk_not_the_trace_count():
+    """10^4 traces take a few chunks of memory, plus, when every trace is distinct, the memo of each round's text.
+
+    A chunk of `TEXT_CHUNK` ASCII characters is as many bytes; while one is
+    joined, the previous one is still referenced, and the list of its
+    pieces holds a pointer per piece. So a bound of 4 chunks covers the
+    writer with no text memo (it reads 80 KB). The distinct traces add, for
+    each round, its program's params text and its outcome/prob tail: their
+    length plus 300 bytes for the two str headers, the two ids that key them
+    and their dict slots (3.8 MB against a bound of 4.5 MB, CPython 3.11);
+    the whole text held once more would pass the bound.
+    """
+    shared = _trace([_round(SHARED), _round(SHARED, outcome="1", prob=0.125), SHARED_ROUND], "exhausted")
+    repeated = {"config": CONFIG, "traces": [shared] * 10**4, "summary": SUMMARY}
+    assert len(_written(repeated)) > 50 * cli.TEXT_CHUNK
+    assert _peak_while_written(repeated) < 4 * cli.TEXT_CHUNK
+    rounds = [_round(_program({"alpha": 0.1 + k * 1e-5}, "u1"), prob=1.0 / (k + 3)) for k in range(10**4)]
+    distinct = {"config": CONFIG, "traces": [_trace([r]) for r in rounds], "summary": SUMMARY}
+    memo = sum(len(json.dumps(round_to_dict(r), indent=2)) + 300 for r in rounds)
+    assert _peak_while_written(distinct) < 4 * cli.TEXT_CHUNK + memo
 
 
 @pytest.mark.parametrize("experiment", ["u1", "qid2", "qidn"])
