@@ -26,8 +26,12 @@ call for the whole batch, and each node keeps the bits it has when built
 alone. The qid2 rule takes its SU(2) steps stacked (`su2_logs`,
 `zoo.su2_programs`) from `_STACKED_SU2` residuals up and per residual
 below; the u1, bz and diagonal rules' scalar steps run per residual. A lone
-node is a batch of one, and the stages take its rows by index and its
-scales as Python floats, so it pays for no stack it does not need.
+node (`OutcomeTree.child`, the step down a collapsed chain, or any batch of
+one) takes one node's form in each stage: `inverse` and the rule's encoding
+of one matrix, `np.dot` branch-operator products, one `ops @ state` round
+and, in the exact walk, one node's `np.einsum` entry and collapse test. Each
+gives the bits of its row of the stacked form, and none pays for a stack
+of one.
 
 A tree is of one of two kinds, and each kind has its own walks; a walk
 given a tree of the other kind raises ValueError.
@@ -111,7 +115,7 @@ from .processor import (
     decompose,  # noqa: F401 - re-exported: callers look it up in loops
     inverse_cdf,
 )
-from .qlinalg import SingularOperator, frobenius_rows, identity, inverses, per_row, su2_log, su2_logs
+from .qlinalg import SingularOperator, frobenius_rows, identity, inverse, inverses, per_row, su2_log, su2_logs
 
 # Failure branches with less probability mass than this cannot move a
 # 1e-12 comparison and are pruned from the exact tree.
@@ -238,7 +242,7 @@ def _diagonal_rule(encode: Callable, success_labels: Callable) -> CorrectionRule
     """The rule whose programs are encode(proc, t, rs) on the diagonal t of the target and the (K, D) diagonals rs of the residuals."""
 
     def next_program(proc, target, residuals):
-        return encode(proc, target.diagonal(), residuals.diagonal(axis1=1, axis2=2))
+        return encode(proc, target.diagonal(), residuals.diagonal(0, 1, 2))
 
     return CorrectionRule(_computational_basis, success_labels, next_program, _diagonal=True)
 
@@ -326,8 +330,23 @@ def _needed(target: np.ndarray, residuals: np.ndarray) -> tuple[np.ndarray, dict
     return needed, refused
 
 
-def _encode_rows(needed: np.ndarray, refused: dict, encode: Callable) -> list:
-    """encode(stack) on the rows of `needed` that `refused` does not name, each refused row's exception in its place."""
+def _encoded(target: np.ndarray, residuals: np.ndarray, encode: Callable, one: Callable) -> list:
+    """The program of target @ residual^{-1} for each residual of the (K, D, D) stack, or the SingularOperator of one
+    that cannot be inverted: encode(stack) gives the programs of a stack of matrices, one(m) the program of one.
+
+    A lone residual takes the forms of one matrix (`inverse`, `one`), which cost less than those of a stack of one
+    and give the same bits.
+    """
+    if len(residuals) == 1:
+        r = residuals[0]
+        if (r == identity(len(r))).all():
+            return [one(target)]
+        try:
+            inv = inverse(r)
+        except SingularOperator as exc:
+            return [exc]
+        return [one(target @ inv)]
+    needed, refused = _needed(target, residuals)
     if not refused:
         return encode(needed)
     rows = [k for k in range(needed.shape[0]) if k not in refused]
@@ -352,16 +371,21 @@ def qid2_rule() -> CorrectionRule:
     re-extracted through the SU(2) logarithm (global phases are dropped).
     """
 
-    def encode(m):
+    def one(m):
         # su2_log is the one unitarity check; it also rejects what a zero or overflowing m leaves
         with np.errstate(all="ignore"):
+            u = m / np.sqrt(float((np.conjugate(m).T @ m).trace().real) / m.shape[0])
+        return zoo.su2_program(su2_log(u)[0])
+
+    def encode(m):
+        if len(m) < _STACKED_SU2:
+            return [one(m[k]) for k in range(len(m))]
+        with np.errstate(all="ignore"):
             u = m / np.sqrt((np.conjugate(m).transpose(0, 2, 1) @ m).trace(axis1=1, axis2=2).real / m.shape[1])[:, None, None]
-        if len(u) >= _STACKED_SU2:
-            return zoo.su2_programs(su2_logs(u)[0])
-        return [zoo.su2_program(su2_log(u[k])[0]) for k in range(len(u))]
+        return zoo.su2_programs(su2_logs(u)[0])
 
     def next_program(proc, target, residuals):
-        return _encode_rows(*_needed(target, residuals), encode)
+        return _encoded(target, residuals, encode, one)
 
     return CorrectionRule(
         basis_for=lambda proc: zoo.qid2_basis(),
@@ -380,7 +404,7 @@ def qidN_rule() -> CorrectionRule:
     """
 
     def next_program(proc, target, residuals):
-        return _encode_rows(*_needed(target, residuals), zoo.programs_for)
+        return _encoded(target, residuals, zoo.programs_for, zoo.program_for)
 
     return CorrectionRule(
         basis_for=lambda proc: zoo.phi_basis(proc.data_dim),
@@ -444,12 +468,14 @@ def _entries(ops: np.ndarray, states: np.ndarray, success_idx: list[int], fail_i
     """
     amps = np.einsum("kbij,kj->kbi", ops, states)
     probs = np.einsum("kbi,kbi->kb", np.conjugate(amps), amps).real.copy()
-    heads = []
-    for k, p in enumerate(probs.tolist()):
-        # numpy's sum of one entry is that entry
-        s = p[success_idx[0]] if len(success_idx) == 1 else float(probs[k][success_idx].sum())
-        heads.append((s, [i for i in fail_idx if p[i] > _PRUNE], p))
-    return amps, probs, heads
+    return amps, probs, [(*_head(p, probs[k], success_idx, fail_idx), p) for k, p in enumerate(probs.tolist())]
+
+
+def _head(p: list[float], probs: np.ndarray, success_idx: list[int], fail_idx: list[int]) -> tuple[float, list[int]]:
+    """A node's success mass and its failure branches above `_PRUNE`, from its probabilities as a list and as an array."""
+    # numpy's sum of one entry is that entry
+    s = p[success_idx[0]] if len(success_idx) == 1 else float(probs[success_idx].sum())
+    return s, [i for i in fail_idx if p[i] > _PRUNE]
 
 
 class _Node:
@@ -547,9 +573,15 @@ class OutcomeTree:
 
         The rule encodes the stack, and the programs' kets give one stack of branch operators, returned with
         the nodes (None if every node is uncorrectable); a node's arrays are views of the batch's stacks, with
-        the bits of the node built alone.
+        the bits of the node built alone. A lone node takes one node's forms and its own arrays.
         """
-        # one pass, and rows by index: a lone node pays for each comprehension and array iterator
+        if len(residuals) == 1:
+            node = _Node(residuals[0], self.rule.next_program(self.proc, self.target, residuals)[0])
+            if node.program is None:
+                return [node], None
+            node.ops = branch_operators(self.proc, node.program, self.basis)
+            node.ops.setflags(write=False)
+            return [node], node.ops[None]
         nodes, live, programs = [], [], []
         for k, program in enumerate(self.rule.next_program(self.proc, self.target, residuals)):
             node = _Node(residuals[k], program)
@@ -566,15 +598,23 @@ class OutcomeTree:
         return nodes, ops
 
     def child(self, parent: _Node, i: int, retain: bool = True) -> _Node:
-        """The node after `parent`'s branch i: `children` of the one pair."""
-        return self.children([(parent, i)], retain)[0]
+        """The node after `parent`'s branch i: `children` of the one pair, built in one node's forms."""
+        node = parent.children.get(i)
+        if node is None:
+            node = self._build(_rescaled((parent.ops[i] @ parent.residual)[None]))[0][0]
+            if retain:
+                self._adopt(parent, i, node)
+        return node
 
     def children(self, pairs: list[tuple[_Node | None, int]], retain: bool = True) -> list[_Node]:
         """The node after each (parent, branch i) pair, the root for a parent None; the missing ones are built as one batch.
 
         In the order of `pairs`, a built node is kept if `retain`, its parent is kept and it fits under the
-        cap; kept out of a batch of more than one, it takes copies of its arrays (`_Node.own`).
+        cap; kept out of a batch of more than one, it takes copies of its arrays (`_Node.own`). One pair is
+        `child`'s.
         """
+        if len(pairs) == 1 and pairs[0][0] is not None:
+            return [self.child(*pairs[0], retain)]
         out, todo, steps, residuals = [], [], [], []
         for k, (parent, i) in enumerate(pairs):
             node = self.root if parent is None else parent.children.get(i)
@@ -588,13 +628,17 @@ class OutcomeTree:
         built = self._build(_rescaled(stacked(steps) @ stacked(residuals)))[0]
         for k, node in zip(todo, built):
             out[k] = node
-            parent, i = pairs[k]
-            if retain and parent.kept and self._keep(node.residual.nbytes + (0 if node.ops is None else node.ops.nbytes + self._round_bytes)):
-                if len(todo) > 1:
-                    node.own()
-                parent.children[i] = node
-                node.kept = True
+            if retain and self._adopt(*pairs[k], node) and len(todo) > 1:
+                node.own()
         return out
+
+    def _adopt(self, parent: _Node, i: int, node: _Node) -> bool:
+        """Keep `node` as `parent`'s child i if the parent is kept and the node's arrays fit under the cap."""
+        if not (parent.kept and self._keep(node.residual.nbytes + (0 if node.ops is None else node.ops.nbytes + self._round_bytes))):
+            return False
+        parent.children[i] = node
+        node.kept = True
+        return True
 
     def _keep(self, nbytes: int) -> bool:
         """Count nbytes against `_RETAINED_BYTES` if they fit; False: the caller must not keep them."""
@@ -608,15 +652,17 @@ class OutcomeTree:
 
         The missing rounds are computed together: one stacked `ops @ state` and one `branch_probabilities`,
         each with the bits of the node's round alone. The product reads the nodes' stack of branch operators
-        (`_batch_stack`), broadcast over the states. A cached round of a batch of more than one takes a copy
-        of its amplitudes.
+        (`_batch_stack`), broadcast over the states; a lone missing round is its node's own `ops @ state`. A
+        cached round of a batch of more than one takes a copy of its amplitudes.
         """
         out = [node.round for node in nodes]
         todo = [k for k, held in enumerate(out) if held is None]
         if not todo:
             return out
-        ops = _batch_stack([nodes[k] for k in todo])
-        amps = np.matmul(ops, stacked([states[k] for k in todo])[:, None, :, None])[..., 0]
+        if len(todo) == 1:  # one node's product, which costs less
+            amps = (nodes[todo[0]].ops @ states[todo[0]])[None]
+        else:
+            amps = np.matmul(_batch_stack([nodes[k] for k in todo]), stacked([states[k] for k in todo])[:, None, :, None])[..., 0]
         for j, (k, probs) in enumerate(zip(todo, branch_probabilities(amps))):
             if self.psi is None:
                 out[k] = _Round(amps[j], probs)
@@ -766,8 +812,11 @@ def _state_independent(ops: np.ndarray, probs: np.ndarray) -> list[bool]:
     every branch operator is proportional to an isometry (a nan deviation does not count against it).
 
     Then the node's outcome probabilities cannot depend on the data state, which is what lets the exact tree
-    collapse. One `_isometry_deviations` tests every (node, branch) of the stack.
+    collapse. One `_isometry_deviations` tests every (node, branch) of the stack. A lone node's (N, D, D) operators
+    with its (N,) probabilities give its one answer.
     """
+    if ops.ndim == 3:
+        return [not any(x > 1e-11 for x in _isometry_deviations(ops, probs))]
     k, n, d = ops.shape[:3]
     devs = _isometry_deviations(ops.reshape(k * n, d, d), probs.reshape(k * n))
     return [not any(x > 1e-11 for x in devs[j : j + n]) for j in range(0, k * n, n)]
@@ -803,14 +852,29 @@ def _fold(tree: OutcomeTree, node: _Node, state, remaining: int):
     The loop steps from each collapsing node to its representative child, and folds the chain as s + (1 - s) v.
     The first node that does not collapse gives s + sum p_j v_j over its failure branches j, in label order, with the
     values v_j of its children from one region expanded level by level (`_region`) within `_BATCH_BYTES`.
+
+    A node's entry is made from its state unless it holds one: `_entries`' row of the node, from one node's einsums,
+    which cost less than a stack of one. A kept node holds it while it fits in `_RETAINED_BYTES`; any other node is
+    transient and holds it anyway.
     """
     links, value = [], 0.0  # an uncorrectable node adds nothing
     while node.program is not None:
-        entry = _entry(tree, node, state)
+        entry = node.exact
+        if entry is None:
+            if isinstance(state, tuple):
+                up, i = state
+                state = up.amps[i] / math.sqrt(up.probs[i])
+            amps = np.einsum("bij,j->bi", node.ops, state)
+            probs = np.einsum("bi,bi->b", np.conjugate(amps), amps).real.copy()
+            entry = _Exact(amps, probs, *_head(probs.tolist(), probs, tree._success_idx, tree._fail_idx))
+            if not node.kept or tree._keep(entry.amps.nbytes + entry.probs.nbytes):
+                node.exact = entry
         if remaining == 1 or not entry.fails:
             value = entry.s
             break
-        if not _collapses(node, entry):
+        if entry.collapses is None:
+            entry.collapses = _state_independent(node.ops, entry.probs)[0]
+        if not entry.collapses:
             p, js = entry.probs.tolist(), entry.fails
             seeds = _seeds(node.residual[None], node.ops[None], entry.amps[None], entry.probs[None], [0] * len(js), js)
             below = _region(tree, *seeds, remaining - 1, _BATCH_BYTES, 0, _footprint(node, entry))
@@ -822,29 +886,6 @@ def _fold(tree: OutcomeTree, node: _Node, state, remaining: int):
     for s in reversed(links):
         value = s + (1.0 - s) * value
     return value
-
-
-def _entry(tree: OutcomeTree, node: _Node, state) -> _Exact:
-    """The exact entry of a correctable node, made from its state (or (parent entry, branch)) unless it holds one.
-
-    A kept node holds it while it fits in `_RETAINED_BYTES`; any other node is transient and holds it anyway.
-    """
-    entry = node.exact
-    if entry is None:
-        if isinstance(state, tuple):
-            up, i = state
-            state = up.amps[i] / np.sqrt(up.probs[i])
-        amps, probs, ((s, fails, _),) = _entries(node.ops[None], state[None], tree._success_idx, tree._fail_idx)
-        entry = _Exact(amps[0], probs[0], s, fails)
-        if not node.kept or tree._keep(entry.amps.nbytes + entry.probs.nbytes):
-            node.exact = entry
-    return entry
-
-
-def _collapses(node: _Node, entry: _Exact) -> bool:
-    if entry.collapses is None:
-        entry.collapses = _state_independent(node.ops[None], entry.probs[None])[0]
-    return entry.collapses
 
 
 def _seeds(residuals: np.ndarray, ops: np.ndarray, amps: np.ndarray, probs: np.ndarray, ks: list[int], js: list[int]):

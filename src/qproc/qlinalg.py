@@ -71,13 +71,14 @@ def identity(dim: int) -> np.ndarray:
     return e
 
 
-def frobenius(m: np.ndarray) -> np.floating:
-    """np.linalg.norm(m) of a float or complex m bit for bit: numpy's own sqrt(x.x) or sqrt(re.re + im.im), without its dispatch."""
+def frobenius(m: np.ndarray) -> float:
+    """np.linalg.norm(m) of a float64 or complex128 m bit for bit, as a Python float: numpy's own sqrt(x.x) or
+    sqrt(re.re + im.im), without its dispatch; `math.sqrt` is the same IEEE square root as np.sqrt, without a ufunc call."""
     x = m.ravel(order="K")
     if x.dtype.kind != "c":
-        return np.sqrt(x.dot(x))
+        return math.sqrt(x.dot(x))
     re, im = x.real, x.imag
-    return np.sqrt(re.dot(re) + im.dot(im))
+    return math.sqrt(re.dot(re) + im.dot(im))
 
 
 def frobenius_rows(x: np.ndarray) -> list[float]:
@@ -86,9 +87,11 @@ def frobenius_rows(x: np.ndarray) -> list[float]:
     `np.vecdot` hands each row's x.x, or re.re and im.im (one call over
     the strided real and imaginary views), to the BLAS dot that `frobenius`
     calls; the sum and the square root are IEEE operations on the same
-    doubles, in Python or in numpy.
+    doubles, in Python or in numpy. A stack of one is `frobenius` itself.
     """
     k = x.shape[0]
+    if k == 1:
+        return [frobenius(x)]
     if x.dtype.kind != "c":
         flat = x.reshape(k, -1)  # a C-order copy of a strided stack, as `frobenius`'s ravel copies a strided m
         return [math.sqrt(s) for s in np.vecdot(flat, flat).tolist()]

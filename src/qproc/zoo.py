@@ -455,9 +455,13 @@ def weyl_program(d, scale: float) -> ProgramState:
 
 
 def _weyl_kets(ds: np.ndarray) -> np.ndarray:
-    """The ket of each d of the (K, N, N) stack: np.tensordot(d, bells, 2)'s one product, d as a 1 x N^2 row times the N^2 x N^2 bells, stacked."""
+    """The ket of each d of the (K, N, N) stack: np.tensordot(d, bells, 2)'s one product, d as a 1 x N^2 row times the
+    N^2 x N^2 bells, stacked; a stack of one takes np.dot's product, which costs less."""
     k, n = ds.shape[0], ds.shape[1]
-    return np.matmul(ds.reshape(k, 1, n * n), _bell_stack(n).reshape(n * n, n * n)).reshape(k, n * n)
+    bells = _bell_stack(n).reshape(n * n, n * n)
+    if k == 1:
+        return np.dot(ds.reshape(1, n * n), bells)
+    return np.matmul(ds.reshape(k, 1, n * n), bells).reshape(k, n * n)
 
 
 def program_for(v: np.ndarray) -> ProgramState:

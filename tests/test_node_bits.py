@@ -15,7 +15,9 @@ and states of a whole level of nodes in stacked calls, and to fold the levels
 bottom up; the qid2 rule came to take a batch's SU(2) steps stacked
 (`qlinalg.su2_logs`, `zoo.su2_programs`), checked row by row against
 `su2_log` and `su2_program` on Haar unitaries and on every branch of
-`su2_log`. The implementations they replaced are kept here as oracles, each
+`su2_log`; and a lone node, the step down a collapsed chain, came to take
+one node's form in each stage again, checked down chains as deep as the
+exact sweeps walk. The implementations they replaced are kept here as oracles, each
 building one node at a time, and every float the stacked stages produce must match the
 oracles' bit for bit: on real trees of all six loop families, each tree
 level built as one batch, on stacks of 1 to 63 residuals with an
@@ -419,6 +421,43 @@ def test_exact_walk_moves_no_bit_with_the_batch_and_retained_bytes(name, n_dim, 
     tree = loops.OutcomeTree(proc, target, rule, psi)
     old = _old_exact(name, tree, _OldNode(name, proc, target, tree.basis, np.eye(proc.data_dim, dtype=complex)), psi, n)
     assert values == {float(old).hex()}
+
+
+# The chains exact-grid walks: (family, params, its grid of round budgets). qidN targets are Haar-random.
+DEEP_CHAINS = [
+    ("qid2", {"mu": [0.2, -0.5, 0.9]}, [1, 2, 5, 10, 20, 50, 100, 200]),
+    ("u1", {"alpha": 1.2}, [1, 2, 5, 10, 20, 40, 60]),
+    *[("qidn", {"n_dim": d, "target_seed": seed}, [1, 2, 4, 8, 16]) for d in (2, 3, 4) for seed in (7, 11)],
+    *[("diagonal", {"dim": d}, [1, 2, 5, 10, 20]) for d in range(3, 8)],
+]
+
+
+@pytest.mark.parametrize("name, params, grid", DEEP_CHAINS, ids=[f"{name}-{params}" for name, params, _ in DEEP_CHAINS])
+def test_deep_chains_keep_their_bits(name, params, grid):
+    """A collapsed chain walked down to exact-grid's depths, every node a lone build, equals the oracles node by node.
+
+    One tree is walked at every budget of the grid, as a sweep walks it; each value must be the oracles' fold
+    bit for bit. Then every node of the retained chain must hold the residual, program and branch operators of
+    the oracle node built alone, and the exact entry of the oracle's state, and collapse.
+    """
+    proc, rule, target = cli._FAMILIES[name].build(params, (0, 0, 0))
+    psi = cli._uniform_state(proc.data_dim)
+    tree = loops.OutcomeTree(proc, target, rule, psi)
+    root = _OldNode(name, proc, target, tree.basis, np.eye(proc.data_dim, dtype=complex))
+    for n in grid:
+        assert _same_bits(loops.exact_walk(tree, n), _old_exact(name, tree, root, psi, n))
+    node, old, state = tree.root, root, psi
+    for depth in range(grid[-1]):
+        entry, want = node.exact, _OldExact(old.ops, state, tree._success_idx, tree._fail_idx)
+        assert _same_bits(node.residual, old.residual) and _same_bits(node.program.ket, old.program.ket) and _same_bits(node.ops, old.ops)
+        assert all(_same_bits(x, y) for x, y in zip(_params_record(node.program.params), _params_record(old.program.params)))
+        assert _same_bits(entry.amps, want.amps) and _same_bits(entry.probs, want.probs)
+        assert _same_bits(entry.s, want.s) and entry.fails == want.fails
+        if depth == grid[-1] - 1:
+            break
+        assert entry.collapses and _old_state_independent(old.ops, want.probs)
+        i = entry.fails[0]
+        node, old, state = node.children[i], old.child(name, proc, target, tree.basis, i), want.amps[i] / np.sqrt(want.probs[i])
 
 
 def _residuals(name: str, proc, k: int, rng) -> np.ndarray:

@@ -13,9 +13,11 @@ round's probability, the config and the summary, which any writer of the
 file must format.
 
 With --against, the qproc package under that source directory is loaded as
-a second package and timed as well, case by case in turn within each round,
-so both see the same drift of a shared machine. Each case reads the best of
---repeat runs per round; the median over rounds is printed.
+a second package and timed as well. Within each round every payload is
+timed for each package and for the floor in turn, and the one that goes
+first alternates from round to round, so all see the same drift of a
+shared machine. Each case reads the best of --repeat runs per round; the
+median over rounds is printed.
 """
 import argparse
 import importlib
@@ -29,7 +31,7 @@ import numpy as np
 import qproc
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-from time_nodes import _best, _load  # noqa: E402
+from time_nodes import _best, _interleaved, _load  # noqa: E402
 
 PAYLOADS = (
     ("qid2", "qid2", {}, 8, 300),
@@ -73,16 +75,17 @@ def _distinct_floats(payload: dict) -> list[float]:
 
 
 def _cases(package, directory: str):
-    """(label, run, floor run) for every payload, on the package's cli."""
+    """({label: run}, {label: floor run}) of every payload, on the package's cli."""
     cli = importlib.import_module(f"{package.__name__}.cli")
-    out = []
+    runs, floors = {}, {}
     for label, experiment, params, rounds, trials in PAYLOADS:
         cfg = cli.ExperimentConfig(experiment, params=params, max_rounds=rounds, trials=trials, seed=5)
         payload = cli.run_sample(cfg)
         path = os.path.join(directory, f"{package.__name__}-{label}.json")
         floats = _distinct_floats(payload)
-        out.append((label, lambda p=payload, path=path: cli._write_text(path, cli.sample_json(p)), lambda f=floats: list(map(float.__repr__, f))))
-    return out
+        runs[label] = lambda p=payload, path=path: cli._write_text(path, cli.sample_json(p))
+        floors[label] = lambda f=floats: list(map(float.__repr__, f))
+    return runs, floors
 
 
 def main() -> None:
@@ -92,15 +95,11 @@ def main() -> None:
     parser.add_argument("--repeat", type=int, default=5)
     args = parser.parse_args()
     packages = {"this": qproc, **({"against": _load(args.against)} if args.against else {})}
-    readings: dict = {}
     with tempfile.TemporaryDirectory() as directory:
         cases = {name: _cases(package, directory) for name, package in packages.items()}
-        for _ in range(args.rounds):
-            for name, package_cases in cases.items():
-                for label, run, floor in package_cases:
-                    readings.setdefault((label, name), []).append(_best(run, args.repeat) * 1e3)
-                    if name == "this":  # both packages write the same file
-                        readings.setdefault((label, "floor"), []).append(_best(floor, args.repeat) * 1e3)
+        runs = {name: cases[name][0] for name in packages}
+        runs["floor"] = cases["this"][1]  # both packages write the same file
+        readings = _interleaved(runs, args.rounds, lambda run: _best(run, args.repeat) * 1e3)
     for label, *_ in PAYLOADS:
         line = "  ".join(f"{name} {statistics.median(readings[label, name]):7.2f}" for name in (*packages, "floor"))
         print(f"{label:10s} {line} ms")

@@ -7,18 +7,24 @@ step) on one 2000-stream point (single-shot-sweep's trials per point, one
 short pass) and on one full CHUNK pass, and, where `points` is supported,
 on single-shot-sweep's bz grid (12 points of 2000 streams) in passes that
 span points. With --against, the streams module in that file is timed as
-well, case by case in turn within each round, so both see the same drift of
-a shared machine. Each case reads the best of --repeat runs per round;
-the median over rounds is printed. The seed is a 31-bit int, as the
-benchmark draws them.
+well. Within each round every case is timed for both modules in turn, and
+the module that goes first alternates from round to round, so both see the
+same drift of a shared machine. Each case reads the best of --repeat runs
+per round; the median over rounds is printed. The seed is a 31-bit int, as
+the benchmark draws them.
 """
 import argparse
 import importlib.util
 import inspect
+import os
 import statistics
+import sys
 import time
 
 from qproc import streams
+
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+from time_nodes import _interleaved  # noqa: E402
 
 SEED, POINT, GRID = 1234567891, 5, range(12)
 
@@ -30,15 +36,15 @@ def _load(path: str):
     return module
 
 
-def _cases(module):
-    """(label, streams per run, run) for every case the module supports."""
-    out = []
+def _cases(module) -> dict:
+    """{label: (streams per run, run)} for every case the module supports."""
+    out = {}
     for layer in ("pcg64_states", "first_uniforms"):
         fn = getattr(module, layer)
         for label, n in (("2000-stream point", 2000), (f"full pass ({module.CHUNK})", module.CHUNK)):
-            out.append((f"{layer} {label}", n, lambda fn=fn, n=n: fn((SEED, POINT), range(1, n + 1))))
+            out[f"{layer} {label}"] = (n, lambda fn=fn, n=n: fn((SEED, POINT), range(1, n + 1)))
         if "points" in inspect.signature(fn).parameters:
-            out.append((f"{layer} 12 x 2000 spanning", 2000 * len(GRID), lambda fn=fn: fn((SEED,), range(1, 2001), points=GRID)))
+            out[f"{layer} 12 x 2000 spanning"] = (2000 * len(GRID), lambda fn=fn: fn((SEED,), range(1, 2001), points=GRID))
     return out
 
 
@@ -60,11 +66,7 @@ def main() -> None:
     args = parser.parse_args()
     modules = {"this": streams, **({"against": _load(args.against)} if args.against else {})}
     cases = {name: _cases(module) for name, module in modules.items()}
-    readings: dict = {}
-    for _ in range(args.rounds):
-        for name, module_cases in cases.items():
-            for label, n, run in module_cases:
-                readings.setdefault((label, name), []).append(_best_ns(run, n, args.repeat))
+    readings = _interleaved(cases, args.rounds, lambda case: _best_ns(case[1], case[0], args.repeat))
     for (label, name), values in readings.items():
         print(f"{label:34s} {name:8s} {statistics.median(values):7.1f} ns/stream")
 
