@@ -88,11 +88,13 @@ previous depth. The sampled round keeps its `ops @ state` and
 disagree in the last bits, so neither walk reads the other's numbers. The
 exact walk loops down the chain of collapsing nodes, so a unitary loop of
 any depth needs no recursion. Below the first node that does not collapse it
-expands the subtree one level at a time (`_region`): each level's nodes are
-built in batches, with their entries, collapse tests and children's
-residuals and states one stacked call per batch, and dropped; the levels
-keep each node's success mass and coefficients, and fold them bottom up in
-the depth-first walk's order, each node's failure terms in label order.
+walks the subtree depth first in batches (`_values`): a level that fits one
+batch is built as one, with the nodes' entries, collapse tests and
+children's residuals and states one stacked call each, and dropped, and the
+walk steps down to the batch's children in a loop; a wider level is cut into
+batches, each walked by recursion but the last. The levels keep each node's
+success mass and coefficients and fold them bottom up in the depth-first
+walk's order, each node's failure terms in label order.
 """
 from __future__ import annotations
 
@@ -136,10 +138,10 @@ _RETAINED_BYTES = 2 * 1024 * 1024
 # nodes would pass it; a batch holds at least one node. qid2 (0.8 KiB per
 # node with its round) and qidN(3) (2.3 KiB) nodes batch by the hundred,
 # qidN(8) (83 KiB) three at a time: larger budgets were faster there but
-# raised the peak memory of a qidN(8) sample. The exact walk's regions count
-# against the same bytes all they hold, each node at its real size with its
-# objects (about 2 KiB for qidN(2)), so a region's batches of qidN(2) nodes
-# take about a hundred.
+# raised the peak memory of a qidN(8) sample. The exact walk's batches below
+# the first node that does not collapse count each node's bytes and its
+# children's seeds, once per round left, twice, so qidN(2) nodes batch by up
+# to 125 and dim-5 diagonal ones by up to 24, fewer with more rounds left.
 _BATCH_BYTES = 256 * 1024
 
 # Residuals from which the qid2 rule takes its SU(2) steps stacked (`su2_logs`, `zoo.su2_programs`) rather than one
@@ -833,8 +835,8 @@ def exact_walk(tree: OutcomeTree, n: int) -> float:
     representative child is evaluated and retained, with its entry while it
     fits within `_RETAINED_BYTES`: it is the chain that deeper round budgets
     walk again. Below the first node that does not collapse (a non-unitary
-    target, or rounding drift at depth), the subtree is expanded one level at
-    a time and not retained (`_region`). The collapsed and fully enumerated
+    target, or rounding drift at depth), the subtree is walked depth first in
+    batches and not retained (`_values`). The collapsed and fully enumerated
     evaluations are checked against each other for small n in the test
     suite. The value at n depends neither on what the tree already holds nor
     on `_BATCH_BYTES`.
@@ -851,7 +853,7 @@ def _fold(tree: OutcomeTree, node: _Node, state, remaining: int):
 
     The loop steps from each collapsing node to its representative child, and folds the chain as s + (1 - s) v.
     The first node that does not collapse gives s + sum p_j v_j over its failure branches j, in label order, with the
-    values v_j of its children from one region expanded level by level (`_region`) within `_BATCH_BYTES`.
+    values v_j of its children from one batched depth-first walk (`_values`).
 
     A node's entry is made from its state unless it holds one: `_entries`' row of the node, from one node's einsums,
     which cost less than a stack of one. A kept node holds it while it fits in `_RETAINED_BYTES`; any other node is
@@ -877,8 +879,7 @@ def _fold(tree: OutcomeTree, node: _Node, state, remaining: int):
         if not entry.collapses:
             p, js = entry.probs.tolist(), entry.fails
             seeds = _seeds(node.residual[None], node.ops[None], entry.amps[None], entry.probs[None], [0] * len(js), js)
-            below = _region(tree, *seeds, remaining - 1, _BATCH_BYTES, 0, _footprint(node, entry))
-            value = _folded(entry.s, [p[j] for j in js], iter(below))
+            value = _folded(entry.s, [p[j] for j in js], iter(_values(tree, *seeds, remaining - 1)))
             break
         i = entry.fails[0]
         links.append(entry.s)
@@ -902,48 +903,29 @@ def _folded(s: float, coefs: list[float], below) -> float:
     return s
 
 
-def _region(tree: OutcomeTree, residuals: np.ndarray, states: np.ndarray, remaining: int, room: int, outside: int, size: int) -> list:
+def _values(tree: OutcomeTree, residuals: np.ndarray, states: np.ndarray, remaining: int) -> list:
     """Exact success masses of `remaining` rounds from the node of each residual of the (K, D, D) stack, on its row of
-    the (K, D) data states, with the arithmetic of the depth-first fold, the subtrees expanded one level at a time.
+    the (K, D) data states: the depth-first fold, walked in batches (`_batch`).
 
-    Each level is built in batches (`_batch`), and then it keeps one record per node: its value, or the (s,
-    coefficients) that `_folded` turns into its value once the level below is known. Of `room` bytes, half is for
-    what the regions hold: the enclosing ones' `outside`, this one's records (past the first of each level: one per
-    level is what a depth-first walk's chain holds too) and its level's residuals and states; and the rest, at least,
-    for a batch of nodes at `size` bytes each. A level whose children's residuals and states would not fit that half
-    folds each of its batches but the last at once, by recursion into a region of their own, those batches sized so
-    that their children take at most half of the bytes left, and the last batch's children make the next level, so
-    a chain never recurses. A batch takes at least the failure branches of one node, as the depth-first walk does,
-    or, when folded at once, one node.
+    A level that fits one batch is built as one, and the walk steps down to its children in a loop, so a chain of
+    single nodes never recurses; a wider level is cut into batches, each but the last walked by recursion. The levels
+    keep one record per node, its value or the (s, coefficients) that `_folded` turns into its value, and fold bottom
+    up, each node's terms in label order, so every value has the same bits whatever the batch width.
     """
-    levels, records = [], 0
-    fanout = len(tree._fail_idx)
-    unit = states.itemsize * (states.shape[1] + residuals.shape[1] * residuals.shape[2])  # one child's seeds
+    fanout, unit = len(tree._fail_idx), states.itemsize * (states.shape[1] + residuals[0].size)  # one child's seeds
+    levels = []
     while True:
-        held = outside + records + residuals.nbytes + states.nbytes
-        ahead = len(residuals) * fanout * unit if remaining > 1 else 0  # at most the next level's seeds
-        wide = held + ahead <= room // 2
-        if wide:
-            width = max(fanout, (room - held - ahead) // size)
-        else:
-            # batches whose subtrees, expanded wide to their last round, fit the seed bytes left (past room.bit_length()
-            # rounds a subtree of two or more branches a node no longer fits, whatever its depth)
-            grown = fanout ** min(remaining - 1, room.bit_length())
-            width = max(1, min((room // 2 - held) // (2 * unit * grown), (room - held) // size))
-        items, parts = [], []
-        for lo in range(0, len(residuals), width):
-            out, seeds = _batch(tree, residuals[lo : lo + width], states[lo : lo + width], remaining)
-            if seeds is not None and not wide and lo + width < len(residuals):
-                below = iter(_region(tree, *seeds, remaining - 1, room, held, size))
-                out = [_folded(*x, below) if type(x) is tuple else x for x in out]
-            elif seeds is not None:
-                parts.append(seeds)
-            items += out
-        levels.append(items)
-        records += sum(_item_bytes(x) for x in items[1:])
-        if not parts:
+        # per node of the batch, its arrays and its children's seeds once per round left (the levels below it hold
+        # about as many), counted twice for the node's objects and the levels' records
+        width = max(1, _BATCH_BYTES // (2 * (remaining * fanout * unit + tree._node_bytes)))
+        apart = []  # the values of every batch but the last
+        for lo in range(0, len(residuals) - width, width):
+            apart += _values(tree, residuals[lo : lo + width], states[lo : lo + width], remaining)
+        items, seeds = _batch(tree, residuals[len(apart) :], states[len(apart) :], remaining)
+        levels.append(apart + items)
+        if seeds is None:
             break
-        residuals, states = parts[0] if len(parts) == 1 else (np.concatenate([x for x, _ in parts]), np.concatenate([y for _, y in parts]))
+        residuals, states = seeds
         remaining -= 1
     values: list = []
     for items in reversed(levels):
@@ -953,7 +935,7 @@ def _region(tree: OutcomeTree, residuals: np.ndarray, states: np.ndarray, remain
 
 
 def _batch(tree: OutcomeTree, residuals: np.ndarray, states: np.ndarray, remaining: int) -> tuple[list, tuple | None]:
-    """Build the nodes of the residual stack, and give each its record in a region: its value, or (s, coefficients)
+    """Build the nodes of the residual stack, and give each its record in a level: its value, or (s, coefficients)
     for a node that goes on; and the residuals and states of the children those records fold, as stacks (None if
     none). A collapsing node goes on to its representative child with coefficient 1 - s, another to each failure
     branch j with coefficient p_j.
@@ -981,23 +963,6 @@ def _batch(tree: OutcomeTree, residuals: np.ndarray, states: np.ndarray, remaini
         ks += [m] * len(branches)
         js += branches
     return out, (_seeds(residuals, ops, amps, probs, ks, js) if ks else None)
-
-
-def _item_bytes(x) -> int:
-    """What a region's record of one node holds: a list slot and its value, or its (s, coefficients) with their floats."""
-    if type(x) is tuple:
-        return 8 + sys.getsizeof(x) + sys.getsizeof(x[1]) + sys.getsizeof(x[0]) * (1 + len(x[1]))
-    return 8 + sys.getsizeof(x)
-
-
-def _footprint(node: _Node, entry: _Exact) -> int:
-    """Bytes a built node holds with its exact entry: its objects, its program's, and its rows of the batch's arrays."""
-    program = node.program
-    objects = [node, node.children, program, program.__dict__, program.ket, program.params, entry, entry.fails]
-    for value in program.params.values():
-        objects += [value, *value] if isinstance(value, tuple) else [value]
-    arrays = [node.residual, node.ops, entry.amps, entry.probs]
-    return sum(map(sys.getsizeof, objects + arrays)) + sum(a.nbytes for a in arrays if a.base is not None)
 
 
 def exact_success(

@@ -407,7 +407,7 @@ def _enumerated_rounds(tree, n: int) -> int:
 @settings(max_examples=100, deadline=None)
 @given(name=st.sampled_from(FAMILIES), n_dim=st.integers(2, 3), n=st.integers(1, 10), seed=st.integers(0, 2**32 - 1))
 def test_exact_walk_moves_no_bit_with_the_batch_and_retained_bytes(name, n_dim, n, seed):
-    """The exact walk gives the same bits whether its regions build one node at a time (0 batch bytes), by the default
+    """The exact walk gives the same bits whether its batches hold one node each (0 batch bytes), by the default
     budget or all at once, with every node kept or none, and they are the oracles' depth-first fold."""
     params = _family(name, derive_stream(seed, 0), n_dim)
     proc, rule, target = cli._FAMILIES[name].build(params, (seed, 0, 0))

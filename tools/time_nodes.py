@@ -18,7 +18,12 @@ Cases:
 - `exact_walk` on a fresh tree of the loops whose trees collapse to chains
   in exact-grid's sweeps, in ms per walk: qid2 at n = 200, u1 at n = 60,
   qidN(2), qidN(3) and qidN(4) at k = 16 on Haar targets, and the dim-3, 5
-  and 7 diagonal processors at n = 20.
+  and 7 diagonal processors at n = 20;
+- `exact_walk` on a fresh tree of loops that enumerate their trees below the
+  first node that does not collapse, in ms per walk: exact-grid's qidn k = 24
+  (target seed 7) and dim-3 diagonal n = 30 sweep points, where rounding
+  drift breaks the collapse, the dim-5 diagonal entries [0.8, 1.2, 1.0, 0.9,
+  1.1] at n = 6 and 8, and qidN(2) on diag(0.1, 1) at k = 12.
 
 With --against, the qproc package under that source directory is loaded as
 a second package and timed as well. Within each round every case is timed
@@ -65,6 +70,28 @@ def _chains(package) -> list:
         for d in (3, 5, 7)
     ]
     return [qid2, u1, *qidn, *diagonal]
+
+
+def _enumerations(package) -> list:
+    """(label, OutcomeTree arguments, rounds) of each loop whose exact walk enumerates a subtree, from the uniform state."""
+    loops, zoo = package.loops, package.zoo
+    families = importlib.import_module(f"{package.__name__}.cli")._FAMILIES
+
+    def sweep(name, params):  # a sweep point's (processor, target, rule), with the family's defaults
+        proc, rule, target = families[name].build({**families[name].sweep, **params}, (0, 0, 0))
+        return proc, target, rule
+
+    def uniform(loop):
+        d = loop[0].data_dim
+        return (*loop, np.ones(d) / np.sqrt(d))
+
+    entries = uniform((zoo.qudit_diagonal_processor(5), np.diag([0.8, 1.2, 1.0, 0.9, 1.1]), loops.diagonal_rule()))
+    return [
+        ("qidn k=24 seed 7", uniform(sweep("qidn", {"n_dim": 2, "target_seed": 7})), 24),
+        ("diagonal dim 3 n=30", uniform(sweep("diagonal", {"dim": 3})), 30),
+        *[(f"diagonal entries n={n}", entries, n) for n in (6, 8)],
+        ("qidN(2) diag(0.1, 1) k=12", uniform((zoo.qidN(2), np.diag([0.1, 1.0]), loops.qidN_rule())), 12),
+    ]
 
 
 def _stages(package, chains: dict) -> list:
@@ -138,7 +165,7 @@ def _cases(package):
         out.append((f"qid2 next_program K={k}", "us/node", 1e6 / k, run))
     cfg = cli.ExperimentConfig("bz_haar", max_rounds=1, trials=streams.CHUNK, seed=3)
     out.append((f"bz_haar sample, {streams.CHUNK} trials", "us/trial", 1e6 / streams.CHUNK, lambda: cli.run_sample(cfg)))
-    for label, args, n in chains:
+    for label, args, n in chains + _enumerations(package):
         out.append((f"exact walk {label}", "ms/walk", 1e3, lambda args=args, n=n: loops.exact_walk(loops.OutcomeTree(*args), n)))
     return out
 
