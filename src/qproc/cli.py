@@ -27,6 +27,7 @@ import json
 import math
 import numbers
 import os
+import shutil
 import sys
 from dataclasses import dataclass, field, fields, replace
 from json.encoder import encode_basestring_ascii
@@ -107,11 +108,26 @@ def _resolve_out(out: str | None, default_name: str) -> str:
 
 
 def _write_text(path: str, pieces: Iterable[str]) -> None:
-    """Write the pieces to path in order, each as soon as it is produced."""
+    """Write the pieces in order, each as soon as it is produced, to a temporary file beside path, then move it onto
+    path: until the last piece is written, path keeps its old contents, and a write that fails or is interrupted
+    removes the temporary file. The file gets the mode open(path, "w") gives it: an existing file's, else 0o666
+    less the umask."""
+    dest = os.path.realpath(path)  # through a symlink, as open(path, "w") writes
+    tmp = os.path.join(os.path.dirname(dest), f".{os.path.basename(dest)}.{os.getpid()}.tmp")
     try:
-        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        with open(path, "w", newline="") as fh:
-            fh.writelines(pieces)
+        os.makedirs(os.path.dirname(dest), exist_ok=True)
+        if os.path.exists(dest):
+            os.close(os.open(path, os.O_WRONLY))  # an existing path it may not write is refused, as open(path, "w") does
+        fh = open(tmp, "x", newline="")
+        try:
+            with fh:
+                fh.writelines(pieces)
+            if os.path.exists(dest):
+                shutil.copymode(dest, tmp)
+            os.replace(tmp, dest)
+        except BaseException:
+            os.remove(tmp)
+            raise
     except OSError as exc:  # a parent that is a file, no permission, a full disk
         raise UsageError(f"cannot write {path!r}: {exc}") from None
 

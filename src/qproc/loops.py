@@ -13,11 +13,12 @@ depends neither on the data state nor on the RNG. An `OutcomeTree`, built
 from one (processor, target, rule), is therefore the whole loop: it holds one
 node per outcome history (residual, program or an "uncorrectable" marker,
 and read-only branch operators), built lazily on first visit; callers build
-one tree per loop. Retained node arrays are capped at `_RETAINED_BYTES` per
-tree; nodes past the cap are built and used but not kept, and nodes are
-offered to the cap in the order the walks build them. Nothing is cached
-between trees, and a trajectory's output does not depend on what the tree
-already holds.
+one tree per loop. An uncorrectable node is an outcome, not an error: the
+rule gives, unraised, the exception that says why it has no program.
+Retained node arrays are capped at `_RETAINED_BYTES` per tree; nodes past
+the cap are built and used but not kept, and nodes are offered to the cap
+in the order the walks build them. Nothing is cached between trees, and a
+trajectory's output does not depend on what the tree already holds.
 
 The walks build nodes in batches (`OutcomeTree.children`): the residual
 products and their norms, the inverses, the qidN encoding, the branch
@@ -117,7 +118,7 @@ from .processor import (
     decompose,  # noqa: F401 - re-exported: callers look it up in loops
     inverse_cdf,
 )
-from .qlinalg import SingularOperator, frobenius_rows, identity, inverse, inverses, per_row, su2_log, su2_logs
+from .qlinalg import SingularOperator, frobenius_rows, identity, inverses, inverted, per_row, su2_log, su2_logs
 
 # Failure branches with less probability mass than this cannot move a
 # 1e-12 comparison and are pruned from the exact tree.
@@ -189,8 +190,9 @@ class CorrectionRule:
     target itself, so it also provides the first-round program. The
     family's `_next_program` encodes a (K, D, D) stack of residuals at once
     and returns, for each, its program or the SingularOperator or
-    SingularProgram that says why none exists; each program has the bits
-    of its residual encoded alone.
+    SingularProgram that says why none exists, unraised: a refusal is a
+    value, and only `next_program` of one (D, D) residual raises it. Each
+    program has the bits of its residual encoded alone.
 
     The rules of the diagonal families (u1, bz, diagonal) read only the
     diagonals of target and residual: an `OutcomeTree` built with one checks
@@ -203,13 +205,13 @@ class CorrectionRule:
     _diagonal: bool = field(default=False, repr=False)  # set by _diagonal_rule
 
     def next_program(self, proc: ProcessorDefinition, target: np.ndarray, residual: np.ndarray):
-        """The program of one (D, D) residual, raising when none exists, or the list `_next_program` gives a (K, D, D) stack."""
+        """The program of one (D, D) residual, raising its refusal, or the list `_next_program` gives a (K, D, D) stack."""
         r = np.asarray(residual, dtype=complex)
         out = self._next_program(proc, np.asarray(target, dtype=complex), r if r.ndim == 3 else r[None])
         if r.ndim == 3:
             return out
         if isinstance(out[0], Exception):
-            raise out[0]
+            raise type(out[0])(*out[0].args)  # a fresh one: a raised local would hold this frame in a cycle
         return out[0]
 
 
@@ -232,11 +234,12 @@ def _check_diagonal(proc: ProcessorDefinition, target: np.ndarray) -> None:
         raise ValueError("processor blocks must be diagonal for this correction family")
 
 
-def _safe_ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+def _safe_ratio(num: np.ndarray, den: np.ndarray) -> np.ndarray | SingularProgram:
+    """num / den, or the SingularProgram, unraised, when an entry of den vanishes against the largest."""
     size = np.abs(den)
     scale = size.max()
     if scale == 0 or (size <= 1e-12 * scale).any():
-        raise SingularProgram("applied operator has a vanishing diagonal entry")
+        return SingularProgram("applied operator has a vanishing diagonal entry")
     return num / den
 
 
@@ -250,15 +253,14 @@ def _diagonal_rule(encode: Callable, success_labels: Callable) -> CorrectionRule
 
 
 def _each(encode: Callable) -> Callable:
-    """The stacked encode that applies encode(proc, t, r) to each diagonal r, keeping the SingularProgram it raises."""
+    """The stacked encode that gives, for each diagonal r, the SingularProgram of a ratio m = t / r that `_safe_ratio`
+    refuses, or else encode(proc, m, r): a program, or the unraised SingularProgram that says why none exists."""
 
     def encode_each(proc, t, rs):
         out = []
-        for k in range(len(rs)):
-            try:
-                out.append(encode(proc, t, rs[k]))
-            except SingularProgram as exc:
-                out.append(exc)
+        for k in range(len(rs)):  # a loop costs a lone row less than comprehensions over the rows
+            m = _safe_ratio(t, rs[k])
+            out.append(m if isinstance(m, SingularProgram) else encode(proc, m, rs[k]))
         return out
 
     return encode_each
@@ -289,18 +291,17 @@ def bz_rule() -> CorrectionRule:
     the residual to stay invertible).
     """
 
-    def encode(proc, t, r):
-        m = _safe_ratio(t, r)
+    def encode(proc, m, r):
         # A corrected ratio, a power of z, can leave the range: then no program exists. The first
         # program is the target's own (residual I): a z out of range there is the caller's.
         corrected = not np.all(r == 1)
         if abs(m[0]) <= (1e-12 if corrected else 0.0) * abs(m).max():
-            raise SingularProgram("corrected ratio is unbounded (m00 ~ 0)")
+            return SingularProgram("corrected ratio is unbounded (m00 ~ 0)")
         try:
             return zoo.geometric_program(complex(m[1] / m[0]), proc.program_dim)
         except zoo.InvalidParameter as exc:
             if corrected:
-                raise SingularProgram(f"corrected ratio is out of range: {exc}") from None
+                return SingularProgram(f"corrected ratio is out of range: {exc}")
             raise
 
     return _diagonal_rule(_each(encode), lambda proc: frozenset(str(j) for j in range(proc.program_dim - 1)))
@@ -310,50 +311,45 @@ def diagonal_rule() -> CorrectionRule:
     """Entrywise-quotient correction for the qudit diagonal processor.
 
     Next program entries are lambda * (target entry) / (residual entry),
-    lambda fixed by normalization. Raises SingularProgram when an applied
-    diagonal entry vanished: the failed operation is non-invertible and the
-    loop cannot proceed.
+    lambda fixed by normalization. When an applied diagonal entry vanished,
+    the failed operation is non-invertible and the loop cannot proceed: the
+    rule gives a SingularProgram for that residual.
     """
-    return _diagonal_rule(_each(lambda proc, t, r: zoo.diagonal_program(_safe_ratio(t, r))), lambda proc: frozenset({"0"}))
+    return _diagonal_rule(_each(lambda proc, m, r: zoo.diagonal_program(m)), lambda proc: frozenset({"0"}))
 
 
-def _needed(target: np.ndarray, residuals: np.ndarray) -> tuple[np.ndarray, dict[int, SingularOperator]]:
-    """target @ residual^{-1} for each residual of the (K, D, D) stack, and by index the refusal of each that cannot be inverted.
+def _needed(target: np.ndarray, residuals: np.ndarray) -> tuple[np.ndarray, list[SingularOperator | None]]:
+    """target @ residual^{-1} for each residual of the (K, D, D) stack, and per residual None or its unraised refusal.
 
-    A residual equal to I (the first round) gives the target itself, without inversion.
+    A residual equal to I (the first round) gives the target itself.
     """
     first = (residuals == identity(residuals.shape[1])).all(axis=(1, 2)).tolist()
-    if all(first):
-        return target[None].repeat(len(first), axis=0), {}
-    invs, refused = inverses(residuals)
+    invs, refusals = inverses(residuals)
     needed = target @ invs
     if any(first):
         needed[first] = target
-    return needed, refused
+    return needed, refusals
 
 
 def _encoded(target: np.ndarray, residuals: np.ndarray, encode: Callable, one: Callable) -> list:
-    """The program of target @ residual^{-1} for each residual of the (K, D, D) stack, or the SingularOperator of one
-    that cannot be inverted: encode(stack) gives the programs of a stack of matrices, one(m) the program of one.
+    """The program of target @ residual^{-1} for each residual of the (K, D, D) stack, or the unraised SingularOperator
+    of one that cannot be inverted: encode(stack) gives the programs of a stack of matrices, one(m) the program of one.
 
-    A lone residual takes the forms of one matrix (`inverse`, `one`), which cost less than those of a stack of one
+    A lone residual takes the forms of one matrix (`inverted`, `one`), which cost less than those of a stack of one
     and give the same bits.
     """
     if len(residuals) == 1:
         r = residuals[0]
         if (r == identity(len(r))).all():
             return [one(target)]
-        try:
-            inv = inverse(r)
-        except SingularOperator as exc:
-            return [exc]
-        return [one(target @ inv)]
-    needed, refused = _needed(target, residuals)
-    if not refused:
+        inv, refusal = inverted(r)
+        return [one(target @ inv) if refusal is None else refusal]
+    needed, refusals = _needed(target, residuals)
+    if not any(refusals):
         return encode(needed)
-    rows = [k for k in range(needed.shape[0]) if k not in refused]
+    rows = [k for k, refusal in enumerate(refusals) if refusal is None]
     made = iter(encode(needed[rows]) if rows else ())
-    return [refused[k] if k in refused else next(made) for k in range(needed.shape[0])]
+    return [next(made) if refusal is None else refusal for refusal in refusals]
 
 
 def unitary_scale(m: np.ndarray) -> float | None:
@@ -402,7 +398,7 @@ def qidN_rule() -> CorrectionRule:
     On outcome (r,s) != (0,0) the applied operator is proportional to
     U^{(s,r)} V U^{(s,r)dag}; the next program encodes
     V [U^{(s,r)} V U^{(s,r)dag}]^{-1} via the operator-basis expansion.
-    Raises SingularOperator when the accumulated branch is not invertible.
+    A residual that cannot be inverted gives its SingularOperator instead.
     """
 
     def next_program(proc, target, residuals):
@@ -584,16 +580,12 @@ class OutcomeTree:
             node.ops = branch_operators(self.proc, node.program, self.basis)
             node.ops.setflags(write=False)
             return [node], node.ops[None]
-        nodes, live, programs = [], [], []
-        for k, program in enumerate(self.rule.next_program(self.proc, self.target, residuals)):
-            node = _Node(residuals[k], program)
-            nodes.append(node)
-            if node.program is not None:
-                live.append(node)
-                programs.append(program)
+        programs = self.rule.next_program(self.proc, self.target, residuals)
+        nodes = [_Node(residuals[k], program) for k, program in enumerate(programs)]
+        live = [node for node in nodes if node.program is not None]
         if not live:
             return nodes, None
-        ops = branch_operators(self.proc, programs, self.basis)
+        ops = branch_operators(self.proc, [node.program for node in live], self.basis)
         ops.setflags(write=False)
         for k, node in enumerate(live):
             node.ops, node.batch, node.row = ops[k], ops, k

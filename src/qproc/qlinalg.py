@@ -113,48 +113,49 @@ def is_unitary(m: np.ndarray, tol: float = 1e-10) -> bool:
 
 
 def inverse(m: np.ndarray) -> np.ndarray:
-    """Inverse of a square matrix; raises SingularOperator below threshold.
+    """Inverse of a square matrix; raises SingularOperator below threshold (`inverted` returns it as a value).
 
-    The threshold is relative: smallest singular value <= TOL_SINGULAR times
-    the largest counts as singular. The SVD runs only when a bound cannot
-    decide (`_conditioned`). Either way the result is np.linalg.inv(m), and
-    a refusal is the SVD rule's.
+    The threshold is relative: smallest singular value <= TOL_SINGULAR times the largest counts as singular. The SVD
+    runs only when a bound cannot decide (`_conditioned`). Either way the result is np.linalg.inv(m).
     """
     if m.shape[0] != m.shape[1]:
         raise ValueError("inverse requires a square matrix")
+    inv, refusal = inverted(m)
+    if refusal is not None:
+        raise type(refusal)(*refusal.args)  # a fresh one: a raised local would hold this frame in a cycle
+    return inv
+
+
+def inverted(m: np.ndarray) -> tuple[np.ndarray, SingularOperator | None]:
+    """`inverse` of a square m as values: (the inverse, None), or (a zero matrix, the unraised SingularOperator)."""
     try:
         inv = np.linalg.inv(m)
     except np.linalg.LinAlgError:
         inv = None
-    if inv is None or not _conditioned(m, inv):
-        _svd_rule(m)
-    return np.linalg.inv(m) if inv is None else inv
+    refusal = None if inv is not None and _conditioned(m, inv) else _svd_rule(m)
+    if refusal is not None:
+        return np.zeros(m.shape, dtype=complex), refusal
+    return (np.linalg.inv(m) if inv is None else inv), None
 
 
-def inverses(ms: np.ndarray) -> tuple[np.ndarray, dict[int, SingularOperator]]:
+def inverses(ms: np.ndarray) -> tuple[np.ndarray, list[SingularOperator | None]]:
     """`inverse` of each matrix of the (K, D, D) stack, from one stacked inversion.
 
     Returns the stack of inverses, each row with the bits `inverse` gives
-    its matrix alone, and the SingularOperator of each matrix that
-    `inverse` refuses, by index; the row of a refused matrix is 0. An
-    exactly singular matrix fails the stacked inversion, and then each
-    matrix is inverted alone.
+    its matrix alone, and per matrix None or, unraised, the SingularOperator
+    that `inverse` would raise: a refusal is a value, and the row of a
+    refused matrix is 0. An exactly singular matrix fails the stacked
+    inversion, and then each matrix is inverted alone.
     """
     try:
-        invs, alone = np.linalg.inv(ms), False
+        invs = np.linalg.inv(ms)
     except np.linalg.LinAlgError:
-        invs, alone = np.zeros(ms.shape, dtype=complex), True
-    refused = {}
-    for k in range(len(ms)):
-        try:
-            if alone:
-                invs[k] = inverse(ms[k])
-            elif not _conditioned(ms[k], invs[k]):
-                _svd_rule(ms[k])
-        except SingularOperator as exc:
-            invs[k] = 0.0
-            refused[k] = exc
-    return invs, refused
+        rows = [inverted(m) for m in ms]
+        return np.array([inv for inv, _ in rows]), [refusal for _, refusal in rows]
+    refusals = [None if _conditioned(ms[k], invs[k]) else _svd_rule(ms[k]) for k in range(len(ms))]
+    if any(refusals):
+        invs[[refusal is not None for refusal in refusals]] = 0.0
+    return invs, refusals
 
 
 # Square of the bound on ||m||_F ||m^-1||_F below which `_conditioned` passes.
@@ -171,11 +172,12 @@ def _conditioned(m: np.ndarray, inv: np.ndarray) -> bool:
     return float(np.vdot(m, m).real) * float(np.vdot(inv, inv).real) < _CONDITION_BOUND2
 
 
-def _svd_rule(m: np.ndarray) -> None:
-    """Raise SingularOperator when m's singular value ratio is at or below TOL_SINGULAR."""
+def _svd_rule(m: np.ndarray) -> SingularOperator | None:
+    """The SingularOperator, unraised, when m's singular value ratio is at or below TOL_SINGULAR; else None."""
     s = np.linalg.svd(m, compute_uv=False)
     if s[0] == 0 or s[-1] <= TOL_SINGULAR * s[0]:
-        raise SingularOperator(f"singular value ratio {s[-1]:.3e}/{s[0]:.3e} below threshold")
+        return SingularOperator(f"singular value ratio {s[-1]:.3e}/{s[0]:.3e} below threshold")
+    return None
 
 
 def su2_exp(mu) -> np.ndarray:

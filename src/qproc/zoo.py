@@ -396,7 +396,7 @@ def _weyl_stack(n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _weyl_bras(n: int) -> np.ndarray:  # conj(_weyl_stack(n)), as `weyl_expansion` reads it
+def _weyl_bras(n: int) -> np.ndarray:  # conj(_weyl_stack(n)), as `programs_for`' expansion reads it
     return _frozen(np.conjugate(_weyl_stack(n)))
 
 
@@ -433,27 +433,6 @@ def phi_basis(n: int) -> ProgramBasis:
     return ProgramBasis(vectors=vecs, labels=labels)
 
 
-def weyl_expansion(v: np.ndarray) -> np.ndarray:
-    """Coefficients d with v = sum_mn d[m, n] U^{(m,n)}; d[m,n] = tr(U^{(m,n)dag} v)/N."""
-    v = np.asarray(v, dtype=complex)
-    n = v.shape[0]
-    if v.shape != (n, n):
-        raise ValueError("operator must be square")
-    if qlinalg.frobenius(v) < 1e-12:
-        raise ZeroOperator("cannot expand the zero operator")
-    return _weyl_coefficients(v)
-
-
-def _weyl_coefficients(v: np.ndarray) -> np.ndarray:
-    return np.einsum("mkij,ij->mk", _weyl_bras(v.shape[0]), v) / v.shape[0]
-
-
-def weyl_program(d, scale: float) -> ProgramState:
-    """Program ket sum_mn d[m, n] |Xi_mn>; `scale` (see `program_for`) is recorded, not applied."""
-    d = np.asarray(d, dtype=complex)
-    return ProgramState(ket=_weyl_kets(d[None])[0], encoding="weyl", params={"d": d, "scale": float(scale), "n_dim": d.shape[0]})
-
-
 def _weyl_kets(ds: np.ndarray) -> np.ndarray:
     """The ket of each d of the (K, N, N) stack: np.tensordot(d, bells, 2)'s one product, d as a 1 x N^2 row times the
     N^2 x N^2 bells, stacked; a stack of one takes np.dot's product, which costs less."""
@@ -468,9 +447,9 @@ def program_for(v: np.ndarray) -> ProgramState:
     """Program ket sum_mn d_mn |Xi_mn> implementing the operator v.
 
     v is first rescaled to Frobenius norm sqrt(N) so that the expansion
-    coefficients have unit total weight; the discarded scale is recorded in
-    the params (unitary operators have scale 1). The rescaled operator has
-    norm sqrt(N), so it is expanded without `weyl_expansion`'s zero check.
+    coefficients d_mn = tr(U^{(m,n)dag} v)/N have unit total weight; the
+    discarded scale is recorded in the params (unitary operators have scale
+    1). A v of Frobenius norm below 1e-12 raises ZeroOperator.
     A finite v whose squared entries overflow (|v_ij| past about 1.3e154)
     takes the norm of v / max|v| times max|v|; every other v keeps its bits.
     """

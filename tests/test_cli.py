@@ -3,6 +3,7 @@ import csv
 import io
 import itertools
 import json
+import os
 import random
 import sys
 import threading
@@ -606,6 +607,53 @@ def test_unwritable_out_is_usage_error(tmp_path, capsys, command):
     assert main(argv + ["--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: cannot write") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "error, raised",
+    [(OSError("disk full"), UsageError), (KeyboardInterrupt(), KeyboardInterrupt), (RuntimeError("bug"), RuntimeError)],
+    ids=["os-error", "interrupt", "bug"],
+)
+def test_interrupted_write_leaves_the_previous_output(tmp_path, error, raised):
+    """A write that fails after its first chunk leaves the previous file byte-identical and no temporary file."""
+    out = tmp_path / "sample.json"
+    out.write_bytes(b'{"previous": true}\n')
+
+    def pieces():
+        yield "x" * cli.TEXT_CHUNK
+        raise error
+
+    with pytest.raises(raised):
+        cli._write_text(str(out), pieces())
+    assert out.read_bytes() == b'{"previous": true}\n'
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sample.json"]
+
+
+def test_write_keeps_the_mode_and_the_symlink_of_open_for_writing(tmp_path):
+    plain = tmp_path / "plain"
+    with open(plain, "w"):
+        pass
+    new = tmp_path / "new.csv"
+    cli._write_text(str(new), ["a", "b"])
+    assert new.read_text() == "ab" and new.stat().st_mode == plain.stat().st_mode
+    new.chmod(0o640)
+    cli._write_text(str(new), ["c"])
+    assert new.read_text() == "c" and new.stat().st_mode & 0o777 == 0o640
+    link = tmp_path / "link.csv"
+    link.symlink_to(new)
+    cli._write_text(str(link), ["d"])
+    assert link.is_symlink() and new.read_text() == "d"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "new.csv", "plain"]
+
+
+@pytest.mark.skipif(os.geteuid() == 0, reason="the superuser may write a read-only file")
+def test_read_only_out_is_refused_and_kept(tmp_path):
+    out = tmp_path / "sample.json"
+    out.write_bytes(b"{}\n")
+    out.chmod(0o444)
+    with pytest.raises(UsageError, match="cannot write"):
+        cli._write_text(str(out), ["x"])
+    assert out.read_bytes() == b"{}\n" and sorted(p.name for p in tmp_path.iterdir()) == ["sample.json"]
 
 
 def test_sample_bz_first_program_at_large_z(tmp_path):

@@ -1,4 +1,5 @@
 """Tests for correction rules, exact loop trees and Monte Carlo trajectories."""
+import gc
 import sys
 import tracemalloc
 from unittest import mock
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qproc import cli, loops, zoo
+from qproc import cli, loops, qlinalg, zoo
 from qproc.loops import OutcomeTree, SingularProgram, exact_success, exact_walk, run_loop
 from qproc.processor import DimensionMismatch, branch_operators, decompose
 from qproc.qlinalg import (
@@ -19,7 +20,7 @@ from qproc.qlinalg import (
     random_unitary,
     su2_exp,
 )
-from qproc.streams import derive_stream
+from qproc.streams import derive_stream, trial_indices, uniform_draws
 
 
 class _FixedDraws:
@@ -556,6 +557,51 @@ def test_exact_walk_builds_the_nodes_of_the_depth_first_walk_within_its_batch_by
             tracemalloc.stop()
     assert sum(encoded) == residuals
     assert peak <= parent_kib * 1024 + loops._BATCH_BYTES, peak / 1024
+
+
+def _uniform_tree(proc, target, rule):
+    return OutcomeTree(proc, target, rule, np.ones(proc.data_dim) / np.sqrt(proc.data_dim))
+
+
+def _bz_trials():
+    """2000 trajectories of bz at z = 2 (n_program 2, 60 rounds, seed 1); hundreds end uncorrectable, past the range cutoff."""
+    tree = _uniform_tree(zoo.cyclic_shift_processor(2), zoo.bz_operator(2.0), loops.bz_rule())
+    traces = [t for n, draw in uniform_draws((1, 0), trial_indices(2000)) for t in loops.run_trials(tree, 60, n, draw)]
+    assert sum(t.status == "uncorrectable" for t in traces) >= 100
+    return tree, traces
+
+
+def _lone_refusals():
+    """`inverse` and a lone `next_program` raise the refusal of one singular residual."""
+    m = np.diag([1.0, 0.0]).astype(complex)
+    for raising in (lambda: qlinalg.inverse(m), lambda: loops.qidN_rule().next_program(zoo.qidN(2), np.eye(2), m)):
+        try:
+            raising()
+        except qlinalg.SingularOperator:
+            continue
+        raise AssertionError("no refusal raised")
+
+
+UNCORRECTABLE = [
+    ("diagonal [0.5, 1, 2] n=8", lambda: exact_walk(_uniform_tree(zoo.qudit_diagonal_processor(3), np.diag([0.5, 1.0, 2.0]), loops.diagonal_rule()), 8)),
+    ("qidN(2) diag(1, 0) k=4", lambda: exact_walk(_uniform_tree(zoo.qidN(2), np.diag([1.0, 0.0]), loops.qidN_rule()), 4)),
+    ("bz z=2 run_trials", _bz_trials),
+    ("lone refusals raised", _lone_refusals),
+]
+
+
+@pytest.mark.parametrize("walk", [c[1] for c in UNCORRECTABLE], ids=[c[0] for c in UNCORRECTABLE])
+def test_uncorrectable_rows_leave_no_reference_cycle(walk):
+    """A row with no program is a value, not a raised exception kept with its traceback: a walk through
+    uncorrectable nodes leaves nothing for the cyclic collector once its tree and traces are dropped."""
+    walk()  # caches warm
+    gc.collect()
+    gc.disable()
+    try:
+        walk()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_exact_success_validates_rounds():

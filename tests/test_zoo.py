@@ -429,25 +429,26 @@ def test_phi_basis_gram_and_factorization():
                 assert phase_distance(basis.vectors[r * n + s], factored) <= 1e-10
 
 
-def test_weyl_expansion_picks_out_basis_element():
-    d = zoo.weyl_expansion(zoo.weyl(2, 1, 3))
+def test_program_for_expansion_picks_out_basis_element():
+    # a unitary v has scale 1, so the recorded d is v's own Weyl expansion
+    d = zoo.program_for(zoo.weyl(2, 1, 3)).params["d"]
     want = np.zeros((3, 3), dtype=complex)
     want[2, 1] = 1.0
     assert np.abs(d - want).max() <= 1e-12
-    d = zoo.weyl_expansion(np.eye(3))
+    d = zoo.program_for(np.eye(3)).params["d"]
     assert abs(d[0, 0] - 1.0) <= 1e-12 and np.abs(d).sum() - 1.0 <= 1e-12
 
 
-def test_weyl_expansion_reconstructs_random_unitary():
+def test_program_for_expansion_reconstructs_random_unitary():
     v = random_unitary(3, derive_stream(307))
-    d = zoo.weyl_expansion(v)
+    d = zoo.program_for(v).params["d"]
     rec = sum(d[m, k] * zoo.weyl(m, k, 3) for m in range(3) for k in range(3))
     assert np.linalg.norm(rec - v) <= 1e-10
 
 
-def test_weyl_expansion_rejects_zero():
+def test_program_for_rejects_zero():
     with pytest.raises(zoo.ZeroOperator):
-        zoo.weyl_expansion(np.zeros((3, 3)))
+        zoo.program_for(np.zeros((3, 3)))
 
 
 def test_program_for_records_scale():

@@ -13,6 +13,9 @@ Cases:
 - the qid2 rule's `next_program` on a stack of K Haar-random residuals (the
   inverses and the SU(2) encode of K nodes), in us per node, at K = 1, 4, 20
   and 100; on a version whose rules take one residual, K calls;
+- the qidN(2) rule's `next_program` on a stack of 20 residuals, every other
+  one singular (a Haar unitary times diag(1, 0)), in us per node: the
+  refused rows' path;
 - `cli.run_sample` of a bz_haar config of one full stream pass (4096 trials,
   one round each), in us per trial;
 - `exact_walk` on a fresh tree of the loops whose trees collapse to chains
@@ -23,7 +26,9 @@ Cases:
   first node that does not collapse, in ms per walk: exact-grid's qidn k = 24
   (target seed 7) and dim-3 diagonal n = 30 sweep points, where rounding
   drift breaks the collapse, the dim-5 diagonal entries [0.8, 1.2, 1.0, 0.9,
-  1.1] at n = 6 and 8, and qidN(2) on diag(0.1, 1) at k = 12.
+  1.1] at n = 6 and 8, and qidN(2) on diag(0.1, 1) at k = 12; and two whose
+  trees hold uncorrectable nodes: the dim-3 diagonal entries [0.5, 1.0, 2.0]
+  at n = 8 and qidN(2) on diag(1, 0) at k = 4.
 
 With --against, the qproc package under that source directory is loaded as
 a second package and timed as well. Within each round every case is timed
@@ -91,6 +96,8 @@ def _enumerations(package) -> list:
         ("diagonal dim 3 n=30", uniform(sweep("diagonal", {"dim": 3})), 30),
         *[(f"diagonal entries n={n}", entries, n) for n in (6, 8)],
         ("qidN(2) diag(0.1, 1) k=12", uniform((zoo.qidN(2), np.diag([0.1, 1.0]), loops.qidN_rule())), 12),
+        ("diagonal [0.5, 1, 2] n=8", uniform((zoo.qudit_diagonal_processor(3), np.diag([0.5, 1.0, 2.0]), loops.diagonal_rule())), 8),
+        ("qidN(2) diag(1, 0) k=4", uniform((zoo.qidN(2), np.diag([1.0, 0.0]), loops.qidN_rule())), 4),
     ]
 
 
@@ -163,6 +170,10 @@ def _cases(package):
         else:
             run = lambda stack=stack: [rule.next_program(proc, target, r) for r in stack]  # noqa: E731
         out.append((f"qid2 next_program K={k}", "us/node", 1e6 / k, run))
+    if stacks:
+        proc, rule, target = zoo.qidN(2), loops.qidN_rule(), qlinalg.random_unitary(2, rng)
+        stack = np.array([qlinalg.random_unitary(2, rng) @ np.diag([1.0, k % 2]) for k in range(20)], dtype=complex)
+        out.append(("qidN(2) next_program K=20 half singular", "us/node", 1e6 / 20, lambda: rule.next_program(proc, target, stack)))
     cfg = cli.ExperimentConfig("bz_haar", max_rounds=1, trials=streams.CHUNK, seed=3)
     out.append((f"bz_haar sample, {streams.CHUNK} trials", "us/trial", 1e6 / streams.CHUNK, lambda: cli.run_sample(cfg)))
     for label, args, n in chains + _enumerations(package):
