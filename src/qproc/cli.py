@@ -27,7 +27,7 @@ import json
 import math
 import numbers
 import os
-import shutil
+import stat
 import sys
 from dataclasses import dataclass, field, fields, replace
 from json.encoder import encode_basestring_ascii
@@ -108,22 +108,27 @@ def _resolve_out(out: str | None, default_name: str) -> str:
 
 
 def _write_text(path: str, pieces: Iterable[str]) -> None:
-    """Write the pieces in order, each as soon as it is produced, to a temporary file beside path, then move it onto
-    path: until the last piece is written, path keeps its old contents, and a write that fails or is interrupted
-    removes the temporary file. The file gets the mode open(path, "w") gives it: an existing file's, else 0o666
-    less the umask."""
-    dest = os.path.realpath(path)  # through a symlink, as open(path, "w") writes
-    tmp = os.path.join(os.path.dirname(dest), f".{os.path.basename(dest)}.{os.getpid()}.tmp")
+    """Write the pieces in order, each as soon as it is produced. A regular or new file is written whole: to a
+    temporary file beside it, moved onto it after the last piece, so a failed or interrupted write leaves the old
+    file; the new one gets the mode open(path, "w") gives. A device or a FIFO is written in place, as a stream."""
     try:
-        os.makedirs(os.path.dirname(dest), exist_ok=True)
-        if os.path.exists(dest):
-            os.close(os.open(path, os.O_WRONLY))  # an existing path it may not write is refused, as open(path, "w") does
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+        st = os.stat(path) if os.path.exists(path) else None
+        if st is not None and not stat.S_ISREG(st.st_mode):
+            with open(path, "w", newline="") as fh:
+                fh.writelines(pieces)
+            return
+        if st is not None:
+            os.close(os.open(path, os.O_WRONLY))  # a file it may not write is refused, as open(path, "w") does
+        dest = os.path.realpath(path)  # through a symlink, as open(path, "w") writes
+        # A random name, created exclusively: no file left by a killed run blocks it, and no planted link is followed.
+        tmp = os.path.join(os.path.dirname(dest), f".{os.path.basename(dest)}.{os.urandom(6).hex()}.tmp")
         fh = open(tmp, "x", newline="")
         try:
             with fh:
                 fh.writelines(pieces)
-            if os.path.exists(dest):
-                shutil.copymode(dest, tmp)
+            if st is not None:
+                os.chmod(tmp, stat.S_IMODE(st.st_mode))
             os.replace(tmp, dest)
         except BaseException:
             os.remove(tmp)

@@ -5,6 +5,7 @@ import itertools
 import json
 import os
 import random
+import stat
 import sys
 import threading
 import tracemalloc
@@ -646,6 +647,24 @@ def test_write_keeps_the_mode_and_the_symlink_of_open_for_writing(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "new.csv", "plain"]
 
 
+def test_unwritable_existing_out_is_refused_and_kept(tmp_path, monkeypatch):
+    """An existing --out that the process may not write is refused, not replaced; the probe is refused here by a
+    patched os.open, so the check runs as any user."""
+    out = tmp_path / "sample.json"
+    out.write_bytes(b"{}\n")
+    real_open = os.open
+
+    def refusing_open(path, flags, *args, **kwargs):
+        if os.fspath(path) == str(out):
+            raise PermissionError(13, "Permission denied", os.fspath(path))
+        return real_open(path, flags, *args, **kwargs)
+
+    monkeypatch.setattr(cli.os, "open", refusing_open)
+    with pytest.raises(UsageError, match="cannot write .*Permission denied"):
+        cli._write_text(str(out), ["x"])
+    assert out.read_bytes() == b"{}\n" and sorted(p.name for p in tmp_path.iterdir()) == ["sample.json"]
+
+
 @pytest.mark.skipif(os.geteuid() == 0, reason="the superuser may write a read-only file")
 def test_read_only_out_is_refused_and_kept(tmp_path):
     out = tmp_path / "sample.json"
@@ -654,6 +673,41 @@ def test_read_only_out_is_refused_and_kept(tmp_path):
     with pytest.raises(UsageError, match="cannot write"):
         cli._write_text(str(out), ["x"])
     assert out.read_bytes() == b"{}\n" and sorted(p.name for p in tmp_path.iterdir()) == ["sample.json"]
+
+
+def test_temporary_file_of_a_killed_run_does_not_block_the_next(tmp_path, monkeypatch):
+    """A run killed mid-write leaves its temporary file (emulated by a cleanup that does nothing); the next run
+    still writes the whole output and leaves the stale file as it was."""
+    out = tmp_path / "sample.json"
+    out.write_bytes(b"{}\n")
+
+    def pieces():
+        yield "partial"
+        raise KeyboardInterrupt
+
+    with monkeypatch.context() as m:
+        m.setattr(cli.os, "remove", lambda path: None)
+        with pytest.raises(KeyboardInterrupt):
+            cli._write_text(str(out), pieces())
+    (stale,) = [p for p in tmp_path.iterdir() if p.name != "sample.json"]
+    assert stale.read_text() == "partial"
+    cli._write_text(str(out), ["whole"])
+    assert out.read_text() == "whole" and stale.read_text() == "partial"
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["sample.json", stale.name])
+
+
+def test_out_that_is_a_fifo_is_written_as_a_stream(tmp_path):
+    """A path that is not a regular file (here a FIFO; /dev/null and /dev/stdout alike) is opened and written in
+    place, not replaced by a regular file."""
+    fifo = tmp_path / "out.fifo"
+    os.mkfifo(fifo)
+    read = []
+    reader = threading.Thread(target=lambda: read.append(fifo.read_text()), daemon=True)
+    reader.start()
+    cli._write_text(str(fifo), ["a" * cli.TEXT_CHUNK, "b"])
+    reader.join(timeout=30)
+    assert read == ["a" * cli.TEXT_CHUNK + "b"]
+    assert stat.S_ISFIFO(fifo.stat().st_mode) and sorted(p.name for p in tmp_path.iterdir()) == ["out.fifo"]
 
 
 def test_sample_bz_first_program_at_large_z(tmp_path):
