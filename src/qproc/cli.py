@@ -324,23 +324,13 @@ def _check_size(program_dim: int, data_dim: int, what: str) -> None:
 # Trace serialization (JSON schema used by `sample`)
 # ---------------------------------------------------------------------------
 
-def program_params_to_json(program: ProgramState) -> dict:
-    return {"encoding": program.encoding, **_jsonify(dict(program.params))}
-
-
-def round_to_dict(r: loops.LoopRound) -> dict:
-    """Plain-JSON form of one round, as `sample_json` writes it."""
-    return {"program_params": program_params_to_json(r.program), "outcome": r.outcome, "prob": r.probability}
-
-
 def trace_to_dict(trace: loops.LoopTrace) -> dict:
     """Plain-JSON form of one trace, as `sample_json` writes it."""
-    return {
-        "rounds": [round_to_dict(r) for r in trace.rounds],
-        "succeeded": trace.succeeded,
-        "status": trace.status,
-        "rounds_used": trace.rounds_used,
-    }
+    rounds = [
+        {"program_params": _jsonify({"encoding": r.program.encoding, **r.program.params}), "outcome": r.outcome, "prob": r.probability}
+        for r in trace.rounds
+    ]
+    return {"rounds": rounds, "succeeded": trace.succeeded, "status": trace.status, "rounds_used": trace.rounds_used}
 
 
 class _NoTemplate(Exception):

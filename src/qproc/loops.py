@@ -23,16 +23,17 @@ trajectory's output does not depend on what the tree already holds.
 The walks build nodes in batches (`OutcomeTree.children`): the residual
 products and their norms, the inverses, the qidN encoding, the branch
 operators and, in the sampled walks, the rounds are each one stacked numpy
-call for the whole batch, and each node keeps the bits it has when built
-alone. The qid2 rule takes its SU(2) steps stacked (`su2_logs`,
-`zoo.su2_programs`) from `_STACKED_SU2` residuals up and per residual
-below; the u1, bz and diagonal rules' scalar steps run per residual. A lone
-node (`OutcomeTree.child`, the step down a collapsed chain, or any batch of
-one) takes one node's form in each stage: `inverse` and the rule's encoding
-of one matrix, `np.dot` branch-operator products, one `ops @ state` round
-and, in the exact walk, one node's `np.einsum` entry and collapse test. Each
-gives the bits of its row of the stacked form, and none pays for a stack
-of one.
+call for the whole batch; each node keeps the bits it has when built alone
+and, kept or not, views of the batch's stacks (its residual, branch
+operators and round amplitudes). The qid2 rule takes its SU(2) steps stacked
+(`su2_logs`, `zoo.su2_programs`) from `_STACKED_SU2` residuals up and per
+residual below; the u1, bz and diagonal rules' scalar steps run per
+residual. A lone node (`OutcomeTree.child`, the step down a collapsed chain,
+or any batch of one) takes one node's form in each stage: `inverse` and the
+rule's encoding of one matrix, `np.dot` branch-operator products, one `ops @
+state` round and, in the exact walk, one node's `np.einsum` entry and
+collapse test. Each gives the bits of its row of the stacked form, and none
+pays for a stack of one.
 
 A tree is of one of two kinds, and each kind has its own walks; a walk
 given a tree of the other kind raises ValueError.
@@ -124,14 +125,14 @@ from .qlinalg import SingularOperator, frobenius_rows, identity, inverses, inver
 # 1e-12 comparison and are pruned from the exact tree.
 _PRUNE = 1e-25
 
-# Bytes of node arrays (residual, branch operators and, on a tree with a data
-# state, the round: amplitudes, post-states and the probability list) one
-# OutcomeTree keeps. The residual and operators of a qubit-family node with
-# N outcomes take 64 (N + 1) bytes and those of a qidN(3) node 1.4 KiB, so
-# thousands fit; on qidN(8) (83 KiB per node with its round) about 25 fit.
-# Nodes are offered to the cap in the order the walks build them, a batch at
-# a time. Nodes past the cap are built again per `run_trials` call (a stream
-# chunk of a command), which bounds resident memory growth.
+# Bytes of node arrays one OutcomeTree keeps, counted per kept node: residual, branch operators and, on a tree with a
+# data state, the round (amplitudes, post-states, probability list). A qubit-family node with N outcomes counts
+# 64 (N + 1) bytes and a qidN(3) node 1.4 KiB, so thousands fit, and a qidN(8) node 83 KiB with its round, so about 25.
+# Nodes are offered to the cap in the order the walks build them, a batch at a time; nodes past it are built again per
+# `run_trials` call (a stream chunk of a command). A kept node of a batch holds views of the batch's stacks, so the
+# batch that crosses the cap keeps the rows of its nodes past the cap too. The cap counts arrays only: a qid2 tree
+# after 20000 trials of 8 rounds keeps 2610 nodes, counted as 1.9 MiB, and holds 8.2 MiB in tracemalloc, most of it
+# the LoopRounds, LoopTraces, `_Round` objects and program params around the arrays.
 _RETAINED_BYTES = 2 * 1024 * 1024
 
 # Bytes of node arrays (as `_RETAINED_BYTES` counts them) that one batch
@@ -482,8 +483,9 @@ class _Node:
     On a tree with a data state, `round` caches the node's round on the
     state every trajectory brings to it, and `exact` its exact-walk entry.
     `kept`: the tree holds the node, so what is stored on it stays reachable.
-    While `ops` is a view of the stack of branch operators of the batch that
-    built the node, `batch` is that stack and `row` the node's index in it.
+    A node of a batch holds views of its stacks, kept or not: its residual,
+    its round's amplitudes and its branch operators `ops`, whose stack is
+    `batch`, with the node's index `row`.
     """
 
     __slots__ = ("residual", "program", "ops", "children", "round", "exact", "kept", "batch", "row")
@@ -499,14 +501,6 @@ class _Node:
         self.kept = False
         self.batch: np.ndarray | None = None
         self.row = 0
-
-    def own(self) -> None:
-        """Replace the node's arrays, views of its batch's stacks, by copies, so that keeping it keeps only them."""
-        self.residual = self.residual.copy()
-        if self.ops is not None:
-            self.ops = self.ops.copy()
-            self.ops.setflags(write=False)
-            self.batch = None
 
 
 class OutcomeTree:
@@ -558,13 +552,9 @@ class OutcomeTree:
     @property
     def root(self) -> _Node:
         if self._root is None:
-            self._root = self.node(np.eye(self.proc.data_dim, dtype=complex))
+            self._root = self._build(np.eye(self.proc.data_dim, dtype=complex)[None])[0][0]
             self._root.kept = True
         return self._root
-
-    def node(self, residual: np.ndarray) -> _Node:
-        """Build, without retaining, the node whose outcome history left `residual`: a batch of one."""
-        return self._build(np.asarray(residual, dtype=complex)[None])[0][0]
 
     def _build(self, residuals: np.ndarray) -> tuple[list[_Node], np.ndarray | None]:
         """Build, without retaining, the node of each residual of the (K, D, D) stack, each stage in one stacked call.
@@ -591,24 +581,22 @@ class OutcomeTree:
             node.ops, node.batch, node.row = ops[k], ops, k
         return nodes, ops
 
-    def child(self, parent: _Node, i: int, retain: bool = True) -> _Node:
+    def child(self, parent: _Node, i: int) -> _Node:
         """The node after `parent`'s branch i: `children` of the one pair, built in one node's forms."""
         node = parent.children.get(i)
         if node is None:
             node = self._build(_rescaled((parent.ops[i] @ parent.residual)[None]))[0][0]
-            if retain:
-                self._adopt(parent, i, node)
+            self._adopt(parent, i, node)
         return node
 
-    def children(self, pairs: list[tuple[_Node | None, int]], retain: bool = True) -> list[_Node]:
+    def children(self, pairs: list[tuple[_Node | None, int]]) -> list[_Node]:
         """The node after each (parent, branch i) pair, the root for a parent None; the missing ones are built as one batch.
 
-        In the order of `pairs`, a built node is kept if `retain`, its parent is kept and it fits under the
-        cap; kept out of a batch of more than one, it takes copies of its arrays (`_Node.own`). One pair is
-        `child`'s.
+        In the order of `pairs`, a built node is kept if its parent is kept and it fits under the cap. Kept or
+        not, it holds the views of the batch's stacks that `_build` gives it. One pair is `child`'s.
         """
         if len(pairs) == 1 and pairs[0][0] is not None:
-            return [self.child(*pairs[0], retain)]
+            return [self.child(*pairs[0])]
         out, todo, steps, residuals = [], [], [], []
         for k, (parent, i) in enumerate(pairs):
             node = self.root if parent is None else parent.children.get(i)
@@ -622,17 +610,14 @@ class OutcomeTree:
         built = self._build(_rescaled(stacked(steps) @ stacked(residuals)))[0]
         for k, node in zip(todo, built):
             out[k] = node
-            if retain and self._adopt(*pairs[k], node) and len(todo) > 1:
-                node.own()
+            self._adopt(*pairs[k], node)
         return out
 
-    def _adopt(self, parent: _Node, i: int, node: _Node) -> bool:
+    def _adopt(self, parent: _Node, i: int, node: _Node) -> None:
         """Keep `node` as `parent`'s child i if the parent is kept and the node's arrays fit under the cap."""
-        if not (parent.kept and self._keep(node.residual.nbytes + (0 if node.ops is None else node.ops.nbytes + self._round_bytes))):
-            return False
-        parent.children[i] = node
-        node.kept = True
-        return True
+        if parent.kept and self._keep(node.residual.nbytes + (0 if node.ops is None else node.ops.nbytes + self._round_bytes)):
+            parent.children[i] = node
+            node.kept = True
 
     def _keep(self, nbytes: int) -> bool:
         """Count nbytes against `_RETAINED_BYTES` if they fit; False: the caller must not keep them."""
@@ -646,8 +631,8 @@ class OutcomeTree:
 
         The missing rounds are computed together: one stacked `ops @ state` and one `branch_probabilities`,
         each with the bits of the node's round alone. The product reads the nodes' stack of branch operators
-        (`_batch_stack`), broadcast over the states; a lone missing round is its node's own `ops @ state`. A
-        cached round of a batch of more than one takes a copy of its amplitudes.
+        (`_batch_stack`), broadcast over the states; a lone missing round is its node's own `ops @ state`. Each
+        round's amplitudes are a view of the stacked product, cached or not.
         """
         out = [node.round for node in nodes]
         todo = [k for k, held in enumerate(out) if held is None]
@@ -658,10 +643,9 @@ class OutcomeTree:
         else:
             amps = np.matmul(_batch_stack([nodes[k] for k in todo]), stacked([states[k] for k in todo])[:, None, :, None])[..., 0]
         for j, (k, probs) in enumerate(zip(todo, branch_probabilities(amps))):
-            if self.psi is None:
-                out[k] = _Round(amps[j], probs)
-            else:
-                out[k] = nodes[k].round = _Round(amps[j].copy() if nodes[k].kept and len(todo) > 1 else amps[j], probs)
+            out[k] = _Round(amps[j], probs)
+            if self.psi is not None:
+                nodes[k].round = out[k]
         return out
 
 

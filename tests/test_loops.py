@@ -445,7 +445,7 @@ def _recursive_exact_success(proc, target, rule, n, psi) -> float:
             return s
 
         def child(i):
-            return visit(tree.node(loops._rescaled((node.ops[i] @ node.residual)[None])[0]), amps[i] / np.sqrt(probs[i]), remaining - 1)
+            return visit(tree._build(loops._rescaled((node.ops[i] @ node.residual)[None]))[0][0], amps[i] / np.sqrt(probs[i]), remaining - 1)
 
         if loops._state_independent(node.ops[None], probs[None])[0]:
             return s + (1.0 - s) * child(fails[0])

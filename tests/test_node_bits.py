@@ -333,7 +333,7 @@ def _tree_records(tree, psi, depth: int, width: int) -> list:
         for node in level:
             held = next(rounds) if node.program is not None else None
             records.append(_node_record(tree, node, psi, *((held.amps, held.probs) if held else (None, []))))
-        level = tree.children([(node, i) for node in live for i in range(min(width, node.ops.shape[0]))], retain=False)
+        level = tree.children([(node, i) for node in live for i in range(min(width, node.ops.shape[0]))])
     return records
 
 

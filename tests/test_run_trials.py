@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qproc import cli, loops, streams, zoo
+from qproc import cli, loops, qlinalg, streams, zoo
 from qproc.cli import ExperimentConfig, run_sample, run_sweep, trace_to_dict
 from qproc.loops import LoopTrace, OutcomeTree, SingularProgram, run_loop, run_trials
 from qproc.qlinalg import random_state, random_unitary
@@ -288,9 +288,9 @@ def test_rounds_of_one_batch_read_its_stack_of_branch_operators():
     peaks, rounds = [], []
     for own in (False, True):
         tree = OutcomeTree(proc, target, rule, psi)
-        nodes = tree.children([(tree.root, j) for j in (1, 2, 3)], retain=False)
-        for node in nodes if own else ():
-            node.own()
+        nodes = tree.children([(tree.root, j) for j in (1, 2, 3)])
+        for node in nodes if own else ():  # copies of the operators, no longer rows of the batch's stack
+            node.ops, node.batch = node.ops.copy(), None
         tracemalloc.start()
         try:
             rounds.append(tree.rounds_at(nodes, [psi] * 3))
@@ -301,3 +301,45 @@ def test_rounds_of_one_batch_read_its_stack_of_branch_operators():
     assert peaks[0] <= peaks[1] - stack * 3 // 4, (peaks, stack)
     for a, b in zip(*rounds):
         assert a.amps.tobytes() == b.amps.tobytes() and a.probs == b.probs
+
+
+def test_kept_nodes_of_one_batch_hold_views_of_its_stacks():
+    """A batch of nodes built on a tree within its cap is kept whole, and each kept node holds views of the batch's
+    stacks: its residual, its branch operators (a row of the stack that `_batch_stack` hands back whole) and its
+    round's amplitudes are rows of one array each."""
+    psi = np.array([0.6, 0.8], dtype=complex)
+    tree = OutcomeTree(zoo.qid2(), qlinalg.su2_exp(np.array([0.2, -0.5, 0.9])), loops.qid2_rule(), psi)
+    fails = tree._fail_idx
+    assert len(fails) >= 3
+    nodes = tree.children([(tree.root, j) for j in fails])
+    assert all(node.kept and tree.root.children[j] is node for j, node in zip(fails, nodes))
+    first = nodes[0]
+    assert first.batch is not None and all(node.batch is first.batch for node in nodes)
+    assert loops._batch_stack(nodes) is first.batch
+    assert first.residual.base is not None and all(node.residual.base is first.residual.base for node in nodes)
+    rounds = tree.rounds_at(nodes, [psi] * len(nodes))
+    assert rounds[0].amps.base is not None and all(r.amps.base is rounds[0].amps.base for r in rounds)
+    assert all(node.round is r for node, r in zip(nodes, rounds))
+
+
+def test_kept_views_pin_at_most_a_batch_past_the_cap():
+    """After 200 qidN(8) trials of 3 rounds, the distinct arrays under the kept nodes' residuals, branch operators and
+    round amplitudes hold at most `_RETAINED_BYTES + _BATCH_BYTES`.
+
+    A kept node's views keep its batch's whole stacks alive, rows of nodes past the cap included, while the cap counts
+    only the kept rows; a batch holds at most `_BATCH_BYTES` of node arrays. The tree keeps 25 qidN(8) nodes (83 KiB
+    each with their round), which fill the cap, and the sum reads 1825 KiB (numpy 2.4.6)."""
+    proc, rule = zoo.qidN(8), loops.qidN_rule()
+    tree = OutcomeTree(proc, random_unitary(8, derive_stream(21)), rule, np.ones(8) / np.sqrt(8))
+    ((n, draw),) = uniform_draws((5, 0), trial_indices(200))
+    run_trials(tree, 3, n, draw)
+    held, pending = {}, [tree.root]
+    while pending:
+        node = pending.pop()
+        pending += node.children.values()
+        for a in (node.residual, node.ops, None if node.round is None else node.round.amps):
+            if a is not None:
+                base = a if a.base is None else a.base
+                held[id(base)] = base.nbytes
+    assert tree._retained > loops._RETAINED_BYTES - tree._node_bytes  # the cap is full
+    assert sum(held.values()) <= loops._RETAINED_BYTES + loops._BATCH_BYTES, sum(held.values())

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qproc import cli, loops
-from qproc.cli import SAMPLE_EXPERIMENTS, ExperimentConfig, _layout, _NoTemplate, round_to_dict, run_sample, sample_json, trace_to_dict
+from qproc.cli import SAMPLE_EXPERIMENTS, ExperimentConfig, _layout, _NoTemplate, run_sample, sample_json, trace_to_dict
 from qproc.loops import LoopRound, LoopTrace
 from qproc.processor import ProgramState
 
@@ -328,7 +328,7 @@ def test_writer_memory_is_bounded_by_the_chunk_not_the_trace_count():
     assert _peak_while_written(repeated) < 4 * cli.TEXT_CHUNK
     rounds = [_round(_program({"alpha": 0.1 + k * 1e-5}, "u1"), prob=1.0 / (k + 3)) for k in range(10**4)]
     distinct = {"config": CONFIG, "traces": [_trace([r]) for r in rounds], "summary": SUMMARY}
-    memo = sum(len(json.dumps(round_to_dict(r), indent=2)) + 300 for r in rounds)
+    memo = sum(len(json.dumps(trace_to_dict(t)["rounds"][0], indent=2)) + 300 for t in distinct["traces"])
     assert _peak_while_written(distinct) < 4 * cli.TEXT_CHUNK + memo
 
 

@@ -1,4 +1,4 @@
-"""Time outcome-tree node work in-process: lone-node stages, the qid2 encode, a Haar single-shot pass and exact chain walks.
+"""Time outcome-tree node work in-process: lone-node stages, the qid2 encode, sampled commands and exact walks.
 
     PYTHONPATH=src python tools/time_nodes.py [--against OTHER/src] [--rounds 7] [--repeat 5]
 
@@ -9,7 +9,8 @@ Cases:
   below, and, on the qid2 node, `branch_operators` of its program, its exact
   entry (`_fold` of one round), its collapse test (`_state_independent`, on
   a stack of one where a lone node's test took one) and the `tree.child`
-  step that builds it;
+  step that builds it, on a tree whose node cap is spent, so that every
+  call builds the node afresh;
 - the qid2 rule's `next_program` on a stack of K Haar-random residuals (the
   inverses and the SU(2) encode of K nodes), in us per node, at K = 1, 4, 20
   and 100; on a version whose rules take one residual, K calls;
@@ -18,6 +19,10 @@ Cases:
   refused rows' path;
 - `cli.run_sample` of a bz_haar config of one full stream pass (4096 trials,
   one round each), in us per trial;
+- `cli.run_sample` of the five loop-trajectories configs of the benchmark
+  (qid2 at 8 rounds, qidN(3) at 5, the dim-3 diagonal and B(0.8) at 6, and
+  bz_haar at 1; 300 trials each) and of qidN(8) (200 trials of 3 rounds),
+  in us per trial: the sampled walks, their batches and their kept nodes;
 - `exact_walk` on a fresh tree of the loops whose trees collapse to chains
   in exact-grid's sweeps, in ms per walk: qid2 at n = 200, u1 at n = 60,
   qidN(2), qidN(3) and qidN(4) at k = 16 on Haar targets, and the dim-3, 5
@@ -110,7 +115,8 @@ def _stages(package, chains: dict) -> list:
     for name, label in (("qid2", "qid2 n=200"), ("u1", "u1 n=60"), ("qidN(2)", "qidN(2) k=16"), ("diagonal dim 7", "diagonal dim 7 n=20")):
         proc, target, rule, psi = chains[label]
         tree = loops.OutcomeTree(proc, target, rule, psi)
-        node = tree.child(tree.root, tree._fail_idx[0], retain=False)
+        tree._retained = loops._RETAINED_BYTES  # the cap is spent: no child is kept, so each `tree.child` builds one
+        node = tree.child(tree.root, tree._fail_idx[0])
         residual = node.residual[None] if stacks else node.residual
         out.append((f"lone next_program {name}", "us", 1e6 / _CALLS, _calls(lambda rule=rule, proc=proc, target=target, r=residual: rule.next_program(proc, target, r))))
         if name == "qid2":
@@ -146,7 +152,7 @@ def _qid2_stages(package, tree, node) -> list:
     stacked = hasattr(loops, "_entries") and not hasattr(loops, "_head")  # a version whose lone collapse test took a stack of one
     out.append(("lone exact entry qid2", "us", 1e6 / _CALLS, _calls(entry)))
     out.append(("lone _state_independent qid2", "us", 1e6 / _CALLS, _calls(lambda: loops._state_independent(ops[None] if stacked else ops, probs[None] if stacked else probs))))
-    out.append(("lone tree.child qid2", "us", 1e6 / _CALLS, _calls(lambda: tree.child(tree.root, fail[0], retain=False))))
+    out.append(("lone tree.child qid2", "us", 1e6 / _CALLS, _calls(lambda: tree.child(tree.root, fail[0]))))
     return out
 
 
@@ -176,6 +182,17 @@ def _cases(package):
         out.append(("qidN(2) next_program K=20 half singular", "us/node", 1e6 / 20, lambda: rule.next_program(proc, target, stack)))
     cfg = cli.ExperimentConfig("bz_haar", max_rounds=1, trials=streams.CHUNK, seed=3)
     out.append((f"bz_haar sample, {streams.CHUNK} trials", "us/trial", 1e6 / streams.CHUNK, lambda: cli.run_sample(cfg)))
+    samples = (
+        ("qid2", "qid2", {}, 8, 300),
+        ("qidn3", "qidn", {"n_dim": 3}, 5, 300),
+        ("diagonal", "diagonal", {}, 6, 300),
+        ("bz", "bz", {"z": 0.8, "n_program": 2}, 6, 300),
+        ("bz_haar", "bz_haar", {}, 1, 300),
+        ("qidn8", "qidn", {"n_dim": 8}, 3, 200),
+    )
+    for label, experiment, params, rounds, trials in samples:
+        cfg = cli.ExperimentConfig(experiment, params=params, max_rounds=rounds, trials=trials, seed=3)
+        out.append((f"sample {label}, {trials} trials", "us/trial", 1e6 / trials, lambda cfg=cfg: cli.run_sample(cfg)))
     for label, args, n in chains + _enumerations(package):
         out.append((f"exact walk {label}", "ms/walk", 1e3, lambda args=args, n=n: loops.exact_walk(loops.OutcomeTree(*args), n)))
     return out
